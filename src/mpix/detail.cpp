@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <string>
 
 namespace mpix::detail {
@@ -202,59 +203,44 @@ std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,
 
 void parse_edges(std::span<const long long> data, bool dedup,
                  std::vector<Edge>& out_edges, std::vector<Edge>& in_edges) {
-  // Pre-scan for the edge totals so the output vectors are reserved once
-  // (a region's combined metadata blob holds thousands of edges; doubling
-  // growth re-copied Edge objects — and their gid vectors — repeatedly).
-  // Truncation is ignored here; the parse below reports it.
-  {
-    std::size_t nout = 0, nin = 0, pos = 0;
-    while (pos + 1 < data.size()) {
-      ++pos;  // rank
-      for (int dir = 0; dir < 2; ++dir) {
-        if (pos >= data.size()) break;
-        const long long n = data[pos++];
-        for (long long e = 0; e < n && pos + 1 < data.size(); ++e) {
-          const long long count = data[pos + 1];
-          if (count < 0) break;  // corrupt; the parse below throws
-          pos += 2 + (dedup ? static_cast<std::size_t>(count) : 0);
-          (dir == 0 ? nout : nin) += 1;
-        }
-      }
-    }
-    out_edges.reserve(out_edges.size() + nout);
-    in_edges.reserve(in_edges.size() + nin);
-  }
+  auto truncated = [] {
+    return SimError("parse_edges: truncated metadata blob");
+  };
   std::size_t pos = 0;
   auto next = [&]() {
-    if (pos >= data.size())
-      throw SimError("parse_edges: truncated metadata blob");
+    if (pos >= data.size()) throw truncated();
     return data[pos++];
+  };
+  // Count word and gid view of one edge.  The count is range-checked
+  // before the view is taken, so a corrupt blob throws instead of yielding
+  // a span past its end.
+  auto payload = [&](Edge& edge) {
+    const long long count = next();
+    const std::size_t remaining = data.size() - pos;
+    if (count < 0 || count > std::numeric_limits<int>::max() ||
+        (dedup && static_cast<unsigned long long>(count) > remaining))
+      throw truncated();
+    edge.count = static_cast<int>(count);
+    if (dedup) {
+      edge.gids = data.subspan(pos, static_cast<std::size_t>(count));
+      pos += edge.gids.size();
+    }
   };
   while (pos < data.size()) {
     const int rank = static_cast<int>(next());
     const long long nout = next();
     for (long long e = 0; e < nout; ++e) {
-      Edge edge;
+      Edge& edge = out_edges.emplace_back();
       edge.src = rank;
       edge.dst = static_cast<int>(next());
-      edge.count = static_cast<int>(next());
-      if (dedup) {
-        edge.gids.resize(edge.count);
-        for (int k = 0; k < edge.count; ++k) edge.gids[k] = next();
-      }
-      out_edges.push_back(std::move(edge));
+      payload(edge);
     }
     const long long nin = next();
     for (long long e = 0; e < nin; ++e) {
-      Edge edge;
+      Edge& edge = in_edges.emplace_back();
       edge.dst = rank;
       edge.src = static_cast<int>(next());
-      edge.count = static_cast<int>(next());
-      if (dedup) {
-        edge.gids.resize(edge.count);
-        for (int k = 0; k < edge.count; ++k) edge.gids[k] = next();
-      }
-      in_edges.push_back(std::move(edge));
+      payload(edge);
     }
   }
   std::sort(out_edges.begin(), out_edges.end());
@@ -297,14 +283,16 @@ std::vector<gidx> unique_sorted(std::span<const gidx> gids) {
   return u;
 }
 
-long PairLayout::find(int src, gidx gid) const {
-  for (const auto& blk : src_blocks) {
-    if (blk.src != src) continue;
-    auto it = std::lower_bound(blk.gids.begin(), blk.gids.end(), gid);
-    if (it == blk.gids.end() || *it != gid)
-      throw SimError("PairLayout::find: gid not in source block");
-    return blk.offset + (it - blk.gids.begin());
-  }
+long PairLayout::SrcBlock::find(gidx gid) const {
+  auto it = std::lower_bound(gids.begin(), gids.end(), gid);
+  if (it == gids.end() || *it != gid)
+    throw SimError("PairLayout::find: gid not in source block");
+  return offset + (it - gids.begin());
+}
+
+const PairLayout::SrcBlock& PairLayout::block(int src) const {
+  for (const auto& blk : src_blocks)
+    if (blk.src == src) return blk;
   throw SimError("PairLayout::find: source not in pair");
 }
 
@@ -327,10 +315,12 @@ PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup) {
       all.insert(all.end(), edges[e]->gids.begin(), edges[e]->gids.end());
       ++e;
     }
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
     PairLayout::SrcBlock blk;
     blk.src = src;
     blk.offset = lay.total;
-    blk.gids = unique_sorted(all);
+    blk.gids = std::move(all);
     lay.total += static_cast<long>(blk.gids.size());
     lay.src_blocks.push_back(std::move(blk));
   }

@@ -55,12 +55,13 @@ void validate_plan_args(const LocalityPlan& plan,
                         const AlltoallvArgs& args);
 
 /// One directed traffic edge between comm-local ranks, as shared inside a
-/// region during setup.
+/// region during setup.  An Edge owns no gid storage: `gids` views the
+/// metadata blob it was parsed from, so it must not outlive that blob.
 struct Edge {
   int src = -1;
   int dst = -1;
   int count = 0;
-  std::vector<gidx> gids;  ///< per-value indices (dedup mode only)
+  std::span<const gidx> gids;  ///< per-value indices (dedup mode only)
 
   friend bool operator<(const Edge& a, const Edge& b) {
     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
@@ -73,7 +74,9 @@ std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,
 
 /// Parse concatenated rank blobs back into edge lists.  `out_edges` gets
 /// one entry per (publisher, destination), `in_edges` one per (source,
-/// publisher).
+/// publisher).  In dedup mode each edge's `gids` is a view into `data`.
+/// Throws SimError on a truncated or corrupt blob: an edge count that is
+/// negative or, in dedup mode, larger than the words left.
 void parse_edges(std::span<const long long> data, bool dedup,
                  std::vector<Edge>& out_edges, std::vector<Edge>& in_edges);
 
@@ -105,11 +108,16 @@ struct PairLayout {
     int src;
     long offset;
     std::vector<gidx> gids;  ///< sorted ascending, unique
+
+    /// Value offset of `gid` within the message.
+    long find(gidx gid) const;
   };
   std::vector<SrcBlock> src_blocks;
 
+  /// Dedup: the block of source `src`.
+  const SrcBlock& block(int src) const;
   /// Dedup: value offset of `gid` within the message for source `src`.
-  long find(int src, gidx gid) const;
+  long find(int src, gidx gid) const { return block(src).find(gid); }
 };
 
 PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup);

@@ -14,7 +14,10 @@
 ///  * `make_locality_plan` (collective) computes every routing decision —
 ///    gather/scatter index maps, staging layouts, leader assignments — from
 ///    metadata shared inside each region plus a root-to-root handshake, and
-///    stores them in a buffer-free `LocalityPlan`;
+///    stores them in a buffer-free `LocalityPlan`.  Everything that reads
+///    the metadata is decided before the handshake, and the metadata is
+///    freed before the rank suspends again; each rank lays out only the
+///    region pairs it leads;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
 ///    fresh message channels to a plan, scaling all value offsets by the
 ///    arguments' `element_size`.
@@ -23,6 +26,7 @@
 /// carrying the same user-supplied index cross each region boundary once
 /// (Section 3.3).
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -156,6 +160,273 @@ std::vector<long> src_item_offsets(const PairLayout& lay,
   return out;
 }
 
+/// Stable sort of (gid, value position) pairs by gid: equal gids keep their
+/// enumeration order.  Each dedup index map below is read off one such
+/// sort.
+void sort_by_gid(std::vector<std::pair<gidx, int>>& v) {
+  std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+}
+
+/// A region pair whose inter-region message this rank sends or receives.
+struct LedPair {
+  int region;   ///< the peer region
+  long offset;  ///< the pair's block in the staging buffer, in values
+  long total;   ///< values in the pair's message
+};
+
+/// What a plan build still needs once the region's metadata is freed: the
+/// root handshake's leader tables and the g phase's led pairs.
+struct RegionRoutes {
+  util::FlatMap<int, int> out_leader_core, in_leader_core;  ///< region->core
+  std::vector<LedPair> led_out, led_in;  ///< ascending region ids
+  std::size_t edges = 0;                 ///< region edges parsed, both ways
+};
+
+/// Every routing decision that reads the region's metadata: leader
+/// assignment, the led pairs' layouts, and the s- and r-phase index maps
+/// and staging sizes (written to `plan`).  The parsed edges view `md`,
+/// which is taken by value and so freed on return — before the caller's
+/// root handshake suspends, so the members of a region do not all hold
+/// their copies at once.  Layouts are built only for the pairs this rank
+/// leads: nobody else reads them.
+RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
+                          const simmpi::DistGraph& graph,
+                          const AlltoallvArgs& args, const Comm& rc,
+                          std::span<const int> g2l) {
+  const bool dedup = plan.dedup;
+  const Comm& comm = graph.comm;
+  const auto& machine = comm.engine().machine();
+  const int me = comm.rank();
+  const int nlocal = rc.size();
+  const int my_core = rc.rank();
+  auto region_of = [&](int local) {
+    return machine.region_of(comm.global(local));
+  };
+  auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
+  const int my_region = region_of(me);
+
+  util::FlatMap<int, int> dst_index, src_index;
+  for (std::size_t i = 0; i < graph.destinations.size(); ++i)
+    dst_index[graph.destinations[i]] = static_cast<int>(i);
+  for (std::size_t i = 0; i < graph.sources.size(); ++i)
+    src_index[graph.sources[i]] = static_cast<int>(i);
+
+  std::vector<Edge> out_edges, in_edges;
+  detail::parse_edges(md, dedup, out_edges, in_edges);
+  RegionRoutes routes;
+  routes.edges = out_edges.size() + in_edges.size();
+
+  // Group remote traffic by peer region (sorted FlatMap => ascending region
+  // ids, identical on every member since the metadata is identical).
+  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
+  for (const auto& e : out_edges) {
+    const int q = region_of(e.dst);
+    if (q != my_region) out_pairs[q].push_back(&e);
+  }
+  for (const auto& e : in_edges) {
+    const int rr = region_of(e.src);
+    if (rr != my_region) in_pairs[rr].push_back(&e);
+  }
+
+  // ---- leader assignment ---------------------------------------------------
+  std::vector<std::pair<int, long>> out_loads, in_loads;
+  for (const auto& [q, v] : out_pairs) {
+    long t = 0;
+    for (const Edge* e : v) t += e->count;
+    out_loads.emplace_back(q, t);
+  }
+  for (const auto& [rr, v] : in_pairs) {
+    long t = 0;
+    for (const Edge* e : v) t += e->count;
+    in_loads.emplace_back(rr, t);
+  }
+  const auto out_assign =
+      detail::assign_leaders(out_loads, nlocal, plan.lpt_balance);
+  const auto in_assign =
+      detail::assign_leaders(in_loads, nlocal, plan.lpt_balance);
+  for (std::size_t i = 0; i < out_loads.size(); ++i)
+    routes.out_leader_core[out_loads[i].first] = out_assign[i];
+  for (std::size_t i = 0; i < in_loads.size(); ++i)
+    routes.in_leader_core[in_loads[i].first] = in_assign[i];
+
+  // ---- layouts and staging blocks of the led pairs -------------------------
+  std::vector<PairLayout> out_layouts, in_layouts;  // aligned with led_out/in
+  auto lead = [&](const auto& pairs, const util::FlatMap<int, int>& leader,
+                  std::vector<LedPair>& led, std::vector<PairLayout>& lays) {
+    long total = 0;
+    for (const auto& [region, core] : leader) {
+      if (core != my_core) continue;
+      lays.push_back(detail::pair_layout(*pairs.find(region), dedup));
+      led.push_back({region, total, lays.back().total});
+      total += lays.back().total;
+    }
+    return total;
+  };
+  plan.s_stage_values =
+      lead(out_pairs, routes.out_leader_core, routes.led_out, out_layouts);
+  plan.g_stage_values =
+      lead(in_pairs, routes.in_leader_core, routes.led_in, in_layouts);
+
+  // s_stage positions of `src`'s values in the pairs this rank leads.
+  auto staged_from = [&](int src) {
+    std::vector<int> pos;
+    for (std::size_t p = 0; p < routes.led_out.size(); ++p) {
+      const LedPair& led = routes.led_out[p];
+      for (long off : src_item_offsets(out_layouts[p],
+                                       *out_pairs.find(led.region), src,
+                                       dedup))
+        pos.push_back(static_cast<int>(led.offset + off));
+    }
+    return pos;
+  };
+
+  // ---- s phase: source side ------------------------------------------------
+  for (int L = 0; L < nlocal; ++L) {
+    std::vector<int> gather;
+    for (const auto& [q, core] : routes.out_leader_core) {
+      if (core != L) continue;
+      if (!dedup) {
+        for (const Edge* e : *out_pairs.find(q)) {
+          if (e->src != me) continue;
+          const int i = *dst_index.find(e->dst);
+          for (int k = 0; k < e->count; ++k)
+            gather.push_back(args.sdispls[i] + k);
+        }
+      } else {
+        // Unique gids this rank contributes to Q, each gathered from its
+        // first occurrence in the send buffer (keep-first, gid-ascending).
+        std::vector<std::pair<gidx, int>> occurrences;
+        for (const Edge* e : *out_pairs.find(q)) {
+          if (e->src != me) continue;
+          const int i = *dst_index.find(e->dst);
+          for (int k = 0; k < e->count; ++k) {
+            const int pos = args.sdispls[i] + k;
+            occurrences.emplace_back(args.send_idx[pos], pos);
+          }
+        }
+        sort_by_gid(occurrences);
+        for (std::size_t j = 0; j < occurrences.size(); ++j)
+          if (j == 0 || occurrences[j].first != occurrences[j - 1].first)
+            gather.push_back(occurrences[j].second);
+      }
+    }
+    if (gather.empty()) continue;
+    if (L == my_core) {
+      plan.s_self.src = std::move(gather);
+      plan.s_self.dst = staged_from(me);
+    } else {
+      ++plan.stats.local_msgs;
+      plan.stats.local_values += static_cast<long>(gather.size());
+      plan.s_sends.push_back({core_to_local(L), std::move(gather)});
+    }
+  }
+
+  // ---- s phase: leader side ------------------------------------------------
+  if (!routes.led_out.empty()) {
+    for (int core = 0; core < nlocal; ++core) {
+      const int src = core_to_local(core);
+      if (src == me) continue;
+      std::vector<int> sc_dst = staged_from(src);
+      if (sc_dst.empty()) continue;
+      LocalityPlan::ScatterMsg m;
+      m.peer = src;
+      m.values = static_cast<int>(sc_dst.size());
+      m.scatter_dst = std::move(sc_dst);
+      m.scatter_src.resize(m.scatter_dst.size());
+      std::iota(m.scatter_src.begin(), m.scatter_src.end(), 0);
+      plan.s_recvs.push_back(std::move(m));
+    }
+  }
+
+  // ---- r phase: leader side ------------------------------------------------
+  std::vector<int> self_vals;  // value gather list when I am my own dest
+  if (!routes.led_in.empty()) {
+    for (int core = 0; core < nlocal; ++core) {
+      const int d = core_to_local(core);
+      std::vector<int> gather;
+      for (std::size_t p = 0; p < routes.led_in.size(); ++p) {
+        const auto& pair = *in_pairs.find(routes.led_in[p].region);
+        const PairLayout& lay = in_layouts[p];
+        const long block = routes.led_in[p].offset;
+        for (std::size_t e = 0; e < pair.size(); ++e) {
+          if (pair[e]->dst != d) continue;
+          if (!dedup) {
+            for (int k = 0; k < pair[e]->count; ++k)
+              gather.push_back(
+                  static_cast<int>(block + lay.segments[e].offset + k));
+          } else {
+            const auto& src_block = lay.block(pair[e]->src);
+            for (gidx gid : detail::unique_sorted(pair[e]->gids))
+              gather.push_back(static_cast<int>(block + src_block.find(gid)));
+          }
+        }
+      }
+      if (gather.empty()) continue;
+      if (d == me) {
+        self_vals = std::move(gather);
+      } else {
+        ++plan.stats.local_msgs;
+        plan.stats.local_values += static_cast<long>(gather.size());
+        plan.r_sends.push_back({d, std::move(gather)});
+      }
+    }
+  }
+
+  // ---- r phase: destination side -------------------------------------------
+  for (int core = 0; core < nlocal; ++core) {
+    std::vector<int> sc_src, sc_dst;
+    int value_pos = 0;
+    for (const auto& [rr, lcore] : routes.in_leader_core) {
+      if (lcore != core) continue;
+      for (const Edge* e : *in_pairs.find(rr)) {
+        if (e->dst != me) continue;
+        const int i = *src_index.find(e->src);
+        if (!dedup) {
+          for (int k = 0; k < e->count; ++k) {
+            sc_src.push_back(value_pos++);
+            sc_dst.push_back(args.rdispls[i] + k);
+          }
+        } else {
+          // The leader sends the segment's unique gids in ascending order;
+          // every position carrying a gid reads that gid's value.
+          std::vector<std::pair<gidx, int>> occurrences;
+          for (int k = 0; k < e->count; ++k) {
+            const int pos = args.rdispls[i] + k;
+            occurrences.emplace_back(args.recv_idx[pos], pos);
+          }
+          sort_by_gid(occurrences);
+          int u = -1;  // index of the current gid among the unique ones
+          for (std::size_t j = 0; j < occurrences.size(); ++j) {
+            if (j == 0 || occurrences[j].first != occurrences[j - 1].first) ++u;
+            sc_src.push_back(value_pos + u);
+            sc_dst.push_back(occurrences[j].second);
+          }
+          value_pos += u + 1;
+        }
+      }
+    }
+    if (sc_dst.empty()) continue;
+    if (core == my_core) {
+      // I am my own in-leader: resolve through the value list computed on
+      // the leader side.
+      plan.r_self.src.resize(sc_dst.size());
+      plan.r_self.dst = sc_dst;
+      for (std::size_t k = 0; k < sc_dst.size(); ++k)
+        plan.r_self.src[k] = self_vals[sc_src[k]];
+    } else {
+      LocalityPlan::ScatterMsg m;
+      m.peer = core_to_local(core);
+      m.values = value_pos;
+      m.scatter_src = std::move(sc_src);
+      m.scatter_dst = std::move(sc_dst);
+      plan.r_recvs.push_back(std::move(m));
+    }
+  }
+  return routes;
+}
+
 }  // namespace
 
 Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
@@ -197,12 +468,6 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   const int tag_hs = ctx.engine().next_coll_tag(comm);
 
   // ---- l phase: straight from this rank's own arguments ------------------
-  util::FlatMap<int, int> dst_index, src_index;
-  for (std::size_t i = 0; i < graph.destinations.size(); ++i)
-    dst_index[graph.destinations[i]] = static_cast<int>(i);
-  for (std::size_t i = 0; i < graph.sources.size(); ++i)
-    src_index[graph.sources[i]] = static_cast<int>(i);
-
   for (std::size_t i = 0; i < graph.destinations.size(); ++i) {
     const int d = graph.destinations[i];
     if (region_of(d) != my_region) continue;
@@ -219,47 +484,10 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   // ---- metadata exchange within the region --------------------------------
   Comm rc = co_await coll::split_by_region(ctx, comm);
   const int nlocal = rc.size();
-  const int my_core = rc.rank();
   auto blob = detail::serialize_edges(graph, args, dedup);
   auto all_md = co_await coll::allgatherv<long long>(ctx, rc, std::move(blob));
   ctx.compute(opts.setup_compute_per_word *
               static_cast<double>(all_md.size()));
-  std::vector<Edge> out_edges, in_edges;
-  detail::parse_edges(all_md, dedup, out_edges, in_edges);
-
-  // Group remote traffic by peer region (sorted FlatMap => ascending region
-  // ids, identical on every member since the metadata is identical).
-  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
-  for (const auto& e : out_edges) {
-    const int q = region_of(e.dst);
-    if (q != my_region) out_pairs[q].push_back(&e);
-  }
-  for (const auto& e : in_edges) {
-    const int rr = region_of(e.src);
-    if (rr != my_region) in_pairs[rr].push_back(&e);
-  }
-
-  // ---- leader assignment ---------------------------------------------------
-  std::vector<std::pair<int, long>> out_loads, in_loads;
-  for (const auto& [q, v] : out_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    out_loads.emplace_back(q, t);
-  }
-  for (const auto& [rr, v] : in_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    in_loads.emplace_back(rr, t);
-  }
-  const auto out_assign =
-      detail::assign_leaders(out_loads, nlocal, opts.lpt_balance);
-  const auto in_assign =
-      detail::assign_leaders(in_loads, nlocal, opts.lpt_balance);
-  util::FlatMap<int, int> out_leader_core, in_leader_core;
-  for (std::size_t i = 0; i < out_loads.size(); ++i)
-    out_leader_core[out_loads[i].first] = out_assign[i];
-  for (std::size_t i = 0; i < in_loads.size(); ++i)
-    in_leader_core[in_loads[i].first] = in_assign[i];
 
   // ---- rank translation tables --------------------------------------------
   auto members = comm.members();
@@ -274,6 +502,10 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
       region_root[reg] = i;
   }
   auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
+
+  // ---- s/r routing; the region's metadata is freed before the handshake ----
+  const RegionRoutes routes =
+      route_region(*plan, std::move(all_md), graph, args, rc, g2l);
   ctx.compute(opts.setup_compute_per_word * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------
@@ -284,16 +516,16 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   util::FlatMap<int, int> g_src_leader;  // R' -> comm-local send leader in R'
   std::vector<long long> hs_blob;
   if (me == *region_root.find(my_region)) {
-    for (const auto& [q, core] : out_leader_core)
+    for (const auto& [q, core] : routes.out_leader_core)
       co_await coll::send_val<long long>(
           ctx, comm, *region_root.find(q), core_to_local(core), tag_hs);
-    for (const auto& [rr, core] : in_leader_core)
+    for (const auto& [rr, core] : routes.in_leader_core)
       co_await coll::send_val<long long>(
           ctx, comm, *region_root.find(rr), core_to_local(core), tag_hs);
-    for (const auto& [rr, v] : in_pairs)
+    for (const auto& [rr, core] : routes.in_leader_core)
       g_src_leader[rr] = static_cast<int>(co_await coll::recv_val<long long>(
           ctx, comm, *region_root.find(rr), tag_hs));
-    for (const auto& [q, v] : out_pairs)
+    for (const auto& [q, core] : routes.out_leader_core)
       g_dst_leader[q] = static_cast<int>(co_await coll::recv_val<long long>(
           ctx, comm, *region_root.find(q), tag_hs));
     hs_blob.push_back(static_cast<long long>(g_src_leader.size()));
@@ -322,196 +554,25 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     }
   }
 
-  // ---- pair layouts and staging buffers ------------------------------------
-  util::FlatMap<int, PairLayout> out_layout, in_layout;
-  for (const auto& [q, v] : out_pairs)
-    out_layout[q] = detail::pair_layout(v, dedup);
-  for (const auto& [rr, v] : in_pairs)
-    in_layout[rr] = detail::pair_layout(v, dedup);
-
-  std::vector<int> my_out_qs, my_in_rs;
-  for (const auto& [q, core] : out_leader_core)
-    if (core == my_core) my_out_qs.push_back(q);
-  for (const auto& [rr, core] : in_leader_core)
-    if (core == my_core) my_in_rs.push_back(rr);
-
-  util::FlatMap<int, long> s_block_off, g_block_off;
-  long s_total = 0, g_total = 0;
-  for (int q : my_out_qs) {
-    s_block_off[q] = s_total;
-    s_total += out_layout.find(q)->total;
-  }
-  for (int rr : my_in_rs) {
-    g_block_off[rr] = g_total;
-    g_total += in_layout.find(rr)->total;
-  }
-  plan->s_stage_values = s_total;
-  plan->g_stage_values = g_total;
-
   // ---- g phase --------------------------------------------------------------
-  for (int q : my_out_qs) {
-    const long total = out_layout.find(q)->total;
-    plan->g_sends.push_back({*g_dst_leader.find(q), *s_block_off.find(q), total});
+  for (const LedPair& p : routes.led_out) {
+    const int peer = *g_dst_leader.find(p.region);
+    plan->g_sends.push_back({peer, p.offset, p.total});
     ++plan->stats.global_msgs;
-    plan->stats.global_values += total;
+    plan->stats.global_values += p.total;
     plan->stats.max_global_msg_values =
-        std::max(plan->stats.max_global_msg_values, total);
-    detail::count_link_crossing(machine, comm.global(me),
-                                comm.global(*g_dst_leader.find(q)), total,
-                                plan->stats);
+        std::max(plan->stats.max_global_msg_values, p.total);
+    detail::count_link_crossing(machine, comm.global(me), comm.global(peer),
+                                p.total, plan->stats);
   }
-  for (int rr : my_in_rs)
-    plan->g_recvs.push_back({*g_src_leader.find(rr), *g_block_off.find(rr),
-                             in_layout.find(rr)->total});
-
-  // ---- s phase: source side --------------------------------------------------
-  for (int L = 0; L < nlocal; ++L) {
-    std::vector<int> gather;
-    std::vector<int> self_dst;
-    for (const auto& [q, core] : out_leader_core) {
-      if (core != L) continue;
-      if (!dedup) {
-        for (const Edge* e : *out_pairs.find(q)) {
-          if (e->src != me) continue;
-          const int i = *dst_index.find(e->dst);
-          for (int k = 0; k < e->count; ++k)
-            gather.push_back(args.sdispls[i] + k);
-        }
-      } else {
-        // Unique gids this rank contributes to Q, each gathered from its
-        // first occurrence in the send buffer (keep-first, gid-ascending).
-        util::FlatMap<gidx, int> first;
-        for (const Edge* e : *out_pairs.find(q)) {
-          if (e->src != me) continue;
-          const int i = *dst_index.find(e->dst);
-          for (int k = 0; k < e->count; ++k) {
-            const gidx gid = args.send_idx[args.sdispls[i] + k];
-            if (!first.find(gid)) first[gid] = args.sdispls[i] + k;
-          }
-        }
-        for (const auto& [gid, pos] : first) gather.push_back(pos);
-      }
-      if (L == my_core) {
-        for (long off :
-             src_item_offsets(*out_layout.find(q), *out_pairs.find(q), me,
-                              dedup))
-          self_dst.push_back(static_cast<int>(*s_block_off.find(q) + off));
-      }
-    }
-    if (gather.empty()) continue;
-    if (L == my_core) {
-      plan->s_self.src = std::move(gather);
-      plan->s_self.dst = std::move(self_dst);
-    } else {
-      ++plan->stats.local_msgs;
-      plan->stats.local_values += static_cast<long>(gather.size());
-      plan->s_sends.push_back({core_to_local(L), std::move(gather)});
-    }
-  }
-
-  // ---- s phase: leader side ---------------------------------------------------
-  if (!my_out_qs.empty()) {
-    for (int core = 0; core < nlocal; ++core) {
-      const int src = core_to_local(core);
-      if (src == me) continue;
-      std::vector<int> sc_dst;
-      for (int q : my_out_qs)
-        for (long off : src_item_offsets(*out_layout.find(q),
-                                         *out_pairs.find(q), src, dedup))
-          sc_dst.push_back(static_cast<int>(*s_block_off.find(q) + off));
-      if (sc_dst.empty()) continue;
-      LocalityPlan::ScatterMsg m;
-      m.peer = src;
-      m.values = static_cast<int>(sc_dst.size());
-      m.scatter_dst = std::move(sc_dst);
-      m.scatter_src.resize(m.scatter_dst.size());
-      std::iota(m.scatter_src.begin(), m.scatter_src.end(), 0);
-      plan->s_recvs.push_back(std::move(m));
-    }
-  }
-
-  // ---- r phase: leader side -----------------------------------------------------
-  std::vector<int> self_vals;  // value gather list when I am my own dest
-  if (!my_in_rs.empty()) {
-    for (int core = 0; core < nlocal; ++core) {
-      const int d = core_to_local(core);
-      std::vector<int> gather;
-      for (int rr : my_in_rs) {
-        const auto& pair = *in_pairs.find(rr);
-        const auto& lay = *in_layout.find(rr);
-        const long block = *g_block_off.find(rr);
-        for (std::size_t e = 0; e < pair.size(); ++e) {
-          if (pair[e]->dst != d) continue;
-          if (!dedup) {
-            for (int k = 0; k < pair[e]->count; ++k)
-              gather.push_back(
-                  static_cast<int>(block + lay.segments[e].offset + k));
-          } else {
-            for (gidx gid : detail::unique_sorted(pair[e]->gids))
-              gather.push_back(
-                  static_cast<int>(block + lay.find(pair[e]->src, gid)));
-          }
-        }
-      }
-      if (gather.empty()) continue;
-      if (d == me) {
-        self_vals = std::move(gather);
-      } else {
-        ++plan->stats.local_msgs;
-        plan->stats.local_values += static_cast<long>(gather.size());
-        plan->r_sends.push_back({d, std::move(gather)});
-      }
-    }
-  }
-
-  // ---- r phase: destination side ---------------------------------------------
-  for (int core = 0; core < nlocal; ++core) {
-    std::vector<int> sc_src, sc_dst;
-    int value_pos = 0;
-    for (const auto& [rr, lcore] : in_leader_core) {
-      if (lcore != core) continue;
-      for (const Edge* e : *in_pairs.find(rr)) {
-        if (e->dst != me) continue;
-        const int i = *src_index.find(e->src);
-        if (!dedup) {
-          for (int k = 0; k < e->count; ++k) {
-            sc_src.push_back(value_pos++);
-            sc_dst.push_back(args.rdispls[i] + k);
-          }
-        } else {
-          const auto u = detail::unique_sorted(e->gids);
-          for (std::size_t ui = 0; ui < u.size(); ++ui)
-            for (int k = 0; k < e->count; ++k)
-              if (args.recv_idx[args.rdispls[i] + k] == u[ui]) {
-                sc_src.push_back(value_pos + static_cast<int>(ui));
-                sc_dst.push_back(args.rdispls[i] + k);
-              }
-          value_pos += static_cast<int>(u.size());
-        }
-      }
-    }
-    if (sc_dst.empty()) continue;
-    if (core == my_core) {
-      // I am my own in-leader: resolve through the value list computed on
-      // the leader side.
-      plan->r_self.src.resize(sc_dst.size());
-      plan->r_self.dst = sc_dst;
-      for (std::size_t k = 0; k < sc_dst.size(); ++k)
-        plan->r_self.src[k] = self_vals[sc_src[k]];
-    } else {
-      LocalityPlan::ScatterMsg m;
-      m.peer = core_to_local(core);
-      m.values = value_pos;
-      m.scatter_src = std::move(sc_src);
-      m.scatter_dst = std::move(sc_dst);
-      plan->r_recvs.push_back(std::move(m));
-    }
-  }
+  for (const LedPair& p : routes.led_in)
+    plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
 
   // Charge the routing computation (index map building) to this rank.
   ctx.compute(opts.setup_compute_per_word *
-              static_cast<double>(s_total + g_total + out_edges.size() +
-                                  in_edges.size() + nlocal));
+              static_cast<double>(plan->s_stage_values +
+                                  plan->g_stage_values + routes.edges +
+                                  nlocal));
   co_return plan;
 }
 

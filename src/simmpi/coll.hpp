@@ -223,8 +223,11 @@ Task<std::vector<T>> allgatherv(Context& ctx, Comm comm, std::vector<T> mine,
       co_await allgather<int>(ctx, comm, static_cast<int>(mine.size()));
   if (counts_out) *counts_out = counts;
 
-  // acc holds the payloads of ranks (r+i)%p for i in [0, nblocks).
+  // acc holds the payloads of ranks (r+i)%p for i in [0, nblocks), each
+  // round received straight into its tail.  The total is reserved up front,
+  // so the storage never moves under a posted request.
   std::vector<T> acc = std::move(mine);
+  acc.reserve(std::accumulate(counts.begin(), counts.end(), std::size_t{0}));
   int nblocks = 1;
   if (p > 1) {
     const int tag = ctx.engine().next_coll_tag(comm);
@@ -240,32 +243,27 @@ Task<std::vector<T>> allgatherv(Context& ctx, Comm comm, std::vector<T> mine,
       const int src = (r + c) % p;
       const long send_elems = block_count(r, nblk);
       const long recv_elems = block_count(src, nblk);
-      std::vector<T> in(recv_elems);
+      const std::size_t filled = acc.size();
+      acc.resize(filled + recv_elems);
       auto s = Request::send(
           comm, std::as_bytes(std::span<const T>(acc.data(), send_elems)), dst,
           tag);
       s.set_control(true);
-      auto rr = Request::recv(comm, detail::vec_as_writable(in), src, tag);
+      auto rr = Request::recv(
+          comm,
+          std::as_writable_bytes(std::span<T>(acc).subspan(filled, recv_elems)),
+          src, tag);
       s.start(ctx);
       rr.start(ctx);
       co_await ctx.wait(s);
       co_await ctx.wait(rr);
-      acc.insert(acc.end(), in.begin(), in.end());
       nblocks += nblk;
     }
   }
-  // Undo rotation: block i of acc belongs to rank (r+i)%p.
-  std::vector<long> offsets(p + 1, 0);
-  for (int i = 0; i < p; ++i) offsets[i + 1] = offsets[i] + counts[i];
-  std::vector<T> res(offsets[p]);
-  long pos = 0;
-  for (int i = 0; i < p; ++i) {
-    const int owner = (r + i) % p;
-    std::copy_n(acc.begin() + pos, counts[owner],
-                res.begin() + offsets[owner]);
-    pos += counts[owner];
-  }
-  co_return res;
+  // Undo the rotation in place: acc starts with the blocks of ranks r..p-1.
+  const long head = std::accumulate(counts.begin() + r, counts.end(), 0L);
+  std::rotate(acc.begin(), acc.begin() + head, acc.end());
+  co_return acc;
 }
 
 /// Exclusive scan (MPI_Exscan).  Rank 0 receives `init`.

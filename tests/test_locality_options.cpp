@@ -2,11 +2,14 @@
 /// \brief Locality-method knobs: LPT vs round-robin leader assignment must
 /// not change delivered payloads (only the per-leader load balance), and
 /// Method::locality vs Method::locality_dedup must deliver byte-identical
-/// receive buffers on patterns whose send_idx contains duplicates.
+/// receive buffers on patterns whose send_idx contains duplicates.  The
+/// dedup plan build must also stay subquadratic in the segment length.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 
 #include "pattern_util.hpp"
 #include "simmpi/dist_graph.hpp"
@@ -155,4 +158,66 @@ TEST(LocalityOptions, DedupStrictlyReducesDuplicateHeavyTraffic) {
   // 12 copies without dedup, 2 unique values per region pair with it.
   EXPECT_EQ(sum_global_values(plain.stats), 12);
   EXPECT_EQ(sum_global_values(dedup.stats), 6);
+}
+
+// A plan build must scale with the values it routes, not with their square:
+// one segment of 2^20 values carrying 2^19 distinct gids, each twice, in
+// shuffled order.  A per-gid rescan of the segment or a sorted-insert map
+// over its gids grows x4 per doubling (about 4 s at 2^16 values, so some
+// 1000 s here); a sort-based build takes about a second, well inside the
+// tier-1 timeout even under ThreadSanitizer.
+TEST(LocalityDedup, LargeSegmentPlanBuildIsSubquadratic) {
+  constexpr int kValues = 1 << 20;
+  std::vector<gidx> idx(kValues);
+  for (int k = 0; k < kValues; ++k) idx[k] = k / 2;
+  std::shuffle(idx.begin(), idx.end(), std::mt19937(7));
+
+  Engine eng(Machine::with_region_size(2, 1), CostParams::lassen());
+  long delivered = 0;
+  eng.run([&](Context& ctx) -> Task<> {
+    const bool sender = ctx.rank() == 0;
+    std::vector<double> sendbuf, recvbuf;
+    // Named adjacency lists: GCC rejects initializer lists inside a
+    // co_await expression.
+    const std::vector<int> peer{sender ? 1 : 0}, none;
+    DistGraph g;
+    AlltoallvArgs args;
+    if (sender) {
+      sendbuf.resize(kValues);
+      for (int k = 0; k < kValues; ++k)
+        sendbuf[k] = pattern::value_of(idx[k], 0);
+      g = co_await dist_graph_create_adjacent(ctx, ctx.world(), none, peer,
+                                              GraphAlgo::handshake);
+      args = AlltoallvArgsT<double>{.sendbuf = sendbuf,
+                                    .sendcounts = {kValues},
+                                    .sdispls = {0},
+                                    .recvbuf = recvbuf,
+                                    .recvcounts = {},
+                                    .rdispls = {},
+                                    .send_idx = idx};
+    } else {
+      recvbuf.assign(kValues, -1.0);
+      g = co_await dist_graph_create_adjacent(ctx, ctx.world(), peer, none,
+                                              GraphAlgo::handshake);
+      args = AlltoallvArgsT<double>{.sendbuf = sendbuf,
+                                    .sendcounts = {},
+                                    .sdispls = {},
+                                    .recvbuf = recvbuf,
+                                    .recvcounts = {kValues},
+                                    .rdispls = {0},
+                                    .recv_idx = idx};
+    }
+    auto proto = co_await neighbor_alltoallv_init(ctx, g, args,
+                                                  Method::locality_dedup);
+    // Each gid crosses the region boundary once.
+    if (sender) {
+      EXPECT_EQ(proto->stats().global_values, kValues / 2);
+    }
+    co_await proto->start(ctx);
+    co_await proto->wait(ctx);
+    for (int k = 0; k < static_cast<int>(recvbuf.size()); ++k)
+      if (recvbuf[k] == pattern::value_of(idx[k], 0)) ++delivered;
+    co_return;
+  });
+  EXPECT_EQ(delivered, kValues);
 }

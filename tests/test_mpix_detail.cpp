@@ -77,9 +77,10 @@ TEST(PairLayout, PartialSegmentsFollowEdgeOrder) {
 }
 
 TEST(PairLayout, DedupMergesPerSource) {
-  Edge e1{0, 4, 2, {10, 11}};
-  Edge e2{0, 5, 2, {11, 12}};
-  Edge e3{1, 4, 2, {20, 21}};
+  const gidx g1[] = {10, 11}, g2[] = {11, 12}, g3[] = {20, 21};
+  Edge e1{0, 4, 2, g1};
+  Edge e2{0, 5, 2, g2};
+  Edge e3{1, 4, 2, g3};
   std::vector<const Edge*> edges{&e1, &e2, &e3};
   PairLayout lay = pair_layout(edges, true);
   // src 0 contributes unique {10,11,12}; src 1 contributes {20,21}.
@@ -97,9 +98,10 @@ TEST(PairLayout, DedupMergesPerSource) {
 }
 
 TEST(PairLayout, DedupNeverLargerThanPartial) {
-  Edge e1{0, 4, 3, {1, 2, 3}};
-  Edge e2{0, 5, 3, {1, 2, 3}};
-  Edge e3{2, 5, 1, {7}};
+  const gidx g1[] = {1, 2, 3}, g2[] = {1, 2, 3}, g3[] = {7};
+  Edge e1{0, 4, 3, g1};
+  Edge e2{0, 5, 3, g2};
+  Edge e3{2, 5, 1, g3};
   std::vector<const Edge*> edges{&e1, &e2, &e3};
   EXPECT_LE(pair_layout(edges, true).total, pair_layout(edges, false).total);
   EXPECT_EQ(pair_layout(edges, true).total, 4);   // {1,2,3} + {7}
@@ -295,6 +297,113 @@ TEST(RejectDuplicateEdges, NamesTheDuplicatedRank) {
   g.destinations = {2, 4};
   g.sources = {7, 7};
   EXPECT_THROW(reject_duplicate_edges(g), simmpi::SimError);
+}
+
+// ---------------------------------------------------------------------------
+// serialize_edges / parse_edges: parsed edges view the blob in dedup mode,
+// so a corrupt count must throw before a view past the blob is taken.
+// ---------------------------------------------------------------------------
+namespace {
+
+/// Rank 0 sends {10, 11} to rank 1 and {12} to rank 3, and receives
+/// {20, 21} from rank 2; rank 1 sends {30} to rank 0.  Returns both ranks'
+/// blobs concatenated, as the region allgather delivers them.
+std::vector<long long> two_rank_blob(bool dedup) {
+  auto comm = std::make_shared<const simmpi::CommData>(
+      simmpi::CommData{0, {0, 1, 2, 3}});
+  std::vector<double> buf(3);
+  std::vector<long long> blob;
+
+  simmpi::DistGraph g0{simmpi::Comm(nullptr, comm, 0), {2}, {1, 3}};
+  const gidx send0[] = {10, 11, 12}, recv0[] = {20, 21};
+  auto b0 = serialize_edges(g0,
+                            AlltoallvArgsT<double>{.sendbuf = buf,
+                                                   .sendcounts = {2, 1},
+                                                   .sdispls = {0, 2},
+                                                   .recvbuf = buf,
+                                                   .recvcounts = {2},
+                                                   .rdispls = {0},
+                                                   .send_idx = send0,
+                                                   .recv_idx = recv0},
+                            dedup);
+  simmpi::DistGraph g1{simmpi::Comm(nullptr, comm, 1), {}, {0}};
+  const gidx send1[] = {30};
+  auto b1 = serialize_edges(g1,
+                            AlltoallvArgsT<double>{.sendbuf = buf,
+                                                   .sendcounts = {1},
+                                                   .sdispls = {0},
+                                                   .recvbuf = buf,
+                                                   .recvcounts = {},
+                                                   .rdispls = {},
+                                                   .send_idx = send1,
+                                                   .recv_idx = {}},
+                            dedup);
+  blob.insert(blob.end(), b0.begin(), b0.end());
+  blob.insert(blob.end(), b1.begin(), b1.end());
+  return blob;
+}
+
+std::vector<gidx> gids_of(const Edge& e) {
+  return {e.gids.begin(), e.gids.end()};
+}
+
+}  // namespace
+
+TEST(ParseEdges, RoundTripsBothModesWithViewsInsideTheBlob) {
+  for (bool dedup : {false, true}) {
+    const std::vector<long long> blob = two_rank_blob(dedup);
+    std::vector<Edge> out, in;
+    parse_edges(blob, dedup, out, in);
+    ASSERT_EQ(out.size(), 3u) << dedup;
+    ASSERT_EQ(in.size(), 1u) << dedup;
+    // Sorted by (src, dst).
+    EXPECT_EQ(out[0].src, 0);
+    EXPECT_EQ(out[0].dst, 1);
+    EXPECT_EQ(out[0].count, 2);
+    EXPECT_EQ(out[1].src, 0);
+    EXPECT_EQ(out[1].dst, 3);
+    EXPECT_EQ(out[1].count, 1);
+    EXPECT_EQ(out[2].src, 1);
+    EXPECT_EQ(out[2].dst, 0);
+    EXPECT_EQ(out[2].count, 1);
+    EXPECT_EQ(in[0].src, 2);
+    EXPECT_EQ(in[0].dst, 0);
+    EXPECT_EQ(in[0].count, 2);
+    if (!dedup) {
+      for (const Edge* e : {&out[0], &out[1], &out[2], &in[0]})
+        EXPECT_TRUE(e->gids.empty());
+      continue;
+    }
+    EXPECT_EQ(gids_of(out[0]), (std::vector<gidx>{10, 11}));
+    EXPECT_EQ(gids_of(out[1]), (std::vector<gidx>{12}));
+    EXPECT_EQ(gids_of(out[2]), (std::vector<gidx>{30}));
+    EXPECT_EQ(gids_of(in[0]), (std::vector<gidx>{20, 21}));
+    for (const Edge* e : {&out[0], &out[1], &out[2], &in[0]}) {
+      EXPECT_GE(e->gids.data(), blob.data());
+      EXPECT_LE(e->gids.data() + e->gids.size(), blob.data() + blob.size());
+    }
+  }
+}
+
+TEST(ParseEdges, BlobCutInsideAGidListThrows) {
+  const std::vector<long long> blob = two_rank_blob(true);
+  // [rank 0, nout 2, dst 1, count 2, gid 10 | gid 11 ...]: the cut leaves
+  // one of the edge's two gid words.
+  ASSERT_EQ(blob[3], 2);
+  ASSERT_EQ(blob[4], 10);
+  const std::span<const long long> cut(blob.data(), 5);
+  std::vector<Edge> out, in;
+  EXPECT_THROW(parse_edges(cut, true, out, in), simmpi::SimError);
+}
+
+TEST(ParseEdges, NegativeCountThrows) {
+  for (bool dedup : {false, true}) {
+    std::vector<long long> blob = two_rank_blob(dedup);
+    blob[3] = -1;  // rank 0's first out-edge count
+    std::vector<Edge> out, in;
+    EXPECT_THROW(parse_edges(blob, dedup, out, in), simmpi::SimError)
+        << dedup;
+  }
 }
 
 TEST(EdgeOrdering, SortsBySrcThenDst) {

@@ -348,3 +348,96 @@ TEST(Example21, DedupSendsEachValueOnce) {
   // Eight distinct values (2 per rank in region 0) cross once (Figure 5).
   EXPECT_EQ(sum_global_values(stats.full_), 8);
 }
+
+// ---------------------------------------------------------------------------
+// Exact dedup plan of a hand-checked pattern: two regions of two ranks,
+// traffic from region 0 (ranks 0, 1) to region 1 (ranks 2, 3) only, so
+// rank 0 leads the outbound pair and rank 2 the inbound one.
+//   rank 0 -> 3: gids {7, 5, 7}   (rank 3 receives gid 7 twice)
+//   rank 1 -> 3: gids {9, 4}      (listed first: destinations {3, 2})
+//   rank 1 -> 2: gids {4, 6}      (gid 4 goes to both ranks of region 1)
+// The pair's message is src 0's unique {5, 7} then src 1's {4, 6, 9}.
+// ---------------------------------------------------------------------------
+TEST(DedupPlan, HandCheckedIndexMaps) {
+  struct Spec {
+    std::vector<int> dsts, srcs;
+    std::vector<std::vector<gidx>> send, recv;  // one segment per peer
+  };
+  const Spec spec[4] = {
+      {.dsts = {3}, .srcs = {}, .send = {{7, 5, 7}}, .recv = {}},
+      {.dsts = {3, 2}, .srcs = {}, .send = {{9, 4}, {4, 6}}, .recv = {}},
+      {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{4, 6}}},
+      {.dsts = {}, .srcs = {0, 1}, .send = {}, .recv = {{7, 5, 7}, {9, 4}}},
+  };
+  std::shared_ptr<const LocalityPlan> plans[4];
+  Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
+                      .ranks_per_region = 2}),
+             CostParams::lassen());
+  eng.run([&](Context& ctx) -> Task<> {
+    const int r = ctx.rank();
+    RankArgs a;
+    a.destinations = spec[r].dsts;
+    a.sources = spec[r].srcs;
+    for (const auto& seg : spec[r].send) {
+      a.sdispls.push_back(static_cast<int>(a.send_idx.size()));
+      a.sendcounts.push_back(static_cast<int>(seg.size()));
+      a.send_idx.insert(a.send_idx.end(), seg.begin(), seg.end());
+    }
+    for (const auto& seg : spec[r].recv) {
+      a.rdispls.push_back(static_cast<int>(a.recv_idx.size()));
+      a.recvcounts.push_back(static_cast<int>(seg.size()));
+      a.recv_idx.insert(a.recv_idx.end(), seg.begin(), seg.end());
+    }
+    a.sendbuf.resize(a.send_idx.size());
+    a.recvbuf.assign(a.recv_idx.size(), -1.0);
+    a.expected.resize(a.recv_idx.size());
+    DistGraph g = co_await dist_graph_create_adjacent(
+        ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+    auto proto = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                                  Method::locality_dedup);
+    plans[r] = proto->plan();
+    a.fill(0);
+    co_await proto->start(ctx);
+    co_await proto->wait(ctx);
+    EXPECT_EQ(a.recvbuf, a.expected) << "rank " << r;
+    co_return;
+  });
+  using V = std::vector<int>;
+
+  // Rank 0 leads: keep-first of {7, 5, 7} is positions {1 (gid 5), 0 (gid
+  // 7)}, staged at its block {0, 1}; rank 1's three unique gids land at 2..4.
+  const LocalityPlan& p0 = *plans[0];
+  EXPECT_EQ(p0.s_self.src, (V{1, 0}));
+  EXPECT_EQ(p0.s_self.dst, (V{0, 1}));
+  EXPECT_TRUE(p0.s_sends.empty());
+  ASSERT_EQ(p0.s_recvs.size(), 1u);
+  EXPECT_EQ(p0.s_recvs[0].peer, 1);
+  EXPECT_EQ(p0.s_recvs[0].scatter_dst, (V{2, 3, 4}));
+
+  // Rank 1 enumerates its edges by destination (2 before 3), so gid 4 is
+  // kept from position 2 (segment to rank 2), not from the smaller 1.
+  const LocalityPlan& p1 = *plans[1];
+  EXPECT_TRUE(p1.s_self.src.empty());
+  ASSERT_EQ(p1.s_sends.size(), 1u);
+  EXPECT_EQ(p1.s_sends[0].peer, 0);
+  EXPECT_EQ(p1.s_sends[0].gather, (V{2, 3, 0}));  // gids 4, 6, 9
+
+  // Rank 2 leads the inbound pair: it keeps {4, 6} (message positions 2, 3)
+  // and forwards rank 3's unique gids {5, 7} and {4, 9}.
+  const LocalityPlan& p2 = *plans[2];
+  ASSERT_EQ(p2.r_sends.size(), 1u);
+  EXPECT_EQ(p2.r_sends[0].peer, 3);
+  EXPECT_EQ(p2.r_sends[0].gather, (V{0, 1, 2, 4}));
+  EXPECT_EQ(p2.r_self.src, (V{2, 3}));
+  EXPECT_EQ(p2.r_self.dst, (V{0, 1}));
+  EXPECT_TRUE(p2.r_recvs.empty());
+
+  // Rank 3 receives {5, 7, 4, 9} and scatters gid 7 to both positions 0, 2.
+  const LocalityPlan& p3 = *plans[3];
+  EXPECT_TRUE(p3.r_sends.empty());
+  ASSERT_EQ(p3.r_recvs.size(), 1u);
+  EXPECT_EQ(p3.r_recvs[0].peer, 2);
+  EXPECT_EQ(p3.r_recvs[0].values, 4);
+  EXPECT_EQ(p3.r_recvs[0].scatter_src, (V{0, 1, 1, 2, 3}));
+  EXPECT_EQ(p3.r_recvs[0].scatter_dst, (V{1, 0, 2, 4, 3}));
+}
