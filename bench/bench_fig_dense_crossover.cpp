@@ -6,6 +6,8 @@
 /// applied to the dense collective the locality_aware reference repo left
 /// as future work.
 ///
+/// Each point runs the `patterns::uniform_dense` workload through
+/// `harness::measure_pattern_dense`; its blocking window is one Start+Wait.
 /// Per sweep point the counters expose the method's network footprint
 /// (sum/max global messages, value totals, largest single message) next to
 /// its simulated init and per-iteration times, plus the crossover iteration
@@ -46,8 +48,8 @@ const std::vector<Point>& points() {
 }
 
 struct Data {
-  // Indexed [point][method].
-  std::vector<harness::DenseMeasurement> m[kNumMethods];
+  // Indexed [method][point].
+  std::vector<harness::PatternMeasurement> m[kNumMethods];
   std::vector<int> crossover[kNumMethods];  // vs standard; standard = 0
 };
 
@@ -58,19 +60,20 @@ const Data& data() {
       harness::MeasureConfig cfg;
       cfg.ranks_per_region = pt.ppn;
       cfg.plans = &plan_cache();
-      harness::DenseMeasurement per[kNumMethods];
+      const patterns::Workload wl = patterns::uniform_dense(
+          harness::machine_for(pt.procs, cfg), {.values = pt.count});
+      harness::PatternMeasurement per[kNumMethods];
       for (int mi = 0; mi < kNumMethods; ++mi) {
-        per[mi] = harness::measure_dense_alltoall(
-            pt.procs, pt.count, kElementSize, mpix::kAllAlltoallMethods[mi],
-            cfg);
+        per[mi] = harness::measure_pattern_dense(
+            wl, mpix::kAllAlltoallMethods[mi], cfg, kElementSize);
         out.m[mi].push_back(per[mi]);
       }
       for (int mi = 0; mi < kNumMethods; ++mi)
         out.crossover[mi].push_back(
             mi == 0 ? 0
                     : harness::crossover_iterations(
-                          per[0].init_seconds, per[0].start_wait_seconds,
-                          per[mi].init_seconds, per[mi].start_wait_seconds));
+                          per[0].init_seconds, per[0].blocking_seconds,
+                          per[mi].init_seconds, per[mi].blocking_seconds));
     }
     return out;
   }();
@@ -82,7 +85,7 @@ void BM_DenseAlltoall(benchmark::State& state) {
   const int pi = static_cast<int>(state.range(0));
   const int mi = static_cast<int>(state.range(1));
   const Point& pt = points()[pi];
-  const harness::DenseMeasurement& m = d.m[mi][pi];
+  const harness::PatternMeasurement& m = d.m[mi][pi];
   for (auto _ : state) benchmark::DoNotOptimize(m.init_seconds);
   state.counters["procs"] = pt.procs;
   state.counters["ppn"] = pt.ppn;
@@ -90,7 +93,7 @@ void BM_DenseAlltoall(benchmark::State& state) {
   state.counters["msg_bytes"] =
       static_cast<double>(pt.count) * static_cast<double>(kElementSize);
   state.counters["init_sim_seconds"] = m.init_seconds;
-  state.counters["per_iter_sim_seconds"] = m.start_wait_seconds;
+  state.counters["per_iter_sim_seconds"] = m.blocking_seconds;
   state.counters["sum_local_msgs"] = static_cast<double>(m.sum_local_msgs);
   state.counters["sum_global_msgs"] = static_cast<double>(m.sum_global_msgs);
   state.counters["max_rank_global_msgs"] =
@@ -129,11 +132,11 @@ int main(int argc, char** argv) {
   for (std::size_t pi = 0; pi < points().size(); ++pi) {
     const Point& pt = points()[pi];
     for (int mi = 0; mi < kNumMethods; ++mi) {
-      const harness::DenseMeasurement& m = d.m[mi][pi];
+      const harness::PatternMeasurement& m = d.m[mi][pi];
       std::printf("%6d %4d %6d | %-16s %12.3e %14.3e %12ld %12ld %10d\n",
                   pt.procs, pt.ppn, pt.count,
                   mpix::to_string(mpix::kAllAlltoallMethods[mi]),
-                  m.init_seconds, m.start_wait_seconds, m.sum_global_msgs,
+                  m.init_seconds, m.blocking_seconds, m.sum_global_msgs,
                   m.sum_global_values, d.crossover[mi][pi]);
     }
   }

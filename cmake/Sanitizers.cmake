@@ -22,6 +22,13 @@ if(SANITIZE)
     add_compile_options(-fsanitize=${_san} -fno-omit-frame-pointer)
     add_link_options(-fsanitize=${_san})
   endforeach()
+  # Strict UBSan: the first report aborts the binary, so a finding fails
+  # its test instead of scrolling past in the log (recoverable mode only
+  # prints).  The CI sanitizer job and local builds share this setting.
+  if("undefined" IN_LIST _san_list)
+    add_compile_options(-fno-sanitize-recover=undefined)
+    add_link_options(-fno-sanitize-recover=undefined)
+  endif()
   # Tests carry tier-based CTest timeouts tuned for uninstrumented builds;
   # TSan's shadow-state instrumentation slows hot loops ~5-15x, so scale
   # them (consumed by tests/CMakeLists.txt).

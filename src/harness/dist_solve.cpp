@@ -7,8 +7,6 @@
 namespace harness {
 
 using simmpi::Context;
-using simmpi::Engine;
-using simmpi::Machine;
 using simmpi::Task;
 namespace coll = simmpi::coll;
 
@@ -53,11 +51,9 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
   if (static_cast<long>(b_global.size()) != dh.levels[0].n())
     throw simmpi::SimError("run_distributed_amg: rhs size mismatch");
 
-  Engine eng(Machine::with_region_size(p, cfg.ranks_per_region), cfg.cost,
-             Engine::Options{.threads = cfg.threads});
   DistSolveResult result;
   std::vector<std::vector<double>> x_parts(p);
-  std::vector<double> elapsed(p, 0.0);
+  WindowTimes solve_time(1, p);
 
   // Global pattern keys for the optional plan cache (host-side, identical
   // for every rank): each level contributes up to three exchange patterns
@@ -83,7 +79,7 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
                            .pattern_key = key};
   };
 
-  eng.run([&](Context& ctx) -> Task<> {
+  simulate(machine_for(p, cfg), cfg, [&](Context& ctx) -> Task<> {
     const int r = ctx.rank();
     auto comm = ctx.world();
 
@@ -179,12 +175,12 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
       }
       co_await vcycle(ctx);
     }
-    elapsed[r] = ctx.now();
+    solve_time.stamp(0, r, ctx.now());
     x_parts[r] = x_fine;
     co_return;
   });
 
-  result.solve_seconds = *std::max_element(elapsed.begin(), elapsed.end());
+  result.solve_seconds = solve_time.max(0);
   for (const auto& part : x_parts)
     result.solution.insert(result.solution.end(), part.begin(), part.end());
   return result;

@@ -25,7 +25,6 @@ namespace {
 
 using simmpi::Comm;
 using simmpi::Context;
-using simmpi::Request;
 using simmpi::Task;
 
 /// Shared bookkeeping: owned buffers + gather list.
@@ -80,60 +79,7 @@ struct Buffers {
   }
 };
 
-/// Hypre-style persistent point-to-point exchange (no topology object).
-class HypreExchange final : public HaloExchange {
- public:
-  HypreExchange(Context& ctx, Comm comm, const sparse::RankHalo& halo)
-      : buf_(halo) {
-    const int tag = ctx.engine().next_coll_tag(comm);
-    const auto& machine = ctx.engine().machine();
-    const int my_region = machine.region_of(comm.global(comm.rank()));
-    for (std::size_t i = 0; i < buf_.destinations.size(); ++i) {
-      auto seg = std::span<const double>(buf_.sendbuf)
-                     .subspan(buf_.sdispls[i], buf_.sendcounts[i]);
-      sends_.push_back(Request::send(comm, std::as_bytes(seg),
-                                     buf_.destinations[i], tag));
-      const bool global =
-          machine.region_of(comm.global(buf_.destinations[i])) != my_region;
-      if (global) {
-        ++stats_.global_msgs;
-        stats_.global_values += buf_.sendcounts[i];
-        stats_.max_global_msg_values =
-            std::max(stats_.max_global_msg_values,
-                     static_cast<long>(buf_.sendcounts[i]));
-      } else {
-        ++stats_.local_msgs;
-        stats_.local_values += buf_.sendcounts[i];
-      }
-    }
-    for (std::size_t i = 0; i < buf_.sources.size(); ++i) {
-      auto seg = std::span<double>(buf_.xext).subspan(buf_.rdispls[i],
-                                                      buf_.recvcounts[i]);
-      recvs_.push_back(Request::recv(comm, std::as_writable_bytes(seg),
-                                     buf_.sources[i], tag));
-    }
-  }
-
-  Task<> start(Context& ctx, std::span<const double> x_local) override {
-    buf_.gather(x_local);
-    for (auto& s : sends_) s.start(ctx);
-    for (auto& r : recvs_) r.start(ctx);
-    co_return;
-  }
-  Task<> wait(Context& ctx) override {
-    for (auto& s : sends_) co_await ctx.wait(s);
-    for (auto& r : recvs_) co_await ctx.wait(r);
-  }
-  std::span<const double> x_ext() const override { return buf_.xext; }
-  mpix::NeighborStats stats() const override { return stats_; }
-
- private:
-  Buffers buf_;
-  std::vector<Request> sends_, recvs_;
-  mpix::NeighborStats stats_;
-};
-
-/// Any mpix neighbor collective behind the same interface.
+/// Any mpix neighbor collective behind the HaloExchange interface.
 class NeighborExchange final : public HaloExchange {
  public:
   NeighborExchange(Buffers buf, simmpi::DistGraph graph,
@@ -171,22 +117,17 @@ std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
   return h;
 }
 
-/// Full cache key: global pattern fingerprint + method + leader strategy +
-/// machine/communicator shape.  Only O(1) scalars are mixed in here (this
-/// runs on every locality init); a key collision across communicators with
-/// different membership cannot misroute, because binding a plan validates
-/// the full membership fingerprint baked into it and throws on mismatch.
-std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
-                        bool lpt, const simmpi::Comm& comm) {
-  std::uint64_t h = fnv_mix(pattern_key, static_cast<std::uint64_t>(method));
+/// `cache_key` behind its family tag (see exchange.hpp).
+std::uint64_t plan_key(std::uint64_t pattern_key, std::uint64_t family,
+                       std::uint64_t method, bool lpt,
+                       const simmpi::Comm& comm) {
+  std::uint64_t h = fnv_mix(fnv_mix(pattern_key, family), method);
   h = fnv_mix(h, lpt ? 1 : 0);
   const auto& machine = comm.engine().machine();
   h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
   h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
   h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_node()));
   h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
-  // Switch-hierarchy radixes (not tapers: those never change a plan), so
-  // plans built on different tree shapes get distinct keys.
   h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
   for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
     h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
@@ -213,6 +154,18 @@ void PlanCache::put(std::uint64_t key, int rank,
   if (plan) plans_[{key, rank}] = std::move(plan);
 }
 
+std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
+                        bool lpt, const simmpi::Comm& comm) {
+  return plan_key(pattern_key, /*family=*/0,
+                  static_cast<std::uint64_t>(method), lpt, comm);
+}
+
+std::uint64_t cache_key(std::uint64_t pattern_key, mpix::AlltoallMethod method,
+                        bool lpt, const simmpi::Comm& comm) {
+  return plan_key(pattern_key, /*family=*/1,
+                  static_cast<std::uint64_t>(method), lpt, comm);
+}
+
 std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   h = fnv_mix(h, halo.ranks.size());
@@ -231,14 +184,13 @@ std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
 Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     Context& ctx, Comm comm, Protocol protocol, const sparse::RankHalo& halo,
     const ExchangeOptions& opts) {
-  if (protocol == Protocol::hypre)
-    co_return std::make_unique<HypreExchange>(ctx, comm, halo);
-
   // Neighbor collectives bind spans into the Buffers vectors at init.
   // Moving `Buffers` afterwards is safe: vector moves transfer the heap
   // storage the spans point into.
   auto buf = std::make_unique<Buffers>(halo);
-  const mpix::Method method = method_of(protocol);
+  const bool hypre = protocol == Protocol::hypre;
+  const mpix::Method method = hypre ? mpix::Method::standard
+                                    : method_of(protocol);
   mpix::Options mopts{.lpt_balance = opts.lpt_balance};
 
   const bool cacheable = opts.plans && mpix::uses_locality(method);
@@ -250,8 +202,14 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     mopts.plan = cached.get();
   }
 
-  simmpi::DistGraph graph = co_await simmpi::dist_graph_create_adjacent(
-      ctx, comm, buf->sources, buf->destinations, opts.graph_algo);
+  // Hypre's exchange is the standard method without a topology
+  // communicator: its adjacency lives on `comm` itself.
+  simmpi::DistGraph graph;
+  if (hypre)
+    graph = {comm, buf->sources, buf->destinations};
+  else
+    graph = co_await simmpi::dist_graph_create_adjacent(
+        ctx, comm, buf->sources, buf->destinations, opts.graph_algo);
   std::unique_ptr<mpix::NeighborAlltoallv> coll =
       co_await mpix::neighbor_alltoallv_init(ctx, graph, buf->args(), method,
                                              mopts);

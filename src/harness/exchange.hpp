@@ -1,20 +1,22 @@
 #pragma once
 /// \file exchange.hpp
-/// \brief Halo-exchange backends for the distributed SpMV, one per protocol
-/// of the paper's evaluation (Section 4):
-///   * `hypre`            — persistent point-to-point, as in Hypre 2.28;
+/// \brief Halo-exchange backends for the distributed SpMV, one per
+/// protocol of the paper's evaluation (Section 4):
+///   * `hypre`            — persistent point-to-point, as in Hypre 2.28:
+///     the standard method's p2p wrap on the parent communicator, with no
+///     topology communicator created;
 ///   * `neighbor_standard`— unoptimized persistent neighbor collective;
 ///   * `neighbor_partial` — locality-aware aggregation;
 ///   * `neighbor_full`    — aggregation + duplicate removal.
 ///
 /// The three neighbor protocols map 1:1 onto `mpix::Method`
-/// (`method_of`/`protocol_of`); the dispatch lives entirely in
+/// (`method_of`/`protocol_of`); the dispatch of all four lives entirely in
 /// `mpix::neighbor_alltoallv_init`.
 ///
-/// Every backend owns its gathered send buffer and its external-vector
-/// receive buffer (`x_ext`, laid out as col_map_offd), so the SpMV code is
-/// protocol-agnostic: start(x_local) gathers and launches, wait() completes
-/// and exposes x_ext.
+/// One backend serves every protocol: it owns its gathered send buffer
+/// and its external-vector receive buffer (`x_ext`, laid out as
+/// col_map_offd), so the SpMV code is protocol-agnostic: start(x_local)
+/// gathers and launches, wait() completes and exposes x_ext.
 ///
 /// A `PlanCache` amortizes locality-aware setup across exchanges: the
 /// first init of a pattern stores its `mpix::LocalityPlan`; later inits of
@@ -26,6 +28,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "mpix/alltoall.hpp"
 #include "mpix/neighbor.hpp"
 #include "sparse/par_csr.hpp"
 #include "util/flat_map.hpp"
@@ -87,14 +90,14 @@ inline const char* to_string(Protocol p) {
 /// Stores any `mpix::PlanBase` kind — neighbor `LocalityPlan`s and dense
 /// `BruckPlan`s share one cache; the typed `find<P>` accessor resolves the
 /// kind on lookup (a key caching the wrong kind reads as a miss-with-hit
-/// accounting, so key construction should mix in the method).
+/// accounting, so keys come from `cache_key`, which mixes in the method).
 ///
 /// Keys identify the *global* exchange pattern (use `pattern_fingerprint`
 /// on the full `sparse::Halo`), so on any given exchange either every rank
 /// hits or every rank misses — plan construction stays collectively safe.
 /// Plans are engine-free, so a cache may outlive engine runs (benchmark
 /// repetitions) as long as machine shape and communicator membership are
-/// unchanged; `make_halo_exchange` mixes both into the lookup key.
+/// unchanged; `cache_key` mixes both into the lookup key.
 ///
 /// Thread-safe: the engine resumes rank coroutines on a worker pool, so
 /// concurrent find/put from ranks of one phase are expected.  Entries are
@@ -144,6 +147,23 @@ class PlanCache {
   long misses_ GUARDED_BY(mu_) = 0;
 };
 
+/// The one plan-cache key recipe (make_halo_exchange and the pattern
+/// runners): the global pattern fingerprint `pattern_key` (same value on
+/// every rank), the method tagged by its family, the leader strategy and
+/// the machine/communicator shape.  The family tag matters: sparse
+/// `mpix::Method` and dense `mpix::AlltoallMethod` enumerators share
+/// values, and `Method::locality` and `AlltoallMethod::node_aggregated`
+/// both build LocalityPlans.  Switch tapers stay out (they scale link
+/// costs, never a plan, so a taper sweep re-binds cached plans), and so
+/// does the element size (plan offsets are in values).  Only O(1) scalars
+/// are mixed in; a collision across communicators with different
+/// membership cannot misroute, because binding a plan validates the full
+/// membership fingerprint baked into it and throws on mismatch.
+std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
+                        bool lpt, const simmpi::Comm& comm);
+std::uint64_t cache_key(std::uint64_t pattern_key, mpix::AlltoallMethod method,
+                        bool lpt, const simmpi::Comm& comm);
+
 /// Order-sensitive fingerprint of a *global* halo pattern (all ranks'
 /// send/recv lists, counts, gather indices and gids).  Identical on every
 /// rank by construction; equal patterns yield equal keys.
@@ -185,7 +205,8 @@ class HaloExchange {
 };
 
 /// Build the exchange for `rank`'s halo pattern.  Collective over `comm`
-/// (neighbor protocols create topologies and perform aggregation setup).
+/// (neighbor protocols create topologies; the locality-aware ones also
+/// perform aggregation setup).
 /// The exchange does not keep references to `halo` after init.
 simmpi::Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     simmpi::Context& ctx, simmpi::Comm comm, Protocol protocol,

@@ -75,7 +75,7 @@ class Reader {
   void raw(void* out, std::size_t n) {
     if (static_cast<std::size_t>(end_ - p_) < n)
       throw SimError("HierarchyCache: truncated payload");
-    std::memcpy(out, p_, n);
+    if (n != 0) std::memcpy(out, p_, n);  // empty vectors: `out` may be null
     p_ += n;
   }
   template <class T>

@@ -9,12 +9,22 @@
 /// so a single simulated execution is exact; reported times are the
 /// maximum rank-local elapsed virtual time.
 ///
+/// Every driver here (and `run_distributed_amg`) is one rank program over
+/// the same plumbing, each decision made in one place: `simulate` builds
+/// the engine, `WindowTimes` stamps per-window rank times and reports their
+/// max, `reduce` folds per-rank `mpix::NeighborStats` into the
+/// `StatsSummary` both measurement structs inherit, and `cache_key`
+/// (exchange.hpp) keys every cached plan.  Dense alltoall sweeps run the
+/// `patterns::uniform_dense` workload through `measure_pattern_dense`.
+///
 /// Two caches amortize repeated runs: `MeasureConfig::plans` (locality
 /// setup per halo pattern, see harness::PlanCache) and the process/disk
 /// `paper_dist_hierarchy` memoization backed by harness::HierarchyCache,
 /// which spares every bench binary after the first from re-running the
 /// paper problem's coarsening.
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "amg/distribute.hpp"
@@ -26,17 +36,36 @@
 
 namespace harness {
 
+/// Sender-side message counters (mpix::NeighborStats) of one collective,
+/// reduced over all ranks of the simulated machine.
+struct StatsSummary {
+  long sum_local_msgs = 0;         ///< intra-region messages, all ranks
+  long sum_global_msgs = 0;        ///< network messages, all ranks
+  long sum_local_values = 0;
+  long sum_global_values = 0;
+  long max_local_msgs = 0;         ///< max per rank (Figure 8)
+  long max_global_msgs = 0;        ///< max per rank (Figure 9)
+  long max_local_values = 0;       ///< max per-rank local value total
+  long max_global_values = 0;      ///< max per-rank global value total
+  long max_global_msg_values = 0;  ///< largest single network message (Fig. 10)
+  /// Network messages crossing each link tier, summed over ranks: one
+  /// entry per machine link tier (empty on flat machines) — a static
+  /// property of the method's plan, counted whether or not the link cap
+  /// charges for them.
+  std::vector<long> sum_link_msgs;
+};
+
+/// Sums and maxima of `ranks` (one entry per rank); `sum_link_msgs` gets
+/// `link_tiers` entries (simmpi::Machine::num_link_tiers).
+StatsSummary reduce(std::span<const mpix::NeighborStats> ranks,
+                    int link_tiers);
+
 /// Measurements of one protocol on one AMG level.
-struct LevelMeasurement {
+struct LevelMeasurement : StatsSummary {
   int level = 0;
   long rows = 0;
   double init_seconds = 0.0;        ///< topology + collective init (max rank)
   double start_wait_seconds = 0.0;  ///< one Start+Wait (max rank)
-  long max_local_msgs = 0;          ///< max per process (Figure 8)
-  long max_global_msgs = 0;         ///< max per process (Figure 9)
-  long max_global_msg_values = 0;   ///< max single message (Figure 10)
-  long max_local_values = 0;        ///< max per-process local value total
-  long max_global_values = 0;       ///< max per-process global value total
 };
 
 /// Configuration of a measurement run.
@@ -73,17 +102,56 @@ struct MeasureConfig {
   /// or measurement repeated on the same hierarchy re-binds cached plans
   /// instead of redoing the aggregation setup communication.
   PlanCache* plans = nullptr;
-  /// Optional fault schedule attached to the engine before the run (see
-  /// simmpi::FaultPlan).  nullptr — the default — keeps the engine's
-  /// byte-inert fault-free hot path, so series without a plan are
-  /// bit-identical to builds that predate fault injection.  The pattern
-  /// runners' sync_reset brackets rewind rank clocks, so time windows in
-  /// the plan apply within each measured window.
+  /// Optional fault schedule attached to the engine of every driver before
+  /// its run (see simmpi::FaultPlan and `simulate`).  nullptr — the
+  /// default — keeps the engine's byte-inert fault-free hot path, so series
+  /// without a plan are bit-identical to builds that predate fault
+  /// injection.  The drivers' sync_reset brackets rewind rank clocks, so
+  /// time windows in the plan apply within each measured window.  A plan
+  /// that drops messages completes only where `reliability` is forwarded
+  /// (the pattern runners): `measure_protocol` and `run_distributed_amg`
+  /// forward none, so a dropped message there ends the run in the
+  /// engine's deadlock SimError.
   const simmpi::FaultPlan* faults = nullptr;
-  /// Reliable-delivery knobs forwarded to every collective the runners
-  /// initialize (mpix::Options::reliability).  Off by default; required
-  /// for completion when `faults` drops messages.
+  /// Reliable-delivery knobs forwarded to every collective the pattern
+  /// runners initialize (mpix::Options::reliability).  Off by default;
+  /// required for completion when `faults` drops messages.
   mpix::Reliability reliability{};
+};
+
+/// The simulated machine of a measurement: `nranks` ranks in cfg's
+/// region, node and switch shape.  Throws SimError when
+/// `cfg.regions_per_node > 1` and nranks is not a multiple of
+/// regions_per_node * ranks_per_region.
+simmpi::Machine machine_for(int nranks, const MeasureConfig& cfg);
+
+/// The one engine of every harness driver: runs `program` on every rank of
+/// `machine` under `cfg.cost` and `cfg.threads`, with `cfg.faults`
+/// attached.
+void simulate(const simmpi::Machine& machine, const MeasureConfig& cfg,
+              const simmpi::Engine::RankProgram& program);
+
+/// Per-window, per-rank virtual-time stamps of one simulated run: rank r
+/// stamps its elapsed time in window w, and each window reports the max
+/// over ranks (the timing rule of the file brief).  Ranks write disjoint
+/// slots, so concurrent stamping from the engine's workers is safe.
+class WindowTimes {
+ public:
+  WindowTimes(int windows, int nranks)
+      : nranks_(nranks),
+        t_(static_cast<std::size_t>(windows) * nranks, 0.0) {}
+  void stamp(int window, int rank, double seconds) {
+    t_[static_cast<std::size_t>(window) * nranks_ + rank] = seconds;
+  }
+  double max(int window) const {
+    const auto first =
+        t_.begin() + static_cast<std::ptrdiff_t>(window) * nranks_;
+    return *std::max_element(first, first + nranks_);
+  }
+
+ private:
+  int nranks_;
+  std::vector<double> t_;
 };
 
 /// Measure one protocol across every level of a distributed hierarchy.
@@ -91,29 +159,6 @@ struct MeasureConfig {
 std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
                                                Protocol protocol,
                                                const MeasureConfig& cfg = {});
-
-/// Measurements of one dense alltoall method on one configuration
-/// (uniform counts; aggregated over all ranks of the simulated machine).
-struct DenseMeasurement {
-  double init_seconds = 0.0;        ///< collective init (max rank)
-  double start_wait_seconds = 0.0;  ///< one Start+Wait (max rank)
-  long sum_local_msgs = 0;          ///< intra-region messages, all ranks
-  long sum_global_msgs = 0;         ///< network message total, all ranks
-  long sum_global_values = 0;       ///< network value total, all ranks
-  long max_global_msgs = 0;         ///< max per rank
-  long max_global_msg_values = 0;   ///< largest single network message
-};
-
-/// Run one uniform dense alltoall (`mpix::alltoall_init`) of `count`
-/// values x `element_size` bytes per rank pair over the full simulated
-/// machine, and collect timings plus sender-side message counters.  With
-/// `cfg.verify_payload`, every delivered byte is checked against the
-/// deterministic pattern.  `cfg.plans` caches node_aggregated / bruck
-/// plans across calls keyed by (method, count, machine shape).
-DenseMeasurement measure_dense_alltoall(int nranks, int count,
-                                        std::size_t element_size,
-                                        mpix::AlltoallMethod method,
-                                        const MeasureConfig& cfg = {});
 
 /// Measurements of one generated workload (patterns layer) under one
 /// method.  Three simulated windows, each bracketed by `Engine::sync_reset`
@@ -124,27 +169,17 @@ DenseMeasurement measure_dense_alltoall(int nranks, int count,
 ///  * overlapped — start; compute; wait (compute hides transfer time).
 /// With a non-zero overlap window, overlapped <= blocking always, and the
 /// gap is the pattern's exploitable overlap.
-struct PatternMeasurement {
+struct PatternMeasurement : StatsSummary {
   double init_seconds = 0.0;
   double blocking_seconds = 0.0;
   double overlapped_seconds = 0.0;
   double overlap_seconds = 0.0;  ///< simulated compute charged per window
-  long sum_local_msgs = 0;       ///< intra-region messages, all ranks
-  long sum_global_msgs = 0;      ///< network messages, all ranks
-  long sum_local_values = 0;
-  long sum_global_values = 0;
-  long max_global_msgs = 0;          ///< max per rank
-  long max_global_msg_values = 0;    ///< largest single network message
   /// Shared-link contention of the blocking window, one entry per link
   /// tier (empty on flat machines): occupancy summed over all ranks, and
   /// the worst per-rank queue backlog.  All zeros while
   /// `MeasureConfig::cost.use_link_cap` is off.
   std::vector<double> link_seconds;
   std::vector<double> max_link_backlog_seconds;
-  /// Network messages crossing each link tier — a static property of the
-  /// method's plan (mpix::NeighborStats::link_msgs summed over ranks),
-  /// counted whether or not the link cap charges for them.
-  std::vector<long> sum_link_msgs;
   /// Fault-injection and reliability activity of the two measured windows
   /// (blocking + overlapped), summed over ranks
   /// (simmpi::Engine::FaultStats).  All zeros without
@@ -166,13 +201,16 @@ PatternMeasurement measure_pattern(const patterns::Workload& wl,
                                    std::size_t element_size = sizeof(double));
 
 /// Run one generated workload through a dense alltoallv method (counts
-/// expanded to one entry per rank, zero for non-neighbors).
+/// expanded to one entry per rank, zero for non-neighbors).  On
+/// `patterns::uniform_dense` this is the dense alltoall: its
+/// `blocking_seconds` is one Start+Wait.
 PatternMeasurement measure_pattern_dense(
     const patterns::Workload& wl, mpix::AlltoallMethod method,
     const MeasureConfig& cfg = {}, std::size_t element_size = sizeof(double));
 
 /// Figure 6: cost of creating the per-level topology communicators
-/// (dist_graph_create_adjacent once per level), for one graph algorithm.
+/// (dist_graph_create_adjacent once per level), for one graph algorithm:
+/// the max over ranks of each rank's sum over levels.
 double measure_graph_creation(const amg::DistHierarchy& dh,
                               simmpi::GraphAlgo algo,
                               const MeasureConfig& cfg = {});

@@ -314,6 +314,17 @@ Workload generate(std::string_view name, const simmpi::Machine& machine,
   return spec->make(machine, params);
 }
 
+Workload uniform_dense(const simmpi::Machine& machine,
+                       const PatternParams& params) {
+  const int n = machine.num_ranks();
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(n) * n);
+  for (int src = 0; src < n; ++src)
+    for (int dst = 0; dst < n; ++dst)
+      edges.push_back({src, dst, params.values});
+  return finalize("uniform_dense", machine, params, std::move(edges));
+}
+
 std::uint64_t Workload::fingerprint() const {
   std::uint64_t h = util::fnv1a(
       reinterpret_cast<const unsigned char*>(pattern.data()), pattern.size());

@@ -102,6 +102,13 @@ const PatternSpec* find(std::string_view name);
 Workload generate(std::string_view name, const simmpi::Machine& machine,
                   const PatternParams& params = {});
 
+/// Uniform dense exchange: every rank sends `params.values` values to
+/// every rank, self included — the workload of the dense alltoall sweeps
+/// (harness::measure_pattern_dense).  Deliberately not in `registry()`,
+/// so the registry-driven sweeps and tests keep their point sets.
+Workload uniform_dense(const simmpi::Machine& machine,
+                       const PatternParams& params = {});
+
 // ---- payload construction and verification --------------------------
 
 /// Global value index of the j-th value of edge (src -> dst).  A pure

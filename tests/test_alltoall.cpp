@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <utility>
@@ -140,9 +141,8 @@ DenseRun run_dense(const DenseSpec& s, int nodes, int rpn,
       std::fill(a.recvbuf.begin(), a.recvbuf.end(), std::byte{0xee});
       co_await coll->start(ctx);
       co_await coll->wait(ctx);
-      EXPECT_EQ(std::memcmp(a.recvbuf.data(), a.expected.data(),
-                            a.recvbuf.size()),
-                0)
+      EXPECT_TRUE(std::equal(a.recvbuf.begin(), a.recvbuf.end(),
+                             a.expected.begin()))
           << coll->name() << " rank " << r << " iter " << it;
     }
     out.recv[r] = a.recvbuf;

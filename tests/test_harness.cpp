@@ -119,6 +119,40 @@ TEST(Measure, GraphCreationHandshakeBeatsAllgather) {
   EXPECT_GT(light, 0.0);
 }
 
+TEST(Measure, FaultPlanReachesEveryDriver) {
+  // One engine builder attaches cfg.faults for every driver, not only the
+  // pattern runners: a NIC slowdown slows each of them.
+  using Kind = simmpi::FaultSpec::Kind;
+  auto dh = small_dist(8);
+  const MeasureConfig clean = small_cfg();
+  MeasureConfig slow = clean;
+  const simmpi::FaultPlan nic{
+      .events = {{.kind = Kind::nic_slowdown, .severity = 0.25}}};
+  slow.faults = &nic;
+  EXPECT_GT(total_time(measure_protocol(dh, Protocol::hypre, slow)),
+            total_time(measure_protocol(dh, Protocol::hypre, clean)));
+  EXPECT_GT(measure_graph_creation(dh, GraphAlgo::handshake, slow),
+            measure_graph_creation(dh, GraphAlgo::handshake, clean));
+  std::vector<double> b(dh.levels[0].n(), 1.0);
+  EXPECT_GT(run_distributed_amg(dh, Protocol::hypre, b, 1e-8, 3, slow)
+                .solve_seconds,
+            run_distributed_amg(dh, Protocol::hypre, b, 1e-8, 3, clean)
+                .solve_seconds);
+  // measure_protocol forwards no reliability: a dropped message is never
+  // recovered, and the run ends in the engine's deadlock error.
+  MeasureConfig lossy = clean;
+  const simmpi::FaultPlan drop{
+      .seed = 42, .events = {{.kind = Kind::msg_drop, .rate = 0.25}}};
+  lossy.faults = &drop;
+  try {
+    measure_protocol(dh, Protocol::hypre, lossy);
+    ADD_FAILURE() << "a dropped message completed without reliability";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Measure, CrossoverIterationsSolvesLinearInequality) {
   // opt: 10 + 1*k, base: 2 + 3*k  => equal at k=4, opt wins from k=5.
   EXPECT_EQ(crossover_iterations(2.0, 3.0, 10.0, 1.0), 5);
@@ -138,6 +172,46 @@ TEST(Measure, TotalTimeBestOfSelection) {
   b[2].start_wait_seconds = 2.0;
   EXPECT_DOUBLE_EQ(total_time(a), 8.0);
   EXPECT_DOUBLE_EQ(total_time(a, &b), 1.0 + 1.0 + 2.0);
+}
+
+TEST(Measure, ReduceSumsAndMaximaPerRankAndLinkTier) {
+  const std::vector<mpix::NeighborStats> ranks = {
+      {.local_msgs = 2,
+       .global_msgs = 1,
+       .local_values = 10,
+       .global_values = 7,
+       .max_global_msg_values = 7,
+       .link_msgs = {1, 1}},
+      {.local_msgs = 1,
+       .global_msgs = 3,
+       .local_values = 4,
+       .global_values = 9,
+       .max_global_msg_values = 5,
+       .link_msgs = {2}},
+      {},  // a rank that sends nothing
+  };
+  const StatsSummary s = reduce(ranks, 3);
+  EXPECT_EQ(s.sum_local_msgs, 3);
+  EXPECT_EQ(s.sum_global_msgs, 4);
+  EXPECT_EQ(s.sum_local_values, 14);
+  EXPECT_EQ(s.sum_global_values, 16);
+  EXPECT_EQ(s.max_local_msgs, 2);
+  EXPECT_EQ(s.max_global_msgs, 3);
+  EXPECT_EQ(s.max_local_values, 10);
+  EXPECT_EQ(s.max_global_values, 9);
+  EXPECT_EQ(s.max_global_msg_values, 7);
+  // One entry per machine link tier, even where no rank crossed it.
+  EXPECT_EQ(s.sum_link_msgs, (std::vector<long>{3, 1, 0}));
+  EXPECT_TRUE(reduce({}, 0).sum_link_msgs.empty());
+}
+
+TEST(Measure, WindowTimesReportTheMaxOverRanksPerWindow) {
+  WindowTimes t(2, 3);
+  t.stamp(0, 0, 1.0);
+  t.stamp(0, 2, 4.0);
+  t.stamp(1, 1, 2.5);
+  EXPECT_EQ(t.max(0), 4.0);
+  EXPECT_EQ(t.max(1), 2.5);
 }
 
 TEST(Model, EstimateGrowsWithTraffic) {
@@ -248,4 +322,16 @@ TEST(DistSolve, AllProtocolsProduceSameIterates) {
     for (std::size_t i = 0; i < res.solution.size(); ++i)
       EXPECT_DOUBLE_EQ(res.solution[i], ref.solution[i]) << to_string(p);
   }
+}
+
+TEST(DistSolve, RejectsIndivisibleMultiRegionShape) {
+  // The solve builds its machine like every other driver: a multi-region
+  // node shape that does not divide the rank count is rejected instead of
+  // silently falling back to one region per node.
+  auto dh = small_dist(12, 16, 16);
+  std::vector<double> b(dh.levels[0].n(), 1.0);
+  MeasureConfig cfg = small_cfg();
+  cfg.regions_per_node = 2;  // 12 ranks, not a multiple of 2 * 4
+  EXPECT_THROW(run_distributed_amg(dh, Protocol::hypre, b, 1e-8, 40, cfg),
+               SimError);
 }

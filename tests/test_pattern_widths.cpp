@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -203,8 +203,8 @@ TEST(PatternWidths, DeliveredBytesMatchHostReference) {
       });
       for (int r = 0; r < p; ++r) {
         ASSERT_EQ(got[r].size(), expected[r].size()) << name << " rank " << r;
-        EXPECT_EQ(0, std::memcmp(got[r].data(), expected[r].data(),
-                                 got[r].size()))
+        EXPECT_TRUE(std::equal(got[r].begin(), got[r].end(),
+                               expected[r].begin()))
             << name << " width " << w << " rank " << r;
       }
     }

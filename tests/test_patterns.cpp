@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -350,4 +351,35 @@ TEST(Patterns, MeasureRejectsIndivisibleMultiRegionShape) {
   const Workload wl = patterns::generate("stencil2d5", m, {});
   EXPECT_THROW(harness::measure_pattern(wl, mpix::Method::standard, cfg),
                simmpi::SimError);
+}
+
+TEST(Patterns, UniformDenseSendsEveryRankSelfIncluded) {
+  const Workload wl = patterns::uniform_dense(small_machine(), {.values = 3});
+  ASSERT_EQ(wl.nranks, 16);
+  std::vector<int> all(16);
+  std::iota(all.begin(), all.end(), 0);
+  for (const patterns::RankExchange& ex : wl.ranks) {
+    EXPECT_EQ(ex.destinations, all);
+    EXPECT_EQ(ex.sources, all);
+    EXPECT_EQ(ex.sendcounts, std::vector<int>(16, 3));
+    EXPECT_EQ(ex.recvcounts, std::vector<int>(16, 3));
+  }
+  // Not a registry entry: the registry sweeps keep their point sets.
+  EXPECT_EQ(patterns::find("uniform_dense"), nullptr);
+}
+
+TEST(Patterns, UniformDenseThroughTheDenseRunner) {
+  // P = 24 ranks in R = 6 regions of 4: standard sends P^2 - sum |region|^2
+  // network messages, node_aggregated R(R-1), bruck R * ceil(log2 R).
+  MeasureConfig cfg = small_cfg();  // verify_payload: every byte checked
+  const Workload wl =
+      patterns::uniform_dense(harness::machine_for(24, cfg), {.values = 2});
+  const long expected[] = {24 * 24 - 6 * 4 * 4, 6 * 5, 6 * 3};
+  for (int mi = 0; mi < 3; ++mi) {
+    const mpix::AlltoallMethod method = mpix::kAllAlltoallMethods[mi];
+    const PatternMeasurement got =
+        harness::measure_pattern_dense(wl, method, cfg);
+    EXPECT_EQ(got.sum_global_msgs, expected[mi]) << mpix::to_string(method);
+    EXPECT_GT(got.blocking_seconds, 0.0) << mpix::to_string(method);
+  }
 }

@@ -165,3 +165,36 @@ TEST(PlanCache, HypreAndStandardIgnoreTheCache) {
   EXPECT_EQ(cache.misses(), 0);
   EXPECT_EQ(cache.size(), 0u);
 }
+
+TEST(PlanCache, KeyTagsTheMethodFamily) {
+  // Method::locality and AlltoallMethod::node_aggregated share enumerator
+  // value 1 and both build LocalityPlans: one workload run through both
+  // (as the link-taper sweep does) must build two plans, not bind one.
+  PlanCache cache;
+  MeasureConfig cfg = cached_cfg(&cache);
+  const patterns::Workload wl =
+      patterns::generate("stencil2d5", machine_for(16, cfg));
+  measure_pattern(wl, mpix::Method::locality, cfg);
+  measure_pattern_dense(wl, mpix::AlltoallMethod::node_aggregated, cfg);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 32);
+  measure_pattern_dense(wl, mpix::AlltoallMethod::node_aggregated, cfg);
+  EXPECT_EQ(cache.hits(), 16);
+}
+
+TEST(PlanCache, KeyIgnoresTapersButNotRadixes) {
+  // Tapers scale link costs, never a plan: a taper sweep re-binds.
+  PlanCache cache;
+  MeasureConfig cfg = cached_cfg(&cache);
+  cfg.switch_levels = {{.radix = 2, .taper = 1.0}, {.radix = 2, .taper = 1.0}};
+  const patterns::Workload wl =
+      patterns::generate("stencil2d5", machine_for(16, cfg));
+  measure_pattern(wl, mpix::Method::locality, cfg);
+  cfg.switch_levels[0].taper = 4.0;
+  measure_pattern(wl, mpix::Method::locality, cfg);
+  EXPECT_EQ(cache.hits(), 16);
+  cfg.switch_levels = {{.radix = 4, .taper = 1.0}, {.radix = 1, .taper = 1.0}};
+  measure_pattern(wl, mpix::Method::locality, cfg);
+  EXPECT_EQ(cache.hits(), 16);
+  EXPECT_EQ(cache.misses(), 32);
+}
