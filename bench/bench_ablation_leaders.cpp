@@ -9,60 +9,32 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
 using harness::Protocol;
 
-struct Data {
-  std::vector<double> levels, lpt, round_robin;
-  double total_lpt = 0.0, total_rr = 0.0;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
-    harness::MeasureConfig cfg = paper_config();
-    cfg.lpt_balance = true;
-    auto lpt = harness::measure_protocol(dh, Protocol::neighbor_partial, cfg);
-    cfg.lpt_balance = false;
-    auto rr = harness::measure_protocol(dh, Protocol::neighbor_partial, cfg);
-    for (std::size_t l = 0; l < lpt.size(); ++l) {
-      out.levels.push_back(static_cast<double>(l));
-      out.lpt.push_back(lpt[l].start_wait_seconds);
-      out.round_robin.push_back(rr[l].start_wait_seconds);
-      out.total_lpt += lpt[l].start_wait_seconds;
-      out.total_rr += rr[l].start_wait_seconds;
-    }
-    return out;
-  }();
-  return d;
-}
-
-void BM_LeaderAssignment(benchmark::State& state) {
-  const Data& d = data();
-  const bool lpt = state.range(0) != 0;
-  for (auto _ : state) benchmark::DoNotOptimize(d.total_lpt);
-  state.counters["total_sim_seconds"] = lpt ? d.total_lpt : d.total_rr;
-  state.SetLabel(lpt ? "lpt" : "round-robin");
-}
-BENCHMARK(BM_LeaderAssignment)->DenseRange(0, 1)->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(std::cout,
-                        "Ablation: leader assignment strategy, partially "
-                        "optimized collective (seconds per level)",
-                        "AMG level", d.levels,
-                        {{"LPT (default)", d.lpt},
-                         {"Round-robin", d.round_robin}});
+  init(&argc, argv);
+  const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
+  const auto time = &harness::LevelMeasurement::start_wait_seconds;
+  harness::MeasureConfig cfg = paper_config();
+  cfg.lpt_balance = true;
+  const auto lpt = per_level(
+      harness::measure_protocol(dh, Protocol::neighbor_partial, cfg), time);
+  cfg.lpt_balance = false;
+  const auto rr = per_level(
+      harness::measure_protocol(dh, Protocol::neighbor_partial, cfg), time);
+  const double total_lpt = std::accumulate(lpt.begin(), lpt.end(), 0.0);
+  const double total_rr = std::accumulate(rr.begin(), rr.end(), 0.0);
+  run({{"BM_LeaderAssignment", {0}, "round-robin",
+        {{"total_sim_seconds", total_rr}}},
+       {"BM_LeaderAssignment", {1}, "lpt",
+        {{"total_sim_seconds", total_lpt}}}});
+  print_figure(std::cout,
+               "Ablation: leader assignment strategy, partially "
+               "optimized collective (seconds per level)",
+               "AMG level", levels(lpt.size()),
+               {{"LPT (default)", lpt}, {"Round-robin", rr}});
   std::printf("totals: LPT %.4e s, round-robin %.4e s (ratio %.2f)\n",
-              d.total_lpt, d.total_rr, d.total_rr / d.total_lpt);
-  benchmark::Shutdown();
+              total_lpt, total_rr, total_rr / total_lpt);
   return 0;
 }

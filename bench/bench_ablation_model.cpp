@@ -28,11 +28,7 @@ struct Entry {
   double speedup() const { return hypre / partial; }
 };
 
-struct Data {
-  std::vector<Entry> entries;
-};
-
-Entry run(const char* name, simmpi::CostParams params) {
+Entry measure(const char* name, simmpi::CostParams params) {
   harness::MeasureConfig cfg = paper_config();
   cfg.cost = params;
   const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
@@ -45,41 +41,27 @@ Entry run(const char* name, simmpi::CostParams params) {
   return e;
 }
 
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    out.entries.push_back(run("lassen", simmpi::CostParams::lassen()));
-    simmpi::CostParams nocap = simmpi::CostParams::lassen();
-    nocap.use_injection_cap = false;
-    out.entries.push_back(run("no-nic-cap", nocap));
-    out.entries.push_back(run("flat", simmpi::CostParams::flat()));
-    return out;
-  }();
-  return d;
-}
-
-void BM_CostModelAblation(benchmark::State& state) {
-  const Data& d = data();
-  const auto& e = d.entries[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(e.hypre);
-  state.counters["hypre_sim_seconds"] = e.hypre;
-  state.counters["partial_sim_seconds"] = e.partial;
-  state.counters["speedup"] = e.speedup();
-  state.SetLabel(e.name);
-}
-BENCHMARK(BM_CostModelAblation)->DenseRange(0, 2)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  std::printf("\n=== Ablation: cost-model features (524288 rows, 2048 cores) "
-              "===\n%-12s %-14s %-14s %s\n", "model", "hypre (s)",
-              "partial (s)", "speedup");
-  for (const auto& e : data().entries)
+  init(&argc, argv);
+  simmpi::CostParams nocap = simmpi::CostParams::lassen();
+  nocap.use_injection_cap = false;
+  const Entry entries[] = {measure("lassen", simmpi::CostParams::lassen()),
+                           measure("no-nic-cap", nocap),
+                           measure("flat", simmpi::CostParams::flat())};
+  std::vector<Row> rows;
+  for (int i = 0; i < 3; ++i)
+    rows.push_back({"BM_CostModelAblation", {i}, entries[i].name,
+                    {{"hypre_sim_seconds", entries[i].hypre},
+                     {"partial_sim_seconds", entries[i].partial},
+                     {"speedup", entries[i].speedup()}}});
+  run(rows);
+  std::printf("\n=== Ablation: cost-model features (%s) ===\n"
+              "%-12s %-14s %-14s %s\n", paper_scale().c_str(), "model",
+              "hypre (s)", "partial (s)", "speedup");
+  for (const auto& e : entries)
     std::printf("%-12s %-14.4e %-14.4e %.2fx\n", e.name, e.hypre, e.partial,
                 e.speedup());
-  benchmark::Shutdown();
   return 0;
 }

@@ -12,8 +12,8 @@
 ///    baseline of the same method (1.0 on the baseline row),
 ///  * `goodput_values_per_s` — delivered payload values per simulated
 ///    second of the blocking window (retransmits and duplicates move
-///    time, never payload: verify_payload keeps proving delivered bytes
-///    equal the fault-free truth),
+///    time, never payload: the pattern runner's payload check keeps
+///    proving delivered bytes equal the fault-free truth),
 ///  * the engine's fault ledger (drops / dups / retransmits / timeouts).
 ///
 /// The whole sweep is schedule-deterministic: CI byte-compares the quick
@@ -27,10 +27,6 @@
 namespace {
 
 using namespace benchfig;
-
-constexpr int kNumSparse = 3;  // mpix::kAllMethods
-constexpr int kNumDense = 3;   // mpix::kAllAlltoallMethods
-constexpr int kNumMethods = kNumSparse + kNumDense;
 
 /// Drop-rate x brownout-severity grid; (0, 1.0) — fault-free — comes
 /// first and is the completion_x baseline.  Severity multiplies the
@@ -77,102 +73,74 @@ harness::MeasureConfig sweep_config() {
 struct Point {
   double drop;
   double severity;
-  simmpi::FaultPlan plan;  // stable address: cfg.faults points here
-  harness::PatternMeasurement m[kNumMethods];
+  std::array<harness::PatternMeasurement, kNumMethods> m;  // method_name
 };
 
-const char* method_name(int mi) {
-  return mi < kNumSparse
-             ? mpix::to_string(mpix::kAllMethods[mi])
-             : mpix::to_string(mpix::kAllAlltoallMethods[mi - kNumSparse]);
-}
+std::vector<Point> measure() {
+  const simmpi::Machine machine = sweep_machine();
+  // Sparse traffic: a seeded random sparse halo exchange; dense
+  // traffic: every-rank incast onto 4 sinks spread across nodes (the
+  // alltoallv engines expand it to full counts).  Sinks on distinct
+  // nodes matter: a single-sink fan-in of a few ranks is all
+  // intra-node, and intra-node messages are never dropped or browned
+  // out — the sweep would be flat.
+  const patterns::Workload sparse_wl = patterns::generate(
+      "random_sparse", machine, {.values = 32, .seed = 9, .degree = 6});
+  const patterns::Workload dense_wl = patterns::generate(
+      "incast", machine, {.values = 16, .seed = 9, .fan_in = 0, .sinks = 4});
 
-const std::vector<Point>& data() {
-  static const std::vector<Point> d = [] {
-    const simmpi::Machine machine = sweep_machine();
-    // Sparse traffic: a seeded random sparse halo exchange; dense
-    // traffic: every-rank incast onto 4 sinks spread across nodes (the
-    // alltoallv engines expand it to full counts).  Sinks on distinct
-    // nodes matter: a single-sink fan-in of a few ranks is all
-    // intra-node, and intra-node messages are never dropped or browned
-    // out — the sweep would be flat.
-    const patterns::Workload sparse_wl = patterns::generate(
-        "random_sparse", machine, {.values = 32, .seed = 9, .degree = 6});
-    const patterns::Workload dense_wl = patterns::generate(
-        "incast", machine, {.values = 16, .seed = 9, .fan_in = 0, .sinks = 4});
-
-    std::vector<Point> out;
-    for (double drop : drop_rates()) {
-      for (double sev : severities()) {
-        Point pt;
-        pt.drop = drop;
-        pt.severity = sev;
-        pt.plan.seed = 42;
-        if (drop > 0.0)
-          pt.plan.events.push_back(
-              {.kind = simmpi::FaultSpec::Kind::msg_drop, .rate = drop});
-        if (sev < 1.0)
-          pt.plan.events.push_back({.kind = simmpi::FaultSpec::Kind::link_brownout,
-                                    .severity = sev});
-        harness::MeasureConfig cfg = sweep_config();
-        // The fault-free corner stays on the engine's byte-inert
-        // no-plan hot path — it doubles as the baseline row.
-        if (!pt.plan.events.empty()) cfg.faults = &pt.plan;
-        if (drop > 0.0) {
-          cfg.reliability.enabled = true;
-          cfg.reliability.timeout = 5e-4;
-        }
-        for (int mi = 0; mi < kNumSparse; ++mi)
-          pt.m[mi] =
-              harness::measure_pattern(sparse_wl, mpix::kAllMethods[mi], cfg);
-        for (int mi = 0; mi < kNumDense; ++mi)
-          pt.m[kNumSparse + mi] = harness::measure_pattern_dense(
-              dense_wl, mpix::kAllAlltoallMethods[mi], cfg);
-        out.push_back(std::move(pt));
+  std::vector<Point> out;
+  for (double drop : drop_rates()) {
+    for (double sev : severities()) {
+      simmpi::FaultPlan plan;
+      plan.seed = 42;
+      if (drop > 0.0)
+        plan.events.push_back(
+            {.kind = simmpi::FaultSpec::Kind::msg_drop, .rate = drop});
+      if (sev < 1.0)
+        plan.events.push_back({.kind = simmpi::FaultSpec::Kind::link_brownout,
+                               .severity = sev});
+      harness::MeasureConfig cfg = sweep_config();
+      // The fault-free corner stays on the engine's byte-inert
+      // no-plan hot path — it doubles as the baseline row.
+      if (!plan.events.empty()) cfg.faults = &plan;
+      if (drop > 0.0) {
+        cfg.reliability.enabled = true;
+        cfg.reliability.timeout = 5e-4;
       }
+      out.push_back({drop, sev, measure_methods(sparse_wl, dense_wl, cfg)});
     }
-    return out;
-  }();
-  return d;
-}
-
-void BM_FaultSweep(benchmark::State& state) {
-  const int pi = static_cast<int>(state.range(0));
-  const int mi = static_cast<int>(state.range(1));
-  const Point& pt = data()[pi];
-  const harness::PatternMeasurement& m = pt.m[mi];
-  const harness::PatternMeasurement& base = data()[0].m[mi];
-  for (auto _ : state) benchmark::DoNotOptimize(m.blocking_seconds);
-  state.counters["procs"] = shape().procs();
-  state.counters["drop_rate"] = pt.drop;
-  state.counters["brownout_severity"] = pt.severity;
-  state.counters["blocking_sim_seconds"] = m.blocking_seconds;
-  state.counters["completion_x"] = m.blocking_seconds / base.blocking_seconds;
-  state.counters["goodput_values_per_s"] =
-      static_cast<double>(m.sum_global_values) / m.blocking_seconds;
-  state.counters["drops"] = static_cast<double>(m.drops);
-  state.counters["dups"] = static_cast<double>(m.dups);
-  state.counters["retransmits"] = static_cast<double>(m.retransmits);
-  state.counters["timeouts"] = static_cast<double>(m.timeouts);
-  state.SetLabel(std::string(mi < kNumSparse ? "sparse " : "dense ") +
-                 method_name(mi) + " drop=" + std::to_string(pt.drop) +
-                 " sev=" + std::to_string(pt.severity));
-}
-
-void register_benches() {
-  auto* b = benchmark::RegisterBenchmark("BM_FaultSweep", BM_FaultSweep);
-  b->ArgsProduct({index_range(data().size()),
-                  benchmark::CreateDenseRange(0, kNumMethods - 1, 1)})
-      ->Iterations(1);
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  register_benches();
-  benchmark::RunSpecifiedBenchmarks();
-  const auto& d = data();
+  init(&argc, argv);
+  const std::vector<Point> d = measure();
+  run(grid("BM_FaultSweep", d.size(), kNumMethods, [&](std::size_t pi, int mi) {
+    const Point& pt = d[pi];
+    const harness::PatternMeasurement& m = pt.m[mi];
+    const harness::PatternMeasurement& base = d[0].m[mi];
+    return Row{
+        .label = std::string(mi < kNumSparse ? "sparse " : "dense ") +
+                 method_name(mi) + " drop=" + std::to_string(pt.drop) +
+                 " sev=" + std::to_string(pt.severity),
+        .counters = {{"procs", shape().procs()},
+                     {"drop_rate", pt.drop},
+                     {"brownout_severity", pt.severity},
+                     {"blocking_sim_seconds", m.blocking_seconds},
+                     {"completion_x",
+                      m.blocking_seconds / base.blocking_seconds},
+                     {"goodput_values_per_s",
+                      static_cast<double>(m.sum_global_values) /
+                          m.blocking_seconds},
+                     {"drops", m.drops},
+                     {"dups", m.dups},
+                     {"retransmits", m.retransmits},
+                     {"timeouts", m.timeouts}}};
+  }));
   std::printf(
       "\nFault sweep (P=%d, tapered fat tree, link cap on; times are "
       "simulated seconds)\n"
@@ -194,6 +162,5 @@ int main(int argc, char** argv) {
           m.drops, m.dups, m.retransmits, m.timeouts);
     }
   }
-  benchmark::Shutdown();
   return 0;
 }

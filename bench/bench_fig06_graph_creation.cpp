@@ -7,60 +7,35 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
 
-struct Data {
-  std::vector<double> procs, spectrum, mvapich;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    for (int p : graph_ranks()) {
-      const auto& dh = harness::paper_dist_hierarchy(paper_rows(), p);
-      out.procs.push_back(p);
-      out.spectrum.push_back(harness::measure_graph_creation(
-          dh, simmpi::GraphAlgo::allgather, paper_config()));
-      out.mvapich.push_back(harness::measure_graph_creation(
-          dh, simmpi::GraphAlgo::handshake, paper_config()));
-    }
-    return out;
-  }();
-  return d;
-}
-
-void BM_GraphCreation(benchmark::State& state) {
-  const Data& d = data();
-  const std::size_t i = static_cast<std::size_t>(state.range(0));
-  const bool spectrum = state.range(1) != 0;
-  for (auto _ : state) benchmark::DoNotOptimize(i);
-  state.counters["procs"] = d.procs[i];
-  state.counters["sim_seconds"] = spectrum ? d.spectrum[i] : d.mvapich[i];
-  state.SetLabel(spectrum ? "spectrum-like" : "mvapich-like");
-}
-
-BENCHMARK(BM_GraphCreation)
-    ->ArgsProduct({index_range(graph_ranks().size()), {0, 1}})
-    ->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(std::cout,
-                        "Figure 6: graph creation cost, once per AMG level "
-                        "(seconds, strong-scaled 524288 rows)",
-                        "Processes", d.procs,
-                        {{"spectrum-like", d.spectrum},
-                         {"mvapich-like", d.mvapich}});
-  const double ratio = d.spectrum.back() / d.mvapich.back();
+  init(&argc, argv);
+  std::vector<double> procs, spectrum, mvapich;
+  for (int p : graph_ranks()) {
+    const auto& dh = harness::paper_dist_hierarchy(paper_rows(), p);
+    procs.push_back(p);
+    spectrum.push_back(harness::measure_graph_creation(
+        dh, simmpi::GraphAlgo::allgather, paper_config()));
+    mvapich.push_back(harness::measure_graph_creation(
+        dh, simmpi::GraphAlgo::handshake, paper_config()));
+  }
+  run(grid("BM_GraphCreation", procs.size(), 2, [&](std::size_t i, int s) {
+    const bool spectrum_like = s != 0;
+    return Row{.label = spectrum_like ? "spectrum-like" : "mvapich-like",
+               .counters = {{"procs", procs[i]},
+                            {"sim_seconds",
+                             spectrum_like ? spectrum[i] : mvapich[i]}}};
+  }));
+  print_figure(std::cout,
+               "Figure 6: graph creation cost, once per AMG level "
+               "(seconds, strong-scaled " +
+                   std::to_string(paper_rows()) + " rows)",
+               "Processes", procs,
+               {{"spectrum-like", spectrum}, {"mvapich-like", mvapich}});
+  const double ratio = spectrum.back() / mvapich.back();
   std::printf("at %d processes: spectrum/mvapich ratio = %.1fx "
               "(paper: 8.6x)\n",
               graph_ranks().back(), ratio);
-  benchmark::Shutdown();
   return 0;
 }

@@ -7,84 +7,56 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
 using harness::Protocol;
 
-struct Data {
-  double init[4] = {};  // summed over levels, per protocol
-  double iter[4] = {};
-  std::vector<double> iterations;      // x axis 0..60
-  std::vector<double> series[4];       // init + k * iter
-  int crossover_partial = -1, crossover_full = -1;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    ProtocolSet s = measure_all(paper_rows(), paper_ranks());
-    for (int p = 0; p < 4; ++p) {
-      for (const auto& lm : s.per[p]) {
-        out.init[p] += lm.init_seconds;
-        out.iter[p] += lm.start_wait_seconds;
-      }
-    }
-    for (int k = 0; k <= 60; k += 5) {
-      out.iterations.push_back(k);
-      for (int p = 0; p < 4; ++p)
-        out.series[p].push_back(out.init[p] + k * out.iter[p]);
-    }
-    const int base = static_cast<int>(Protocol::hypre);
-    out.crossover_partial = harness::crossover_iterations(
-        out.init[base], out.iter[base],
-        out.init[static_cast<int>(Protocol::neighbor_partial)],
-        out.iter[static_cast<int>(Protocol::neighbor_partial)]);
-    out.crossover_full = harness::crossover_iterations(
-        out.init[base], out.iter[base],
-        out.init[static_cast<int>(Protocol::neighbor_full)],
-        out.iter[static_cast<int>(Protocol::neighbor_full)]);
-    return out;
-  }();
-  return d;
-}
-
-void BM_InitPlusIterations(benchmark::State& state) {
-  const Data& d = data();
-  const int p = static_cast<int>(state.range(0));
-  for (auto _ : state) benchmark::DoNotOptimize(p);
-  state.counters["init_sim_seconds"] = d.init[p];
-  state.counters["per_iter_sim_seconds"] = d.iter[p];
-  state.SetLabel(harness::to_string(static_cast<Protocol>(p)));
-}
-BENCHMARK(BM_InitPlusIterations)->DenseRange(0, 3)->Iterations(1);
-
-void BM_Crossover(benchmark::State& state) {
-  const Data& d = data();
-  for (auto _ : state) benchmark::DoNotOptimize(d.init[0]);
-  state.counters["crossover_partial_iters"] = d.crossover_partial;
-  state.counters["crossover_full_iters"] = d.crossover_full;
-}
-BENCHMARK(BM_Crossover)->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(
-      std::cout,
-      "Figure 7: init + k iterations (seconds, 524288 rows, 2048 cores)",
-      "Iterations", d.iterations,
-      {{"Standard Hypre", d.series[0]},
-       {"Standard Neighbor", d.series[1]},
-       {"Partially Optimized", d.series[2]},
-       {"Fully Optimized", d.series[3]}});
+  init(&argc, argv);
+  const ProtocolSet s = measure_all(paper_rows(), paper_ranks());
+  double init_s[4] = {};  // summed over levels, per protocol
+  double iter_s[4] = {};
+  for (int p = 0; p < 4; ++p) {
+    for (const auto& lm : s.per[p]) {
+      init_s[p] += lm.init_seconds;
+      iter_s[p] += lm.start_wait_seconds;
+    }
+  }
+  std::vector<double> iterations;  // x axis 0..60
+  std::vector<Series> series{{"Standard Hypre", {}},  // init + k * iter
+                             {"Standard Neighbor", {}},
+                             {"Partially Optimized", {}},
+                             {"Fully Optimized", {}}};
+  for (int k = 0; k <= 60; k += 5) {
+    iterations.push_back(k);
+    for (int p = 0; p < 4; ++p)
+      series[p].y.push_back(init_s[p] + k * iter_s[p]);
+  }
+  auto crossover = [&](Protocol opt) {
+    const int b = static_cast<int>(Protocol::hypre);
+    const int o = static_cast<int>(opt);
+    return harness::crossover_iterations(init_s[b], iter_s[b], init_s[o],
+                                         iter_s[o]);
+  };
+  const int partial = crossover(Protocol::neighbor_partial);
+  const int full = crossover(Protocol::neighbor_full);
+
+  std::vector<Row> rows;
+  for (int p = 0; p < 4; ++p)
+    rows.push_back({"BM_InitPlusIterations", {p},
+                    harness::to_string(static_cast<Protocol>(p)),
+                    {{"init_sim_seconds", init_s[p]},
+                     {"per_iter_sim_seconds", iter_s[p]}}});
+  rows.push_back({"BM_Crossover", {}, "",
+                  {{"crossover_partial_iters", partial},
+                   {"crossover_full_iters", full}}});
+  run(rows);
+  print_figure(std::cout,
+               "Figure 7: init + k iterations (seconds, " + paper_scale() +
+                   ")",
+               "Iterations", iterations, series);
   std::printf(
       "crossover vs Standard Hypre: partial at %d iterations (paper: 40), "
       "full at %d iterations (paper: 22)\n",
-      d.crossover_partial, d.crossover_full);
-  benchmark::Shutdown();
+      partial, full);
   return 0;
 }

@@ -6,61 +6,22 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
 using harness::Protocol;
 
-struct Data {
-  std::vector<double> levels, standard_local, optimized_local;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
-    auto std_m = harness::measure_protocol(dh, Protocol::neighbor_standard,
-                                           paper_config());
-    auto opt_m = harness::measure_protocol(dh, Protocol::neighbor_partial,
-                                           paper_config());
-    for (std::size_t l = 0; l < std_m.size(); ++l) {
-      out.levels.push_back(static_cast<double>(l));
-      out.standard_local.push_back(std_m[l].max_local_msgs);
-      out.optimized_local.push_back(opt_m[l].max_local_msgs);
-    }
-    return out;
-  }();
-  return d;
-}
-
-void BM_LocalMessages(benchmark::State& state) {
-  const Data& d = data();
-  const std::size_t l = static_cast<std::size_t>(state.range(0));
-  const bool optimized = state.range(1) != 0;
-  for (auto _ : state) benchmark::DoNotOptimize(l);
-  if (l < d.levels.size()) {
-    state.counters["level"] = d.levels[l];
-    state.counters["max_local_msgs"] =
-        optimized ? d.optimized_local[l] : d.standard_local[l];
-  }
-  state.SetLabel(optimized ? "Optimized Local" : "Standard Local");
-}
-BENCHMARK(BM_LocalMessages)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 11, 1), {0, 1}})
-    ->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(std::cout,
-                        "Figure 8: max intra-region messages per process, "
-                        "per SpMV level (524288 rows, 2048 cores)",
-                        "AMG level", d.levels,
-                        {{"Standard Local", d.standard_local},
-                         {"Optimized Local", d.optimized_local}});
-  benchmark::Shutdown();
+  init(&argc, argv);
+  const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
+  auto std_m = harness::measure_protocol(dh, Protocol::neighbor_standard,
+                                         paper_config());
+  auto opt_m = harness::measure_protocol(dh, Protocol::neighbor_partial,
+                                         paper_config());
+  const auto local = &harness::LevelMeasurement::max_local_msgs;
+  run_level_figure("BM_LocalMessages", "max_local_msgs",
+                   "Figure 8: max intra-region messages per process, "
+                   "per SpMV level (" +
+                       paper_scale() + ")",
+                   {{"Standard Local", per_level(std_m, local)},
+                    {"Optimized Local", per_level(opt_m, local)}});
   return 0;
 }

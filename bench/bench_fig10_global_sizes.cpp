@@ -6,75 +6,38 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
 using harness::Protocol;
 
-struct Data {
-  std::vector<double> levels, partial, full;
+int main(int argc, char** argv) {
+  init(&argc, argv);
+  const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
+  auto par = harness::measure_protocol(dh, Protocol::neighbor_partial,
+                                       paper_config());
+  auto ful = harness::measure_protocol(dh, Protocol::neighbor_full,
+                                       paper_config());
+  const auto size = &harness::LevelMeasurement::max_global_msg_values;
+  run_level_figure("BM_GlobalMessageSize", "max_global_msg_values",
+                   "Figure 10: max single inter-region message size "
+                   "(values), per SpMV level (" +
+                       paper_scale() + ")",
+                   {{"Partially Optimized", per_level(par, size)},
+                    {"Fully Optimized", per_level(ful, size)}});
   double best_reduction = 0.0;
   int best_level = -1;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
-    auto par = harness::measure_protocol(dh, Protocol::neighbor_partial,
-                                         paper_config());
-    auto ful = harness::measure_protocol(dh, Protocol::neighbor_full,
-                                         paper_config());
-    for (std::size_t l = 0; l < par.size(); ++l) {
-      out.levels.push_back(static_cast<double>(l));
-      out.partial.push_back(par[l].max_global_msg_values);
-      out.full.push_back(ful[l].max_global_msg_values);
-      if (par[l].max_global_msg_values > 0) {
-        const double red =
-            1.0 - static_cast<double>(ful[l].max_global_msg_values) /
-                      par[l].max_global_msg_values;
-        if (red > out.best_reduction) {
-          out.best_reduction = red;
-          out.best_level = static_cast<int>(l);
-        }
+  for (std::size_t l = 0; l < par.size(); ++l) {
+    if (par[l].max_global_msg_values > 0) {
+      const double red =
+          1.0 - static_cast<double>(ful[l].max_global_msg_values) /
+                    par[l].max_global_msg_values;
+      if (red > best_reduction) {
+        best_reduction = red;
+        best_level = static_cast<int>(l);
       }
     }
-    return out;
-  }();
-  return d;
-}
-
-void BM_GlobalMessageSize(benchmark::State& state) {
-  const Data& d = data();
-  const std::size_t l = static_cast<std::size_t>(state.range(0));
-  const bool dedup = state.range(1) != 0;
-  for (auto _ : state) benchmark::DoNotOptimize(l);
-  if (l < d.levels.size()) {
-    state.counters["level"] = d.levels[l];
-    state.counters["max_global_msg_values"] =
-        dedup ? d.full[l] : d.partial[l];
   }
-  state.SetLabel(dedup ? "Fully Optimized" : "Partially Optimized");
-}
-BENCHMARK(BM_GlobalMessageSize)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 11, 1), {0, 1}})
-    ->Iterations(1);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(std::cout,
-                        "Figure 10: max single inter-region message size "
-                        "(values), per SpMV level (524288 rows, 2048 cores)",
-                        "AMG level", d.levels,
-                        {{"Partially Optimized", d.partial},
-                         {"Fully Optimized", d.full}});
   std::printf("largest dedup reduction: %.0f%% at level %d "
               "(paper: 35%% at level 4)\n",
-              100.0 * d.best_reduction, d.best_level);
-  benchmark::Shutdown();
+              100.0 * best_reduction, best_level);
   return 0;
 }

@@ -8,61 +8,24 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
-
-struct Data {
-  std::vector<double> levels;
-  std::vector<double> series[4];
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    ProtocolSet s = measure_all(paper_rows(), paper_ranks());
-    for (std::size_t l = 0; l < s.per[0].size(); ++l) {
-      out.levels.push_back(static_cast<double>(l));
-      for (int p = 0; p < 4; ++p)
-        out.series[p].push_back(s.per[p][l].start_wait_seconds);
-    }
-    return out;
-  }();
-  return d;
-}
-
-void BM_PerLevelTime(benchmark::State& state) {
-  const Data& d = data();
-  const std::size_t l = static_cast<std::size_t>(state.range(0));
-  const int p = static_cast<int>(state.range(1));
-  for (auto _ : state) benchmark::DoNotOptimize(l);
-  if (l < d.levels.size()) {
-    state.counters["level"] = d.levels[l];
-    state.counters["sim_seconds"] = d.series[p][l];
-  }
-  state.SetLabel(
-      harness::to_string(static_cast<harness::Protocol>(p)));
-}
-BENCHMARK(BM_PerLevelTime)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 11, 1),
-                   benchmark::CreateDenseRange(0, 3, 1)})
-    ->Iterations(1);
-
-}  // namespace
+using harness::Protocol;
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(
-      std::cout,
-      "Figure 11: SpMV Start+Wait time per AMG level "
-      "(seconds, 524288 rows, 2048 cores)",
-      "AMG level", d.levels,
-      {{"Standard Hypre", d.series[0]},
-       {"Unoptimized Neighbor", d.series[1]},
-       {"Partially Optim. Neighbor", d.series[2]},
-       {"Fully Optim. Neighbor", d.series[3]}});
-  benchmark::Shutdown();
+  init(&argc, argv);
+  ProtocolSet s = measure_all(paper_rows(), paper_ranks());
+  const auto time = &harness::LevelMeasurement::start_wait_seconds;
+  std::vector<std::string> labels;
+  for (Protocol p : harness::kAllProtocols)
+    labels.push_back(harness::to_string(p));
+  run_level_figure(
+      "BM_PerLevelTime", "sim_seconds",
+      "Figure 11: SpMV Start+Wait time per AMG level (seconds, " +
+          paper_scale() + ")",
+      {{"Standard Hypre", per_level(s.per[0], time)},
+       {"Unoptimized Neighbor", per_level(s.per[1], time)},
+       {"Partially Optim. Neighbor", per_level(s.per[2], time)},
+       {"Fully Optim. Neighbor", per_level(s.per[3], time)}},
+      labels);
   return 0;
 }

@@ -9,74 +9,15 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace benchfig;
-using harness::Protocol;
-
-struct Data {
-  std::vector<double> procs;
-  std::vector<double> hypre, neighbor, partial, full;
-};
-
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    for (int p : scaling_ranks()) {
-      ProtocolSet s = measure_all(paper_rows(), p);
-      const auto& hyp = s.of(Protocol::hypre);
-      out.procs.push_back(p);
-      out.hypre.push_back(harness::total_time(hyp));
-      out.neighbor.push_back(
-          harness::total_time(s.of(Protocol::neighbor_standard)));
-      // Best-of-per-level selection against the standard strategy.
-      out.partial.push_back(
-          harness::total_time(s.of(Protocol::neighbor_partial), &hyp));
-      out.full.push_back(
-          harness::total_time(s.of(Protocol::neighbor_full), &hyp));
-    }
-    return out;
-  }();
-  return d;
-}
-
-void BM_StrongScaling(benchmark::State& state) {
-  const Data& d = data();
-  const std::size_t i = static_cast<std::size_t>(state.range(0));
-  const int p = static_cast<int>(state.range(1));
-  for (auto _ : state) benchmark::DoNotOptimize(i);
-  state.counters["procs"] = d.procs[i];
-  const std::vector<double>* series[4] = {&d.hypre, &d.neighbor, &d.partial,
-                                          &d.full};
-  state.counters["sim_seconds"] = (*series[p])[i];
-  state.SetLabel(harness::to_string(static_cast<Protocol>(p)));
-}
-BENCHMARK(BM_StrongScaling)
-    ->ArgsProduct({index_range(scaling_ranks().size()),
-                   benchmark::CreateDenseRange(0, 3, 1)})
-    ->Iterations(1);
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
-  harness::print_figure(
-      std::cout,
+  init(&argc, argv);
+  run_scaling_figure(
+      "BM_StrongScaling", [](int) { return paper_rows(); },
       "Figure 12: strong scaling of SpMV communication over all AMG levels "
-      "(seconds, 524288 rows)",
-      "Processes", d.procs,
-      {{"Standard Hypre", d.hypre},
-       {"Unoptimized Neighbor", d.neighbor},
-       {"Partially Optimized", d.partial},
-       {"Fully Optimized", d.full}});
-  const double partial_speedup = d.hypre.back() / d.partial.back();
-  const double full_speedup = d.hypre.back() / d.full.back();
-  std::printf(
-      "speedup vs Standard Hypre at %d: partial %.2fx (paper at 2048: "
-      "1.32x), full %.2fx (paper: 1.39x)\n",
-      scaling_ranks().back(), partial_speedup, full_speedup);
-  benchmark::Shutdown();
+      "(seconds, " +
+          std::to_string(paper_rows()) + " rows)",
+      1.32, 1.39);
   return 0;
 }

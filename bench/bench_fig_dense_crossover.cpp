@@ -20,9 +20,7 @@
 namespace {
 
 using namespace benchfig;
-using mpix::AlltoallMethod;
 
-constexpr int kNumMethods = 3;
 constexpr std::size_t kElementSize = sizeof(double);
 
 struct Point {
@@ -31,107 +29,88 @@ struct Point {
   int count = 0;  // values per rank pair
 };
 
-const std::vector<Point>& points() {
-  static const std::vector<Point> pts = [] {
-    std::vector<Point> out;
-    std::vector<int> procs{64, 256};
-    if (!quick_mode()) procs.push_back(512);
-    for (int p : procs)
-      for (int ppn : {4, 16}) {
-        std::vector<int> counts{1, 32};
-        if (!quick_mode() && p <= 256) counts.push_back(256);
-        for (int c : counts) out.push_back({p, ppn, c});
-      }
-    return out;
-  }();
-  return pts;
+std::vector<Point> points() {
+  std::vector<Point> out;
+  std::vector<int> procs{64, 256};
+  if (!quick_mode()) procs.push_back(512);
+  for (int p : procs)
+    for (int ppn : {4, 16}) {
+      std::vector<int> counts{1, 32};
+      if (!quick_mode() && p <= 256) counts.push_back(256);
+      for (int c : counts) out.push_back({p, ppn, c});
+    }
+  return out;
 }
 
 struct Data {
   // Indexed [method][point].
-  std::vector<harness::PatternMeasurement> m[kNumMethods];
-  std::vector<int> crossover[kNumMethods];  // vs standard; standard = 0
+  std::vector<harness::PatternMeasurement> m[kNumDense];
+  std::vector<int> crossover[kNumDense];  // vs standard; standard = 0
 };
 
-const Data& data() {
-  static const Data d = [] {
-    Data out;
-    for (const Point& pt : points()) {
-      harness::MeasureConfig cfg;
-      cfg.ranks_per_region = pt.ppn;
-      cfg.plans = &plan_cache();
-      const patterns::Workload wl = patterns::uniform_dense(
-          harness::machine_for(pt.procs, cfg), {.values = pt.count});
-      harness::PatternMeasurement per[kNumMethods];
-      for (int mi = 0; mi < kNumMethods; ++mi) {
-        per[mi] = harness::measure_pattern_dense(
-            wl, mpix::kAllAlltoallMethods[mi], cfg, kElementSize);
-        out.m[mi].push_back(per[mi]);
-      }
-      for (int mi = 0; mi < kNumMethods; ++mi)
-        out.crossover[mi].push_back(
-            mi == 0 ? 0
-                    : harness::crossover_iterations(
-                          per[0].init_seconds, per[0].blocking_seconds,
-                          per[mi].init_seconds, per[mi].blocking_seconds));
+Data measure(const std::vector<Point>& pts) {
+  Data out;
+  for (const Point& pt : pts) {
+    harness::MeasureConfig cfg;
+    cfg.ranks_per_region = pt.ppn;
+    cfg.plans = &plan_cache();
+    const patterns::Workload wl = patterns::uniform_dense(
+        harness::machine_for(pt.procs, cfg), {.values = pt.count});
+    harness::PatternMeasurement per[kNumDense];
+    for (int mi = 0; mi < kNumDense; ++mi) {
+      per[mi] = harness::measure_pattern_dense(
+          wl, mpix::kAllAlltoallMethods[mi], cfg, kElementSize);
+      out.m[mi].push_back(per[mi]);
     }
-    return out;
-  }();
-  return d;
-}
-
-void BM_DenseAlltoall(benchmark::State& state) {
-  const Data& d = data();
-  const int pi = static_cast<int>(state.range(0));
-  const int mi = static_cast<int>(state.range(1));
-  const Point& pt = points()[pi];
-  const harness::PatternMeasurement& m = d.m[mi][pi];
-  for (auto _ : state) benchmark::DoNotOptimize(m.init_seconds);
-  state.counters["procs"] = pt.procs;
-  state.counters["ppn"] = pt.ppn;
-  state.counters["msg_count"] = pt.count;
-  state.counters["msg_bytes"] =
-      static_cast<double>(pt.count) * static_cast<double>(kElementSize);
-  state.counters["init_sim_seconds"] = m.init_seconds;
-  state.counters["per_iter_sim_seconds"] = m.blocking_seconds;
-  state.counters["sum_local_msgs"] = static_cast<double>(m.sum_local_msgs);
-  state.counters["sum_global_msgs"] = static_cast<double>(m.sum_global_msgs);
-  state.counters["max_rank_global_msgs"] =
-      static_cast<double>(m.max_global_msgs);
-  state.counters["sum_global_values"] =
-      static_cast<double>(m.sum_global_values);
-  state.counters["max_global_msg_values"] =
-      static_cast<double>(m.max_global_msg_values);
-  state.counters["crossover_iters"] = d.crossover[mi][pi];
-  state.SetLabel(std::string(
-                     mpix::to_string(mpix::kAllAlltoallMethods[mi])) +
-                 " P=" + std::to_string(pt.procs) +
-                 " ppn=" + std::to_string(pt.ppn) +
-                 " count=" + std::to_string(pt.count));
-}
-
-void register_benches() {
-  auto* b = benchmark::RegisterBenchmark("BM_DenseAlltoall", BM_DenseAlltoall);
-  b->ArgsProduct({index_range(points().size()),
-                  benchmark::CreateDenseRange(0, kNumMethods - 1, 1)})
-      ->Iterations(1);
+    for (int mi = 0; mi < kNumDense; ++mi)
+      out.crossover[mi].push_back(
+          mi == 0 ? 0
+                  : harness::crossover_iterations(
+                        per[0].init_seconds, per[0].blocking_seconds,
+                        per[mi].init_seconds, per[mi].blocking_seconds));
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  register_benches();
-  benchmark::RunSpecifiedBenchmarks();
-  const Data& d = data();
+  init(&argc, argv);
+  const std::vector<Point> pts = points();
+  const Data d = measure(pts);
+  run(grid("BM_DenseAlltoall", pts.size(), kNumDense,
+           [&](std::size_t pi, int mi) {
+             const Point& pt = pts[pi];
+             const harness::PatternMeasurement& m = d.m[mi][pi];
+             return Row{
+                 .label = std::string(mpix::to_string(
+                              mpix::kAllAlltoallMethods[mi])) +
+                          " P=" + std::to_string(pt.procs) +
+                          " ppn=" + std::to_string(pt.ppn) +
+                          " count=" + std::to_string(pt.count),
+                 .counters = {
+                     {"procs", pt.procs},
+                     {"ppn", pt.ppn},
+                     {"msg_count", pt.count},
+                     {"msg_bytes", static_cast<double>(pt.count) *
+                                       static_cast<double>(kElementSize)},
+                     {"init_sim_seconds", m.init_seconds},
+                     {"per_iter_sim_seconds", m.blocking_seconds},
+                     {"sum_local_msgs", m.sum_local_msgs},
+                     {"sum_global_msgs", m.sum_global_msgs},
+                     {"max_rank_global_msgs", m.max_global_msgs},
+                     {"sum_global_values", m.sum_global_values},
+                     {"max_global_msg_values", m.max_global_msg_values},
+                     {"crossover_iters", d.crossover[mi][pi]}}};
+           }));
   std::printf(
       "\nDense alltoall (element = %zu bytes; times are simulated seconds)\n"
       "%6s %4s %6s | %-16s %12s %14s %12s %12s %10s\n",
       kElementSize, "procs", "ppn", "count", "method", "init_s", "per_iter_s",
       "glob_msgs", "glob_vals", "crossover");
-  for (std::size_t pi = 0; pi < points().size(); ++pi) {
-    const Point& pt = points()[pi];
-    for (int mi = 0; mi < kNumMethods; ++mi) {
+  for (std::size_t pi = 0; pi < pts.size(); ++pi) {
+    const Point& pt = pts[pi];
+    for (int mi = 0; mi < kNumDense; ++mi) {
       const harness::PatternMeasurement& m = d.m[mi][pi];
       std::printf("%6d %4d %6d | %-16s %12.3e %14.3e %12ld %12ld %10d\n",
                   pt.procs, pt.ppn, pt.count,
@@ -140,6 +119,5 @@ int main(int argc, char** argv) {
                   m.sum_global_values, d.crossover[mi][pi]);
     }
   }
-  benchmark::Shutdown();
   return 0;
 }

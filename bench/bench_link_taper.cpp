@@ -13,8 +13,7 @@
 /// margin directly (>1 means the method beats standard at this taper).
 ///
 /// The simulated tree is nodes -> 4 leaf switches -> 1 root (one shared
-/// up/down link tier, tapered); `--link-taper=T` restricts the sweep to
-/// one ratio.  Quick mode runs the 64-rank shape only.
+/// up/down link tier, tapered).  Quick mode runs the 64-rank shape only.
 
 #include "bench_common.hpp"
 
@@ -24,38 +23,15 @@ namespace {
 
 using namespace benchfig;
 
-constexpr int kNumSparse = 3;  // mpix::kAllMethods
-constexpr int kNumDense = 3;   // mpix::kAllAlltoallMethods
-constexpr int kNumMethods = kNumSparse + kNumDense;
-
 struct Shape {
   int procs;
   int rpr;  // ranks per region (one region per node here)
 };
 
-const std::vector<Shape>& shapes() {
-  static const std::vector<Shape> s = [] {
-    std::vector<Shape> out{{64, 4}};  // 16 nodes -> 4 leaves -> 1 root
-    if (!quick_mode()) out.push_back({256, 16});
-    return out;
-  }();
-  return s;
-}
-
-const std::vector<double>& tapers() {
-  static const std::vector<double> t = [] {
-    const std::vector<double> all{1.0, 2.0, 4.0};
-    const double only = link_taper_override();
-    if (only <= 0.0) return all;
-    return std::vector<double>{only};
-  }();
-  return t;
-}
-
-const std::vector<const char*>& pattern_names() {
-  static const std::vector<const char*> p{"stencil3d27", "random_sparse",
-                                          "incast"};
-  return p;
+std::vector<Shape> shapes() {
+  std::vector<Shape> out{{64, 4}};  // 16 nodes -> 4 leaves -> 1 root
+  if (!quick_mode()) out.push_back({256, 16});
+  return out;
 }
 
 /// Small per-edge payloads: the taper story is about *message-rate*
@@ -79,120 +55,92 @@ patterns::PatternParams params_for(const char* name) {
   return p;
 }
 
-const char* method_name(int mi) {
-  return mi < kNumSparse
-             ? mpix::to_string(mpix::kAllMethods[mi])
-             : mpix::to_string(mpix::kAllAlltoallMethods[mi - kNumSparse]);
-}
-
 struct Point {
-  int shape;      // into shapes()
+  Shape shape;
   double taper;
   patterns::Workload wl;  // kept for labels/counters
-  harness::PatternMeasurement m[kNumMethods];  // sparse 0..2, dense 3..5
+  std::array<harness::PatternMeasurement, kNumMethods> m;  // method_name
 };
 
-const std::vector<Point>& data() {
-  static const std::vector<Point> d = [] {
-    std::vector<Point> out;
-    for (std::size_t si = 0; si < shapes().size(); ++si) {
-      const Shape& sh = shapes()[si];
-      const simmpi::Machine machine =
-          simmpi::Machine::with_region_size(sh.procs, sh.rpr);
-      for (const char* pname : pattern_names()) {
-        // One workload per (shape, pattern): tapers change link costs,
-        // never the traffic, so plans and buffers sweep unchanged.
-        patterns::Workload wl;
-        for (const auto& spec : patterns::registry())
-          if (std::string(spec.name) == pname)
-            wl = spec.make(machine, params_for(pname));
-        for (double taper : tapers()) {
-          harness::MeasureConfig cfg;
-          cfg.ranks_per_region = sh.rpr;
-          cfg.switch_levels = {{.radix = 4, .taper = taper},
-                               {.radix = machine.num_nodes() / 4,
-                                .taper = 1.0}};
-          cfg.cost.use_link_cap = true;
-          cfg.cost.link_msg_bytes = 256.0;  // framing + rendezvous control
-          // Low host overheads put every method's bottleneck on the
-          // network, not the posting CPU: the dense standard method posts
-          // O(P) requests per rank, and with Lassen-default overheads
-          // that CPU time (especially the O(P) receive-queue search)
-          // would hide the link contention this sweep is about.
-          cfg.cost.send_overhead = 5.0e-8;
-          cfg.cost.recv_overhead = 5.0e-8;
-          cfg.cost.queue_search = 0.0;
-          cfg.plans = &plan_cache();
-          Point pt;
-          pt.shape = static_cast<int>(si);
-          pt.taper = taper;
-          pt.wl = wl;
-          for (int mi = 0; mi < kNumSparse; ++mi)
-            pt.m[mi] = harness::measure_pattern(wl, mpix::kAllMethods[mi],
-                                                cfg);
-          for (int mi = 0; mi < kNumDense; ++mi)
-            pt.m[kNumSparse + mi] = harness::measure_pattern_dense(
-                wl, mpix::kAllAlltoallMethods[mi], cfg);
-          out.push_back(std::move(pt));
-        }
+std::vector<Point> measure() {
+  std::vector<Point> out;
+  for (const Shape& sh : shapes()) {
+    const simmpi::Machine machine =
+        simmpi::Machine::with_region_size(sh.procs, sh.rpr);
+    for (const char* pname : {"stencil3d27", "random_sparse", "incast"}) {
+      // One workload per (shape, pattern): tapers change link costs,
+      // never the traffic, so plans and buffers sweep unchanged.
+      patterns::Workload wl;
+      for (const auto& spec : patterns::registry())
+        if (std::string(spec.name) == pname)
+          wl = spec.make(machine, params_for(pname));
+      for (double taper : {1.0, 2.0, 4.0}) {
+        harness::MeasureConfig cfg;
+        cfg.ranks_per_region = sh.rpr;
+        cfg.switch_levels = {{.radix = 4, .taper = taper},
+                             {.radix = machine.num_nodes() / 4,
+                              .taper = 1.0}};
+        cfg.cost.use_link_cap = true;
+        cfg.cost.link_msg_bytes = 256.0;  // framing + rendezvous control
+        // Low host overheads put every method's bottleneck on the
+        // network, not the posting CPU: the dense standard method posts
+        // O(P) requests per rank, and with Lassen-default overheads
+        // that CPU time (especially the O(P) receive-queue search)
+        // would hide the link contention this sweep is about.
+        cfg.cost.send_overhead = 5.0e-8;
+        cfg.cost.recv_overhead = 5.0e-8;
+        cfg.cost.queue_search = 0.0;
+        cfg.plans = &plan_cache();
+        out.push_back({sh, taper, wl, measure_methods(wl, wl, cfg)});
       }
     }
-    return out;
-  }();
-  return d;
+  }
+  return out;
 }
 
-void BM_LinkTaper(benchmark::State& state) {
-  const int pi = static_cast<int>(state.range(0));
-  const int mi = static_cast<int>(state.range(1));
-  const Point& pt = data()[pi];
+/// Margin over the standard method of the same family at the point's
+/// taper (>1 means method mi beats standard).
+double vs_standard(const Point& pt, int mi) {
   const harness::PatternMeasurement& m = pt.m[mi];
-  // Margin over the standard method of the same family at this taper.
   const harness::PatternMeasurement& std_m =
       pt.m[mi < kNumSparse ? 0 : kNumSparse];
-  const Shape& sh = shapes()[pt.shape];
-  for (auto _ : state) benchmark::DoNotOptimize(m.blocking_seconds);
-  state.counters["procs"] = sh.procs;
-  state.counters["ppn"] = sh.rpr;
-  state.counters["taper"] = pt.taper;
-  state.counters["init_sim_seconds"] = m.init_seconds;
-  state.counters["blocking_sim_seconds"] = m.blocking_seconds;
-  state.counters["overlapped_sim_seconds"] = m.overlapped_seconds;
-  state.counters["sum_global_msgs"] = static_cast<double>(m.sum_global_msgs);
-  state.counters["sum_global_values"] =
-      static_cast<double>(m.sum_global_values);
-  double busy = 0.0, backlog = 0.0;
-  long crossings = 0;
-  for (double v : m.link_seconds) busy += v;
-  for (double v : m.max_link_backlog_seconds) backlog = std::max(backlog, v);
-  for (long v : m.sum_link_msgs) crossings += v;
-  state.counters["link_busy_seconds"] = busy;
-  state.counters["max_link_backlog_seconds"] = backlog;
-  state.counters["sum_link_crossings"] = static_cast<double>(crossings);
-  state.counters["blocking_vs_standard"] =
-      m.blocking_seconds > 0.0 ? std_m.blocking_seconds / m.blocking_seconds
-                               : 0.0;
-  state.SetLabel(pt.wl.pattern + " " + std::string(method_name(mi)) +
-                 (mi < kNumSparse ? " (sparse)" : " (dense)") +
-                 " P=" + std::to_string(sh.procs) +
-                 " taper=" + std::to_string(static_cast<int>(pt.taper)) +
-                 ":1");
-}
-
-void register_benches() {
-  auto* b = benchmark::RegisterBenchmark("BM_LinkTaper", BM_LinkTaper);
-  b->ArgsProduct({index_range(data().size()),
-                  benchmark::CreateDenseRange(0, kNumMethods - 1, 1)})
-      ->Iterations(1);
+  return m.blocking_seconds > 0.0 ? std_m.blocking_seconds / m.blocking_seconds
+                                  : 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  register_benches();
-  benchmark::RunSpecifiedBenchmarks();
-  const auto& d = data();
+  init(&argc, argv);
+  const std::vector<Point> d = measure();
+  run(grid("BM_LinkTaper", d.size(), kNumMethods, [&](std::size_t pi, int mi) {
+    const Point& pt = d[pi];
+    const harness::PatternMeasurement& m = pt.m[mi];
+    const Shape& sh = pt.shape;
+    double busy = 0.0, backlog = 0.0;
+    long crossings = 0;
+    for (double v : m.link_seconds) busy += v;
+    for (double v : m.max_link_backlog_seconds) backlog = std::max(backlog, v);
+    for (long v : m.sum_link_msgs) crossings += v;
+    return Row{
+        .label = pt.wl.pattern + " " + std::string(method_name(mi)) +
+                 (mi < kNumSparse ? " (sparse)" : " (dense)") +
+                 " P=" + std::to_string(sh.procs) +
+                 " taper=" + std::to_string(static_cast<int>(pt.taper)) +
+                 ":1",
+        .counters = {{"procs", sh.procs},
+                     {"ppn", sh.rpr},
+                     {"taper", pt.taper},
+                     {"init_sim_seconds", m.init_seconds},
+                     {"blocking_sim_seconds", m.blocking_seconds},
+                     {"overlapped_sim_seconds", m.overlapped_seconds},
+                     {"sum_global_msgs", m.sum_global_msgs},
+                     {"sum_global_values", m.sum_global_values},
+                     {"link_busy_seconds", busy},
+                     {"max_link_backlog_seconds", backlog},
+                     {"sum_link_crossings", crossings},
+                     {"blocking_vs_standard", vs_standard(pt, mi)}}};
+  }));
   std::printf(
       "\nFat-tree taper sweep (shared-link contention on; times are "
       "simulated seconds; x_std = standard/method of the same family)\n"
@@ -200,23 +148,16 @@ int main(int argc, char** argv) {
       "pattern", "procs", "taper", "method", "family", "blocking_s",
       "link_busy_s", "x_std");
   for (const Point& pt : d) {
-    const Shape& sh = shapes()[pt.shape];
     for (int mi = 0; mi < kNumMethods; ++mi) {
       const harness::PatternMeasurement& m = pt.m[mi];
-      const harness::PatternMeasurement& std_m =
-          pt.m[mi < kNumSparse ? 0 : kNumSparse];
       double busy = 0.0;
       for (double v : m.link_seconds) busy += v;
       std::printf("%-13s %6d %5d:1 | %-16s %-7s %11.3e %11.3e %7.2f\n",
-                  pt.wl.pattern.c_str(), sh.procs,
+                  pt.wl.pattern.c_str(), pt.shape.procs,
                   static_cast<int>(pt.taper), method_name(mi),
                   mi < kNumSparse ? "sparse" : "dense", m.blocking_seconds,
-                  busy,
-                  m.blocking_seconds > 0.0
-                      ? std_m.blocking_seconds / m.blocking_seconds
-                      : 0.0);
+                  busy, vs_standard(pt, mi));
     }
   }
-  benchmark::Shutdown();
   return 0;
 }

@@ -19,24 +19,19 @@ namespace {
 
 using namespace benchfig;
 
-constexpr int kNumMethods = 3;
-
 struct Shape {
   int procs;
   int rpr;  // ranks per region
   int rpn;  // regions per node
 };
 
-const std::vector<Shape>& shapes() {
-  static const std::vector<Shape> s = [] {
-    std::vector<Shape> out{{64, 8, 1}, {64, 4, 2}};
-    if (!quick_mode()) {
-      out.push_back({256, 16, 1});
-      out.push_back({512, 16, 2});
-    }
-    return out;
-  }();
-  return s;
+std::vector<Shape> shapes() {
+  std::vector<Shape> out{{64, 8, 1}, {64, 4, 2}};
+  if (!quick_mode()) {
+    out.push_back({256, 16, 1});
+    out.push_back({512, 16, 2});
+  }
+  return out;
 }
 
 /// Per-pattern value scaling: enough bytes that the regimes and the
@@ -63,100 +58,79 @@ patterns::PatternParams params_for(const char* name) {
 }
 
 struct PointData {
+  Shape shape;
   patterns::Workload wl;  // kept for labels/counters
-  harness::PatternMeasurement m[kNumMethods];
+  harness::PatternMeasurement m[kNumSparse];
 };
 
-const std::vector<PointData>& data() {
-  static const std::vector<PointData> d = [] {
-    std::vector<PointData> out;
-    for (const Shape& sh : shapes()) {
-      const simmpi::Machine machine({.num_nodes = sh.procs / (sh.rpr * sh.rpn),
-                                     .regions_per_node = sh.rpn,
-                                     .ranks_per_region = sh.rpr});
-      harness::MeasureConfig cfg;
-      cfg.ranks_per_region = sh.rpr;
-      cfg.regions_per_node = sh.rpn;
-      cfg.cost.use_ejection_cap = true;  // endpoint congestion first-class
-      cfg.plans = &plan_cache();
-      for (const auto& spec : patterns::registry()) {
-        PointData pt;
-        pt.wl = spec.make(machine, params_for(spec.name));
-        for (int mi = 0; mi < kNumMethods; ++mi)
-          pt.m[mi] =
-              harness::measure_pattern(pt.wl, mpix::kAllMethods[mi], cfg);
-        out.push_back(std::move(pt));
-      }
+std::vector<PointData> measure() {
+  std::vector<PointData> out;
+  for (const Shape& sh : shapes()) {
+    const simmpi::Machine machine({.num_nodes = sh.procs / (sh.rpr * sh.rpn),
+                                   .regions_per_node = sh.rpn,
+                                   .ranks_per_region = sh.rpr});
+    harness::MeasureConfig cfg;
+    cfg.ranks_per_region = sh.rpr;
+    cfg.regions_per_node = sh.rpn;
+    cfg.cost.use_ejection_cap = true;  // endpoint congestion first-class
+    cfg.plans = &plan_cache();
+    for (const auto& spec : patterns::registry()) {
+      PointData pt;
+      pt.shape = sh;
+      pt.wl = spec.make(machine, params_for(spec.name));
+      for (int mi = 0; mi < kNumSparse; ++mi)
+        pt.m[mi] = harness::measure_pattern(pt.wl, mpix::kAllMethods[mi], cfg);
+      out.push_back(std::move(pt));
     }
-    return out;
-  }();
-  return d;
-}
-
-void BM_Pattern(benchmark::State& state) {
-  const int pi = static_cast<int>(state.range(0));
-  const int mi = static_cast<int>(state.range(1));
-  const PointData& pt = data()[pi];
-  const harness::PatternMeasurement& m = pt.m[mi];
-  const Shape& sh = shapes()[pi / static_cast<int>(patterns::registry().size())];
-  for (auto _ : state) benchmark::DoNotOptimize(m.blocking_seconds);
-  state.counters["procs"] = sh.procs;
-  state.counters["ppn"] = sh.rpr;
-  state.counters["rpn"] = sh.rpn;
-  state.counters["init_sim_seconds"] = m.init_seconds;
-  state.counters["blocking_sim_seconds"] = m.blocking_seconds;
-  state.counters["overlapped_sim_seconds"] = m.overlapped_seconds;
-  state.counters["overlap_window_seconds"] = m.overlap_seconds;
-  state.counters["sum_local_msgs"] = static_cast<double>(m.sum_local_msgs);
-  state.counters["sum_global_msgs"] = static_cast<double>(m.sum_global_msgs);
-  state.counters["sum_local_values"] =
-      static_cast<double>(m.sum_local_values);
-  state.counters["sum_global_values"] =
-      static_cast<double>(m.sum_global_values);
-  state.counters["max_rank_global_msgs"] =
-      static_cast<double>(m.max_global_msgs);
-  state.counters["max_global_msg_values"] =
-      static_cast<double>(m.max_global_msg_values);
-  state.SetLabel(pt.wl.pattern + " " +
-                 mpix::to_string(mpix::kAllMethods[mi]) +
-                 " P=" + std::to_string(sh.procs) +
-                 " ppn=" + std::to_string(sh.rpr) +
-                 " rpn=" + std::to_string(sh.rpn));
-}
-
-void register_benches() {
-  auto* b = benchmark::RegisterBenchmark("BM_Pattern", BM_Pattern);
-  b->ArgsProduct({index_range(data().size()),
-                  benchmark::CreateDenseRange(0, kNumMethods - 1, 1)})
-      ->Iterations(1);
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchfig::init(&argc, argv);
-  register_benches();
-  benchmark::RunSpecifiedBenchmarks();
-  const auto& d = data();
+  init(&argc, argv);
+  const std::vector<PointData> d = measure();
+  run(grid("BM_Pattern", d.size(), kNumSparse, [&](std::size_t pi, int mi) {
+    const PointData& pt = d[pi];
+    const harness::PatternMeasurement& m = pt.m[mi];
+    const Shape& sh = pt.shape;
+    return Row{
+        .label = pt.wl.pattern + " " + mpix::to_string(mpix::kAllMethods[mi]) +
+                 " P=" + std::to_string(sh.procs) +
+                 " ppn=" + std::to_string(sh.rpr) +
+                 " rpn=" + std::to_string(sh.rpn),
+        .counters = {{"procs", sh.procs},
+                     {"ppn", sh.rpr},
+                     {"rpn", sh.rpn},
+                     {"init_sim_seconds", m.init_seconds},
+                     {"blocking_sim_seconds", m.blocking_seconds},
+                     {"overlapped_sim_seconds", m.overlapped_seconds},
+                     {"overlap_window_seconds", m.overlap_seconds},
+                     {"sum_local_msgs", m.sum_local_msgs},
+                     {"sum_global_msgs", m.sum_global_msgs},
+                     {"sum_local_values", m.sum_local_values},
+                     {"sum_global_values", m.sum_global_values},
+                     {"max_rank_global_msgs", m.max_global_msgs},
+                     {"max_global_msg_values", m.max_global_msg_values}}};
+  }));
   std::printf(
       "\nPattern sweep (endpoint congestion on; times are simulated "
       "seconds)\n"
       "%-13s %6s %4s %4s | %-16s %10s %11s %11s %10s %10s\n",
       "pattern", "procs", "ppn", "rpn", "method", "init_s", "blocking_s",
       "overlap_s", "glob_msgs", "glob_vals");
-  const std::size_t npat = patterns::registry().size();
-  for (std::size_t pi = 0; pi < d.size(); ++pi) {
-    const Shape& sh = shapes()[pi / npat];
-    for (int mi = 0; mi < kNumMethods; ++mi) {
-      const harness::PatternMeasurement& m = d[pi].m[mi];
+  for (const PointData& pt : d) {
+    const Shape& sh = pt.shape;
+    for (int mi = 0; mi < kNumSparse; ++mi) {
+      const harness::PatternMeasurement& m = pt.m[mi];
       std::printf(
           "%-13s %6d %4d %4d | %-16s %10.3e %11.3e %11.3e %10ld %10ld\n",
-          d[pi].wl.pattern.c_str(), sh.procs, sh.rpr, sh.rpn,
+          pt.wl.pattern.c_str(), sh.procs, sh.rpr, sh.rpn,
           mpix::to_string(mpix::kAllMethods[mi]), m.init_seconds,
           m.blocking_seconds, m.overlapped_seconds, m.sum_global_msgs,
           m.sum_global_values);
     }
   }
-  benchmark::Shutdown();
   return 0;
 }

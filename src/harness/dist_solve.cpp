@@ -73,8 +73,7 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
       }
     }
   auto ex_opts = [&](std::uint64_t key) {
-    return ExchangeOptions{.graph_algo = cfg.graph_algo,
-                           .lpt_balance = cfg.lpt_balance,
+    return ExchangeOptions{.lpt_balance = cfg.lpt_balance,
                            .plans = cfg.plans,
                            .pattern_key = key};
   };

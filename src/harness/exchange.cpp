@@ -209,7 +209,8 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     graph = {comm, buf->sources, buf->destinations};
   else
     graph = co_await simmpi::dist_graph_create_adjacent(
-        ctx, comm, buf->sources, buf->destinations, opts.graph_algo);
+        ctx, comm, buf->sources, buf->destinations,
+        simmpi::GraphAlgo::handshake);
   std::unique_ptr<mpix::NeighborAlltoallv> coll =
       co_await mpix::neighbor_alltoallv_init(ctx, graph, buf->args(), method,
                                              mopts);

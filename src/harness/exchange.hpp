@@ -171,7 +171,6 @@ std::uint64_t pattern_fingerprint(const sparse::Halo& halo);
 
 /// Knobs of `make_halo_exchange`.
 struct ExchangeOptions {
-  simmpi::GraphAlgo graph_algo = simmpi::GraphAlgo::handshake;
   /// Leader-assignment strategy of the locality-aware protocols (see
   /// mpix::Options; ablation knob).
   bool lpt_balance = true;

@@ -64,7 +64,8 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     } else {
       const patterns::RankExchange& ex = wl.ranks[r];
       simmpi::DistGraph g = co_await simmpi::dist_graph_create_adjacent(
-          ctx, ctx.world(), ex.sources, ex.destinations, cfg.graph_algo);
+          ctx, ctx.world(), ex.sources, ex.destinations,
+          simmpi::GraphAlgo::handshake);
       coll = co_await mpix::neighbor_alltoallv_init(ctx, g, std::move(args),
                                                     method, std::move(mopts));
     }
@@ -73,7 +74,6 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     if (cacheable && !cached) cfg.plans->put(key, r, coll->plan_base());
 
     auto check = [&](const char* window) {
-      if (!cfg.verify_payload) return;
       const long bad = patterns::verify_recv(wl, r, buf, element_size);
       if (bad != 0)
         throw simmpi::SimError(
@@ -148,7 +148,14 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
 }  // namespace
 
 Machine machine_for(int nranks, const MeasureConfig& cfg) {
-  if (cfg.regions_per_node <= 1) {
+  for (const auto& [field, value] :
+       {std::pair{"ranks_per_region", cfg.ranks_per_region},
+        std::pair{"regions_per_node", cfg.regions_per_node}})
+    if (value < 1)
+      throw simmpi::SimError(std::string("MeasureConfig::") + field +
+                             " must be >= 1 (got " + std::to_string(value) +
+                             ")");
+  if (cfg.regions_per_node == 1) {
     Machine m = Machine::with_region_size(nranks, cfg.ranks_per_region);
     if (cfg.switch_levels.empty()) return m;
     simmpi::MachineConfig mc = m.config();
@@ -255,8 +262,7 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
       co_await ctx.engine().sync_reset(ctx);
       auto ex = co_await make_halo_exchange(
           ctx, ctx.world(), protocol, halo,
-          {.graph_algo = cfg.graph_algo,
-           .lpt_balance = cfg.lpt_balance,
+          {.lpt_balance = cfg.lpt_balance,
            .plans = cfg.plans,
            .pattern_key = level_keys[l]});
       times.stamp(2 * l, r, ctx.now());
@@ -268,15 +274,13 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
       co_await ex->wait(ctx);
       times.stamp(2 * l + 1, r, ctx.now());
 
-      if (cfg.verify_payload) {
-        auto xe = ex->x_ext();
-        for (std::size_t k = 0; k < xe.size(); ++k)
-          if (xe[k] != x_value(halo.recv_gids[k]))
-            throw simmpi::SimError(
-                "measure_protocol: halo verification failed (protocol " +
-                std::string(to_string(protocol)) + ", level " +
-                std::to_string(l) + ")");
-      }
+      auto xe = ex->x_ext();
+      for (std::size_t k = 0; k < xe.size(); ++k)
+        if (xe[k] != x_value(halo.recv_gids[k]))
+          throw simmpi::SimError(
+              "measure_protocol: halo verification failed (protocol " +
+              std::string(to_string(protocol)) + ", level " +
+              std::to_string(l) + ")");
       // Drain any asymmetric completion before the next level's reset.
       co_await simmpi::coll::barrier(ctx, ctx.world());
     }
@@ -339,25 +343,21 @@ int crossover_iterations(double base_init, double base_iter, double opt_init,
   return -1;
 }
 
-const amg::Hierarchy& paper_hierarchy(long rows, int build_threads) {
+const amg::Hierarchy& paper_hierarchy(long rows) {
   // Single-entry cache: benches sweep sizes sequentially and the largest
-  // hierarchy is hundreds of MB.  build_threads is wall-time-only (the
-  // built hierarchy is width-independent), so it is not part of the key.
+  // hierarchy is hundreds of MB.
   static long cached_rows = -1;
   static std::optional<amg::Hierarchy> cached;
   if (cached_rows != rows) {
     int nx = 0, ny = 0;
     sparse::factor_grid(rows, nx, ny);
-    amg::Options opts;
-    opts.threads = build_threads;
-    cached.emplace(amg::Hierarchy::build(sparse::paper_problem(nx, ny), opts));
+    cached.emplace(amg::Hierarchy::build(sparse::paper_problem(nx, ny)));
     cached_rows = rows;
   }
   return *cached;
 }
 
-const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
-                                               int build_threads) {
+const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks) {
   static long cached_rows = -1;
   static int cached_ranks = -1;
   static std::optional<amg::DistHierarchy> cached;
@@ -373,8 +373,7 @@ const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
     if (loaded) {
       cached = std::move(loaded);
     } else {
-      cached.emplace(amg::distribute_hierarchy(
-          paper_hierarchy(rows, build_threads), nranks));
+      cached.emplace(amg::distribute_hierarchy(paper_hierarchy(rows), nranks));
       if (disk) disk->store(key, *cached);
     }
     cached_rows = rows;

@@ -86,17 +86,7 @@ struct MeasureConfig {
   /// ::threads: 0 = auto via COLLOM_SIM_THREADS / hardware concurrency).
   /// Any value produces the same measured virtual times.
   int threads = 0;
-  /// Worker threads of hierarchy *construction* (amg::Options::threads:
-  /// 0 = auto via COLLOM_BUILD_THREADS, else COLLOM_SIM_THREADS, else
-  /// hardware).  The measure/solve runners never build hierarchies
-  /// themselves — callers that do (e.g. benchfig::measure_all) forward
-  /// this to paper_dist_hierarchy.  Wall-time-only: built hierarchies are
-  /// bit-identical for every width, so measured results never depend on
-  /// it.
-  int build_threads = 0;
-  simmpi::GraphAlgo graph_algo = simmpi::GraphAlgo::handshake;
-  bool verify_payload = true;  ///< check delivered halos against truth
-  bool lpt_balance = true;     ///< leader assignment (ablation knob)
+  bool lpt_balance = true;  ///< leader assignment (ablation knob)
   /// Optional locality-plan reuse (see harness::PlanCache): the runners
   /// key each level's exchanges by the global halo fingerprint, so a solve
   /// or measurement repeated on the same hierarchy re-binds cached plans
@@ -120,7 +110,8 @@ struct MeasureConfig {
 };
 
 /// The simulated machine of a measurement: `nranks` ranks in cfg's
-/// region, node and switch shape.  Throws SimError when
+/// region, node and switch shape.  Throws SimError naming the field when
+/// `cfg.ranks_per_region` or `cfg.regions_per_node` is below 1, and when
 /// `cfg.regions_per_node > 1` and nranks is not a multiple of
 /// regions_per_node * ranks_per_region.
 simmpi::Machine machine_for(int nranks, const MeasureConfig& cfg);
@@ -191,10 +182,10 @@ struct PatternMeasurement : StatsSummary {
 };
 
 /// Run one generated workload through a sparse neighbor method
-/// (`mpix::neighbor_alltoallv_init` over the pattern's adjacency).  With
-/// `cfg.verify_payload`, both windows' delivered bytes are checked against
-/// the pattern's gid scheme.  `cfg.plans` caches locality plans keyed by
-/// (workload fingerprint, method, machine shape).
+/// (`mpix::neighbor_alltoallv_init` over the pattern's adjacency).  Both
+/// windows' delivered bytes are checked against the pattern's gid scheme.
+/// `cfg.plans` caches locality plans keyed by (workload fingerprint,
+/// method, machine shape).
 PatternMeasurement measure_pattern(const patterns::Workload& wl,
                                    mpix::Method method,
                                    const MeasureConfig& cfg = {},
@@ -226,14 +217,14 @@ double total_time(const std::vector<LevelMeasurement>& self,
 int crossover_iterations(double base_init, double base_iter, double opt_init,
                          double opt_iter, int max_iters = 100000);
 
-/// Build (and memoize per (rows, options)) the canonical hierarchy of the
-/// paper's rotated anisotropic diffusion problem with `rows` unknowns.
-/// `build_threads` sets the construction width (0 = auto, see
-/// MeasureConfig::build_threads); it never changes the built hierarchy.
-const amg::Hierarchy& paper_hierarchy(long rows, int build_threads = 0);
+/// Build (and memoize per rows) the canonical hierarchy of the paper's
+/// rotated anisotropic diffusion problem with `rows` unknowns.  The
+/// construction width is amg::Options::threads' auto default
+/// (COLLOM_BUILD_THREADS, else COLLOM_SIM_THREADS, else hardware); it never
+/// changes the built hierarchy.
+const amg::Hierarchy& paper_hierarchy(long rows);
 
 /// Memoized distribution of the paper hierarchy over `nranks`.
-const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
-                                               int build_threads = 0);
+const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks);
 
 }  // namespace harness

@@ -35,12 +35,7 @@ const char* to_string(AlltoallMethod m) {
   throw SimError("mpix::to_string: invalid AlltoallMethod");
 }
 
-namespace {
-
-/// The dense adjacency: every rank is both source and destination (self
-/// included), in comm-rank order — the neighbor machinery then applies
-/// unchanged, with counts arrays indexed by comm rank.
-simmpi::DistGraph dense_graph(const simmpi::Comm& comm) {
+simmpi::DistGraph impl::dense_graph(const simmpi::Comm& comm) {
   simmpi::DistGraph g;
   g.comm = comm;
   g.destinations.resize(static_cast<std::size_t>(comm.size()));
@@ -48,6 +43,8 @@ simmpi::DistGraph dense_graph(const simmpi::Comm& comm) {
   g.sources = g.destinations;
   return g;
 }
+
+namespace {
 
 /// Renames an inner collective so stats and measurement report the dense
 /// method name instead of the neighbor building block it reuses.
@@ -100,7 +97,7 @@ Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
     Options opts) {
   // Before any plan build communicates.
   if (opts.reliability.enabled) impl::validate_reliability(opts.reliability);
-  const simmpi::DistGraph graph = dense_graph(comm);
+  const simmpi::DistGraph graph = impl::dense_graph(comm);
   switch (method) {
     case AlltoallMethod::standard: {
       if (opts.plan)
@@ -125,7 +122,7 @@ Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
       if (opts.plan) {
         plan = require_bruck_plan(opts.plan);
       } else {
-        plan = co_await impl::build_bruck_plan(ctx, comm, args, opts);
+        plan = co_await impl::build_bruck_plan(ctx, comm, args);
       }
       co_return impl::bind_bruck(ctx, std::move(comm), std::move(args),
                                  std::move(plan), opts);
@@ -140,15 +137,14 @@ Task<std::shared_ptr<const PlanBase>> dense_plan_impl(Context& ctx,
                                                       AlltoallMethod method,
                                                       Options opts) {
   if (method == AlltoallMethod::node_aggregated) {
-    const simmpi::DistGraph graph = dense_graph(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     co_return co_await impl::build_locality_plan(ctx, graph, std::move(args),
                                                  Method::locality,
                                                  std::move(opts));
   }
   if (method == AlltoallMethod::bruck)
     co_return co_await impl::build_bruck_plan(ctx, std::move(comm),
-                                              std::move(args),
-                                              std::move(opts));
+                                              std::move(args));
   throw SimError("make_alltoall_plan: AlltoallMethod::standard has no plan");
 }
 

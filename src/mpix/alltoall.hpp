@@ -76,8 +76,6 @@ const char* to_string(AlltoallMethod m);
 /// All offsets are in *values*; binding scales by `element_size`.  Like
 /// LocalityPlan, instances are immutable and shared-ptr-owned.
 struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
-  double setup_compute_per_word = 1.5e-9;  ///< from the Options at build
-
   /// See LocalityPlan::binding_fingerprint (0 = unchecked).
   std::uint64_t binding_fingerprint = 0;
 

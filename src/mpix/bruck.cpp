@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,15 +54,6 @@ using simmpi::Context;
 using simmpi::Request;
 using simmpi::SimError;
 using simmpi::Task;
-
-simmpi::DistGraph dense_graph_of(const Comm& comm) {
-  simmpi::DistGraph g;
-  g.comm = comm;
-  g.destinations.resize(static_cast<std::size_t>(comm.size()));
-  std::iota(g.destinations.begin(), g.destinations.end(), 0);
-  g.sources = g.destinations;
-  return g;
-}
 
 /// Apply value-run copies, scaling by the element size.
 void copy_runs(std::span<const std::byte> from, std::span<std::byte> to,
@@ -190,9 +180,9 @@ void validate_bruck_args(const BruckPlan& plan, const Comm& comm,
 }  // namespace
 
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
-    Context& ctx, Comm comm, AlltoallvArgs args, Options opts) {
+    Context& ctx, Comm comm, AlltoallvArgs args) {
   {
-    const simmpi::DistGraph graph = dense_graph_of(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     detail::validate_args(graph, args, /*need_idx=*/false);
   }
   const auto& machine = ctx.engine().machine();
@@ -200,7 +190,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   const int me = comm.rank();
 
   auto plan = std::make_shared<BruckPlan>();
-  plan->setup_compute_per_word = opts.setup_compute_per_word;
   plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
   plan->sendcounts = args.sendcounts;
   plan->sdispls = args.sdispls;
@@ -262,7 +251,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   std::copy(args.recvcounts.begin(), args.recvcounts.begin() + p,
             meta_mine.begin() + p);
   auto meta = co_await coll::allgatherv<int>(ctx, rc, std::move(meta_mine));
-  ctx.compute(opts.setup_compute_per_word * static_cast<double>(meta.size()));
+  ctx.compute(impl::kSetupComputePerWord * static_cast<double>(meta.size()));
   // scount(m, j): values member m of my region sends to comm rank j.
   // rcount(k, m): values member m of my region receives from comm rank k.
   auto scount = [&](int m, int j) -> long long {
@@ -281,7 +270,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     row[region_index(region_of(j))] += args.sendcounts[j];
   auto all_rows = co_await coll::allgatherv<long long>(ctx, comm,
                                                        std::move(row));
-  ctx.compute(opts.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(all_rows.size()));
   std::vector<long long> T(static_cast<std::size_t>(nregions) * nregions, 0);
   for (int i = 0; i < p; ++i) {
@@ -553,7 +542,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   }
 
   // Charge the symbolic rotation and layout computation to this rank.
-  ctx.compute(opts.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(static_cast<long long>(nregions) * nregions *
                                       (nrounds + 1) +
                                   2 * p));
@@ -564,7 +553,7 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     Context& ctx, Comm comm, AlltoallvArgs args,
     std::shared_ptr<const BruckPlan> plan, const Options& opts) {
   {
-    const simmpi::DistGraph graph = dense_graph_of(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     detail::validate_args(graph, args, /*need_idx=*/false);
   }
   if (plan->binding_fingerprint != 0 &&
@@ -645,7 +634,7 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
   }
 
   // Charge the buffer binding work (staging allocation + channel setup).
-  ctx.compute(p.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(2 * p.resident_values + p.fill_values +
                                   p.from_leader_values));
   return obj;

@@ -10,6 +10,15 @@
 
 namespace mpix::impl {
 
+/// Modeled CPU cost per metadata word of setup parsing and plan building,
+/// charged by the locality and Bruck plan builds and bindings.
+inline constexpr double kSetupComputePerWord = 1.5e-9;
+
+/// The dense adjacency: every rank is both source and destination (self
+/// included), in comm-rank order — the neighbor machinery then applies
+/// unchanged, with counts arrays indexed by comm rank (alltoall.cpp).
+simmpi::DistGraph dense_graph(const simmpi::Comm& comm);
+
 /// Coroutine behind the public `make_locality_plan` wrapper.  Takes the
 /// pattern by value so the frame owns it for the plan build's lifetime.
 ///
@@ -43,7 +52,7 @@ std::unique_ptr<NeighborAlltoallv> bind_locality(
 /// rank; payload spans are never read.  Same plain-wrapper caveat as
 /// build_locality_plan.
 simmpi::Task<std::shared_ptr<const BruckPlan>> build_bruck_plan(
-    simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args, Options opts);
+    simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args);
 
 /// Dense `AlltoallMethod::bruck`: bind buffers and channels to a finished
 /// BruckPlan.  Purely local.

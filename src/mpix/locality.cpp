@@ -68,13 +68,8 @@ void gather_into(std::span<const std::byte> src, std::size_t es,
     std::memcpy(out.data() + k * es, src.data() + idx[k] * es, es);
 }
 
-void scatter_from(std::span<const std::byte> buf, std::size_t es,
-                  std::span<const int> src, std::span<const int> dst,
-                  std::span<std::byte> out) {
-  for (std::size_t k = 0; k < dst.size(); ++k)
-    std::memcpy(out.data() + dst[k] * es, buf.data() + src[k] * es, es);
-}
-
+/// Value `src[k]` of `from` lands at value position `dst[k]` of `to`: the
+/// self copies and the staged receives' scatters.
 void copy_values(std::span<const std::byte> from, std::span<const int> src,
                  std::span<std::byte> to, std::span<const int> dst,
                  std::size_t es) {
@@ -105,7 +100,7 @@ struct LocalityNeighbor final : NeighborAlltoallv {
     for (auto& m : s_recvs) m.req.start(ctx);
     for (auto& m : s_recvs) {
       co_await ctx.wait(m.req);
-      scatter_from(m.buf, es, m.scatter_src, m.scatter_dst, s_stage);
+      copy_values(m.buf, m.scatter_src, s_stage, m.scatter_dst, es);
     }
     for (auto& m : s_sends) co_await ctx.wait(m.req);
     // Inter-region messages.
@@ -128,7 +123,7 @@ struct LocalityNeighbor final : NeighborAlltoallv {
     for (auto& m : r_recvs) m.req.start(ctx);
     for (auto& m : r_recvs) {
       co_await ctx.wait(m.req);
-      scatter_from(m.buf, es, m.scatter_src, m.scatter_dst, args.recvbuf);
+      copy_values(m.buf, m.scatter_src, args.recvbuf, m.scatter_dst, es);
     }
     for (auto& m : r_sends) co_await ctx.wait(m.req);
   }
@@ -444,7 +439,6 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   auto plan = std::make_shared<LocalityPlan>();
   plan->dedup = dedup;
   plan->lpt_balance = opts.lpt_balance;
-  plan->setup_compute_per_word = opts.setup_compute_per_word;
   plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
   plan->destinations = graph.destinations;
   plan->sources = graph.sources;
@@ -486,7 +480,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   const int nlocal = rc.size();
   auto blob = detail::serialize_edges(graph, args, dedup);
   auto all_md = co_await coll::allgatherv<long long>(ctx, rc, std::move(blob));
-  ctx.compute(opts.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(all_md.size()));
 
   // ---- rank translation tables --------------------------------------------
@@ -506,7 +500,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   // ---- s/r routing; the region's metadata is freed before the handshake ----
   const RegionRoutes routes =
       route_region(*plan, std::move(all_md), graph, args, rc, g2l);
-  ctx.compute(opts.setup_compute_per_word * comm.size());
+  ctx.compute(impl::kSetupComputePerWord * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------
   // For pair (A -> B): A's root tells B's root A's send leader; B's root
@@ -569,7 +563,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
 
   // Charge the routing computation (index map building) to this rank.
-  ctx.compute(opts.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(plan->s_stage_values +
                                   plan->g_stage_values + routes.edges +
                                   nlocal));
@@ -639,7 +633,7 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_locality(
     obj->r_recvs.push_back(bind_scatter(m, tag_r));
 
   // Charge the buffer binding work (staging allocation + channel setup).
-  ctx.compute(p.setup_compute_per_word *
+  ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(p.s_stage_values + p.g_stage_values));
   return obj;
 }

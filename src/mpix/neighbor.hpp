@@ -191,7 +191,6 @@ struct LocalityPlan : PlanBase,
                       std::enable_shared_from_this<LocalityPlan> {
   bool dedup = false;
   bool lpt_balance = true;
-  double setup_compute_per_word = 1.5e-9;  ///< from the Options at build time
 
   /// Fingerprint of the (communicator membership, machine region layout)
   /// the plan's comm-local peers were resolved against.  Binding validates
@@ -303,8 +302,6 @@ struct Options {
   /// longest-processing-time load balancing over per-region value counts
   /// (default); false = round-robin (ablation baseline).
   bool lpt_balance = true;
-  /// Modeled CPU cost per metadata word during setup parsing/plan build.
-  double setup_compute_per_word = 1.5e-9;
   /// Reuse a previously built plan: init then performs no communication.
   /// Non-owning — the caller keeps the plan alive until init returns (the
   /// created collective then takes shared ownership).  The plan must come
@@ -312,8 +309,8 @@ struct Options {
   /// dense builders in alltoall.hpp) and match the method — including the
   /// plan *kind*: a neighbor method needs a LocalityPlan, dense bruck a
   /// BruckPlan — the argument pattern, and the graph adjacency, or init
-  /// throws.  `lpt_balance`/`setup_compute_per_word` are ignored on reuse
-  /// (the plan keeps the values it was built with).
+  /// throws.  `lpt_balance` is ignored on reuse (the plan keeps the value
+  /// it was built with).
   const PlanBase* plan = nullptr;
   /// Reliable delivery over network channels (see Reliability).  Purely a
   /// binding-time property — plans are reliability-agnostic and reusable

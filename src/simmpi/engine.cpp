@@ -626,16 +626,6 @@ std::uint64_t Engine::max_msgs(std::initializer_list<Locality> tiers) const {
   return best;
 }
 
-std::uint64_t Engine::max_bytes(std::initializer_list<Locality> tiers) const {
-  std::uint64_t best = 0;
-  for (const auto& rs : stats_) {
-    std::uint64_t n = 0;
-    for (Locality t : tiers) n += rs.tier[static_cast<int>(t)].bytes;
-    best = std::max(best, n);
-  }
-  return best;
-}
-
 double Engine::total_link_seconds(int tier) const {
   double sum = 0.0;
   for (const auto& rs : stats_)
@@ -653,11 +643,7 @@ double Engine::max_link_backlog_seconds(int tier) const {
   return best;
 }
 
-void Engine::reset_stats() {
-  for (auto& s : stats_) s.clear();
-}
-
-Task<> Engine::sync_reset(Context& ctx, bool clear_stats) {
+Task<> Engine::sync_reset(Context& ctx) {
   co_await coll::barrier(ctx, ctx.world());
   // The dissemination barrier guarantees every rank has entered before any
   // rank leaves, so every send journaled from here on is post-barrier.  The
@@ -666,7 +652,7 @@ Task<> Engine::sync_reset(Context& ctx, bool clear_stats) {
   // commit_phase): leavers race-free even though they resume concurrently.
   ++rank_[ctx.rank()].sync_leaves;
   clocks_[ctx.rank()] = 0.0;
-  if (clear_stats) stats_[ctx.rank()].clear();
+  stats_[ctx.rank()].clear();
 }
 
 void Engine::post_send(const Comm& comm, int src_local, int dst_local, int tag,

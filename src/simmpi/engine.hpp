@@ -182,33 +182,27 @@ class Engine {
   const FaultPlan& fault_plan() const { return faults_; }
 
   /// Per-channel delivery accounting, maintained only while a fault plan
-  /// with drop/duplication events is attached (commit-step-only writes).
+  /// with drop/duplication events is attached (commit-step-only writes);
+  /// the watchdog's deadlock report reads it.
   struct ChanFaultCounts {
     std::uint64_t sent = 0;     ///< messages committed on the channel
     std::uint64_t dropped = 0;  ///< of those, dropped in flight
     std::uint64_t duped = 0;    ///< duplicate copies injected
   };
-  /// Accounting for one channel; nullptr when nothing was recorded.
-  const ChanFaultCounts* channel_faults(const ChannelKey& key) const {
-    return fault_chan_.find(key);
-  }
 
   const RankStats& stats(int rank) const { return stats_[rank]; }
   /// Max over ranks of messages sent in the given tiers.
   std::uint64_t max_msgs(std::initializer_list<Locality> tiers) const;
-  /// Max over ranks of bytes sent in the given tiers.
-  std::uint64_t max_bytes(std::initializer_list<Locality> tiers) const;
   /// Sum over ranks of shared-link occupancy charged at `tier` (0.0 when
   /// the link cap is off or nothing crossed the tier).
   double total_link_seconds(int tier) const;
   /// Max over ranks of the worst link-queue backlog encountered at `tier`.
   double max_link_backlog_seconds(int tier) const;
-  void reset_stats();
 
   /// Collective clock reset: barrier-equivalent synchronization point after
   /// which every rank's clock restarts at zero, NIC queues are drained and
-  /// (optionally) statistics cleared.  Must be called by every rank.
-  Task<> sync_reset(Context& ctx, bool clear_stats = true);
+  /// statistics cleared.  Must be called by every rank.
+  Task<> sync_reset(Context& ctx);
 
   // --- internal API used by Comm/Request/collectives -----------------
 

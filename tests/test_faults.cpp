@@ -495,7 +495,7 @@ TEST(FaultReliability, RetryExhaustionFailsWithDiagnostics) {
 // ---------------------------------------------------------------------------
 // Fault effects: each class observably perturbs a measurement (and the
 // drop/duplication counters surface in PatternMeasurement), while
-// verify_payload inside the runner keeps proving delivered bytes equal the
+// the runner's payload check keeps proving delivered bytes equal the
 // fault-free truth.
 
 TEST(FaultEffects, EachClassPerturbsTheMeasurement) {
@@ -550,7 +550,7 @@ TEST(FaultEffects, EachClassPerturbsTheMeasurement) {
 // ---------------------------------------------------------------------------
 // The width battery: every fault class, every sparse method, bit-identical
 // measurements (clocks, counters, fault stats) at widths {1, 2, 4, 7}.
-// verify_payload inside measure_pattern doubles as the proof that faulted
+// measure_pattern's payload check doubles as the proof that faulted
 // runs still deliver the exact fault-free bytes.
 
 TEST(FaultWidths, SparseMethodsAreWidthIdentical) {

@@ -214,6 +214,40 @@ TEST(Measure, WindowTimesReportTheMaxOverRanksPerWindow) {
   EXPECT_EQ(t.max(1), 2.5);
 }
 
+TEST(Measure, RejectsNonPositiveShapeFields) {
+  // A zero or negative shape field is rejected by name before any engine
+  // is built, instead of dividing by zero (ranks_per_region = 0 on a
+  // multi-region node) or silently building one region per node
+  // (regions_per_node <= 0).
+  auto expect_rejected = [](MeasureConfig cfg, const std::string& field) {
+    try {
+      (void)machine_for(16, cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("MeasureConfig::" + field),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  MeasureConfig cfg = small_cfg();
+  cfg.regions_per_node = 2;
+  cfg.ranks_per_region = 0;
+  expect_rejected(cfg, "ranks_per_region");
+  cfg.ranks_per_region = -4;
+  expect_rejected(cfg, "ranks_per_region");
+  for (int rpn : {0, -3}) {
+    cfg = small_cfg();
+    cfg.regions_per_node = rpn;
+    expect_rejected(cfg, "regions_per_node");
+  }
+  // The drivers build their machine first, so they reject it too.
+  cfg = small_cfg();
+  cfg.regions_per_node = 0;
+  const patterns::Workload wl = patterns::uniform_dense(
+      Machine::with_region_size(16, 4), {.values = 1});
+  EXPECT_THROW(measure_pattern(wl, mpix::Method::standard, cfg), SimError);
+}
+
 TEST(Model, EstimateGrowsWithTraffic) {
   simmpi::CostModel cm(simmpi::CostParams::lassen());
   mpix::NeighborStats small{.local_msgs = 1,

@@ -65,7 +65,7 @@ MeasureConfig link_capped_config() {
 }  // namespace
 
 /// Every pattern, every sparse method, every width: one measurement.
-/// verify_payload inside measure_pattern already byte-checks delivery, so
+/// measure_pattern's payload check already byte-checks delivery, so
 /// equal measurements at all widths close the contract for the subsystem.
 TEST(PatternWidths, EveryPatternIsWidthIdentical) {
   const Machine m = test_machine();

@@ -30,7 +30,6 @@ Machine small_machine() {
 MeasureConfig small_cfg() {
   MeasureConfig cfg;
   cfg.ranks_per_region = 4;
-  cfg.verify_payload = true;
   return cfg;
 }
 
@@ -148,8 +147,8 @@ TEST(Patterns, LocalitySkewShiftsTrafficIntoRegions) {
 }
 
 /// Tentpole acceptance: every registered pattern runs through every sparse
-/// neighbor method with byte-verified delivery (verify_payload throws on
-/// the first bad byte).
+/// neighbor method with byte-verified delivery (the pattern runner throws
+/// on the first bad byte).
 TEST(Patterns, AllPatternsRunThroughAllNeighborMethods) {
   const Machine m = small_machine();
   MeasureConfig cfg = small_cfg();
@@ -371,7 +370,7 @@ TEST(Patterns, UniformDenseSendsEveryRankSelfIncluded) {
 TEST(Patterns, UniformDenseThroughTheDenseRunner) {
   // P = 24 ranks in R = 6 regions of 4: standard sends P^2 - sum |region|^2
   // network messages, node_aggregated R(R-1), bruck R * ceil(log2 R).
-  MeasureConfig cfg = small_cfg();  // verify_payload: every byte checked
+  MeasureConfig cfg = small_cfg();  // the runner checks every byte
   const Workload wl =
       patterns::uniform_dense(harness::machine_for(24, cfg), {.values = 2});
   const long expected[] = {24 * 24 - 6 * 4 * 4, 6 * 5, 6 * 3};
