@@ -6,14 +6,14 @@
 ///  * no-nic-cap  — locality-aware tiers, infinite injection bandwidth;
 ///  * flat        — every tier costs the same (locality-blind).
 ///
-/// Finding (also recorded in EXPERIMENTS.md): the aggregation speedup
-/// survives without the injection cap (it is latency/count-driven), and it
-/// even survives a locality-blind model — three-step aggregation not only
-/// exploits cheap local links, it *load balances*: the busiest rank's
-/// message count falls from "every destination rank in every remote
-/// region" to "one message per assigned region".  The locality tiers
-/// decide where the fine-level crossover sits, not whether the coarse
-/// levels win.
+/// Finding (recorded in docs/BENCHMARKS.md, `bench_ablation_model` row):
+/// the aggregation speedup survives without the injection cap (it is
+/// latency/count-driven), and it even survives a locality-blind model —
+/// three-step aggregation not only exploits cheap local links, it *load
+/// balances*: the busiest rank's message count falls from "every
+/// destination rank in every remote region" to "one message per assigned
+/// region".  The locality tiers decide where the fine-level crossover
+/// sits, not whether the coarse levels win.
 
 #include "bench_common.hpp"
 

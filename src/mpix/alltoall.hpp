@@ -84,14 +84,6 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
 
   int regions = 0;  ///< R: regions spanned by the communicator
 
-  /// A contiguous value copy: `len` values from position `src` of the
-  /// source array to position `dst` of the destination array.
-  struct Run {
-    long src = 0;
-    long dst = 0;
-    long len = 0;
-  };
-
   /// Intra-region traffic: direct user-buffer p2p, as in the neighbor
   /// locality plan.
   std::vector<LocalityPlan::DirectMsg> l_sends, l_recvs;
@@ -101,9 +93,9 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
 
   // -- member side (every rank of a multi-rank region, incl. the leader
   //    for its self-copies) --------------------------------------------
-  std::vector<Run> fill_gather;  ///< sendbuf -> fill message (to leader)
+  std::vector<CopyRun> fill_gather;  ///< sendbuf -> fill message (to leader)
   long fill_values = 0;
-  std::vector<Run> from_leader;  ///< deliver message -> recvbuf
+  std::vector<CopyRun> from_leader;  ///< deliver message -> recvbuf
   long from_leader_values = 0;
 
   // -- leader side ------------------------------------------------------
@@ -112,10 +104,10 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
   struct Place {
     int peer = -1;  ///< comm-local member rank
     long values = 0;
-    std::vector<Run> runs;
+    std::vector<CopyRun> runs;
   };
-  std::vector<Place> fill_recvs;  ///< per non-leader member: msg -> resident
-  std::vector<Run> fill_self;     ///< own sendbuf -> resident
+  std::vector<Place> fill_recvs;   ///< per non-leader member: msg -> resident
+  std::vector<CopyRun> fill_self;  ///< own sendbuf -> resident
 
   /// One Bruck round of my region: ship `gather`ed resident values to the
   /// next region, retain `keep`, splice the incoming message via `merge`.
@@ -124,14 +116,14 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
   struct Round {
     int send_peer = -1, recv_peer = -1;  ///< comm-local leader ranks
     long send_values = 0, recv_values = 0;
-    std::vector<Run> gather;  ///< resident(cur) -> round message
-    std::vector<Run> keep;    ///< resident(cur) -> resident(next)
-    std::vector<Run> merge;   ///< round recv message -> resident(next)
+    std::vector<CopyRun> gather;  ///< resident(cur) -> round message
+    std::vector<CopyRun> keep;    ///< resident(cur) -> resident(next)
+    std::vector<CopyRun> merge;   ///< round recv message -> resident(next)
   };
   std::vector<Round> rounds;
 
-  std::vector<Place> delivers;    ///< per non-leader member: resident -> msg
-  std::vector<Run> deliver_self;  ///< resident -> own recvbuf
+  std::vector<Place> delivers;  ///< per non-leader member: resident -> msg
+  std::vector<CopyRun> deliver_self;  ///< resident -> own recvbuf
 
   long resident_values = 0;  ///< resident buffer size (max over epochs)
   long round_send_max = 0;   ///< largest per-round outgoing message

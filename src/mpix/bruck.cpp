@@ -34,7 +34,6 @@
 /// are recorded.
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,47 +54,19 @@ using simmpi::Request;
 using simmpi::SimError;
 using simmpi::Task;
 
-/// Apply value-run copies, scaling by the element size.
-void copy_runs(std::span<const std::byte> from, std::span<std::byte> to,
-               std::span<const BruckPlan::Run> runs, std::size_t es) {
-  for (const auto& r : runs)
-    std::memcpy(to.data() + static_cast<std::size_t>(r.dst) * es,
-                from.data() + static_cast<std::size_t>(r.src) * es,
-                static_cast<std::size_t>(r.len) * es);
-}
-
-/// Append a run, coalescing with the previous one when contiguous.
-void push_run(std::vector<BruckPlan::Run>& v, long long src, long long dst,
-              long long len) {
-  if (len <= 0) return;
-  if (!v.empty() && v.back().src + v.back().len == src &&
-      v.back().dst + v.back().len == dst) {
-    v.back().len += len;
-    return;
-  }
-  v.push_back({static_cast<long>(src), static_cast<long>(dst),
-               static_cast<long>(len)});
-}
-
 struct BruckAlltoallv final : NeighborAlltoallv {
   AlltoallvArgs args;
   std::shared_ptr<const BruckPlan> routing;
 
   impl::ChannelSet l;  // direct user-buffer p2p
 
-  // member side (non-leader of a multi-rank region, R > 1)
-  bool has_fill = false, has_deliver = false;
-  std::vector<std::byte> fill_buf, deliver_buf;
+  // member side (non-leader of a multi-rank region, R > 1): in place
+  bool is_member = false;
   Request fill_req, deliver_req;
 
   // leader side
-  struct Staged {
-    std::span<const BruckPlan::Run> runs;
-    std::vector<std::byte> buf;
-    Request req;
-  };
-  std::vector<Staged> fill_recvs;     // per member: msg -> resident
-  std::vector<Staged> deliver_sends;  // per member: resident -> msg
+  std::vector<detail::StagedMsg> fill_recvs;     // per member: msg -> resident
+  std::vector<detail::StagedMsg> deliver_sends;  // per member: resident -> msg
   std::vector<std::byte> resident_a, resident_b;
   std::vector<std::byte> round_send, round_recv;
   // One send + one receive per rotation round.  Leaders of adjacent regions
@@ -106,20 +77,22 @@ struct BruckAlltoallv final : NeighborAlltoallv {
     const std::size_t es = args.element_size;
     // Intra-region traffic goes out immediately.
     l.start(ctx);
-    if (has_fill) {
-      copy_runs(args.sendbuf, fill_buf, routing->fill_gather, es);
-      fill_req.start(ctx);
+    if (is_member) {
+      detail::copy_runs(args.sendbuf, fill_req.start_in_place(ctx),
+                        routing->fill_gather, es);
+      deliver_req.start(ctx);
     }
-    if (has_deliver) deliver_req.start(ctx);
     if (routing->is_leader && routing->regions > 1) {
       // Assemble the resident buffer: members' remote-bound values plus
       // our own, ordered by distance toward their destination region.
       for (auto& f : fill_recvs) f.req.start(ctx);
       for (auto& f : fill_recvs) {
-        co_await ctx.wait(f.req);
-        copy_runs(f.buf, resident_a, f.runs, es);
+        const auto place = [&](std::span<const std::byte> msg) {
+          detail::copy_runs(msg, resident_a, f.runs, es);
+        };
+        co_await ctx.wait_in_place(f.req, place);
       }
-      copy_runs(args.sendbuf, resident_a, routing->fill_self, es);
+      detail::copy_runs(args.sendbuf, resident_a, routing->fill_self, es);
     }
     co_return;
   }
@@ -127,30 +100,30 @@ struct BruckAlltoallv final : NeighborAlltoallv {
   Task<> wait(Context& ctx) override {
     const std::size_t es = args.element_size;
     co_await l.finish(ctx);
-    if (has_fill) co_await ctx.wait(fill_req);
+    if (is_member) co_await ctx.wait(fill_req);
     if (routing->is_leader && routing->regions > 1) {
       // The rotation.  Rounds are sequential; the resident buffer
       // ping-pongs so keep/merge never overlap their sources.
       std::span<std::byte> cur = resident_a, nxt = resident_b;
       for (std::size_t k = 0; k < round_chans.size(); ++k) {
         const auto& r = routing->rounds[k];
-        copy_runs(cur, round_send, r.gather, es);
+        detail::copy_runs(cur, round_send, r.gather, es);
         round_chans[k].start(ctx);
         co_await round_chans[k].finish(ctx);
-        copy_runs(cur, nxt, r.keep, es);
-        copy_runs(round_recv, nxt, r.merge, es);
+        detail::copy_runs(cur, nxt, r.keep, es);
+        detail::copy_runs(round_recv, nxt, r.merge, es);
         std::swap(cur, nxt);
       }
-      for (auto& d : deliver_sends) {
-        copy_runs(cur, d.buf, d.runs, es);
-        d.req.start(ctx);
-      }
-      copy_runs(cur, args.recvbuf, routing->deliver_self, es);
+      for (auto& d : deliver_sends)
+        detail::copy_runs(cur, d.req.start_in_place(ctx), d.runs, es);
+      detail::copy_runs(cur, args.recvbuf, routing->deliver_self, es);
       for (auto& d : deliver_sends) co_await ctx.wait(d.req);
     }
-    if (has_deliver) {
-      co_await ctx.wait(deliver_req);
-      copy_runs(deliver_buf, args.recvbuf, routing->from_leader, es);
+    if (is_member) {
+      const auto place = [&](std::span<const std::byte> msg) {
+        detail::copy_runs(msg, args.recvbuf, routing->from_leader, es);
+      };
+      co_await ctx.wait_in_place(deliver_req, place);
     }
   }
 
@@ -369,7 +342,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     for (int d = 1; d < nregions; ++d) {
       if (!((d >> k) & 1)) continue;
       for (const auto& c : blocks[gi][d])
-        push_run(round.gather, c.off, c.msg_off, c.size);
+        detail::push_run(round.gather, c.off, c.msg_off, c.size);
     }
 
     // Move the chunks: one hop of 2^k, remaining distance d - 2^k.
@@ -405,9 +378,9 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       long long off = 0;
       auto place = [&](SimChunk& c) {
         if (c.off >= 0)
-          push_run(round.keep, c.off, off, c.size);
+          detail::push_run(round.keep, c.off, off, c.size);
         else
-          push_run(round.merge, c.msg_off, off, c.size);
+          detail::push_run(round.merge, c.msg_off, off, c.size);
         c.off = off;
         off += c.size;
       };
@@ -457,7 +430,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       const int q = (gi + d) % nregions;
       long long col = 0;
       for (int j : members[q]) {
-        push_run(plan->fill_self, args.sdispls[j], chunk_off0[d] + col,
+        detail::push_run(plan->fill_self, args.sdispls[j], chunk_off0[d] + col,
                  scount(0, j));
         col += scount(0, j);
       }
@@ -470,7 +443,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
         const int q = (gi + d) % nregions;
         long long rowoff = 0;
         for (int mm = 0; mm < m; ++mm) rowoff += row_out_of(mm, q);
-        push_run(f.runs, pos, chunk_off0[d] + rowoff, row_out_of(m, q));
+        detail::push_run(f.runs, pos, chunk_off0[d] + rowoff, row_out_of(m, q));
         pos += row_out_of(m, q);
       }
       f.values = pos;
@@ -481,7 +454,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     for (int d = 1; d < nregions; ++d) {
       const int q = (gi + d) % nregions;
       for (int j : members[q]) {
-        push_run(plan->fill_gather, args.sdispls[j], pos, args.sendcounts[j]);
+        detail::push_run(plan->fill_gather, args.sdispls[j], pos,
+                         args.sendcounts[j]);
         pos += args.sendcounts[j];
       }
     }
@@ -508,7 +482,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     for (const auto& c : fin[gi]) {
       long long rowoff = 0;
       for (int k : members[c.origin]) {
-        push_run(plan->deliver_self, c.off + rowoff + col_in(k, 0),
+        detail::push_run(plan->deliver_self, c.off + rowoff + col_in(k, 0),
                  args.rdispls[k], rcount(k, 0));
         rowoff += row_in(k);
       }
@@ -520,7 +494,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       for (const auto& c : fin[gi]) {
         long long rowoff = 0;
         for (int k : members[c.origin]) {
-          push_run(d.runs, c.off + rowoff + col_in(k, m), pos, rcount(k, m));
+          detail::push_run(d.runs, c.off + rowoff + col_in(k, m), pos,
+                           rcount(k, m));
           pos += rcount(k, m);
           rowoff += row_in(k);
         }
@@ -534,7 +509,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     long long pos = 0;
     for (const auto& c : fin[gi]) {
       for (int k : members[c.origin]) {
-        push_run(plan->from_leader, pos, args.rdispls[k], args.recvcounts[k]);
+        detail::push_run(plan->from_leader, pos, args.rdispls[k],
+                         args.recvcounts[k]);
         pos += args.recvcounts[k];
       }
     }
@@ -590,15 +566,12 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
                 tag_l);
 
   if (me != p.leader && p.regions > 1) {
-    obj->fill_buf.resize(static_cast<std::size_t>(p.fill_values) * es);
-    obj->fill_req = Request::send(
-        comm, std::span<const std::byte>(obj->fill_buf), p.leader, tag_f);
-    obj->has_fill = true;
-    obj->deliver_buf.resize(static_cast<std::size_t>(p.from_leader_values) *
-                            es);
-    obj->deliver_req = Request::recv(
-        comm, std::span<std::byte>(obj->deliver_buf), p.leader, tag_d);
-    obj->has_deliver = true;
+    obj->fill_req = Request::send_in_place(
+        comm, static_cast<std::size_t>(p.fill_values) * es, p.leader, tag_f);
+    obj->deliver_req = Request::recv_in_place(
+        comm, static_cast<std::size_t>(p.from_leader_values) * es, p.leader,
+        tag_d);
+    obj->is_member = true;
   }
   if (p.is_leader && p.regions > 1) {
     obj->resident_a.resize(static_cast<std::size_t>(p.resident_values) * es);
@@ -616,21 +589,16 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
                   .first(static_cast<std::size_t>(r.recv_values) * es),
               r.recv_peer, tag_b);
     }
-    for (const auto& f : p.fill_recvs) {
-      BruckAlltoallv::Staged s;
-      s.runs = f.runs;
-      s.buf.resize(static_cast<std::size_t>(f.values) * es);
-      s.req = Request::recv(comm, std::span<std::byte>(s.buf), f.peer, tag_f);
-      obj->fill_recvs.push_back(std::move(s));
-    }
-    for (const auto& d : p.delivers) {
-      BruckAlltoallv::Staged s;
-      s.runs = d.runs;
-      s.buf.resize(static_cast<std::size_t>(d.values) * es);
-      s.req = Request::send(comm, std::span<const std::byte>(s.buf), d.peer,
-                            tag_d);
-      obj->deliver_sends.push_back(std::move(s));
-    }
+    for (const auto& f : p.fill_recvs)
+      obj->fill_recvs.push_back(
+          {f.runs, Request::recv_in_place(
+                       comm, static_cast<std::size_t>(f.values) * es, f.peer,
+                       tag_f)});
+    for (const auto& d : p.delivers)
+      obj->deliver_sends.push_back(
+          {d.runs, Request::send_in_place(
+                       comm, static_cast<std::size_t>(d.values) * es, d.peer,
+                       tag_d)});
   }
 
   // Charge the buffer binding work (staging allocation + channel setup).

@@ -283,6 +283,30 @@ std::vector<gidx> unique_sorted(std::span<const gidx> gids) {
   return u;
 }
 
+std::vector<CopyRun> compose_runs(std::span<const CopyRun> to_msg,
+                                  std::span<const CopyRun> from_msg) {
+  std::vector<CopyRun> out;
+  std::size_t t = 0;  // the to_msg run holding message position k
+  for (const CopyRun& f : from_msg) {
+    long k = f.src;
+    // Message positions never decrease along from_msg, but a dedup scatter
+    // may re-read values the previous run already read.
+    while (t > 0 && to_msg[t].dst > k) --t;
+    for (long done = 0; done < f.len;) {
+      while (t < to_msg.size() && to_msg[t].dst + to_msg[t].len <= k) ++t;
+      if (t == to_msg.size() || to_msg[t].dst > k)
+        throw SimError("compose_runs: message position " + std::to_string(k) +
+                       " is not covered");
+      const CopyRun& r = to_msg[t];
+      const long take = std::min(f.len - done, r.dst + r.len - k);
+      push_run(out, r.src + (k - r.dst), f.dst + done, take);
+      k += take;
+      done += take;
+    }
+  }
+  return out;
+}
+
 long PairLayout::SrcBlock::find(gidx gid) const {
   auto it = std::lower_bound(gids.begin(), gids.end(), gid);
   if (it == gids.end() || *it != gid)

@@ -6,6 +6,7 @@
 /// inter-region messages.  Kept separate so the logic is unit-testable
 /// without the simulator.
 
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -124,5 +125,46 @@ PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup);
 
 /// Sorted unique gids of one edge's value list.
 std::vector<gidx> unique_sorted(std::span<const gidx> gids);
+
+/// Append a run of `len` values (none when `len` <= 0), coalescing with the
+/// previous run when both its source and destination abut.  Inline: the
+/// dedup plan builds call it once per value.
+inline void push_run(std::vector<CopyRun>& runs, long src, long dst,
+                     long len) {
+  if (len <= 0) return;
+  if (!runs.empty() && runs.back().src + runs.back().len == src &&
+      runs.back().dst + runs.back().len == dst) {
+    runs.back().len += len;
+    return;
+  }
+  runs.push_back({src, dst, len});
+}
+
+/// Apply value runs from `from` to `to`, scaling positions by the element
+/// size `es` (one memcpy per run).
+inline void copy_runs(std::span<const std::byte> from, std::span<std::byte> to,
+                      std::span<const CopyRun> runs, std::size_t es) {
+  for (const CopyRun& r : runs)
+    std::memcpy(to.data() + static_cast<std::size_t>(r.dst) * es,
+                from.data() + static_cast<std::size_t>(r.src) * es,
+                static_cast<std::size_t>(r.len) * es);
+}
+
+/// A staged message bound to its in-place channel (Request::send_in_place
+/// or recv_in_place): sends gather with `runs` straight into the arena
+/// payload, receives scatter with them straight out of the sender's.  The
+/// runs live in the shared plan.
+struct StagedMsg {
+  std::span<const CopyRun> runs;
+  simmpi::Request req;
+};
+
+/// Compose `to_msg` (source -> message positions, covering the message in
+/// order) with `from_msg` (message -> destination positions, message
+/// positions non-decreasing): the runs moving source values straight to
+/// their destinations, in `from_msg` order.  Builds a self copy from the
+/// two halves of a message a rank would send to itself.
+std::vector<CopyRun> compose_runs(std::span<const CopyRun> to_msg,
+                                  std::span<const CopyRun> from_msg);
 
 }  // namespace mpix::detail

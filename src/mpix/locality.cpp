@@ -12,23 +12,25 @@
 /// The implementation is split in two halves matching the public API:
 ///
 ///  * `make_locality_plan` (collective) computes every routing decision —
-///    gather/scatter index maps, staging layouts, leader assignments — from
-///    metadata shared inside each region plus a root-to-root handshake, and
-///    stores them in a buffer-free `LocalityPlan`.  Everything that reads
-///    the metadata is decided before the handshake, and the metadata is
-///    freed before the rank suspends again; each rank lays out only the
-///    region pairs it leads;
+///    gather/scatter copy-run lists, staging layouts, leader assignments —
+///    from metadata shared inside each region plus a root-to-root
+///    handshake, and stores them in a buffer-free `LocalityPlan`.
+///    Everything that reads the metadata is decided before the handshake,
+///    and the metadata is freed before the rank suspends again; each rank
+///    lays out only the region pairs it leads.  Runs are coalesced as the
+///    values are enumerated, so no per-value map is ever built;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
 ///    fresh message channels to a plan, scaling all value offsets by the
 ///    arguments' `element_size`.
 ///
-/// start/wait only move payload.  With `Method::locality_dedup`, values
+/// start/wait only move payload, one memcpy per run.  The staged (s and r)
+/// messages are in place: a send gathers straight into its arena payload
+/// and a receive scatters straight out of the sender's, so no value is
+/// copied twice on the host.  With `Method::locality_dedup`, values
 /// carrying the same user-supplied index cross each region boundary once
 /// (Section 3.3).
 
 #include <algorithm>
-#include <cstring>
-#include <numeric>
 
 #include "mpix/detail.hpp"
 #include "mpix/impl.hpp"
@@ -48,64 +50,33 @@ using simmpi::Context;
 using simmpi::Request;
 using simmpi::Task;
 
-/// A staged message bound to its persistent buffer and channel.  The index
-/// maps live in the (shared) plan; `buf` holds `element_size`-sized values.
-struct BoundGather {
-  std::span<const int> gather;  ///< source-array value position per value
-  std::vector<std::byte> buf;
-  Request req;
-};
-struct BoundScatter {
-  std::span<const int> scatter_src;  ///< payload value position
-  std::span<const int> scatter_dst;  ///< destination-array value position
-  std::vector<std::byte> buf;
-  Request req;
-};
-
-void gather_into(std::span<const std::byte> src, std::size_t es,
-                 std::span<const int> idx, std::span<std::byte> out) {
-  for (std::size_t k = 0; k < idx.size(); ++k)
-    std::memcpy(out.data() + k * es, src.data() + idx[k] * es, es);
-}
-
-/// Value `src[k]` of `from` lands at value position `dst[k]` of `to`: the
-/// self copies and the staged receives' scatters.
-void copy_values(std::span<const std::byte> from, std::span<const int> src,
-                 std::span<std::byte> to, std::span<const int> dst,
-                 std::size_t es) {
-  for (std::size_t k = 0; k < src.size(); ++k)
-    std::memcpy(to.data() + dst[k] * es, from.data() + src[k] * es, es);
-}
-
 struct LocalityNeighbor final : NeighborAlltoallv {
   AlltoallvArgs args;
   std::shared_ptr<const LocalityPlan> routing;
   std::vector<std::byte> s_stage, g_stage;
   impl::ChannelSet l;  // direct user-buffer p2p
   impl::ChannelSet g;  // direct stage-buffer p2p, the only network phase
-  std::vector<BoundGather> s_sends, r_sends;
-  std::vector<BoundScatter> s_recvs, r_recvs;
+  std::vector<detail::StagedMsg> s_sends, r_sends;  // gather in place
+  std::vector<detail::StagedMsg> s_recvs, r_recvs;  // scatter in place
 
   Task<> start(Context& ctx) override {
     const std::size_t es = args.element_size;
     // Fully local traffic goes out immediately (Algorithm 5).
     l.start(ctx);
     // Initial redistribution: start AND complete before inter-region.
-    for (auto& m : s_sends) {
-      gather_into(args.sendbuf, es, m.gather, m.buf);
-      m.req.start(ctx);
-    }
-    copy_values(args.sendbuf, routing->s_self.src, s_stage,
-                routing->s_self.dst, es);
+    for (auto& m : s_sends)
+      detail::copy_runs(args.sendbuf, m.req.start_in_place(ctx), m.runs, es);
+    detail::copy_runs(args.sendbuf, s_stage, routing->s_self, es);
     for (auto& m : s_recvs) m.req.start(ctx);
     for (auto& m : s_recvs) {
-      co_await ctx.wait(m.req);
-      copy_values(m.buf, m.scatter_src, s_stage, m.scatter_dst, es);
+      const auto scatter = [&](std::span<const std::byte> msg) {
+        detail::copy_runs(msg, s_stage, m.runs, es);
+      };
+      co_await ctx.wait_in_place(m.req, scatter);
     }
     for (auto& m : s_sends) co_await ctx.wait(m.req);
     // Inter-region messages.
     g.start(ctx);
-    co_return;
   }
 
   Task<> wait(Context& ctx) override {
@@ -114,16 +85,15 @@ struct LocalityNeighbor final : NeighborAlltoallv {
     co_await l.finish(ctx);
     co_await g.finish(ctx);
     // Final redistribution.
-    for (auto& m : r_sends) {
-      gather_into(g_stage, es, m.gather, m.buf);
-      m.req.start(ctx);
-    }
-    copy_values(g_stage, routing->r_self.src, args.recvbuf,
-                routing->r_self.dst, es);
+    for (auto& m : r_sends)
+      detail::copy_runs(g_stage, m.req.start_in_place(ctx), m.runs, es);
+    detail::copy_runs(g_stage, args.recvbuf, routing->r_self, es);
     for (auto& m : r_recvs) m.req.start(ctx);
     for (auto& m : r_recvs) {
-      co_await ctx.wait(m.req);
-      copy_values(m.buf, m.scatter_src, args.recvbuf, m.scatter_dst, es);
+      const auto scatter = [&](std::span<const std::byte> msg) {
+        detail::copy_runs(msg, args.recvbuf, m.runs, es);
+      };
+      co_await ctx.wait_in_place(m.req, scatter);
     }
     for (auto& m : r_sends) co_await ctx.wait(m.req);
   }
@@ -135,28 +105,8 @@ struct LocalityNeighbor final : NeighborAlltoallv {
   std::shared_ptr<const LocalityPlan> plan() const override { return routing; }
 };
 
-/// Within-pair value offsets (in canonical enumeration order) of `src`'s
-/// contribution to a region pair.
-std::vector<long> src_item_offsets(const PairLayout& lay,
-                                   const std::vector<const Edge*>& pair,
-                                   int src, bool dedup) {
-  std::vector<long> out;
-  if (!dedup) {
-    for (std::size_t e = 0; e < pair.size(); ++e)
-      if (pair[e]->src == src)
-        for (int k = 0; k < pair[e]->count; ++k)
-          out.push_back(lay.segments[e].offset + k);
-  } else {
-    for (const auto& blk : lay.src_blocks)
-      if (blk.src == src)
-        for (std::size_t k = 0; k < blk.gids.size(); ++k)
-          out.push_back(blk.offset + static_cast<long>(k));
-  }
-  return out;
-}
-
 /// Stable sort of (gid, value position) pairs by gid: equal gids keep their
-/// enumeration order.  Each dedup index map below is read off one such
+/// enumeration order.  Each dedup run list below is read off one such
 /// sort.
 void sort_by_gid(std::vector<std::pair<gidx, int>>& v) {
   std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
@@ -180,7 +130,7 @@ struct RegionRoutes {
 };
 
 /// Every routing decision that reads the region's metadata: leader
-/// assignment, the led pairs' layouts, and the s- and r-phase index maps
+/// assignment, the led pairs' layouts, and the s- and r-phase run lists
 /// and staging sizes (written to `plan`).  The parsed edges view `md`,
 /// which is taken by value and so freed on return — before the caller's
 /// root handshake suspends, so the members of a region do not all hold
@@ -264,30 +214,43 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
   plan.g_stage_values =
       lead(in_pairs, routes.in_leader_core, routes.led_in, in_layouts);
 
-  // s_stage positions of `src`'s values in the pairs this rank leads.
+  // The s-phase message from `src` to this leader: its values in the pairs
+  // this rank leads, message position -> s_stage position.
   auto staged_from = [&](int src) {
-    std::vector<int> pos;
+    LocalityPlan::ScatterMsg m;
+    m.peer = src;
     for (std::size_t p = 0; p < routes.led_out.size(); ++p) {
       const LedPair& led = routes.led_out[p];
-      for (long off : src_item_offsets(out_layouts[p],
-                                       *out_pairs.find(led.region), src,
-                                       dedup))
-        pos.push_back(static_cast<int>(led.offset + off));
+      const PairLayout& lay = out_layouts[p];
+      auto take = [&](long offset, long len) {
+        detail::push_run(m.scatter, m.values, led.offset + offset, len);
+        m.values += len;
+      };
+      if (!dedup) {
+        const auto& pair = *out_pairs.find(led.region);
+        for (std::size_t e = 0; e < pair.size(); ++e)
+          if (pair[e]->src == src)
+            take(lay.segments[e].offset, pair[e]->count);
+      } else {
+        for (const auto& blk : lay.src_blocks)
+          if (blk.src == src)
+            take(blk.offset, static_cast<long>(blk.gids.size()));
+      }
     }
-    return pos;
+    return m;
   };
 
   // ---- s phase: source side ------------------------------------------------
   for (int L = 0; L < nlocal; ++L) {
-    std::vector<int> gather;
+    LocalityPlan::GatherMsg m;
     for (const auto& [q, core] : routes.out_leader_core) {
       if (core != L) continue;
       if (!dedup) {
         for (const Edge* e : *out_pairs.find(q)) {
           if (e->src != me) continue;
           const int i = *dst_index.find(e->dst);
-          for (int k = 0; k < e->count; ++k)
-            gather.push_back(args.sdispls[i] + k);
+          detail::push_run(m.gather, args.sdispls[i], m.values, e->count);
+          m.values += e->count;
         }
       } else {
         // Unique gids this rank contributes to Q, each gathered from its
@@ -304,17 +267,17 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         sort_by_gid(occurrences);
         for (std::size_t j = 0; j < occurrences.size(); ++j)
           if (j == 0 || occurrences[j].first != occurrences[j - 1].first)
-            gather.push_back(occurrences[j].second);
+            detail::push_run(m.gather, occurrences[j].second, m.values++, 1);
       }
     }
-    if (gather.empty()) continue;
+    if (m.values == 0) continue;
     if (L == my_core) {
-      plan.s_self.src = std::move(gather);
-      plan.s_self.dst = staged_from(me);
+      plan.s_self = detail::compose_runs(m.gather, staged_from(me).scatter);
     } else {
       ++plan.stats.local_msgs;
-      plan.stats.local_values += static_cast<long>(gather.size());
-      plan.s_sends.push_back({core_to_local(L), std::move(gather)});
+      plan.stats.local_values += m.values;
+      m.peer = core_to_local(L);
+      plan.s_sends.push_back(std::move(m));
     }
   }
 
@@ -323,24 +286,17 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     for (int core = 0; core < nlocal; ++core) {
       const int src = core_to_local(core);
       if (src == me) continue;
-      std::vector<int> sc_dst = staged_from(src);
-      if (sc_dst.empty()) continue;
-      LocalityPlan::ScatterMsg m;
-      m.peer = src;
-      m.values = static_cast<int>(sc_dst.size());
-      m.scatter_dst = std::move(sc_dst);
-      m.scatter_src.resize(m.scatter_dst.size());
-      std::iota(m.scatter_src.begin(), m.scatter_src.end(), 0);
-      plan.s_recvs.push_back(std::move(m));
+      LocalityPlan::ScatterMsg m = staged_from(src);
+      if (m.values > 0) plan.s_recvs.push_back(std::move(m));
     }
   }
 
   // ---- r phase: leader side ------------------------------------------------
-  std::vector<int> self_vals;  // value gather list when I am my own dest
+  LocalityPlan::GatherMsg self_gather;  // the message I would send myself
   if (!routes.led_in.empty()) {
     for (int core = 0; core < nlocal; ++core) {
       const int d = core_to_local(core);
-      std::vector<int> gather;
+      LocalityPlan::GatherMsg m;
       for (std::size_t p = 0; p < routes.led_in.size(); ++p) {
         const auto& pair = *in_pairs.find(routes.led_in[p].region);
         const PairLayout& lay = in_layouts[p];
@@ -348,41 +304,40 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         for (std::size_t e = 0; e < pair.size(); ++e) {
           if (pair[e]->dst != d) continue;
           if (!dedup) {
-            for (int k = 0; k < pair[e]->count; ++k)
-              gather.push_back(
-                  static_cast<int>(block + lay.segments[e].offset + k));
+            detail::push_run(m.gather, block + lay.segments[e].offset,
+                             m.values, pair[e]->count);
+            m.values += pair[e]->count;
           } else {
             const auto& src_block = lay.block(pair[e]->src);
             for (gidx gid : detail::unique_sorted(pair[e]->gids))
-              gather.push_back(static_cast<int>(block + src_block.find(gid)));
+              detail::push_run(m.gather, block + src_block.find(gid),
+                               m.values++, 1);
           }
         }
       }
-      if (gather.empty()) continue;
+      if (m.values == 0) continue;
       if (d == me) {
-        self_vals = std::move(gather);
+        self_gather = std::move(m);
       } else {
         ++plan.stats.local_msgs;
-        plan.stats.local_values += static_cast<long>(gather.size());
-        plan.r_sends.push_back({d, std::move(gather)});
+        plan.stats.local_values += m.values;
+        m.peer = d;
+        plan.r_sends.push_back(std::move(m));
       }
     }
   }
 
   // ---- r phase: destination side -------------------------------------------
   for (int core = 0; core < nlocal; ++core) {
-    std::vector<int> sc_src, sc_dst;
-    int value_pos = 0;
+    LocalityPlan::ScatterMsg m;
     for (const auto& [rr, lcore] : routes.in_leader_core) {
       if (lcore != core) continue;
       for (const Edge* e : *in_pairs.find(rr)) {
         if (e->dst != me) continue;
         const int i = *src_index.find(e->src);
         if (!dedup) {
-          for (int k = 0; k < e->count; ++k) {
-            sc_src.push_back(value_pos++);
-            sc_dst.push_back(args.rdispls[i] + k);
-          }
+          detail::push_run(m.scatter, m.values, args.rdispls[i], e->count);
+          m.values += e->count;
         } else {
           // The leader sends the segment's unique gids in ascending order;
           // every position carrying a gid reads that gid's value.
@@ -392,30 +347,23 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
             occurrences.emplace_back(args.recv_idx[pos], pos);
           }
           sort_by_gid(occurrences);
-          int u = -1;  // index of the current gid among the unique ones
+          long u = -1;  // index of the current gid among the unique ones
           for (std::size_t j = 0; j < occurrences.size(); ++j) {
             if (j == 0 || occurrences[j].first != occurrences[j - 1].first) ++u;
-            sc_src.push_back(value_pos + u);
-            sc_dst.push_back(occurrences[j].second);
+            detail::push_run(m.scatter, m.values + u, occurrences[j].second,
+                             1);
           }
-          value_pos += u + 1;
+          m.values += u + 1;
         }
       }
     }
-    if (sc_dst.empty()) continue;
+    if (m.values == 0) continue;
     if (core == my_core) {
-      // I am my own in-leader: resolve through the value list computed on
-      // the leader side.
-      plan.r_self.src.resize(sc_dst.size());
-      plan.r_self.dst = sc_dst;
-      for (std::size_t k = 0; k < sc_dst.size(); ++k)
-        plan.r_self.src[k] = self_vals[sc_src[k]];
+      // I am my own in-leader: read straight from the g_stage positions
+      // the leader side would have gathered.
+      plan.r_self = detail::compose_runs(self_gather.gather, m.scatter);
     } else {
-      LocalityPlan::ScatterMsg m;
       m.peer = core_to_local(core);
-      m.values = value_pos;
-      m.scatter_src = std::move(sc_src);
-      m.scatter_dst = std::move(sc_dst);
       plan.r_recvs.push_back(std::move(m));
     }
   }
@@ -562,7 +510,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   for (const LedPair& p : routes.led_in)
     plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
 
-  // Charge the routing computation (index map building) to this rank.
+  // Charge the routing computation (run-list building) to this rank.
   ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(plan->s_stage_values +
                                   plan->g_stage_values + routes.edges +
@@ -610,27 +558,21 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_locality(
                     .subspan(m.offset * es, m.count * es),
                 m.peer, tag_g);
 
-  auto bind_gather = [&](const LocalityPlan::GatherMsg& m, int tag) {
-    BoundGather b;
-    b.gather = m.gather;
-    b.buf.resize(m.gather.size() * es);
-    b.req = Request::send(comm, std::span<const std::byte>(b.buf), m.peer, tag);
-    return b;
-  };
-  auto bind_scatter = [&](const LocalityPlan::ScatterMsg& m, int tag) {
-    BoundScatter b;
-    b.scatter_src = m.scatter_src;
-    b.scatter_dst = m.scatter_dst;
-    b.buf.resize(static_cast<std::size_t>(m.values) * es);
-    b.req = Request::recv(comm, std::span<std::byte>(b.buf), m.peer, tag);
-    return b;
-  };
-  for (const auto& m : p.s_sends) obj->s_sends.push_back(bind_gather(m, tag_s));
+  // Staged messages move in place: no per-message buffer is bound.
+  for (const auto& m : p.s_sends)
+    obj->s_sends.push_back(
+        {m.gather, Request::send_in_place(comm, m.values * es, m.peer, tag_s)});
   for (const auto& m : p.s_recvs)
-    obj->s_recvs.push_back(bind_scatter(m, tag_s));
-  for (const auto& m : p.r_sends) obj->r_sends.push_back(bind_gather(m, tag_r));
+    obj->s_recvs.push_back(
+        {m.scatter,
+         Request::recv_in_place(comm, m.values * es, m.peer, tag_s)});
+  for (const auto& m : p.r_sends)
+    obj->r_sends.push_back(
+        {m.gather, Request::send_in_place(comm, m.values * es, m.peer, tag_r)});
   for (const auto& m : p.r_recvs)
-    obj->r_recvs.push_back(bind_scatter(m, tag_r));
+    obj->r_recvs.push_back(
+        {m.scatter,
+         Request::recv_in_place(comm, m.values * es, m.peer, tag_r)});
 
   // Charge the buffer binding work (staging allocation + channel setup).
   ctx.compute(impl::kSetupComputePerWord *

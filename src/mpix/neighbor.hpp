@@ -163,6 +163,18 @@ struct NeighborStats {
   std::vector<long> link_values = {};
 };
 
+/// A contiguous value copy: `len` values from position `src` of the source
+/// array to position `dst` of the destination array.  Every staged copy of
+/// the aggregated collectives (LocalityPlan, BruckPlan) is a list of these,
+/// built with `detail::push_run` (which coalesces abutting runs) and
+/// applied with `detail::copy_runs`.
+struct CopyRun {
+  long src = 0;
+  long dst = 0;
+  long len = 0;
+  bool operator==(const CopyRun&) const = default;
+};
+
 /// Common polymorphic base of every reusable collective plan (the
 /// neighbor methods' LocalityPlan, the dense methods' BruckPlan in
 /// alltoall.hpp).  Exists so plan-agnostic plumbing — Options::plan, the
@@ -175,15 +187,22 @@ struct PlanBase {
 
 /// The reusable, buffer-free half of locality-aware init: every routing
 /// decision for one (pattern, machine, method) combination — leader
-/// assignments resolved into per-message peers, gather/scatter index maps,
-/// staging layouts, message statistics.  Building it is collective (region
-/// metadata allgather, root handshake); binding buffers to it is purely
-/// local, so a plan built once can be reused by every later init on the
-/// same pattern — across element sizes, buffer instances, and even engine
-/// runs, as long as the communicator membership and machine shape match.
+/// assignments resolved into per-message peers, gather/scatter copy-run
+/// lists, staging layouts, message statistics.  Building it is collective
+/// (region metadata allgather, root handshake); binding buffers to it is
+/// purely local, so a plan built once can be reused by every later init on
+/// the same pattern — across element sizes, buffer instances, and even
+/// engine runs, as long as the communicator membership and machine shape
+/// match.
 ///
 /// All offsets are in *values*; binding scales them by
-/// `AlltoallvArgs::element_size`.  Treat instances as immutable
+/// `AlltoallvArgs::element_size`.  Every staged (intra-region) copy is a
+/// list of `CopyRun`s, coalesced as the plan build enumerates values: no
+/// per-value index map is stored, and a non-dedup map holds at most one
+/// run per edge.  Staged messages move straight between the user or
+/// staging buffers and the engine (Request::send_in_place /
+/// recv_in_place), so a bound collective owns no per-message buffer.
+/// Treat instances as immutable
 /// (`neighbor_alltoallv_init` holds them by shared_ptr-to-const; plans fed
 /// back through `Options::plan` must originate from `make_locality_plan`
 /// or `NeighborAlltoallv::plan`, which always own them that way).
@@ -214,30 +233,30 @@ struct LocalityPlan : PlanBase,
   };
   std::vector<DirectMsg> l_sends, l_recvs;
 
-  /// Staged send: gather[k] is the source-buffer value position of the
-  /// k-th value of the message.
+  /// Staged send of `values` values: `gather` copies source-buffer
+  /// positions (`src`) to message positions (`dst`), in message order,
+  /// covering [0, values) exactly once.
   struct GatherMsg {
     int peer = -1;
-    std::vector<int> gather;
+    long values = 0;
+    std::vector<CopyRun> gather;
   };
-  /// Staged receive: value `scatter_src[k]` of the `values`-sized payload
-  /// lands at destination-array position `scatter_dst[k]`.
+  /// Staged receive of a `values`-sized payload: `scatter` copies message
+  /// positions (`src`) to destination-array positions (`dst`).  Dedup
+  /// scatters may read one message value into several positions.
   struct ScatterMsg {
     int peer = -1;
-    int values = 0;
-    std::vector<int> scatter_src, scatter_dst;
-  };
-  /// Direct copy for data whose "leader" is the rank itself.
-  struct SelfCopy {
-    std::vector<int> src, dst;
+    long values = 0;
+    std::vector<CopyRun> scatter;
   };
 
   std::vector<GatherMsg> s_sends;   ///< initial redistribution, source side
   std::vector<ScatterMsg> s_recvs;  ///< initial redistribution, leader side
-  SelfCopy s_self;                  ///< sendbuf -> own s_stage
+  /// sendbuf -> own s_stage, for data whose leader is the rank itself
+  std::vector<CopyRun> s_self;
   std::vector<GatherMsg> r_sends;   ///< final redistribution, leader side
   std::vector<ScatterMsg> r_recvs;  ///< final redistribution, dest side
-  SelfCopy r_self;                  ///< own g_stage -> recvbuf
+  std::vector<CopyRun> r_self;      ///< own g_stage -> recvbuf
 
   /// One inter-region message per (region pair, direction), over the
   /// staging buffers (value offset/count).

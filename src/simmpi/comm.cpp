@@ -40,13 +40,43 @@ Request Request::recv_dyn(const Comm& comm, int src, int tag) {
   return r;
 }
 
-void Request::start(Context& ctx) {
+Request Request::send_in_place(const Comm& comm, std::size_t bytes, int dst,
+                               int tag) {
+  Request r = send(comm, {}, dst, tag);
+  r.in_place_ = true;
+  r.bytes_ = bytes;
+  return r;
+}
+
+Request Request::recv_in_place(const Comm& comm, std::size_t bytes, int src,
+                               int tag) {
+  Request r = recv(comm, {}, src, tag);
+  r.in_place_ = true;
+  r.bytes_ = bytes;
+  return r;
+}
+
+void Request::arm() {
   if (started_) throw SimError("Request::start: request already active");
   if (!comm_.valid()) throw SimError("Request::start: invalid request");
   started_ = true;
+}
+
+void Request::start(Context& ctx) {
+  if (is_send_ && in_place_)
+    throw SimError("Request::start: in-place sends start with start_in_place");
+  arm();
   if (is_send_) {
     ctx.engine().post_send(comm_, comm_.rank(), peer_, tag_, sbuf_, control_);
   }
+}
+
+std::span<std::byte> Request::start_in_place(Context& ctx) {
+  if (!is_send_ || !in_place_)
+    throw SimError("Request::start_in_place: not an in-place send request");
+  arm();
+  return ctx.engine().post_send_in_place(comm_, comm_.rank(), peer_, tag_,
+                                         bytes_, control_);
 }
 
 ChannelKey Request::key() const {

@@ -99,10 +99,24 @@ class Request {
   /// an internal vector, retrievable with `take_payload()`.  Used where the
   /// receiver cannot know the message size up front.
   static Request recv_dyn(const Comm& comm, int src, int tag);
+  /// Persistent send of `bytes` payload bytes that the caller writes in
+  /// place at each `start_in_place` — no user buffer, no staging copy.
+  static Request send_in_place(const Comm& comm, std::size_t bytes, int dst,
+                               int tag);
+  /// Persistent receive of exactly `bytes` payload bytes, consumed in
+  /// place by `Context::wait_in_place`.  A message of any other size is a
+  /// SimError naming the channel and both sizes.
+  static Request recv_in_place(const Comm& comm, std::size_t bytes, int src,
+                               int tag);
 
   /// Begin the communication: posts the message (send) or arms the
-  /// matching slot (recv).  Equivalent of `MPI_Start`.
+  /// matching slot (recv).  Equivalent of `MPI_Start`.  In-place sends
+  /// start with `start_in_place` instead.
   void start(Context& ctx);
+  /// Begin an in-place send: posts the message and returns its payload
+  /// bytes in the sender's arena.  The caller must fill them before the
+  /// rank next suspends (the send is delivered at the phase commit).
+  std::span<std::byte> start_in_place(Context& ctx);
 
   bool is_send() const { return is_send_; }
   bool started() const { return started_; }
@@ -118,7 +132,7 @@ class Request {
   /// Channel key this request matches on.
   ChannelKey key() const;
   /// Bytes actually received by the last completed receive.
-  std::size_t received_bytes() const { return received_; }
+  std::size_t received_bytes() const { return bytes_; }
   /// Move out the payload captured by a completed `recv_dyn` request.
   std::vector<std::byte> take_payload() { return std::move(payload_); }
 
@@ -126,6 +140,8 @@ class Request {
   friend class Engine;
   friend class Context;
   friend struct WaitAwaiter;
+  /// Mark the request active; throws if it already is or is invalid.
+  void arm();
   Comm comm_{};
   std::span<const std::byte> sbuf_{};
   std::span<std::byte> rbuf_{};
@@ -134,9 +150,12 @@ class Request {
   int tag_ = -1;
   bool is_send_ = false;
   bool dyn_ = false;
+  bool in_place_ = false;
   bool started_ = false;
   bool control_ = false;
-  std::size_t received_ = 0;
+  /// Payload bytes: received by the last completed receive, or, for an
+  /// in-place request, its declared size (which is all it ever receives).
+  std::size_t bytes_ = 0;
 };
 
 }  // namespace simmpi

@@ -655,8 +655,10 @@ Task<> Engine::sync_reset(Context& ctx) {
   stats_[ctx.rank()].clear();
 }
 
-void Engine::post_send(const Comm& comm, int src_local, int dst_local, int tag,
-                       std::span<const std::byte> payload, bool control) {
+std::span<std::byte> Engine::post_send_in_place(const Comm& comm,
+                                                int src_local, int dst_local,
+                                                int tag, std::size_t bytes,
+                                                bool control) {
   const int gsrc = comm.global(src_local);
   const int gdst = comm.global(dst_local);
   const Locality loc = machine_.classify(gsrc, gdst);
@@ -666,23 +668,28 @@ void Engine::post_send(const Comm& comm, int src_local, int dst_local, int tag,
 
   auto& ts = stats_[gsrc].tier[static_cast<int>(loc)];
   ++ts.msgs;
-  ts.bytes += payload.size();
+  ts.bytes += bytes;
 
-  // Copy the payload into this rank's bump arena: a pointer bump plus a
-  // memcpy, no heap traffic in steady state.  The bytes stay put until the
-  // receive completes and releases the chunk back to the arena.
+  // Reserve the payload in this rank's bump arena: a pointer bump, no heap
+  // traffic in steady state.  The bytes stay put until the receive
+  // completes and releases the chunk back to the arena.
   RankState& rs = rank_[gsrc];
   util::Arena::Alloc alloc;
-  if (!payload.empty()) {
-    alloc = rs.arena.allocate(payload.size());
-    std::memcpy(alloc.data, payload.data(), payload.size());
-  }
+  if (bytes > 0) alloc = rs.arena.allocate(bytes);
 
   // Arrival time and NIC occupancy depend on shared per-node state; they
   // are computed at the phase commit (deliver), not here.
   rs.journal.push_back(PendingSend{ChannelKey{comm.id(), gsrc, gdst, tag},
-                                   alloc.data, payload.size(), alloc.chunk,
-                                   clk, loc, control});
+                                   alloc.data, bytes, alloc.chunk, clk, loc,
+                                   control});
+  return {alloc.data, bytes};
+}
+
+void Engine::post_send(const Comm& comm, int src_local, int dst_local, int tag,
+                       std::span<const std::byte> payload, bool control) {
+  const std::span<std::byte> out = post_send_in_place(
+      comm, src_local, dst_local, tag, payload.size(), control);
+  if (!payload.empty()) std::memcpy(out.data(), payload.data(), out.size());
 }
 
 bool Engine::has_message(const ChannelKey& key) const {
@@ -698,32 +705,49 @@ void Engine::park(const ChannelKey& key, std::coroutine_handle<> h) {
   rs.parked_key = key;
 }
 
-void Engine::complete_recv(Request& req) {
+void Engine::complete_recv(Request& req, PayloadSink consume) {
   const ChannelKey key = req.key();
   RankState& rs = rank_[key.dst];
+  if (req.in_place_ != static_cast<bool>(consume))
+    throw SimError("Engine::complete_recv: in-place receives complete "
+                   "through Context::wait_in_place, and only they do");
   Message msg;
   if (!rs.pop_message(key, msg))
     throw SimError("Engine::complete_recv: no matching message");
 
   --rs.inbox_count;
 
-  if (req.dyn_) {
-    req.payload_.assign(msg.data, msg.data + msg.size);
-    req.received_ = msg.size;
-  } else {
-    if (msg.size > req.rbuf_.size()) {
-      // The message is consumed either way: release its chunk before
-      // surfacing the error, or the sender's arena pins it forever.
-      if (msg.chunk != nullptr) util::Arena::release(msg.chunk);
-      throw SimError("Engine::complete_recv: message truncated (payload " +
-                     std::to_string(msg.size) + "B > buffer " +
-                     std::to_string(req.rbuf_.size()) + "B)");
+  {
+    // The message is consumed either way: its chunk goes back to the
+    // sender's arena on every exit — after the bytes are read, or before a
+    // size error surfaces — or the arena pins it forever.
+    struct Release {
+      util::Arena::Chunk* chunk;
+      ~Release() {
+        if (chunk != nullptr) util::Arena::release(chunk);
+      }
+    } release{msg.chunk};
+    const std::span<const std::byte> bytes(msg.data, msg.size);
+    if (req.in_place_) {
+      if (msg.size != req.bytes_)
+        throw SimError(
+            "Engine::complete_recv: in-place receive on channel ctx=" +
+            std::to_string(key.ctx) + " " + std::to_string(key.src) + "->" +
+            std::to_string(key.dst) + " tag=" + std::to_string(key.tag) +
+            " got " + std::to_string(msg.size) + "B, declared " +
+            std::to_string(req.bytes_) + "B");
+      consume(bytes);
+    } else if (req.dyn_) {
+      req.payload_.assign(bytes.begin(), bytes.end());
+    } else {
+      if (msg.size > req.rbuf_.size())
+        throw SimError("Engine::complete_recv: message truncated (payload " +
+                       std::to_string(msg.size) + "B > buffer " +
+                       std::to_string(req.rbuf_.size()) + "B)");
+      if (msg.size > 0) std::memcpy(req.rbuf_.data(), msg.data, msg.size);
     }
-    if (msg.size > 0) std::memcpy(req.rbuf_.data(), msg.data, msg.size);
-    req.received_ = msg.size;
   }
-  // Payload consumed: release the sender's arena chunk so it can recycle.
-  if (msg.chunk != nullptr) util::Arena::release(msg.chunk);
+  req.bytes_ = msg.size;
 
   double& clk = clocks_[key.dst];
   clk = std::max(clk, msg.arrival) + model_.recv_overhead(rs.inbox_count);

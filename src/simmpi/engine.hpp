@@ -29,6 +29,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>  // lint:allow(unordered-container) comm_cache_ below
 #include <vector>
 
@@ -45,6 +46,26 @@
 namespace simmpi {
 
 class Engine;
+
+/// Non-owning view of a payload consumer: a callable taking
+/// `std::span<const std::byte>` that an in-place receive hands the
+/// message bytes to (Context::wait_in_place).  Trivially destructible, so
+/// awaiters holding one stay safe under g++ 12 (COROUTINE_PITFALLS.md).
+class PayloadSink {
+ public:
+  PayloadSink() = default;
+  template <class F>
+  explicit PayloadSink(const F& f)
+      : self_(&f), fn_([](const void* self, std::span<const std::byte> b) {
+          (*static_cast<const F*>(self))(b);
+        }) {}
+  explicit operator bool() const { return fn_ != nullptr; }
+  void operator()(std::span<const std::byte> bytes) const { fn_(self_, bytes); }
+
+ private:
+  const void* self_ = nullptr;
+  void (*fn_)(const void*, std::span<const std::byte>) = nullptr;
+};
 
 /// Per-rank execution context handed to every rank program.
 class Context {
@@ -65,6 +86,12 @@ class Context {
   /// Send requests complete locally; receive requests block until the
   /// matching message has been posted.
   auto wait(Request& req);
+  /// Awaitable completing a started in-place receive
+  /// (Request::recv_in_place): `consume` is called once with the message
+  /// bytes, which stay in the sender's arena for the call and are released
+  /// right after it.  Pass a named local (see docs/COROUTINE_PITFALLS.md).
+  template <class F>
+  auto wait_in_place(Request& req, const F& consume);
   /// Awaitable completing a started *receive* request, or timing out: the
   /// result is true when the message was received, false when virtual
   /// time reached `deadline` first (the request stays armed — a later
@@ -206,11 +233,18 @@ class Engine {
 
   // --- internal API used by Comm/Request/collectives -----------------
 
-  /// Post a message: advances the sender clock, counts statistics, and
-  /// journals the send for delivery at the next phase commit (arrival times
-  /// and NIC occupancy are computed there, in deterministic rank order).
-  /// `control` marks protocol traffic exempt from drop/duplication under
-  /// FaultPlan::protect_control.
+  /// Post a message of `bytes` payload bytes and return them, reserved in
+  /// the sender's arena, for the caller to fill before the rank next
+  /// suspends: advances the sender clock, counts statistics, and journals
+  /// the send for delivery at the next phase commit (arrival times and NIC
+  /// occupancy are computed there, in deterministic rank order).  Zero
+  /// bytes never touch the arena.  `control` marks protocol traffic exempt
+  /// from drop/duplication under FaultPlan::protect_control.
+  std::span<std::byte> post_send_in_place(const Comm& comm, int src_local,
+                                          int dst_local, int tag,
+                                          std::size_t bytes,
+                                          bool control = false);
+  /// post_send_in_place plus one memcpy of `payload`.
   void post_send(const Comm& comm, int src_local, int dst_local, int tag,
                  std::span<const std::byte> payload, bool control = false);
   /// Whether a *committed* message is available on `key` (messages of the
@@ -228,8 +262,11 @@ class Engine {
   bool finish_timed_wait(Request& req);
   /// Count one reliability-layer retransmission against `rank`.
   void note_retransmit(int rank) { ++stats_[rank].faults.retransmits; }
-  /// Take the front message of a channel and charge receive overheads.
-  void complete_recv(Request& req);
+  /// Take the front message of a channel, hand its bytes to the request's
+  /// buffer (one memcpy) or, for an in-place receive, to `consume`, release
+  /// the sender's chunk and charge receive overheads.  An in-place receive
+  /// requires exactly its declared size; a copying one at most its buffer.
+  void complete_recv(Request& req, PayloadSink consume = {});
   /// Next internal (collective) tag for this (comm, rank); identical call
   /// sequences on all ranks of a communicator yield matching tags.
   int next_coll_tag(const Comm& comm);
@@ -456,6 +493,32 @@ struct WaitAwaiter {
 };
 
 inline auto Context::wait(Request& req) { return WaitAwaiter{*this, req}; }
+
+/// Awaiter for completing an in-place receive (Context::wait_in_place).  A
+/// type of its own, so frames awaiting plain waits keep their size.
+struct InPlaceWaitAwaiter {
+  Context& ctx;
+  Request& req;
+  PayloadSink consume;
+  bool await_ready() const {
+    if (req.is_send())
+      throw SimError("wait_in_place: sends complete through Context::wait");
+    return WaitAwaiter{ctx, req}.await_ready();
+  }
+  void await_suspend(std::coroutine_handle<> h) const {
+    ctx.engine().park(req.key(), h);
+  }
+  void await_resume() const { ctx.engine().complete_recv(req, consume); }
+};
+// Awaited as a temporary inside co_await full-expressions; g++ 12 may
+// destroy those twice, which is harmless only while this holds
+// (docs/COROUTINE_PITFALLS.md).
+static_assert(std::is_trivially_destructible_v<InPlaceWaitAwaiter>);
+
+template <class F>
+auto Context::wait_in_place(Request& req, const F& consume) {
+  return InPlaceWaitAwaiter{*this, req, PayloadSink(consume)};
+}
 
 /// Awaiter for a receive-with-timeout (Context::wait_until).  Resumes with
 /// true when the message arrived, false when the deadline fired first.

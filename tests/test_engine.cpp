@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "simmpi/engine.hpp"
@@ -505,4 +507,211 @@ TEST(Engine, SyncResetZerosClocksAndStats) {
     EXPECT_DOUBLE_EQ(eng.clock(r), 0.0);
     EXPECT_EQ(eng.stats(r).total_msgs(), 0u);
   }
+}
+
+// ---- in-place sends and receives ------------------------------------------
+
+namespace {
+
+/// One in-place message of `sent` bytes into a receive declaring 44000 B
+/// (caught by the receiver), then a 40000 B message that fits the sender's
+/// only arena chunk only if the rejected message released it.
+Task<> mismatched_then_reuse(Context& ctx, std::size_t sent,
+                             std::string& what) {
+  constexpr std::size_t kDeclared = 44000, kNext = 40000;
+  if (ctx.rank() == 0) {
+    auto s = Request::send_in_place(ctx.world(), sent, 1, 5);
+    std::memset(s.start_in_place(ctx).data(), 1, sent);
+    co_await ctx.wait(s);
+    auto ack = Request::recv(ctx.world(), {}, 1, 6);
+    ack.start(ctx);
+    co_await ctx.wait(ack);
+    auto next = Request::send_in_place(ctx.world(), kNext, 1, 7);
+    std::memset(next.start_in_place(ctx).data(), 2, kNext);
+    co_await ctx.wait(next);
+  } else {
+    auto r = Request::recv_in_place(ctx.world(), kDeclared, 0, 5);
+    r.start(ctx);
+    const auto unreachable = [](std::span<const std::byte>) {
+      ADD_FAILURE() << "a mismatched message reached the consumer";
+    };
+    try {
+      co_await ctx.wait_in_place(r, unreachable);
+    } catch (const SimError& e) {
+      what = e.what();
+    }
+    auto ack = Request::send(ctx.world(), {}, 0, 6);
+    ack.start(ctx);
+    co_await ctx.wait(ack);
+    auto next = Request::recv_in_place(ctx.world(), kNext, 0, 7);
+    next.start(ctx);
+    std::size_t got = 0;
+    const auto count_twos = [&](std::span<const std::byte> b) {
+      got = static_cast<std::size_t>(
+          std::count(b.begin(), b.end(), std::byte{2}));
+    };
+    co_await ctx.wait_in_place(next, count_twos);
+    EXPECT_EQ(got, kNext);
+  }
+}
+
+}  // namespace
+
+TEST(EngineInPlace, SizeMismatchThrowsNamingChannelAndSizes) {
+  // A short and a long message: both are rejected, neither is read.
+  for (const std::size_t sent : {std::size_t{40000}, std::size_t{48000}}) {
+    Engine eng = make_engine(2, 1);
+    std::string what;
+    auto program = [&](Context& ctx) {
+      return mismatched_then_reuse(ctx, sent, what);
+    };
+    eng.run(program);
+    EXPECT_NE(what.find("0->1 tag=5"), std::string::npos) << what;
+    EXPECT_NE(what.find("got " + std::to_string(sent) + "B, declared 44000B"),
+              std::string::npos)
+        << what;
+    // The rejected message's chunk went back to the sender's arena: the
+    // next payload recycled it instead of growing the arena.
+    EXPECT_EQ(eng.arena_stats().chunks, 1u) << "sent " << sent;
+    eng.run(program);
+    EXPECT_EQ(eng.arena_stats().chunks, 1u) << "follow-up run, sent " << sent;
+  }
+}
+
+TEST(EngineInPlace, ZeroByteSendNeverTouchesTheArena) {
+  Engine eng = make_engine(2, 1);
+  int calls = 0;
+  std::size_t seen = 1;
+  eng.run([&](Context& ctx) -> Task<> {
+    for (int i = 0; i < 4; ++i) {
+      if (ctx.rank() == 0) {
+        auto s = Request::send_in_place(ctx.world(), 0, 1, 3);
+        EXPECT_TRUE(s.start_in_place(ctx).empty());
+        co_await ctx.wait(s);
+      } else {
+        auto r = Request::recv_in_place(ctx.world(), 0, 0, 3);
+        r.start(ctx);
+        const auto note = [&](std::span<const std::byte> b) {
+          ++calls;
+          seen = b.size();
+        };
+        co_await ctx.wait_in_place(r, note);
+      }
+    }
+  });
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(eng.arena_stats().allocs, 0u);
+  EXPECT_EQ(eng.arena_stats().chunks, 0u);
+}
+
+TEST(EngineInPlace, MisusedRequestsAreRejected) {
+  Engine eng = make_engine(2, 1);
+  EXPECT_THROW(eng.run([](Context& ctx) -> Task<> {
+                 auto s = Request::send_in_place(ctx.world(), 8, 1 - ctx.rank(),
+                                                 0);
+                 s.start(ctx);  // in-place sends start with start_in_place
+                 co_return;
+               }),
+               SimError);
+  EXPECT_THROW(eng.run([](Context& ctx) -> Task<> {
+                 std::vector<double> v(1);
+                 auto s = Request::send(ctx.world(), bytes_of(v),
+                                        1 - ctx.rank(), 0);
+                 s.start_in_place(ctx);
+                 co_return;
+               }),
+               SimError);
+}
+
+namespace {
+
+/// Delivered bytes, clocks and stats of one traffic pattern, sent copying
+/// or in place.
+struct TrafficResult {
+  std::vector<std::vector<std::uint8_t>> got;
+  std::vector<double> clocks;
+  std::vector<Engine::RankStats> stats;
+};
+
+TrafficResult run_traffic(bool in_place, int threads) {
+  // Two nodes x two regions x two ranks: every locality tier, plus sizes
+  // from zero bytes to an arena-spilling 80 KiB.
+  Engine eng(Machine({.num_nodes = 2, .regions_per_node = 2,
+                      .ranks_per_region = 2}),
+             CostParams::lassen(), Engine::Options{.threads = threads});
+  const int p = eng.machine().num_ranks();
+  constexpr int kPeers[] = {1, 2, 5};
+  auto size_of = [](int src, int k) -> std::size_t {
+    constexpr std::size_t kSizes[] = {0, 24, 4096, 80 * 1024};
+    return kSizes[(src + k) % 4];
+  };
+  TrafficResult res;
+  res.got.resize(static_cast<std::size_t>(p));
+  eng.run([&](Context& ctx) -> Task<> {
+    const int r = ctx.rank();
+    std::vector<std::vector<std::uint8_t>> out(3), in(3);
+    std::vector<Request> sends, recvs;
+    for (int k = 0; k < 3; ++k) {
+      const int dst = (r + kPeers[k]) % p, src = (r - kPeers[k] + p) % p;
+      out[k].resize(size_of(r, k));
+      for (std::size_t i = 0; i < out[k].size(); ++i)
+        out[k][i] = static_cast<std::uint8_t>(r * 31 + k * 7 + i);
+      in[k].resize(size_of(src, k));
+      if (in_place) {
+        sends.push_back(
+            Request::send_in_place(ctx.world(), out[k].size(), dst, k));
+        recvs.push_back(
+            Request::recv_in_place(ctx.world(), in[k].size(), src, k));
+      } else {
+        sends.push_back(Request::send(ctx.world(), bytes_of(out[k]), dst, k));
+        recvs.push_back(
+            Request::recv(ctx.world(), writable_bytes_of(in[k]), src, k));
+      }
+    }
+    for (int it = 0; it < 3; ++it) {
+      for (int k = 0; k < 3; ++k) {
+        if (in_place) {
+          const auto bytes = sends[k].start_in_place(ctx);
+          if (!bytes.empty())
+            std::memcpy(bytes.data(), out[k].data(), bytes.size());
+        } else {
+          sends[k].start(ctx);
+        }
+        recvs[k].start(ctx);
+      }
+      for (int k = 2; k >= 0; --k) {
+        if (in_place) {
+          const auto copy = [&](std::span<const std::byte> b) {
+            if (!b.empty()) std::memcpy(in[k].data(), b.data(), b.size());
+          };
+          co_await ctx.wait_in_place(recvs[k], copy);
+        } else {
+          co_await ctx.wait(recvs[k]);
+        }
+        co_await ctx.wait(sends[k]);
+      }
+      ctx.compute(1e-6 * (r % 3));
+    }
+    for (const auto& v : in)
+      res.got[r].insert(res.got[r].end(), v.begin(), v.end());
+  });
+  for (int r = 0; r < p; ++r) {
+    res.clocks.push_back(eng.clock(r));
+    res.stats.push_back(eng.stats(r));
+  }
+  return res;
+}
+
+}  // namespace
+
+TEST(EngineInPlace, SameScheduleAsCopyingAtWidthsOneAndFour) {
+  for (const int threads : {1, 4}) {
+    const TrafficResult copying = run_traffic(false, threads);
+    const TrafficResult in_place = run_traffic(true, threads);
+    EXPECT_EQ(in_place.got, copying.got) << "width " << threads;
+    EXPECT_EQ(in_place.clocks, copying.clocks) << "width " << threads;
+    EXPECT_TRUE(in_place.stats == copying.stats) << "width " << threads;
+  }
+  EXPECT_EQ(run_traffic(true, 1).clocks, run_traffic(true, 4).clocks);
 }

@@ -20,11 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "mpix/alltoall.hpp"
 #include "mpix/reliable.hpp"
 #include "simmpi/coll.hpp"
+#include "simmpi/dist_graph.hpp"
 #include "simmpi/engine.hpp"
 #include "simmpi/fault.hpp"
 
@@ -222,6 +225,116 @@ TEST(EngineAlloc, FaultedSteadyStateAllocationFree) {
   EXPECT_GT(drops, 0u);
   EXPECT_GT(dups, 0u);
   EXPECT_GT(retransmits, 0u);
+}
+
+/// The aggregated collectives stage every intra-region value through the
+/// engine in place (locality s/r phases, Bruck fill/deliver) and keep
+/// their persistent buffers and channels across exchanges, so a warmed
+/// engine must not allocate per exchange.  Each run builds the collective
+/// afresh, so its set-up allocations depend on engine history (every run
+/// splits fresh communicators); the count is therefore taken inside the
+/// run, between two barriers around the measured exchanges.
+enum class Aggregated { locality, locality_dedup, node_aggregated, bruck };
+
+/// Values rank `s` sends rank `d` (deterministic, 1..5).
+int pair_count(int s, int d) { return 1 + (3 * s + 5 * d) % 5; }
+
+Task<> aggregated_exchanges(Context& ctx, Aggregated kind, int iters,
+                            std::uint64_t& allocs) {
+  const Comm& world = ctx.world();
+  const int p = world.size();
+  const int r = ctx.rank();
+  const bool dense =
+      kind == Aggregated::node_aggregated || kind == Aggregated::bruck;
+  std::vector<int> dsts, srcs;
+  if (dense) {
+    for (int q = 0; q < p; ++q) dsts.push_back(q);
+    srcs = dsts;
+  } else {
+    for (int k : {1, 4, 9}) {  // distinct mod 16, crossing every tier
+      dsts.push_back((r + k) % p);
+      srcs.push_back((r - k + p) % p);
+    }
+  }
+  mpix::AlltoallvArgsT<double> args;
+  std::vector<double> sendbuf, recvbuf;
+  std::vector<mpix::gidx> send_idx, recv_idx;
+  // Value k of every segment from s carries gid s * 100 + k, so the dedup
+  // method finds duplicates across a region's destinations.
+  for (int d : dsts) {
+    args.sdispls.push_back(static_cast<int>(sendbuf.size()));
+    args.sendcounts.push_back(pair_count(r, d));
+    for (int k = 0; k < pair_count(r, d); ++k) {
+      send_idx.push_back(r * 100 + k);
+      sendbuf.push_back(r * 100 + k + 0.5);
+    }
+  }
+  for (int s : srcs) {
+    args.rdispls.push_back(static_cast<int>(recv_idx.size()));
+    args.recvcounts.push_back(pair_count(s, r));
+    for (int k = 0; k < pair_count(s, r); ++k) recv_idx.push_back(s * 100 + k);
+  }
+  recvbuf.resize(recv_idx.size());
+  args.sendbuf = sendbuf;
+  args.recvbuf = recvbuf;
+  args.send_idx = send_idx;
+  args.recv_idx = recv_idx;
+  std::unique_ptr<mpix::NeighborAlltoallv> coll;
+  if (dense) {
+    const auto method = kind == Aggregated::bruck
+                            ? mpix::AlltoallMethod::bruck
+                            : mpix::AlltoallMethod::node_aggregated;
+    coll = co_await mpix::alltoallv_init(ctx, world, args, method);
+  } else {
+    const auto method = kind == Aggregated::locality_dedup
+                            ? mpix::Method::locality_dedup
+                            : mpix::Method::locality;
+    const DistGraph graph = co_await dist_graph_create_adjacent(
+        ctx, world, srcs, dsts, GraphAlgo::handshake);
+    coll = co_await mpix::neighbor_alltoallv_init(ctx, graph, args, method);
+  }
+  co_await coll->start(ctx);  // first exchange: channels intern
+  co_await coll->wait(ctx);
+  co_await coll::barrier(ctx, world);
+  if (r == 0) allocs = util::alloc_hook_count();
+  for (int it = 0; it < iters; ++it) {
+    co_await coll->start(ctx);
+    co_await coll->wait(ctx);
+    for (std::size_t k = 0; k < recvbuf.size(); ++k)
+      if (recvbuf[k] != recv_idx[k] + 0.5)
+        throw SimError("aggregated exchange delivered a wrong value");
+  }
+  co_await coll::barrier(ctx, world);
+  if (r == 0) allocs = util::alloc_hook_count() - allocs;
+}
+
+TEST(EngineAlloc, AggregatedCollectivesAllocationFreeWidth1) {
+  for (const Aggregated kind :
+       {Aggregated::locality, Aggregated::locality_dedup,
+        Aggregated::node_aggregated, Aggregated::bruck}) {
+    Engine eng(test_machine(), CostParams::lassen(),
+               Engine::Options{.threads = 1});
+    auto allocs = [&](int iters) {
+      std::uint64_t n = 0;
+      eng.run([&](Context& ctx) -> Task<> {
+        return aggregated_exchanges(ctx, kind, iters, n);
+      });
+      return n;
+    };
+    allocs(64);
+    const auto arena_warm = eng.arena_stats();
+    const auto frame_warm = util::frame_pool_mallocs();
+    const std::uint64_t a4 = allocs(4);
+    const std::uint64_t a64 = allocs(64);
+    const int k = static_cast<int>(kind);
+    EXPECT_EQ(a64, a4) << "collective " << k
+                       << " allocated per exchange in steady state";
+    EXPECT_EQ(a4, 0u) << "collective " << k;
+    EXPECT_EQ(eng.arena_stats().chunks, arena_warm.chunks)
+        << "collective " << k << ": arena grew after warm-up";
+    EXPECT_EQ(util::frame_pool_mallocs(), frame_warm)
+        << "collective " << k << ": frame pool missed after warm-up";
+  }
 }
 
 TEST(EngineAlloc, ZeroByteMessagesNeverTouchTheArena) {

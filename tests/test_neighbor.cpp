@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
 #include <tuple>
 
 #include "pattern_util.hpp"
@@ -22,10 +25,14 @@ struct Shape {
   int rpn;  // one region per node
 };
 
-/// Per-rank recorded statistics for post-run assertions.
+/// Per-rank recorded statistics and locality plans for post-run
+/// assertions.
 struct RunStats {
   std::vector<NeighborStats> standard_, partial_, full_;
-  explicit RunStats(int n) : standard_(n), partial_(n), full_(n) {}
+  std::vector<std::shared_ptr<const LocalityPlan>> partial_plans_, full_plans_;
+  explicit RunStats(int n)
+      : standard_(n), partial_(n), full_(n), partial_plans_(n),
+        full_plans_(n) {}
 };
 
 /// Run all three protocols on a pattern and verify delivered payloads.
@@ -50,6 +57,8 @@ RunStats run_all_protocols(const Shape& shape, const GlobalPattern& pat,
     stats.standard_[r] = standard->stats();
     stats.partial_[r] = partial->stats();
     stats.full_[r] = full->stats();
+    stats.partial_plans_[r] = partial->plan();
+    stats.full_plans_[r] = full->plan();
     // Standard wraps every send segment in exactly one message, so its
     // counted values must sum to the send buffer size; the locality
     // variants re-route values through leaders, so only the internal
@@ -79,6 +88,85 @@ RunStats run_all_protocols(const Shape& shape, const GlobalPattern& pat,
 
 using pattern::sum_global_msgs;
 using pattern::sum_global_values;
+
+/// Tally of how often each position of an array is touched.
+struct Cover {
+  std::vector<int> hits;
+  bool in_range = true;
+  explicit Cover(long n) : hits(static_cast<std::size_t>(n), 0) {}
+  void add(long pos, long len) {
+    for (long k = pos; k < pos + len; ++k) {
+      if (k < 0 || k >= static_cast<long>(hits.size()))
+        in_range = false;
+      else
+        ++hits[static_cast<std::size_t>(k)];
+    }
+  }
+  bool exactly_once() const {
+    return in_range && std::all_of(hits.begin(), hits.end(),
+                                   [](int h) { return h == 1; });
+  }
+  bool at_least_once() const {
+    return in_range && std::all_of(hits.begin(), hits.end(),
+                                   [](int h) { return h >= 1; });
+  }
+};
+
+/// Whether no two consecutive runs abut on both sides, i.e. the list was
+/// coalesced as it was built (and every run moves at least one value).
+bool coalesced(const std::vector<CopyRun>& runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].len <= 0) return false;
+    if (i > 0 && runs[i - 1].src + runs[i - 1].len == runs[i].src &&
+        runs[i - 1].dst + runs[i - 1].len == runs[i].dst)
+      return false;
+  }
+  return true;
+}
+
+/// Coverage invariants of one rank's locality plan: staged sends write
+/// their message exactly once, staged receives read only inside theirs and
+/// all of it, the s_stage and every receive segment are written exactly
+/// once, and every run list is coalesced.
+void check_run_coverage(const LocalityPlan& p, const std::string& what) {
+  for (const auto* sends : {&p.s_sends, &p.r_sends})
+    for (const auto& m : *sends) {
+      Cover msg(m.values);
+      for (const CopyRun& r : m.gather) msg.add(r.dst, r.len);
+      EXPECT_TRUE(msg.exactly_once()) << what << " send to " << m.peer;
+      EXPECT_TRUE(coalesced(m.gather)) << what << " send to " << m.peer;
+    }
+  for (const auto* recvs : {&p.s_recvs, &p.r_recvs})
+    for (const auto& m : *recvs) {
+      Cover msg(m.values);
+      for (const CopyRun& r : m.scatter) msg.add(r.src, r.len);
+      EXPECT_TRUE(msg.at_least_once()) << what << " recv from " << m.peer;
+      EXPECT_TRUE(coalesced(m.scatter)) << what << " recv from " << m.peer;
+    }
+  EXPECT_TRUE(coalesced(p.s_self)) << what << " s_self";
+  EXPECT_TRUE(coalesced(p.r_self)) << what << " r_self";
+
+  Cover stage(p.s_stage_values);
+  for (const CopyRun& r : p.s_self) stage.add(r.dst, r.len);
+  for (const auto& m : p.s_recvs)
+    for (const CopyRun& r : m.scatter) stage.add(r.dst, r.len);
+  EXPECT_TRUE(stage.exactly_once()) << what << " s_stage";
+
+  // Every receive-segment position is written exactly once; positions
+  // outside the segments are never written.
+  long recv_values = 0;
+  for (std::size_t i = 0; i < p.rdispls.size(); ++i)
+    recv_values = std::max<long>(recv_values, p.rdispls[i] + p.recvcounts[i]);
+  Cover need(recv_values), got(recv_values);
+  for (std::size_t i = 0; i < p.rdispls.size(); ++i)
+    need.add(p.rdispls[i], p.recvcounts[i]);
+  for (const auto& m : p.l_recvs) got.add(m.displ, m.count);
+  for (const CopyRun& r : p.r_self) got.add(r.dst, r.len);
+  for (const auto& m : p.r_recvs)
+    for (const CopyRun& r : m.scatter) got.add(r.dst, r.len);
+  EXPECT_TRUE(got.in_range) << what << " recvbuf";
+  EXPECT_EQ(got.hits, need.hits) << what << " recvbuf";
+}
 
 }  // namespace
 
@@ -118,6 +206,12 @@ TEST_P(NeighborProperty, AllProtocolsDeliverIdenticalPayloads) {
   // region boundaries.
   EXPECT_EQ(sum_global_values(stats.partial_),
             sum_global_values(stats.standard_));
+  for (int r = 0; r < nranks; ++r) {
+    check_run_coverage(*stats.partial_plans_[r],
+                       "locality rank " + std::to_string(r));
+    check_run_coverage(*stats.full_plans_[r],
+                       "locality_dedup rank " + std::to_string(r));
+  }
 }
 
 TEST(Neighbor, EmptyPatternWorks) {
@@ -350,15 +444,19 @@ TEST(Example21, DedupSendsEachValueOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact dedup plan of a hand-checked pattern: two regions of two ranks,
+// Exact plans of a hand-checked pattern: two regions of two ranks,
 // traffic from region 0 (ranks 0, 1) to region 1 (ranks 2, 3) only, so
 // rank 0 leads the outbound pair and rank 2 the inbound one.
 //   rank 0 -> 3: gids {7, 5, 7}   (rank 3 receives gid 7 twice)
 //   rank 1 -> 3: gids {9, 4}      (listed first: destinations {3, 2})
 //   rank 1 -> 2: gids {4, 6}      (gid 4 goes to both ranks of region 1)
-// The pair's message is src 0's unique {5, 7} then src 1's {4, 6, 9}.
 // ---------------------------------------------------------------------------
-TEST(DedupPlan, HandCheckedIndexMaps) {
+namespace {
+
+/// Run the hand-checked pattern under `method`, verify delivery, and
+/// return every rank's plan.
+std::vector<std::shared_ptr<const LocalityPlan>> hand_checked_plans(
+    Method method) {
   struct Spec {
     std::vector<int> dsts, srcs;
     std::vector<std::vector<gidx>> send, recv;  // one segment per peer
@@ -369,7 +467,7 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
       {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{4, 6}}},
       {.dsts = {}, .srcs = {0, 1}, .send = {}, .recv = {{7, 5, 7}, {9, 4}}},
   };
-  std::shared_ptr<const LocalityPlan> plans[4];
+  std::vector<std::shared_ptr<const LocalityPlan>> plans(4);
   Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
                       .ranks_per_region = 2}),
              CostParams::lassen());
@@ -393,8 +491,7 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
     a.expected.resize(a.recv_idx.size());
     DistGraph g = co_await dist_graph_create_adjacent(
         ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
-    auto proto = co_await neighbor_alltoallv_init(ctx, g, a.view(),
-                                                  Method::locality_dedup);
+    auto proto = co_await neighbor_alltoallv_init(ctx, g, a.view(), method);
     plans[r] = proto->plan();
     a.fill(0);
     co_await proto->start(ctx);
@@ -402,34 +499,67 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
     EXPECT_EQ(a.recvbuf, a.expected) << "rank " << r;
     co_return;
   });
+  return plans;
+}
+
+/// A run list expanded to its per-value (source, destination) positions.
+struct PerValue {
+  std::vector<int> src, dst;
+};
+PerValue expand(const std::vector<CopyRun>& runs) {
+  PerValue v;
+  for (const CopyRun& r : runs)
+    for (long k = 0; k < r.len; ++k) {
+      v.src.push_back(static_cast<int>(r.src + k));
+      v.dst.push_back(static_cast<int>(r.dst + k));
+    }
+  return v;
+}
+/// A staged send's per-value gather map: the source position of each
+/// message value, in message order (which the runs must follow).
+std::vector<int> gather_map(const LocalityPlan::GatherMsg& m) {
+  const PerValue v = expand(m.gather);
+  std::vector<int> order(static_cast<std::size_t>(m.values));
+  std::iota(order.begin(), order.end(), 0);
+  EXPECT_EQ(v.dst, order) << "gather runs must write the message in order";
+  return v.src;
+}
+
+}  // namespace
+
+// The pair's dedup message is src 0's unique {5, 7} then src 1's
+// {4, 6, 9}.  Expected maps are per value, compared through `expand`.
+TEST(DedupPlan, HandCheckedIndexMaps) {
+  const auto plans = hand_checked_plans(Method::locality_dedup);
   using V = std::vector<int>;
 
   // Rank 0 leads: keep-first of {7, 5, 7} is positions {1 (gid 5), 0 (gid
   // 7)}, staged at its block {0, 1}; rank 1's three unique gids land at 2..4.
   const LocalityPlan& p0 = *plans[0];
-  EXPECT_EQ(p0.s_self.src, (V{1, 0}));
-  EXPECT_EQ(p0.s_self.dst, (V{0, 1}));
+  EXPECT_EQ(expand(p0.s_self).src, (V{1, 0}));
+  EXPECT_EQ(expand(p0.s_self).dst, (V{0, 1}));
   EXPECT_TRUE(p0.s_sends.empty());
   ASSERT_EQ(p0.s_recvs.size(), 1u);
   EXPECT_EQ(p0.s_recvs[0].peer, 1);
-  EXPECT_EQ(p0.s_recvs[0].scatter_dst, (V{2, 3, 4}));
+  EXPECT_EQ(expand(p0.s_recvs[0].scatter).src, (V{0, 1, 2}));
+  EXPECT_EQ(expand(p0.s_recvs[0].scatter).dst, (V{2, 3, 4}));
 
   // Rank 1 enumerates its edges by destination (2 before 3), so gid 4 is
   // kept from position 2 (segment to rank 2), not from the smaller 1.
   const LocalityPlan& p1 = *plans[1];
-  EXPECT_TRUE(p1.s_self.src.empty());
+  EXPECT_TRUE(p1.s_self.empty());
   ASSERT_EQ(p1.s_sends.size(), 1u);
   EXPECT_EQ(p1.s_sends[0].peer, 0);
-  EXPECT_EQ(p1.s_sends[0].gather, (V{2, 3, 0}));  // gids 4, 6, 9
+  EXPECT_EQ(gather_map(p1.s_sends[0]), (V{2, 3, 0}));  // gids 4, 6, 9
 
   // Rank 2 leads the inbound pair: it keeps {4, 6} (message positions 2, 3)
   // and forwards rank 3's unique gids {5, 7} and {4, 9}.
   const LocalityPlan& p2 = *plans[2];
   ASSERT_EQ(p2.r_sends.size(), 1u);
   EXPECT_EQ(p2.r_sends[0].peer, 3);
-  EXPECT_EQ(p2.r_sends[0].gather, (V{0, 1, 2, 4}));
-  EXPECT_EQ(p2.r_self.src, (V{2, 3}));
-  EXPECT_EQ(p2.r_self.dst, (V{0, 1}));
+  EXPECT_EQ(gather_map(p2.r_sends[0]), (V{0, 1, 2, 4}));
+  EXPECT_EQ(expand(p2.r_self).src, (V{2, 3}));
+  EXPECT_EQ(expand(p2.r_self).dst, (V{0, 1}));
   EXPECT_TRUE(p2.r_recvs.empty());
 
   // Rank 3 receives {5, 7, 4, 9} and scatters gid 7 to both positions 0, 2.
@@ -438,6 +568,55 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
   ASSERT_EQ(p3.r_recvs.size(), 1u);
   EXPECT_EQ(p3.r_recvs[0].peer, 2);
   EXPECT_EQ(p3.r_recvs[0].values, 4);
-  EXPECT_EQ(p3.r_recvs[0].scatter_src, (V{0, 1, 1, 2, 3}));
-  EXPECT_EQ(p3.r_recvs[0].scatter_dst, (V{1, 0, 2, 4, 3}));
+  EXPECT_EQ(expand(p3.r_recvs[0].scatter).src, (V{0, 1, 1, 2, 3}));
+  EXPECT_EQ(expand(p3.r_recvs[0].scatter).dst, (V{1, 0, 2, 4, 3}));
+}
+
+// The same pattern without dedup: the pair's message is its edges in
+// (src, dst) order — 0->3 at 0..2, 1->2 at 3..4, 1->3 at 5..6 — and every
+// run list holds at most one run per edge, coalesced where edges abut.
+TEST(PartialPlan, HandCheckedRunLists) {
+  const auto plans = hand_checked_plans(Method::locality);
+  using R = std::vector<CopyRun>;
+
+  // Rank 0 leads and stages its own 0->3 segment at 0..2; rank 1's two
+  // edges are consecutive in the pair, so its scatter is one run.
+  const LocalityPlan& p0 = *plans[0];
+  EXPECT_EQ(p0.s_stage_values, 7);
+  EXPECT_EQ(p0.s_self, (R{{0, 0, 3}}));
+  EXPECT_TRUE(p0.s_sends.empty());
+  ASSERT_EQ(p0.s_recvs.size(), 1u);
+  EXPECT_EQ(p0.s_recvs[0].peer, 1);
+  EXPECT_EQ(p0.s_recvs[0].values, 4);
+  EXPECT_EQ(p0.s_recvs[0].scatter, (R{{0, 3, 4}}));
+
+  // Rank 1 gathers its segment to rank 2 (sendbuf 2..3) before the one to
+  // rank 3 (sendbuf 0..1): the sources do not abut, so two runs.
+  const LocalityPlan& p1 = *plans[1];
+  EXPECT_TRUE(p1.s_self.empty());
+  ASSERT_EQ(p1.s_sends.size(), 1u);
+  EXPECT_EQ(p1.s_sends[0].peer, 0);
+  EXPECT_EQ(p1.s_sends[0].values, 4);
+  EXPECT_EQ(p1.s_sends[0].gather, (R{{2, 0, 2}, {0, 2, 2}}));
+
+  // Rank 2 leads the inbound pair: it keeps 1->2 (g_stage 3..4) and
+  // forwards 0->3 and 1->3, which do not abut in g_stage.
+  const LocalityPlan& p2 = *plans[2];
+  EXPECT_EQ(p2.g_stage_values, 7);
+  ASSERT_EQ(p2.r_sends.size(), 1u);
+  EXPECT_EQ(p2.r_sends[0].peer, 3);
+  EXPECT_EQ(p2.r_sends[0].values, 5);
+  EXPECT_EQ(p2.r_sends[0].gather, (R{{0, 0, 3}, {5, 3, 2}}));
+  EXPECT_EQ(p2.r_self, (R{{3, 0, 2}}));
+  EXPECT_TRUE(p2.r_recvs.empty());
+
+  // Rank 3's segments from ranks 0 and 1 abut in both the message and its
+  // recvbuf: the two edges coalesce into one run.
+  const LocalityPlan& p3 = *plans[3];
+  EXPECT_TRUE(p3.r_sends.empty());
+  EXPECT_TRUE(p3.r_self.empty());
+  ASSERT_EQ(p3.r_recvs.size(), 1u);
+  EXPECT_EQ(p3.r_recvs[0].peer, 2);
+  EXPECT_EQ(p3.r_recvs[0].values, 5);
+  EXPECT_EQ(p3.r_recvs[0].scatter, (R{{0, 0, 5}}));
 }
