@@ -20,11 +20,11 @@
 ///    count (wall-time-only; the simulated schedule is deterministic);
 ///  * `COLLOM_BUILD_THREADS=N` sets the hierarchy *construction* width
 ///    (defaults from COLLOM_SIM_THREADS; built hierarchies are
-///    bit-identical for every width);
-///  * the hierarchy disk cache (`COLLOM_HIER_CACHE[_DIR]`, plus the
-///    `COLLOM_HIER_CACHE_MAX_BYTES` size cap — see harness::
-///    HierarchyCache) lets the binaries share built hierarchies under
-///    build/hier-cache instead of each re-running the coarsening.
+///    bit-identical for every width).
+///
+/// Each binary builds the hierarchies it measures in process
+/// (harness::paper_dist_hierarchy), so every series is a function of the
+/// code alone.
 
 #include <benchmark/benchmark.h>
 

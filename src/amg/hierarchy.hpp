@@ -28,22 +28,9 @@ struct Options {
   /// Worker threads of the construction kernels (strength, interpolation,
   /// transpose, Galerkin SpGEMM).  <= 0 = auto: COLLOM_BUILD_THREADS, else
   /// COLLOM_SIM_THREADS, else hardware concurrency (sparse::Threads).  The
-  /// built hierarchy is bit-identical for every width, so this knob is
-  /// wall-time-only and never part of a hierarchy's identity (the
-  /// harness::HierarchyCache key and operator== both ignore it).
+  /// built levels are bit-identical for every width, so this knob is
+  /// wall-time-only.
   int threads = 0;
-
-  /// Identity comparison: every field that shapes the built hierarchy —
-  /// deliberately excluding the wall-time-only `threads` knob, so
-  /// hierarchies built at different widths compare equal.
-  bool operator==(const Options& o) const {
-    return strength_theta == o.strength_theta &&
-           coarsen_algo == o.coarsen_algo &&
-           interp_max_elements == o.interp_max_elements &&
-           max_levels == o.max_levels &&
-           min_coarse_size == o.min_coarse_size &&
-           galerkin_prune_tol == o.galerkin_prune_tol;
-  }
 };
 
 /// One level: operator plus (except on the coarsest) the transfer operators
@@ -76,8 +63,6 @@ struct Hierarchy {
   /// threaded per Options::threads; the result is bit-identical for every
   /// width (see docs/ARCHITECTURE.md, "Parallel construction").
   static Hierarchy build(sparse::Csr A, const Options& opts = {});
-
-  bool operator==(const Hierarchy&) const = default;
 };
 
 }  // namespace amg

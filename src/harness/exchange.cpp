@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "simmpi/dist_graph.hpp"
+#include "util/hash.hpp"
 
 namespace harness {
 
@@ -26,6 +27,7 @@ namespace {
 using simmpi::Comm;
 using simmpi::Context;
 using simmpi::Task;
+using util::fnv_mix;
 
 /// Shared bookkeeping: owned buffers + gather list.
 struct Buffers {
@@ -102,14 +104,6 @@ class NeighborExchange final : public HaloExchange {
   std::unique_ptr<mpix::NeighborAlltoallv> coll_;
 };
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xffu;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 template <class T>
 std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
   h = fnv_mix(h, v.size());
@@ -167,8 +161,7 @@ std::uint64_t cache_key(std::uint64_t pattern_key, mpix::AlltoallMethod method,
 }
 
 std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  h = fnv_mix(h, halo.ranks.size());
+  std::uint64_t h = fnv_mix(util::kFnvOffsetBasis, halo.ranks.size());
   for (const sparse::RankHalo& r : halo.ranks) {
     h = fnv_mix_vec(h, r.recv_ranks);
     h = fnv_mix_vec(h, r.recv_counts);

@@ -5,7 +5,6 @@
 #include <optional>
 #include <type_traits>
 
-#include "harness/hierarchy_cache.hpp"
 #include "sparse/stencil.hpp"
 
 namespace harness {
@@ -362,20 +361,7 @@ const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks) {
   static int cached_ranks = -1;
   static std::optional<amg::DistHierarchy> cached;
   if (cached_rows != rows || cached_ranks != nranks) {
-    // Thin lookup: the process memo misses, so consult the cross-process
-    // disk cache before paying for coarsening + distribution.  A disk hit
-    // skips the canonical paper_hierarchy build entirely.  The key ignores
-    // Options::threads: every width builds identical bytes.
-    const HierarchyCache::Key key{rows, nranks, amg::Options{}};
-    HierarchyCache* disk = HierarchyCache::global();
-    std::optional<amg::DistHierarchy> loaded;
-    if (disk) loaded = disk->load(key);
-    if (loaded) {
-      cached = std::move(loaded);
-    } else {
-      cached.emplace(amg::distribute_hierarchy(paper_hierarchy(rows), nranks));
-      if (disk) disk->store(key, *cached);
-    }
+    cached.emplace(amg::distribute_hierarchy(paper_hierarchy(rows), nranks));
     cached_rows = rows;
     cached_ranks = nranks;
   }

@@ -17,11 +17,10 @@
 /// (exchange.hpp) keys every cached plan.  Dense alltoall sweeps run the
 /// `patterns::uniform_dense` workload through `measure_pattern_dense`.
 ///
-/// Two caches amortize repeated runs: `MeasureConfig::plans` (locality
-/// setup per halo pattern, see harness::PlanCache) and the process/disk
-/// `paper_dist_hierarchy` memoization backed by harness::HierarchyCache,
-/// which spares every bench binary after the first from re-running the
-/// paper problem's coarsening.
+/// Two in-process caches amortize repeated runs: `MeasureConfig::plans`
+/// (locality setup per halo pattern, see harness::PlanCache) and the
+/// single-entry `paper_hierarchy` / `paper_dist_hierarchy` memos, so a
+/// binary that measures one hierarchy many times builds it once.
 
 #include <algorithm>
 #include <span>
@@ -224,7 +223,8 @@ int crossover_iterations(double base_init, double base_iter, double opt_init,
 /// changes the built hierarchy.
 const amg::Hierarchy& paper_hierarchy(long rows);
 
-/// Memoized distribution of the paper hierarchy over `nranks`.
+/// Single-entry memo of
+/// `amg::distribute_hierarchy(paper_hierarchy(rows), nranks)`.
 const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks);
 
 }  // namespace harness

@@ -287,14 +287,6 @@ constexpr PatternSpec kRegistry[] = {
      make_ring_overlap},
 };
 
-void hash_int(std::uint64_t& h, long long v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i)
-    b[i] = static_cast<unsigned char>((static_cast<unsigned long long>(v) >>
-                                       (8 * i)) & 0xFF);
-  h = util::fnv1a(b, 8, h);
-}
-
 }  // namespace
 
 std::span<const PatternSpec> registry() { return kRegistry; }
@@ -328,13 +320,13 @@ Workload uniform_dense(const simmpi::Machine& machine,
 std::uint64_t Workload::fingerprint() const {
   std::uint64_t h = util::fnv1a(
       reinterpret_cast<const unsigned char*>(pattern.data()), pattern.size());
-  hash_int(h, params.seed);
-  hash_int(h, nranks);
+  h = util::fnv_mix(h, params.seed);
+  h = util::fnv_mix(h, static_cast<std::uint64_t>(nranks));
   for (const RankExchange& r : ranks) {
-    hash_int(h, static_cast<long long>(r.destinations.size()));
+    h = util::fnv_mix(h, r.destinations.size());
     for (std::size_t i = 0; i < r.destinations.size(); ++i) {
-      hash_int(h, r.destinations[i]);
-      hash_int(h, r.sendcounts[i]);
+      h = util::fnv_mix(h, static_cast<std::uint64_t>(r.destinations[i]));
+      h = util::fnv_mix(h, static_cast<std::uint64_t>(r.sendcounts[i]));
     }
   }
   return h;

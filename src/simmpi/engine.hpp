@@ -295,9 +295,8 @@ class Engine {
     stats_[rank].compute_seconds += seconds;
   }
 
-  /// Aggregate payload-arena statistics over all ranks (allocation-
-  /// regression tests and the engine micro benchmarks read these; steady
-  /// state must not grow `chunks`).
+  /// Aggregate payload-arena statistics over all ranks (the allocation-
+  /// regression tests read these; steady state must not grow `chunks`).
   util::Arena::Stats arena_stats() const;
   /// Channels currently holding messages at rank `rank`'s mailbox (a
   /// channel lives only from delivery until its last message is received).

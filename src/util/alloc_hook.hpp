@@ -5,9 +5,9 @@
 /// Include this header in **exactly one translation unit of a binary**
 /// (it defines the replaceable global allocation functions — a second
 /// inclusion is a duplicate-symbol link error by design).  Used by the
-/// allocation-regression test and the engine micro benchmark to prove the
-/// steady-state hot path performs zero heap allocations; see
-/// docs/ARCHITECTURE.md, "Memory management in the engine".
+/// allocation-regression test to prove the steady-state hot path performs
+/// zero heap allocations; see docs/ARCHITECTURE.md, "Memory management in
+/// the engine".
 ///
 /// The hook is malloc-backed and works under ASan (which intercepts the
 /// underlying malloc/free); only the *count* is observed, never the

@@ -4,11 +4,9 @@
 /// simultaneous simulations.
 ///
 /// Every test here is written to be *raced*: N host threads hammer one
-/// shared `harness::PlanCache` (colliding and distinct keys), one shared
-/// `harness::HierarchyCache` (same-key load/store, two-writer same-key
-/// stores, eviction around in-flight temp files), the process-wide
-/// coroutine-frame reservoir (`util::frame_alloc`/`frame_free` with
-/// cross-thread block migration), a cross-thread `util::Arena`
+/// shared `harness::PlanCache` (colliding and distinct keys), the
+/// process-wide coroutine-frame reservoir (`util::frame_alloc`/`frame_free`
+/// with cross-thread block migration), a cross-thread `util::Arena`
 /// produce/consume pipeline, and `util::WorkerPool` exception rethrow
 /// under contention.  The assertions pin functional correctness; the real
 /// teeth are the `-DSANITIZE=thread` CI job, where ThreadSanitizer turns
@@ -20,8 +18,6 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -30,33 +26,13 @@
 #include <vector>
 
 #include "harness/exchange.hpp"
-#include "harness/hierarchy_cache.hpp"
 #include "mpix/neighbor.hpp"
-#include "sparse/stencil.hpp"
 #include "util/arena.hpp"
 #include "util/worker_pool.hpp"
 
-namespace fs = std::filesystem;
-using harness::HierarchyCache;
 using harness::PlanCache;
 
 namespace {
-
-/// Fresh scratch directory per test, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("cache-conc-test-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 /// Minimal concrete plan kind: the cache stores any PlanBase.
 struct TestPlan : mpix::PlanBase {
@@ -71,13 +47,6 @@ void run_threads(int n, Fn fn) {
   threads.reserve(n);
   for (int t = 0; t < n; ++t) threads.emplace_back(fn, t);
   for (auto& th : threads) th.join();
-}
-
-amg::DistHierarchy build_small(long rows = 256, int nranks = 4) {
-  int nx = 0, ny = 0;
-  sparse::factor_grid(rows, nx, ny);
-  return amg::distribute_hierarchy(
-      amg::Hierarchy::build(sparse::paper_problem(nx, ny)), nranks);
 }
 
 }  // namespace
@@ -148,121 +117,6 @@ TEST(PlanCacheConcurrency, WrongKindReadsNullUnderContention) {
     }
   });
   EXPECT_EQ(cache.size(), 1u);
-}
-
-// ---- HierarchyCache -------------------------------------------------
-
-// Concurrent load/store of the *same key* on one shared cache instance:
-// every successful load must deep-equal the stored hierarchy (the atomic
-// rename publishes candidates whole), and the counters must add up.
-TEST(HierarchyCacheConcurrency, ConcurrentLoadStoreSameKey) {
-  TempDir tmp;
-  HierarchyCache cache(tmp.path);
-  const amg::DistHierarchy dh = build_small();
-  const HierarchyCache::Key key{256, 4, amg::Options{}};
-
-  constexpr int kThreads = 6;
-  constexpr int kIters = 6;
-  std::atomic<long> loads{0}, good_loads{0};
-  run_threads(kThreads, [&](int t) {
-    for (int i = 0; i < kIters; ++i) {
-      if (t % 2 == 0) {
-        EXPECT_TRUE(cache.store(key, dh));
-      }
-      auto loaded = cache.load(key);
-      loads.fetch_add(1, std::memory_order_relaxed);
-      if (loaded) {
-        good_loads.fetch_add(1, std::memory_order_relaxed);
-        EXPECT_EQ(*loaded, dh);
-      }
-    }
-  });
-
-  EXPECT_EQ(cache.hits() + cache.misses(), loads.load());
-  EXPECT_EQ(cache.hits(), good_loads.load());
-  // After the dust settles the entry is present and loads cleanly.
-  auto final_load = cache.load(key);
-  ASSERT_TRUE(final_load.has_value());
-  EXPECT_EQ(*final_load, dh);
-}
-
-// Satellite regression: two threads storing the same key used to share one
-// pid-derived temp path and interleave writes in it.  Now each writer owns
-// a unique temp file, so a concurrent reader can only ever observe nothing
-// or a complete, checksum-clean hierarchy — and no temp litter survives.
-TEST(HierarchyCacheConcurrency, TwoWritersSameKeyPublishWholeFiles) {
-  TempDir tmp;
-  HierarchyCache cache(tmp.path);
-  const amg::DistHierarchy dh = build_small();
-  const HierarchyCache::Key key{256, 4, amg::Options{}};
-
-  constexpr int kStores = 8;
-  std::atomic<bool> writers_done{false};
-  std::atomic<long> torn{0};
-  std::thread reader([&] {
-    while (!writers_done.load(std::memory_order_acquire)) {
-      if (auto loaded = cache.load(key); loaded && !(*loaded == dh))
-        torn.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  run_threads(2, [&](int) {
-    for (int i = 0; i < kStores; ++i) EXPECT_TRUE(cache.store(key, dh));
-  });
-  writers_done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(torn.load(), 0);
-  auto loaded = cache.load(key);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, dh);
-  // Every temp file was either renamed into place or cleaned up.
-  int chc = 0, tmps = 0;
-  for (const auto& de : fs::directory_iterator(tmp.path)) {
-    if (de.path().extension() == ".chc")
-      ++chc;
-    else
-      ++tmps;
-  }
-  EXPECT_EQ(chc, 1);
-  EXPECT_EQ(tmps, 0);
-}
-
-// Eviction must only consider completed `.chc` entries: an in-flight
-// `.tmp-*` file (here: a stale one faked in by hand) is never deleted and
-// never counted against the cap.
-TEST(HierarchyCacheConcurrency, EvictionSkipsTempFiles) {
-  TempDir tmp;
-  const amg::DistHierarchy dh = build_small();
-  const HierarchyCache::Key key_a{256, 4, amg::Options{}};
-  amg::Options opts_b;
-  opts_b.max_levels = 2;  // distinct key -> distinct content address
-  const HierarchyCache::Key key_b{256, 4, opts_b};
-
-  // Size one entry, then cap the cache below two of them.
-  std::uintmax_t one_entry = 0;
-  {
-    HierarchyCache sizer(tmp.path);
-    ASSERT_TRUE(sizer.store(key_a, dh));
-    one_entry = fs::file_size(sizer.path_of(key_a));
-    fs::remove(sizer.path_of(key_a));
-  }
-  HierarchyCache cache(tmp.path, one_entry + one_entry / 2);
-
-  ASSERT_TRUE(cache.store(key_a, dh));
-  const fs::path fake_tmp =
-      cache.path_of(key_a).string() + ".tmp-99999-0";
-  {
-    std::ofstream out(fake_tmp, std::ios::binary);
-    out << "half-written by a crashed process";
-  }
-  ASSERT_TRUE(cache.store(key_b, dh));  // over cap: must evict key_a only
-
-  EXPECT_FALSE(fs::exists(cache.path_of(key_a)));  // evicted (oldest)
-  EXPECT_TRUE(fs::exists(cache.path_of(key_b)));   // just written: kept
-  EXPECT_TRUE(fs::exists(fake_tmp));               // temp: never touched
-  // The stale temp is inert for loads, too.
-  EXPECT_FALSE(cache.load(key_a).has_value());
-  EXPECT_TRUE(cache.load(key_b).has_value());
 }
 
 // ---- coroutine-frame pool / Arena ----------------------------------

@@ -346,4 +346,34 @@ TEST(EngineAlloc, ZeroByteMessagesNeverTouchTheArena) {
   EXPECT_EQ(eng.arena_stats().chunks, 0u);
 }
 
+Task<> barrier_churn(Context& ctx, int barriers) {
+  for (int k = 0; k < barriers; ++k) co_await coll::barrier(ctx, ctx.world());
+}
+
+/// Every barrier mints fresh collective tags, so each of its messages
+/// interns a channel that did not exist before.  Erase-on-drain must keep
+/// the mailbox at the in-flight channel count under this churn, and a
+/// warmed engine must not allocate per barrier.
+TEST(EngineAlloc, CollectiveTagChurnAllocationFree) {
+  Engine eng(test_machine(), CostParams::lassen(), Engine::Options{.threads = 1});
+  auto allocs = [&](int barriers) {
+    const std::uint64_t before = util::alloc_hook_count();
+    eng.run([&](Context& ctx) -> Task<> {
+      return barrier_churn(ctx, barriers);
+    });
+    return util::alloc_hook_count() - before;
+  };
+  allocs(64);
+  const auto slots = eng.channel_slots(0);
+  const auto frame_mallocs = util::frame_pool_mallocs();
+  const std::uint64_t a4 = allocs(4);
+  const std::uint64_t a64 = allocs(64);
+  EXPECT_EQ(a64, a4) << "fresh collective tags allocated per barrier";
+  EXPECT_EQ(eng.channel_count(0), 0u) << "drained channels must be erased";
+  EXPECT_EQ(eng.channel_slots(0), slots)
+      << "mailbox grew with the number of tags minted";
+  EXPECT_EQ(util::frame_pool_mallocs(), frame_mallocs)
+      << "frame pool missed after warm-up";
+}
+
 }  // namespace

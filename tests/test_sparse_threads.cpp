@@ -2,15 +2,13 @@
 /// \brief The determinism contract of the two-phase sparse kernels and of
 /// hierarchy construction: every `sparse::Threads` width produces
 /// byte-identical output — rowptr/colind/vals of each kernel, deep-equal
-/// hierarchies, and identical HierarchyCache files (see
-/// docs/ARCHITECTURE.md, "Parallel construction").
+/// hierarchies, and distributed hierarchies whose every rank slice matches
+/// byte for byte (see docs/ARCHITECTURE.md, "Parallel construction").
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <span>
 #include <vector>
 
 #include "amg/coarsen.hpp"
@@ -18,17 +16,21 @@
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/strength.hpp"
-#include "harness/hierarchy_cache.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/stencil.hpp"
 
-namespace fs = std::filesystem;
 using sparse::Csr;
 using sparse::Threads;
 
 namespace {
 
 constexpr int kWidths[] = {2, 4, 7};
+
+/// memcmp over two equally sized arrays; an empty array may carry a null
+/// pointer, which memcmp must not see.
+bool same_bytes(std::span<const std::byte> a, std::span<const std::byte> b) {
+  return a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0;
+}
 
 /// Byte-level equality of the three CSR arrays (EXPECT_EQ on Csr would
 /// also pass for equal values that were re-derived; memcmp pins the exact
@@ -38,17 +40,11 @@ void expect_bytes_identical(const Csr& a, const Csr& b, const char* what,
   ASSERT_EQ(a.rows(), b.rows()) << what << " width " << width;
   ASSERT_EQ(a.cols(), b.cols()) << what << " width " << width;
   ASSERT_EQ(a.nnz(), b.nnz()) << what << " width " << width;
-  EXPECT_EQ(std::memcmp(a.rowptr().data(), b.rowptr().data(),
-                        a.rowptr().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(std::as_bytes(a.rowptr()), std::as_bytes(b.rowptr())))
       << what << ": rowptr bytes diverged at width " << width;
-  EXPECT_EQ(std::memcmp(a.colind().data(), b.colind().data(),
-                        a.colind().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(std::as_bytes(a.colind()), std::as_bytes(b.colind())))
       << what << ": colind bytes diverged at width " << width;
-  EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
-                        a.values().size_bytes()),
-            0)
+  EXPECT_TRUE(same_bytes(std::as_bytes(a.values()), std::as_bytes(b.values())))
       << what << ": vals bytes diverged at width " << width;
 }
 
@@ -143,34 +139,38 @@ TEST(SparseThreads, HierarchyBuildDeepEqualAcrossWidths) {
   }
 }
 
-TEST(SparseThreads, HierarchyCacheFilesIdenticalAcrossWidths) {
-  // The strongest end-to-end form of the contract: build + distribute +
-  // serialize at every width and compare the cache files byte-for-byte
-  // (the stored payload checksum is part of the file, so matching files
-  // imply matching checksums).
+TEST(SparseThreads, DistributedHierarchyIdenticalAcrossWidths) {
+  // The strongest end-to-end form of the contract: build + distribute at
+  // every width, then compare every rank slice of every level's A, P and R
+  // byte for byte, and each level's partitions, column maps, halos and
+  // perms by value.
   const Csr a = sparse::paper_problem(32, 16);
-  const harness::HierarchyCache::Key key{a.rows(), 4, amg::Options{}};
-  auto file_bytes = [&](int width) {
+  auto build = [&](int width) {
     amg::Options opts;
     opts.threads = width;
-    const amg::DistHierarchy dh =
-        amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
-    const fs::path dir = fs::temp_directory_path() /
-                         ("sparse-threads-cache-" + std::to_string(::getpid()) +
-                          "-w" + std::to_string(width));
-    fs::create_directories(dir);
-    harness::HierarchyCache cache(dir);
-    EXPECT_TRUE(cache.store(key, dh));
-    std::ifstream in(cache.path_of(key), std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    return bytes;
+    return amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
   };
-  const std::vector<char> base = file_bytes(1);
-  ASSERT_FALSE(base.empty());
-  for (int w : kWidths)
-    EXPECT_EQ(file_bytes(w), base)
-        << "cache file (checksummed payload) diverged at width " << w;
+  const amg::DistHierarchy base = build(1);
+  ASSERT_GE(base.num_levels(), 2) << "problem too small to exercise levels";
+  for (int w : kWidths) {
+    const amg::DistHierarchy dh = build(w);
+    ASSERT_EQ(dh.num_levels(), base.num_levels()) << "width " << w;
+    for (int l = 0; l < base.num_levels(); ++l) {
+      const amg::DistLevel& got = dh.levels[l];
+      const amg::DistLevel& want = base.levels[l];
+      for (const auto op : {&amg::DistLevel::A, &amg::DistLevel::P,
+                            &amg::DistLevel::R}) {
+        ASSERT_EQ((got.*op).num_ranks(), (want.*op).num_ranks())
+            << "level " << l << " width " << w;
+        for (int r = 0; r < (want.*op).num_ranks(); ++r) {
+          expect_bytes_identical((want.*op).ranks[r].diag,
+                                 (got.*op).ranks[r].diag, "diag", w);
+          expect_bytes_identical((want.*op).ranks[r].offd,
+                                 (got.*op).ranks[r].offd, "offd", w);
+        }
+      }
+      EXPECT_EQ(got, want) << "distributed level " << l
+                           << " diverged at width " << w;
+    }
+  }
 }

@@ -33,10 +33,6 @@ IGNORED_FIELDS = {
     "threads",
     "family_index",
     "per_family_instance_index",
-    # Host-rate fields (SetItemsProcessed / SetBytesProcessed): wall-time
-    # derived, used by the engine micro benches.
-    "items_per_second",
-    "bytes_per_second",
 }
 
 
