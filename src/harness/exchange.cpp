@@ -130,8 +130,8 @@ std::uint64_t plan_key(std::uint64_t pattern_key, std::uint64_t family,
 
 }  // namespace
 
-std::shared_ptr<const mpix::PlanBase> PlanCache::find_base(std::uint64_t key,
-                                                           int rank) {
+std::shared_ptr<const mpix::PlanBase> PlanCache::find(std::uint64_t key,
+                                                      int rank) {
   util::MutexLock lk(mu_);
   auto* entry = plans_.find({key, rank});
   if (!entry) {
@@ -188,7 +188,7 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
 
   const bool cacheable = opts.plans && mpix::uses_locality(method);
   std::uint64_t key = 0;
-  std::shared_ptr<const mpix::LocalityPlan> cached;  // keeps the plan alive
+  std::shared_ptr<const mpix::PlanBase> cached;  // keeps the plan alive
   if (cacheable) {
     key = cache_key(opts.pattern_key, method, opts.lpt_balance, comm);
     cached = opts.plans->find(key, comm.rank());

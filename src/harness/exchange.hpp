@@ -88,9 +88,9 @@ inline const char* to_string(Protocol p) {
 
 /// Host-side cache of collective plans, shared by all simulated ranks.
 /// Stores any `mpix::PlanBase` kind — neighbor `LocalityPlan`s and dense
-/// `BruckPlan`s share one cache; the typed `find<P>` accessor resolves the
-/// kind on lookup (a key caching the wrong kind reads as a miss-with-hit
-/// accounting, so keys come from `cache_key`, which mixes in the method).
+/// `BruckPlan`s share one cache.  A hit goes straight to `Options::plan`,
+/// where init rejects a plan of the wrong kind, so keys come from
+/// `cache_key`, which mixes in the method.
 ///
 /// Keys identify the *global* exchange pattern (use `pattern_fingerprint`
 /// on the full `sparse::Halo`), so on any given exchange either every rank
@@ -108,15 +108,7 @@ inline const char* to_string(Protocol p) {
 class PlanCache {
  public:
   /// Cached plan of `rank` under `key`, or null.  Counts a hit or a miss.
-  std::shared_ptr<const mpix::PlanBase> find_base(std::uint64_t key, int rank);
-
-  /// `find_base` downcast to the expected plan kind (null when the entry
-  /// is absent or of another kind).  Defaults to the neighbor plan so
-  /// existing callers read naturally.
-  template <class P = mpix::LocalityPlan>
-  std::shared_ptr<const P> find(std::uint64_t key, int rank) {
-    return std::dynamic_pointer_cast<const P>(find_base(key, rank));
-  }
+  std::shared_ptr<const mpix::PlanBase> find(std::uint64_t key, int rank);
 
   void put(std::uint64_t key, int rank,
            std::shared_ptr<const mpix::PlanBase> plan);

@@ -51,7 +51,7 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     std::shared_ptr<const mpix::PlanBase> cached;  // keeps the plan alive
     if (cacheable) {
       key = cache_key(fingerprint, method, cfg.lpt_balance, ctx.world());
-      cached = cfg.plans->find_base(key, r);
+      cached = cfg.plans->find(key, r);
       mopts.plan = cached.get();
     }
 
@@ -70,7 +70,7 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     }
     times.stamp(kInit, r, ctx.now());
     stats[r] = coll->stats();
-    if (cacheable && !cached) cfg.plans->put(key, r, coll->plan_base());
+    if (cacheable && !cached) cfg.plans->put(key, r, coll->plan());
 
     auto check = [&](const char* window) {
       const long bad = patterns::verify_recv(wl, r, buf, element_size);

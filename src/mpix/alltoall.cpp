@@ -46,50 +46,6 @@ simmpi::DistGraph impl::dense_graph(const simmpi::Comm& comm) {
 
 namespace {
 
-/// Renames an inner collective so stats and measurement report the dense
-/// method name instead of the neighbor building block it reuses.
-class Renamed final : public NeighborAlltoallv {
- public:
-  Renamed(std::unique_ptr<NeighborAlltoallv> inner, const char* name)
-      : inner_(std::move(inner)), name_(name) {}
-
-  Task<> start(Context& ctx) override { return inner_->start(ctx); }
-  Task<> wait(Context& ctx) override { return inner_->wait(ctx); }
-  NeighborStats stats() const override { return inner_->stats(); }
-  const char* name() const override { return name_; }
-  std::shared_ptr<const LocalityPlan> plan() const override {
-    return inner_->plan();
-  }
-  std::shared_ptr<const PlanBase> plan_base() const override {
-    return inner_->plan_base();
-  }
-
- private:
-  std::unique_ptr<NeighborAlltoallv> inner_;
-  const char* name_;
-};
-
-std::shared_ptr<const LocalityPlan> require_locality_plan(const PlanBase* p) {
-  auto* lp = dynamic_cast<const LocalityPlan*>(p);
-  if (!lp)
-    throw SimError(
-        "alltoallv_init: Options::plan is not a LocalityPlan (wrong plan "
-        "kind for AlltoallMethod::node_aggregated)");
-  if (lp->dedup)
-    throw SimError(
-        "alltoallv_init: node_aggregated does not take a dedup plan");
-  return lp->shared_from_this();
-}
-
-std::shared_ptr<const BruckPlan> require_bruck_plan(const PlanBase* p) {
-  auto* bp = dynamic_cast<const BruckPlan*>(p);
-  if (!bp)
-    throw SimError(
-        "alltoallv_init: Options::plan is not a BruckPlan (wrong plan kind "
-        "for AlltoallMethod::bruck)");
-  return bp->shared_from_this();
-}
-
 /// The dispatch coroutine.  Only invoked through the plain public
 /// wrappers below (see impl.hpp on why).
 Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
@@ -107,20 +63,22 @@ Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
     case AlltoallMethod::node_aggregated: {
       std::shared_ptr<const LocalityPlan> plan;
       if (opts.plan) {
-        plan = require_locality_plan(opts.plan);
+        plan = impl::plan_as<LocalityPlan>(*opts.plan,
+                                           "alltoallv_init: node_aggregated");
+        if (plan->dedup)
+          throw SimError(
+              "alltoallv_init: node_aggregated does not take a dedup plan");
       } else {
         plan = co_await impl::build_locality_plan(ctx, graph, args,
                                                   Method::locality, opts);
       }
-      co_return std::make_unique<Renamed>(
-          impl::bind_locality(ctx, graph, std::move(args), std::move(plan),
-                              opts),
-          "node_aggregated");
+      co_return impl::bind_locality(ctx, graph, std::move(args),
+                                    std::move(plan), opts);
     }
     case AlltoallMethod::bruck: {
       std::shared_ptr<const BruckPlan> plan;
       if (opts.plan) {
-        plan = require_bruck_plan(opts.plan);
+        plan = impl::plan_as<BruckPlan>(*opts.plan, "alltoallv_init: bruck");
       } else {
         plan = co_await impl::build_bruck_plan(ctx, comm, args);
       }
@@ -129,23 +87,6 @@ Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
     }
   }
   throw SimError("alltoallv_init: invalid AlltoallMethod");
-}
-
-Task<std::shared_ptr<const PlanBase>> dense_plan_impl(Context& ctx,
-                                                      simmpi::Comm comm,
-                                                      AlltoallvArgs args,
-                                                      AlltoallMethod method,
-                                                      Options opts) {
-  if (method == AlltoallMethod::node_aggregated) {
-    const simmpi::DistGraph graph = impl::dense_graph(comm);
-    co_return co_await impl::build_locality_plan(ctx, graph, std::move(args),
-                                                 Method::locality,
-                                                 std::move(opts));
-  }
-  if (method == AlltoallMethod::bruck)
-    co_return co_await impl::build_bruck_plan(ctx, std::move(comm),
-                                              std::move(args));
-  throw SimError("make_alltoall_plan: AlltoallMethod::standard has no plan");
 }
 
 }  // namespace
@@ -186,12 +127,6 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoall_init(
   args.rdispls = args.sdispls;
   return dense_init_impl(ctx, std::move(comm), std::move(args), method,
                          std::move(opts));
-}
-
-simmpi::Task<std::shared_ptr<const PlanBase>> make_alltoall_plan(
-    simmpi::Context& ctx, simmpi::Comm comm, const AlltoallvArgs& args,
-    AlltoallMethod method, Options opts) {
-  return dense_plan_impl(ctx, std::move(comm), args, method, std::move(opts));
 }
 
 }  // namespace mpix

@@ -75,7 +75,7 @@ const char* to_string(AlltoallMethod m);
 /// per-region traffic totals); binding buffers to it is purely local.
 /// All offsets are in *values*; binding scales by `element_size`.  Like
 /// LocalityPlan, instances are immutable and shared-ptr-owned.
-struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
+struct BruckPlan : PlanBase {
   /// See LocalityPlan::binding_fingerprint (0 = unchecked).
   std::uint64_t binding_fingerprint = 0;
 
@@ -86,28 +86,16 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
 
   /// Intra-region traffic: direct user-buffer p2p, as in the neighbor
   /// locality plan.
-  std::vector<LocalityPlan::DirectMsg> l_sends, l_recvs;
+  std::vector<DirectMsg> l_sends, l_recvs;
 
-  int leader = -1;        ///< comm-local rank of my region's leader
-  bool is_leader = false;
+  bool is_leader = false;  ///< leads its region (its smallest comm rank)
 
-  // -- member side (every rank of a multi-rank region, incl. the leader
-  //    for its self-copies) --------------------------------------------
-  std::vector<CopyRun> fill_gather;  ///< sendbuf -> fill message (to leader)
-  long fill_values = 0;
-  std::vector<CopyRun> from_leader;  ///< deliver message -> recvbuf
-  long from_leader_values = 0;
-
-  // -- leader side ------------------------------------------------------
-  /// One intra-region staged message: `runs` place (fill) or gather
-  /// (deliver) `values` message values against the resident buffer.
-  struct Place {
-    int peer = -1;  ///< comm-local member rank
-    long values = 0;
-    std::vector<CopyRun> runs;
-  };
-  std::vector<Place> fill_recvs;   ///< per non-leader member: msg -> resident
-  std::vector<CopyRun> fill_self;  ///< own sendbuf -> resident
+  /// Remote-bound values, sendbuf -> the leader's resident buffer.  With
+  /// R > 1, each member sends one message to its leader (`fill.sends[0]`,
+  /// zero values included: the channel structure never depends on
+  /// counts); the leader receives one per member (`fill.recvs`) and
+  /// places its own row with `fill.self`.
+  StagedPhase fill;
 
   /// One Bruck round of my region: ship `gather`ed resident values to the
   /// next region, retain `keep`, splice the incoming message via `merge`.
@@ -122,8 +110,11 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
   };
   std::vector<Round> rounds;
 
-  std::vector<Place> delivers;  ///< per non-leader member: resident -> msg
-  std::vector<CopyRun> deliver_self;  ///< resident -> own recvbuf
+  /// Arrived values, the leader's final resident buffer -> recvbuf: one
+  /// message per member (`deliver.sends` on the leader,
+  /// `deliver.recvs[0]` on the member) plus the leader's own share
+  /// (`deliver.self`).
+  StagedPhase deliver;
 
   long resident_values = 0;  ///< resident buffer size (max over epochs)
   long round_send_max = 0;   ///< largest per-round outgoing message
@@ -138,7 +129,7 @@ struct BruckPlan : PlanBase, std::enable_shared_from_this<BruckPlan> {
 /// `comm.rank()`) is delivered like any other segment.  Collective over
 /// `comm` for the aggregated methods unless `opts.plan` is given
 /// (`node_aggregated` takes a LocalityPlan, `bruck` a BruckPlan — feed
-/// back `NeighborAlltoallv::plan_base()`); `standard` never communicates
+/// back `NeighborAlltoallv::plan()`); `standard` never communicates
 /// during init.
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoallv_init(
     simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args,
@@ -153,14 +144,6 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoall_init(
     std::span<const std::byte> sendbuf, std::span<std::byte> recvbuf,
     int count, std::size_t element_size,
     AlltoallMethod method = AlltoallMethod::standard, Options opts = {});
-
-/// Build just the reusable plan for a dense pattern (collective; all
-/// setup communication happens here).  Returns a LocalityPlan for
-/// `node_aggregated`, a BruckPlan for `bruck`; throws for `standard`,
-/// which has no plan.  `args` payload spans are never read.
-simmpi::Task<std::shared_ptr<const PlanBase>> make_alltoall_plan(
-    simmpi::Context& ctx, simmpi::Comm comm, const AlltoallvArgs& args,
-    AlltoallMethod method, Options opts = {});
 
 /// Typed-argument overloads, normalizing the wrapper to the byte-based
 /// core inside a plain (non-coroutine) function (see the g++ 12 warning

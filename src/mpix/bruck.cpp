@@ -23,7 +23,10 @@
 ///   deliver — the leader scatters the R-1 arrived chunks to its members
 ///             (one message each) and into its own recvbuf.
 ///
-/// Everything is precomputed into a `BruckPlan` of value-run copy lists.
+/// Everything is precomputed into a `BruckPlan` of value-run copy lists;
+/// fill and deliver are `StagedPhase`s, run by the same
+/// `detail::BoundPhase` driver as the neighbor locality method's s and r
+/// phases.
 /// Determinism: the rotation schedule is a pure function of the
 /// region-level traffic matrix T (exchanged collectively, identical on
 /// every rank), chunks are enumerated in fixed (distance, arrival) order,
@@ -50,7 +53,6 @@ namespace {
 
 using simmpi::Comm;
 using simmpi::Context;
-using simmpi::Request;
 using simmpi::SimError;
 using simmpi::Task;
 
@@ -59,14 +61,9 @@ struct BruckAlltoallv final : NeighborAlltoallv {
   std::shared_ptr<const BruckPlan> routing;
 
   impl::ChannelSet l;  // direct user-buffer p2p
+  detail::BoundPhase fill, deliver;  // staged in place
 
-  // member side (non-leader of a multi-rank region, R > 1): in place
-  bool is_member = false;
-  Request fill_req, deliver_req;
-
-  // leader side
-  std::vector<detail::StagedMsg> fill_recvs;     // per member: msg -> resident
-  std::vector<detail::StagedMsg> deliver_sends;  // per member: resident -> msg
+  // Leaders of a multi-region communicator only.
   std::vector<std::byte> resident_a, resident_b;
   std::vector<std::byte> round_send, round_recv;
   // One send + one receive per rotation round.  Leaders of adjacent regions
@@ -74,70 +71,47 @@ struct BruckAlltoallv final : NeighborAlltoallv {
   std::vector<impl::ChannelSet> round_chans;
 
   Task<> start(Context& ctx) override {
-    const std::size_t es = args.element_size;
-    // Intra-region traffic goes out immediately.
+    // Intra-region traffic goes out immediately.  Then the leader
+    // assembles its resident buffer: the members' remote-bound values
+    // plus its own, ordered by distance toward their destination region.
     l.start(ctx);
-    if (is_member) {
-      detail::copy_runs(args.sendbuf, fill_req.start_in_place(ctx),
-                        routing->fill_gather, es);
-      deliver_req.start(ctx);
-    }
-    if (routing->is_leader && routing->regions > 1) {
-      // Assemble the resident buffer: members' remote-bound values plus
-      // our own, ordered by distance toward their destination region.
-      for (auto& f : fill_recvs) f.req.start(ctx);
-      for (auto& f : fill_recvs) {
-        const auto place = [&](std::span<const std::byte> msg) {
-          detail::copy_runs(msg, resident_a, f.runs, es);
-        };
-        co_await ctx.wait_in_place(f.req, place);
-      }
-      detail::copy_runs(args.sendbuf, resident_a, routing->fill_self, es);
-    }
-    co_return;
+    co_await fill.run(ctx, args.sendbuf, resident_a);
   }
 
   Task<> wait(Context& ctx) override {
     const std::size_t es = args.element_size;
     co_await l.finish(ctx);
-    if (is_member) co_await ctx.wait(fill_req);
-    if (routing->is_leader && routing->regions > 1) {
-      // The rotation.  Rounds are sequential; the resident buffer
-      // ping-pongs so keep/merge never overlap their sources.
-      std::span<std::byte> cur = resident_a, nxt = resident_b;
-      for (std::size_t k = 0; k < round_chans.size(); ++k) {
-        const auto& r = routing->rounds[k];
-        detail::copy_runs(cur, round_send, r.gather, es);
-        round_chans[k].start(ctx);
-        co_await round_chans[k].finish(ctx);
-        detail::copy_runs(cur, nxt, r.keep, es);
-        detail::copy_runs(round_recv, nxt, r.merge, es);
-        std::swap(cur, nxt);
-      }
-      for (auto& d : deliver_sends)
-        detail::copy_runs(cur, d.req.start_in_place(ctx), d.runs, es);
-      detail::copy_runs(cur, args.recvbuf, routing->deliver_self, es);
-      for (auto& d : deliver_sends) co_await ctx.wait(d.req);
+    // The rotation (leaders only).  Rounds are sequential; the resident
+    // buffer ping-pongs so keep/merge never overlap their sources.
+    std::span<std::byte> cur = resident_a, nxt = resident_b;
+    for (std::size_t k = 0; k < round_chans.size(); ++k) {
+      const auto& r = routing->rounds[k];
+      detail::copy_runs(cur, round_send, r.gather, es);
+      round_chans[k].start(ctx);
+      co_await round_chans[k].finish(ctx);
+      detail::copy_runs(cur, nxt, r.keep, es);
+      detail::copy_runs(round_recv, nxt, r.merge, es);
+      std::swap(cur, nxt);
     }
-    if (is_member) {
-      const auto place = [&](std::span<const std::byte> msg) {
-        detail::copy_runs(msg, args.recvbuf, routing->from_leader, es);
-      };
-      co_await ctx.wait_in_place(deliver_req, place);
-    }
+    co_await deliver.run(ctx, cur, args.recvbuf);
   }
 
   NeighborStats stats() const override { return routing->stats; }
-  const char* name() const override { return "bruck"; }
-  std::shared_ptr<const PlanBase> plan_base() const override {
-    return routing;
-  }
+  std::shared_ptr<const PlanBase> plan() const override { return routing; }
 };
 
-/// Validate that `args` carries the exact dense pattern `plan` was built
-/// for and that the communicator matches the plan's binding fingerprint.
+/// Validate `args` against the dense adjacency and the exact pattern
+/// `plan` was built for, and the communicator against the plan's binding
+/// fingerprint.
 void validate_bruck_args(const BruckPlan& plan, const Comm& comm,
                          const AlltoallvArgs& args) {
+  detail::validate_args(impl::dense_graph(comm), args, /*need_idx=*/false);
+  if (plan.binding_fingerprint != 0 &&
+      plan.binding_fingerprint !=
+          detail::binding_fingerprint(comm, comm.engine().machine()))
+    throw SimError(
+        "alltoallv bruck: plan was built for a different communicator or "
+        "machine layout");
   const std::size_t p = static_cast<std::size_t>(comm.size());
   if (plan.sendcounts.size() != p)
     throw SimError("alltoallv bruck: plan was built for " +
@@ -154,10 +128,7 @@ void validate_bruck_args(const BruckPlan& plan, const Comm& comm,
 
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     Context& ctx, Comm comm, AlltoallvArgs args) {
-  {
-    const simmpi::DistGraph graph = impl::dense_graph(comm);
-    detail::validate_args(graph, args, /*need_idx=*/false);
-  }
+  detail::validate_args(impl::dense_graph(comm), args, /*need_idx=*/false);
   const auto& machine = ctx.engine().machine();
   const int p = comm.size();
   const int me = comm.rank();
@@ -193,7 +164,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   const int nlocal = static_cast<int>(mem.size());
   const int my_core = static_cast<int>(
       std::lower_bound(mem.begin(), mem.end(), me) - mem.begin());
-  plan->leader = mem[0];
   plan->is_leader = my_core == 0;
 
   // ---- l phase: intra-region traffic straight from the arguments ----------
@@ -430,38 +400,36 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       const int q = (gi + d) % nregions;
       long long col = 0;
       for (int j : members[q]) {
-        detail::push_run(plan->fill_self, args.sdispls[j], chunk_off0[d] + col,
-                 scount(0, j));
+        detail::push_run(plan->fill.self, args.sdispls[j], chunk_off0[d] + col,
+                         scount(0, j));
         col += scount(0, j);
       }
     }
     for (int m = 1; m < nlocal; ++m) {
-      BruckPlan::Place f;
-      f.peer = mem[m];
-      long long pos = 0;
+      StagedPhase::Msg f{.peer = mem[m]};
       for (int d = 1; d < nregions; ++d) {
         const int q = (gi + d) % nregions;
         long long rowoff = 0;
         for (int mm = 0; mm < m; ++mm) rowoff += row_out_of(mm, q);
-        detail::push_run(f.runs, pos, chunk_off0[d] + rowoff, row_out_of(m, q));
-        pos += row_out_of(m, q);
+        detail::push_run(f.runs, f.values, chunk_off0[d] + rowoff,
+                         row_out_of(m, q));
+        f.values += row_out_of(m, q);
       }
-      f.values = pos;
-      plan->fill_recvs.push_back(std::move(f));
+      plan->fill.recvs.push_back(std::move(f));
     }
   } else {
-    long long pos = 0;
+    StagedPhase::Msg f{.peer = mem[0]};
     for (int d = 1; d < nregions; ++d) {
       const int q = (gi + d) % nregions;
       for (int j : members[q]) {
-        detail::push_run(plan->fill_gather, args.sdispls[j], pos,
+        detail::push_run(f.runs, args.sdispls[j], f.values,
                          args.sendcounts[j]);
-        pos += args.sendcounts[j];
+        f.values += args.sendcounts[j];
       }
     }
-    plan->fill_values = pos;
     ++plan->stats.local_msgs;
-    plan->stats.local_values += pos;
+    plan->stats.local_values += f.values;
+    plan->fill.sends.push_back(std::move(f));
   }
 
   // ---- deliver: leader resident buffer -> members' recvbufs ----------------
@@ -482,39 +450,36 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     for (const auto& c : fin[gi]) {
       long long rowoff = 0;
       for (int k : members[c.origin]) {
-        detail::push_run(plan->deliver_self, c.off + rowoff + col_in(k, 0),
-                 args.rdispls[k], rcount(k, 0));
+        detail::push_run(plan->deliver.self, c.off + rowoff + col_in(k, 0),
+                         args.rdispls[k], rcount(k, 0));
         rowoff += row_in(k);
       }
     }
     for (int m = 1; m < nlocal; ++m) {
-      BruckPlan::Place d;
-      d.peer = mem[m];
-      long long pos = 0;
+      StagedPhase::Msg d{.peer = mem[m]};
       for (const auto& c : fin[gi]) {
         long long rowoff = 0;
         for (int k : members[c.origin]) {
-          detail::push_run(d.runs, c.off + rowoff + col_in(k, m), pos,
+          detail::push_run(d.runs, c.off + rowoff + col_in(k, m), d.values,
                            rcount(k, m));
-          pos += rcount(k, m);
+          d.values += rcount(k, m);
           rowoff += row_in(k);
         }
       }
-      d.values = pos;
       ++plan->stats.local_msgs;
-      plan->stats.local_values += pos;
-      plan->delivers.push_back(std::move(d));
+      plan->stats.local_values += d.values;
+      plan->deliver.sends.push_back(std::move(d));
     }
   } else {
-    long long pos = 0;
+    StagedPhase::Msg d{.peer = mem[0]};
     for (const auto& c : fin[gi]) {
       for (int k : members[c.origin]) {
-        detail::push_run(plan->from_leader, pos, args.rdispls[k],
+        detail::push_run(d.runs, d.values, args.rdispls[k],
                          args.recvcounts[k]);
-        pos += args.recvcounts[k];
+        d.values += args.recvcounts[k];
       }
     }
-    plan->from_leader_values = pos;
+    plan->deliver.recvs.push_back(std::move(d));
   }
 
   // Charge the symbolic rotation and layout computation to this rank.
@@ -528,21 +493,10 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     Context& ctx, Comm comm, AlltoallvArgs args,
     std::shared_ptr<const BruckPlan> plan, const Options& opts) {
-  {
-    const simmpi::DistGraph graph = impl::dense_graph(comm);
-    detail::validate_args(graph, args, /*need_idx=*/false);
-  }
-  if (plan->binding_fingerprint != 0 &&
-      plan->binding_fingerprint !=
-          detail::binding_fingerprint(comm, ctx.engine().machine()))
-    throw SimError(
-        "alltoallv bruck: plan was built for a different communicator or "
-        "machine layout");
   validate_bruck_args(*plan, comm, args);
 
   const std::size_t es = args.element_size;
   const BruckPlan& p = *plan;
-  const int me = comm.rank();
 
   auto obj = std::make_unique<BruckAlltoallv>();
   obj->args = std::move(args);
@@ -565,14 +519,8 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     obj->l.recv(obj->args.recvbuf.subspan(m.displ * es, m.count * es), m.peer,
                 tag_l);
 
-  if (me != p.leader && p.regions > 1) {
-    obj->fill_req = Request::send_in_place(
-        comm, static_cast<std::size_t>(p.fill_values) * es, p.leader, tag_f);
-    obj->deliver_req = Request::recv_in_place(
-        comm, static_cast<std::size_t>(p.from_leader_values) * es, p.leader,
-        tag_d);
-    obj->is_member = true;
-  }
+  obj->fill = detail::BoundPhase(p.fill, comm, tag_f, es);
+  obj->deliver = detail::BoundPhase(p.deliver, comm, tag_d, es);
   if (p.is_leader && p.regions > 1) {
     obj->resident_a.resize(static_cast<std::size_t>(p.resident_values) * es);
     obj->resident_b.resize(static_cast<std::size_t>(p.resident_values) * es);
@@ -589,22 +537,15 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
                   .first(static_cast<std::size_t>(r.recv_values) * es),
               r.recv_peer, tag_b);
     }
-    for (const auto& f : p.fill_recvs)
-      obj->fill_recvs.push_back(
-          {f.runs, Request::recv_in_place(
-                       comm, static_cast<std::size_t>(f.values) * es, f.peer,
-                       tag_f)});
-    for (const auto& d : p.delivers)
-      obj->deliver_sends.push_back(
-          {d.runs, Request::send_in_place(
-                       comm, static_cast<std::size_t>(d.values) * es, d.peer,
-                       tag_d)});
   }
 
-  // Charge the buffer binding work (staging allocation + channel setup).
+  // Charge the buffer binding work (staging allocation + channel setup),
+  // including a member's own fill and deliver messages (none on leaders).
+  long member_values = 0;
+  for (const auto& m : p.fill.sends) member_values += m.values;
+  for (const auto& m : p.deliver.recvs) member_values += m.values;
   ctx.compute(impl::kSetupComputePerWord *
-              static_cast<double>(2 * p.resident_values + p.fill_values +
-                                  p.from_leader_values));
+              static_cast<double>(2 * p.resident_values + member_values));
   return obj;
 }
 

@@ -307,6 +307,36 @@ std::vector<CopyRun> compose_runs(std::span<const CopyRun> to_msg,
   return out;
 }
 
+BoundPhase::BoundPhase(const StagedPhase& phase, const simmpi::Comm& comm,
+                       int tag, std::size_t element_size)
+    : self_(phase.self), es_(element_size) {
+  const auto bytes = [&](const StagedPhase::Msg& m) {
+    return static_cast<std::size_t>(m.values) * es_;
+  };
+  for (const auto& m : phase.sends)
+    sends_.push_back({m.runs, simmpi::Request::send_in_place(
+                                  comm, bytes(m), m.peer, tag)});
+  for (const auto& m : phase.recvs)
+    recvs_.push_back({m.runs, simmpi::Request::recv_in_place(
+                                  comm, bytes(m), m.peer, tag)});
+}
+
+simmpi::Task<> BoundPhase::run(simmpi::Context& ctx,
+                               std::span<const std::byte> from,
+                               std::span<std::byte> to) {
+  for (Msg& m : sends_)
+    copy_runs(from, m.req.start_in_place(ctx), m.runs, es_);
+  copy_runs(from, to, self_, es_);
+  for (Msg& m : recvs_) m.req.start(ctx);
+  for (Msg& m : recvs_) {
+    const auto scatter = [&](std::span<const std::byte> msg) {
+      copy_runs(msg, to, m.runs, es_);
+    };
+    co_await ctx.wait_in_place(m.req, scatter);
+  }
+  for (Msg& m : sends_) co_await ctx.wait(m.req);
+}
+
 long PairLayout::SrcBlock::find(gidx gid) const {
   auto it = std::lower_bound(gids.begin(), gids.end(), gid);
   if (it == gids.end() || *it != gid)

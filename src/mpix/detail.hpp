@@ -1,10 +1,10 @@
 #pragma once
 /// \file detail.hpp
-/// \brief Pure (communication-free) helpers behind the locality-aware
-/// neighbor collectives: argument validation, traffic metadata
-/// serialization, leader load balancing, and the canonical layout of
-/// inter-region messages.  Kept separate so the logic is unit-testable
-/// without the simulator.
+/// \brief Helpers behind the aggregated collectives: argument validation,
+/// traffic metadata serialization, leader load balancing, the canonical
+/// layout of inter-region messages (all pure, so unit-testable without
+/// the simulator), and `BoundPhase`, the driver of their intra-region
+/// staging phases.
 
 #include <cstring>
 #include <span>
@@ -150,13 +150,32 @@ inline void copy_runs(std::span<const std::byte> from, std::span<std::byte> to,
                 static_cast<std::size_t>(r.len) * es);
 }
 
-/// A staged message bound to its in-place channel (Request::send_in_place
-/// or recv_in_place): sends gather with `runs` straight into the arena
-/// payload, receives scatter with them straight out of the sender's.  The
-/// runs live in the shared plan.
-struct StagedMsg {
-  std::span<const CopyRun> runs;
-  simmpi::Request req;
+/// A StagedPhase bound to one in-place channel per message
+/// (Request::send_in_place / recv_in_place) on one tag: the single driver
+/// of every staging phase of the aggregated collectives.  Sends gather
+/// straight into their arena payload and receives scatter straight out of
+/// the sender's, so no value is copied twice.  The runs live in the
+/// shared plan, which must outlive the binding.
+class BoundPhase {
+ public:
+  BoundPhase() = default;
+  BoundPhase(const StagedPhase& phase, const simmpi::Comm& comm, int tag,
+             std::size_t element_size);
+
+  /// Run the phase once, moving values from `from` to `to`: gather and
+  /// post every send, copy `self`, start every receive, scatter each as
+  /// it completes, then complete the sends.
+  simmpi::Task<> run(simmpi::Context& ctx, std::span<const std::byte> from,
+                     std::span<std::byte> to);
+
+ private:
+  struct Msg {
+    std::span<const CopyRun> runs;
+    simmpi::Request req;
+  };
+  std::vector<Msg> sends_, recvs_;
+  std::span<const CopyRun> self_;
+  std::size_t es_ = 0;
 };
 
 /// Compose `to_msg` (source -> message positions, covering the message in

@@ -1,14 +1,28 @@
 #pragma once
 /// \file impl.hpp
 /// \brief Internal factories behind the public `neighbor_alltoallv_init`
-/// dispatcher (init.cpp).  Not part of the mpix API.
+/// and `alltoallv_init` dispatchers (init.cpp, alltoall.cpp), and the one
+/// plan-kind check they share.  Not part of the mpix API.
 
 #include <memory>
+#include <string>
 
 #include "mpix/alltoall.hpp"
 #include "mpix/neighbor.hpp"
 
 namespace mpix::impl {
+
+/// `plan` (an `Options::plan`) as the kind `P` a method binds, sharing
+/// ownership with the plan's owner.  Throws a SimError naming `who` when
+/// the plan is of another kind.
+template <class P>
+std::shared_ptr<const P> plan_as(const PlanBase& plan, const char* who) {
+  auto typed = std::dynamic_pointer_cast<const P>(plan.shared_from_this());
+  if (!typed)
+    throw simmpi::SimError(std::string(who) +
+                           ": Options::plan is the wrong plan kind");
+  return typed;
+}
 
 /// Modeled CPU cost per metadata word of setup parsing and plan building,
 /// charged by the locality and Bruck plan builds and bindings.
@@ -19,8 +33,10 @@ inline constexpr double kSetupComputePerWord = 1.5e-9;
 /// unchanged, with counts arrays indexed by comm rank (alltoall.cpp).
 simmpi::DistGraph dense_graph(const simmpi::Comm& comm);
 
-/// Coroutine behind the public `make_locality_plan` wrapper.  Takes the
-/// pattern by value so the frame owns it for the plan build's lifetime.
+/// Locality methods (and dense `node_aggregated`): collectively build the
+/// plan of a pattern — all setup communication happens here; payload
+/// spans are never read.  Takes the pattern by value so the frame owns it
+/// for the plan build's lifetime.
 ///
 /// The public entry points are deliberately *plain* functions delegating
 /// to internal coroutines: g++ 12 miscompiles by-value coroutine
@@ -42,7 +58,7 @@ std::unique_ptr<NeighborAlltoallv> make_standard(simmpi::Context& ctx,
                                                  const Options& opts);
 
 /// Locality methods: bind buffers and channels to a finished plan.  Purely
-/// local — all setup communication already happened in make_locality_plan.
+/// local — all setup communication already happened in the plan build.
 std::unique_ptr<NeighborAlltoallv> bind_locality(
     simmpi::Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     std::shared_ptr<const LocalityPlan> plan, const Options& opts);

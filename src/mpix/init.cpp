@@ -39,16 +39,11 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
   }
   std::shared_ptr<const LocalityPlan> plan;
   if (opts.plan) {
-    auto* lp = dynamic_cast<const LocalityPlan*>(opts.plan);
-    if (!lp)
-      throw SimError(
-          "neighbor_alltoallv_init: Options::plan is not a LocalityPlan "
-          "(wrong plan kind for a neighbor method)");
-    if (lp->dedup != needs_idx(method))
+    plan = impl::plan_as<LocalityPlan>(*opts.plan, "neighbor_alltoallv_init");
+    if (plan->dedup != needs_idx(method))
       throw SimError(
           "neighbor_alltoallv_init: plan's dedup mode does not match the "
           "requested Method");
-    plan = lp->shared_from_this();
   } else {
     plan = co_await impl::build_locality_plan(ctx, graph, args, method, opts);
   }
@@ -57,14 +52,6 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
 }
 
 }  // namespace
-
-simmpi::Task<std::shared_ptr<const LocalityPlan>> make_locality_plan(
-    simmpi::Context& ctx, const simmpi::DistGraph& graph,
-    const AlltoallvArgs& args, Method method, Options opts) {
-  // Copy the pattern into the builder's frame: the returned (lazy) task
-  // then has no reference into caller-owned argument storage.
-  return impl::build_locality_plan(ctx, graph, args, method, std::move(opts));
-}
 
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> neighbor_alltoallv_init(
     simmpi::Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,

@@ -11,20 +11,22 @@
 ///
 /// The implementation is split in two halves matching the public API:
 ///
-///  * `make_locality_plan` (collective) computes every routing decision —
-///    gather/scatter copy-run lists, staging layouts, leader assignments —
-///    from metadata shared inside each region plus a root-to-root
-///    handshake, and stores them in a buffer-free `LocalityPlan`.
-///    Everything that reads the metadata is decided before the handshake,
-///    and the metadata is freed before the rank suspends again; each rank
-///    lays out only the region pairs it leads.  Runs are coalesced as the
-///    values are enumerated, so no per-value map is ever built;
+///  * `impl::build_locality_plan` (collective) computes every routing
+///    decision — gather/scatter copy-run lists, staging layouts, leader
+///    assignments — from metadata shared inside each region plus a
+///    root-to-root handshake, and stores them in a buffer-free
+///    `LocalityPlan`.  Everything that reads the metadata is decided
+///    before the handshake, and the metadata is freed before the rank
+///    suspends again; each rank lays out only the region pairs it leads.
+///    Runs are coalesced as the values are enumerated, so no per-value
+///    map is ever built;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
 ///    fresh message channels to a plan, scaling all value offsets by the
 ///    arguments' `element_size`.
 ///
-/// start/wait only move payload, one memcpy per run.  The staged (s and r)
-/// messages are in place: a send gathers straight into its arena payload
+/// start/wait only move payload, one memcpy per run.  The s and r phases
+/// are `StagedPhase`s run by `detail::BoundPhase`, the driver that Bruck's
+/// fill and deliver share: a send gathers straight into its arena payload
 /// and a receive scatters straight out of the sender's, so no value is
 /// copied twice on the host.  With `Method::locality_dedup`, values
 /// carrying the same user-supplied index cross each region boundary once
@@ -47,7 +49,6 @@ using detail::Edge;
 using detail::PairLayout;
 using simmpi::Comm;
 using simmpi::Context;
-using simmpi::Request;
 using simmpi::Task;
 
 struct LocalityNeighbor final : NeighborAlltoallv {
@@ -56,53 +57,27 @@ struct LocalityNeighbor final : NeighborAlltoallv {
   std::vector<std::byte> s_stage, g_stage;
   impl::ChannelSet l;  // direct user-buffer p2p
   impl::ChannelSet g;  // direct stage-buffer p2p, the only network phase
-  std::vector<detail::StagedMsg> s_sends, r_sends;  // gather in place
-  std::vector<detail::StagedMsg> s_recvs, r_recvs;  // scatter in place
+  detail::BoundPhase s, r;  // staged in place
 
   Task<> start(Context& ctx) override {
-    const std::size_t es = args.element_size;
     // Fully local traffic goes out immediately (Algorithm 5).
     l.start(ctx);
     // Initial redistribution: start AND complete before inter-region.
-    for (auto& m : s_sends)
-      detail::copy_runs(args.sendbuf, m.req.start_in_place(ctx), m.runs, es);
-    detail::copy_runs(args.sendbuf, s_stage, routing->s_self, es);
-    for (auto& m : s_recvs) m.req.start(ctx);
-    for (auto& m : s_recvs) {
-      const auto scatter = [&](std::span<const std::byte> msg) {
-        detail::copy_runs(msg, s_stage, m.runs, es);
-      };
-      co_await ctx.wait_in_place(m.req, scatter);
-    }
-    for (auto& m : s_sends) co_await ctx.wait(m.req);
+    co_await s.run(ctx, args.sendbuf, s_stage);
     // Inter-region messages.
     g.start(ctx);
   }
 
   Task<> wait(Context& ctx) override {
-    const std::size_t es = args.element_size;
     // Complete fully local and inter-region traffic (Algorithm 6).
     co_await l.finish(ctx);
     co_await g.finish(ctx);
     // Final redistribution.
-    for (auto& m : r_sends)
-      detail::copy_runs(g_stage, m.req.start_in_place(ctx), m.runs, es);
-    detail::copy_runs(g_stage, args.recvbuf, routing->r_self, es);
-    for (auto& m : r_recvs) m.req.start(ctx);
-    for (auto& m : r_recvs) {
-      const auto scatter = [&](std::span<const std::byte> msg) {
-        detail::copy_runs(msg, args.recvbuf, m.runs, es);
-      };
-      co_await ctx.wait_in_place(m.req, scatter);
-    }
-    for (auto& m : r_sends) co_await ctx.wait(m.req);
+    co_await r.run(ctx, g_stage, args.recvbuf);
   }
 
   NeighborStats stats() const override { return routing->stats; }
-  const char* name() const override {
-    return routing->dedup ? "locality+dedup" : "locality";
-  }
-  std::shared_ptr<const LocalityPlan> plan() const override { return routing; }
+  std::shared_ptr<const PlanBase> plan() const override { return routing; }
 };
 
 /// Stable sort of (gid, value position) pairs by gid: equal gids keep their
@@ -217,13 +192,12 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
   // The s-phase message from `src` to this leader: its values in the pairs
   // this rank leads, message position -> s_stage position.
   auto staged_from = [&](int src) {
-    LocalityPlan::ScatterMsg m;
-    m.peer = src;
+    StagedPhase::Msg m{.peer = src};
     for (std::size_t p = 0; p < routes.led_out.size(); ++p) {
       const LedPair& led = routes.led_out[p];
       const PairLayout& lay = out_layouts[p];
       auto take = [&](long offset, long len) {
-        detail::push_run(m.scatter, m.values, led.offset + offset, len);
+        detail::push_run(m.runs, m.values, led.offset + offset, len);
         m.values += len;
       };
       if (!dedup) {
@@ -242,14 +216,14 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
 
   // ---- s phase: source side ------------------------------------------------
   for (int L = 0; L < nlocal; ++L) {
-    LocalityPlan::GatherMsg m;
+    StagedPhase::Msg m;
     for (const auto& [q, core] : routes.out_leader_core) {
       if (core != L) continue;
       if (!dedup) {
         for (const Edge* e : *out_pairs.find(q)) {
           if (e->src != me) continue;
           const int i = *dst_index.find(e->dst);
-          detail::push_run(m.gather, args.sdispls[i], m.values, e->count);
+          detail::push_run(m.runs, args.sdispls[i], m.values, e->count);
           m.values += e->count;
         }
       } else {
@@ -267,17 +241,17 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         sort_by_gid(occurrences);
         for (std::size_t j = 0; j < occurrences.size(); ++j)
           if (j == 0 || occurrences[j].first != occurrences[j - 1].first)
-            detail::push_run(m.gather, occurrences[j].second, m.values++, 1);
+            detail::push_run(m.runs, occurrences[j].second, m.values++, 1);
       }
     }
     if (m.values == 0) continue;
     if (L == my_core) {
-      plan.s_self = detail::compose_runs(m.gather, staged_from(me).scatter);
+      plan.s.self = detail::compose_runs(m.runs, staged_from(me).runs);
     } else {
       ++plan.stats.local_msgs;
       plan.stats.local_values += m.values;
       m.peer = core_to_local(L);
-      plan.s_sends.push_back(std::move(m));
+      plan.s.sends.push_back(std::move(m));
     }
   }
 
@@ -286,17 +260,17 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     for (int core = 0; core < nlocal; ++core) {
       const int src = core_to_local(core);
       if (src == me) continue;
-      LocalityPlan::ScatterMsg m = staged_from(src);
-      if (m.values > 0) plan.s_recvs.push_back(std::move(m));
+      StagedPhase::Msg m = staged_from(src);
+      if (m.values > 0) plan.s.recvs.push_back(std::move(m));
     }
   }
 
   // ---- r phase: leader side ------------------------------------------------
-  LocalityPlan::GatherMsg self_gather;  // the message I would send myself
+  StagedPhase::Msg self_gather;  // the message I would send myself
   if (!routes.led_in.empty()) {
     for (int core = 0; core < nlocal; ++core) {
       const int d = core_to_local(core);
-      LocalityPlan::GatherMsg m;
+      StagedPhase::Msg m;
       for (std::size_t p = 0; p < routes.led_in.size(); ++p) {
         const auto& pair = *in_pairs.find(routes.led_in[p].region);
         const PairLayout& lay = in_layouts[p];
@@ -304,13 +278,13 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         for (std::size_t e = 0; e < pair.size(); ++e) {
           if (pair[e]->dst != d) continue;
           if (!dedup) {
-            detail::push_run(m.gather, block + lay.segments[e].offset,
+            detail::push_run(m.runs, block + lay.segments[e].offset,
                              m.values, pair[e]->count);
             m.values += pair[e]->count;
           } else {
             const auto& src_block = lay.block(pair[e]->src);
             for (gidx gid : detail::unique_sorted(pair[e]->gids))
-              detail::push_run(m.gather, block + src_block.find(gid),
+              detail::push_run(m.runs, block + src_block.find(gid),
                                m.values++, 1);
           }
         }
@@ -322,21 +296,21 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         ++plan.stats.local_msgs;
         plan.stats.local_values += m.values;
         m.peer = d;
-        plan.r_sends.push_back(std::move(m));
+        plan.r.sends.push_back(std::move(m));
       }
     }
   }
 
   // ---- r phase: destination side -------------------------------------------
   for (int core = 0; core < nlocal; ++core) {
-    LocalityPlan::ScatterMsg m;
+    StagedPhase::Msg m;
     for (const auto& [rr, lcore] : routes.in_leader_core) {
       if (lcore != core) continue;
       for (const Edge* e : *in_pairs.find(rr)) {
         if (e->dst != me) continue;
         const int i = *src_index.find(e->src);
         if (!dedup) {
-          detail::push_run(m.scatter, m.values, args.rdispls[i], e->count);
+          detail::push_run(m.runs, m.values, args.rdispls[i], e->count);
           m.values += e->count;
         } else {
           // The leader sends the segment's unique gids in ascending order;
@@ -350,8 +324,7 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
           long u = -1;  // index of the current gid among the unique ones
           for (std::size_t j = 0; j < occurrences.size(); ++j) {
             if (j == 0 || occurrences[j].first != occurrences[j - 1].first) ++u;
-            detail::push_run(m.scatter, m.values + u, occurrences[j].second,
-                             1);
+            detail::push_run(m.runs, m.values + u, occurrences[j].second, 1);
           }
           m.values += u + 1;
         }
@@ -361,10 +334,10 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     if (core == my_core) {
       // I am my own in-leader: read straight from the g_stage positions
       // the leader side would have gathered.
-      plan.r_self = detail::compose_runs(self_gather.gather, m.scatter);
+      plan.r.self = detail::compose_runs(self_gather.runs, m.runs);
     } else {
       m.peer = core_to_local(core);
-      plan.r_recvs.push_back(std::move(m));
+      plan.r.recvs.push_back(std::move(m));
     }
   }
   return routes;
@@ -375,9 +348,6 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
 Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     Method method, Options opts) {
-  if (!uses_locality(method))
-    throw simmpi::SimError(
-        "make_locality_plan: Method::standard has no locality plan");
   const bool dedup = needs_idx(method);
   detail::validate_args(graph, args, dedup);
   detail::reject_duplicate_edges(graph);
@@ -559,20 +529,8 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_locality(
                 m.peer, tag_g);
 
   // Staged messages move in place: no per-message buffer is bound.
-  for (const auto& m : p.s_sends)
-    obj->s_sends.push_back(
-        {m.gather, Request::send_in_place(comm, m.values * es, m.peer, tag_s)});
-  for (const auto& m : p.s_recvs)
-    obj->s_recvs.push_back(
-        {m.scatter,
-         Request::recv_in_place(comm, m.values * es, m.peer, tag_s)});
-  for (const auto& m : p.r_sends)
-    obj->r_sends.push_back(
-        {m.gather, Request::send_in_place(comm, m.values * es, m.peer, tag_r)});
-  for (const auto& m : p.r_recvs)
-    obj->r_recvs.push_back(
-        {m.scatter,
-         Request::recv_in_place(comm, m.values * es, m.peer, tag_r)});
+  obj->s = detail::BoundPhase(p.s, comm, tag_s, es);
+  obj->r = detail::BoundPhase(p.r, comm, tag_r, es);
 
   // Charge the buffer binding work (staging allocation + channel setup).
   ctx.compute(impl::kSetupComputePerWord *

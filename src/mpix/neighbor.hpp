@@ -175,13 +175,41 @@ struct CopyRun {
   bool operator==(const CopyRun&) const = default;
 };
 
+/// Fully local traffic of the aggregated collectives: direct user-buffer
+/// p2p (value displ/count).
+struct DirectMsg {
+  int peer = -1;  ///< comm-local rank
+  int displ = 0;
+  int count = 0;
+};
+
+/// One leader-mediated intra-region staging phase of an aggregated
+/// collective, moving values from a source array to a destination array
+/// (Section 3.2's s and r phases; Bruck's fill and deliver).  Each
+/// message is one in-place channel: a send's `runs` gather source
+/// positions (`src`) into message positions (`dst`), covering
+/// [0, values) exactly once in message order; a receive's `runs` scatter
+/// message positions (`src`) to destination positions (`dst`), and a
+/// dedup scatter may read one message value into several positions.
+/// `self` copies source to destination directly, for the values a rank
+/// would otherwise send itself.  `detail::BoundPhase` runs a phase.
+struct StagedPhase {
+  struct Msg {
+    int peer = -1;  ///< comm-local rank
+    long values = 0;
+    std::vector<CopyRun> runs = {};
+  };
+  std::vector<Msg> sends, recvs;
+  std::vector<CopyRun> self;
+};
+
 /// Common polymorphic base of every reusable collective plan (the
 /// neighbor methods' LocalityPlan, the dense methods' BruckPlan in
 /// alltoall.hpp).  Exists so plan-agnostic plumbing — Options::plan, the
 /// harness PlanCache — can hold any plan kind behind one pointer type;
-/// each init entry point dynamic_casts to the kind its method needs and
-/// throws on mismatch.
-struct PlanBase {
+/// each init entry point resolves the kind its method needs with
+/// `impl::plan_as`, which throws on mismatch.
+struct PlanBase : std::enable_shared_from_this<PlanBase> {
   virtual ~PlanBase() = default;
 };
 
@@ -202,12 +230,10 @@ struct PlanBase {
 /// run per edge.  Staged messages move straight between the user or
 /// staging buffers and the engine (Request::send_in_place /
 /// recv_in_place), so a bound collective owns no per-message buffer.
-/// Treat instances as immutable
-/// (`neighbor_alltoallv_init` holds them by shared_ptr-to-const; plans fed
-/// back through `Options::plan` must originate from `make_locality_plan`
-/// or `NeighborAlltoallv::plan`, which always own them that way).
-struct LocalityPlan : PlanBase,
-                      std::enable_shared_from_this<LocalityPlan> {
+/// Treat instances as immutable (`neighbor_alltoallv_init` holds them by
+/// shared_ptr-to-const; plans fed back through `Options::plan` come from
+/// `NeighborAlltoallv::plan`, which owns them that way).
+struct LocalityPlan : PlanBase {
   bool dedup = false;
   bool lpt_balance = true;
 
@@ -225,38 +251,14 @@ struct LocalityPlan : PlanBase,
   std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
   std::vector<gidx> send_idx, recv_idx;
 
-  /// Fully local traffic: direct user-buffer p2p (value displ/count).
-  struct DirectMsg {
-    int peer = -1;  ///< comm-local rank
-    int displ = 0;
-    int count = 0;
-  };
-  std::vector<DirectMsg> l_sends, l_recvs;
+  std::vector<DirectMsg> l_sends, l_recvs;  ///< fully local traffic
 
-  /// Staged send of `values` values: `gather` copies source-buffer
-  /// positions (`src`) to message positions (`dst`), in message order,
-  /// covering [0, values) exactly once.
-  struct GatherMsg {
-    int peer = -1;
-    long values = 0;
-    std::vector<CopyRun> gather;
-  };
-  /// Staged receive of a `values`-sized payload: `scatter` copies message
-  /// positions (`src`) to destination-array positions (`dst`).  Dedup
-  /// scatters may read one message value into several positions.
-  struct ScatterMsg {
-    int peer = -1;
-    long values = 0;
-    std::vector<CopyRun> scatter;
-  };
-
-  std::vector<GatherMsg> s_sends;   ///< initial redistribution, source side
-  std::vector<ScatterMsg> s_recvs;  ///< initial redistribution, leader side
-  /// sendbuf -> own s_stage, for data whose leader is the rank itself
-  std::vector<CopyRun> s_self;
-  std::vector<GatherMsg> r_sends;   ///< final redistribution, leader side
-  std::vector<ScatterMsg> r_recvs;  ///< final redistribution, dest side
-  std::vector<CopyRun> r_self;      ///< own g_stage -> recvbuf
+  /// Initial redistribution, sendbuf -> s_stage: sources send, leaders
+  /// receive, and `s.self` stages what a rank leads itself.
+  StagedPhase s;
+  /// Final redistribution, g_stage -> recvbuf: leaders send, destinations
+  /// receive, and `r.self` delivers what a rank received as leader.
+  StagedPhase r;
 
   /// One inter-region message per (region pair, direction), over the
   /// staging buffers (value offset/count).
@@ -282,15 +284,11 @@ class NeighborAlltoallv {
   virtual simmpi::Task<> wait(simmpi::Context& ctx) = 0;
   /// Message statistics for this rank (fixed at init).
   virtual NeighborStats stats() const = 0;
-  virtual const char* name() const = 0;
-  /// The locality plan behind this instance (null for Method::standard).
-  /// Feed it back through Options::plan to re-init on the same pattern
-  /// without any setup communication.
-  virtual std::shared_ptr<const LocalityPlan> plan() const { return nullptr; }
-  /// The plan behind this instance as the kind-agnostic base (covers plan
-  /// kinds that are not a LocalityPlan, e.g. the dense Bruck method's).
-  /// Null only for planless methods.
-  virtual std::shared_ptr<const PlanBase> plan_base() const { return plan(); }
+  /// The plan behind this instance: a LocalityPlan for the locality
+  /// methods and `node_aggregated`, a BruckPlan for `bruck`, null for the
+  /// planless standard methods.  Feed it back through Options::plan to
+  /// re-init on the same pattern without any setup communication.
+  virtual std::shared_ptr<const PlanBase> plan() const { return nullptr; }
 };
 
 /// Opt-in reliable delivery for the persistent collectives: every
@@ -324,8 +322,7 @@ struct Options {
   /// Reuse a previously built plan: init then performs no communication.
   /// Non-owning — the caller keeps the plan alive until init returns (the
   /// created collective then takes shared ownership).  The plan must come
-  /// from make_locality_plan / NeighborAlltoallv::plan{,_base} (or the
-  /// dense builders in alltoall.hpp) and match the method — including the
+  /// from NeighborAlltoallv::plan and match the method — including the
   /// plan *kind*: a neighbor method needs a LocalityPlan, dense bruck a
   /// BruckPlan — the argument pattern, and the graph adjacency, or init
   /// throws.  `lpt_balance` is ignored on reuse (the plan keeps the value
@@ -343,14 +340,6 @@ struct Options {
 // harmless while Options stays trivially destructible.  Do not add owning
 // members.
 static_assert(std::is_trivially_destructible_v<Options>);
-
-/// Build just the locality plan for a pattern (collective over the graph's
-/// communicator; all setup communication happens here).  `args` supplies
-/// the pattern — counts, displacements and index annotations; its payload
-/// spans are never read.  Throws for Method::standard, which has no plan.
-simmpi::Task<std::shared_ptr<const LocalityPlan>> make_locality_plan(
-    simmpi::Context& ctx, const simmpi::DistGraph& graph,
-    const AlltoallvArgs& args, Method method, Options opts = {});
 
 /// Create a persistent neighborhood collective (the paper's
 /// MPIX_Neighbor_alltoallv_init).  Collective over the graph's
@@ -379,14 +368,6 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> neighbor_alltoallv_init(
   AlltoallvArgs bytes = args;
   return neighbor_alltoallv_init(ctx, graph, std::move(bytes), method,
                                  std::move(opts));
-}
-
-template <class T>
-simmpi::Task<std::shared_ptr<const LocalityPlan>> make_locality_plan(
-    simmpi::Context& ctx, const simmpi::DistGraph& graph,
-    const AlltoallvArgsT<T>& args, Method method, Options opts = {}) {
-  const AlltoallvArgs bytes = args;
-  return make_locality_plan(ctx, graph, bytes, method, std::move(opts));
 }
 
 }  // namespace mpix

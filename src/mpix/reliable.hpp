@@ -18,8 +18,8 @@
 ///   * the receiver consumes the expected sequence (discarding stale
 ///     duplicates and retransmit debris), copies the payload into the
 ///     declared span, and posts an 8-byte *control* acknowledgement —
-///     exempt from drop/duplication under FaultPlan::protect_control, so
-///     the protocol terminates;
+///     which a FaultPlan never drops or duplicates, so the protocol
+///     terminates;
 ///   * the sender awaits the ack with a virtual-time timeout
 ///     (Context::wait_until) and retransmits with exponential backoff,
 ///     giving up with a SimError after Reliability::max_retries.

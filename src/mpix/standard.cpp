@@ -64,7 +64,6 @@ class StandardNeighbor final : public NeighborAlltoallv {
   Task<> wait(Context& ctx) override { return channels_.finish(ctx); }
 
   NeighborStats stats() const override { return stats_; }
-  const char* name() const override { return "standard"; }
 
  private:
   AlltoallvArgs args_;

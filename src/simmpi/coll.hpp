@@ -14,10 +14,10 @@
 /// Every payload-bearing send here is marked *control* traffic
 /// (Request::set_control): these primitives carry setup metadata and
 /// synchronization, not workload payload, and losing one would deadlock
-/// the collective.  Under a FaultPlan with the default
-/// `protect_control`, drop/duplication therefore applies to the data
-/// channels of the persistent collectives — the layer that can opt into
-/// reliable delivery — and never to the scaffolding underneath it.
+/// the collective.  A FaultPlan never drops or duplicates control
+/// messages, so faults apply to the data channels of the persistent
+/// collectives — the layer that can opt into reliable delivery — and
+/// never to the scaffolding underneath it.
 
 #include <algorithm>
 #include <cstring>
@@ -264,94 +264,6 @@ Task<std::vector<T>> allgatherv(Context& ctx, Comm comm, std::vector<T> mine,
   const long head = std::accumulate(counts.begin() + r, counts.end(), 0L);
   std::rotate(acc.begin(), acc.begin() + head, acc.end());
   co_return acc;
-}
-
-/// Exclusive scan (MPI_Exscan).  Rank 0 receives `init`.
-/// Hillis–Steele with a one-rank shift; O(log P) rounds.
-template <class T, class F>
-Task<T> exscan(Context& ctx, Comm comm, T val, F op, T init) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int p = comm.size();
-  const int r = comm.rank();
-  if (p == 1) co_return init;
-  const int tag = ctx.engine().next_coll_tag(comm);
-
-  struct Partial {
-    T value;
-    bool valid;
-  };
-  // Shift contributions up by one rank.
-  Partial cur{init, false};
-  {
-    Request s, rr;
-    if (r + 1 < p) {
-      s = Request::send(comm, detail::one_as_bytes(val), r + 1, tag);
-      s.set_control(true);
-      s.start(ctx);
-    }
-    if (r > 0) {
-      rr = Request::recv(comm, detail::one_as_writable(cur.value), r - 1, tag);
-      rr.start(ctx);
-    }
-    if (r + 1 < p) co_await ctx.wait(s);
-    if (r > 0) {
-      co_await ctx.wait(rr);
-      cur.valid = true;
-    }
-  }
-  // Inclusive Hillis–Steele scan over the shifted values.
-  for (int k = 1; k < p; k <<= 1) {
-    Request s, rr;
-    Partial in{};
-    if (r + k < p) {
-      s = Request::send(comm, detail::one_as_bytes(cur), r + k, tag + 1);
-      s.set_control(true);
-      s.start(ctx);
-    }
-    if (r - k >= 0) {
-      rr = Request::recv(comm, detail::one_as_writable(in), r - k, tag + 1);
-      rr.start(ctx);
-    }
-    if (r + k < p) co_await ctx.wait(s);
-    if (r - k >= 0) {
-      co_await ctx.wait(rr);
-      if (in.valid)
-        cur = Partial{cur.valid ? op(in.value, cur.value) : in.value, true};
-    }
-  }
-  co_return cur.valid ? cur.value : init;
-}
-
-/// Personalized all-to-all of variable-size vectors: `sendto[i]` goes to
-/// local rank i; returns what each rank sent to us.  Pairwise exchange,
-/// P-1 rounds (plus a local copy for the self block).
-template <class T>
-Task<std::vector<std::vector<T>>> alltoallv(
-    Context& ctx, Comm comm, const std::vector<std::vector<T>>& sendto) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int p = comm.size();
-  const int r = comm.rank();
-  if (static_cast<int>(sendto.size()) != p)
-    throw SimError("alltoallv: sendto must have one entry per rank");
-  const int tag = ctx.engine().next_coll_tag(comm);
-  std::vector<std::vector<T>> recvfrom(p);
-  recvfrom[r] = sendto[r];
-  for (int k = 1; k < p; ++k) {
-    const int dst = (r + k) % p;
-    const int src = (r - k + p) % p;
-    auto s = Request::send(comm, detail::vec_as_bytes(sendto[dst]), dst, tag);
-    s.set_control(true);
-    auto rr = Request::recv_dyn(comm, src, tag);
-    s.start(ctx);
-    rr.start(ctx);
-    co_await ctx.wait(s);
-    co_await ctx.wait(rr);
-    auto payload = rr.take_payload();
-    recvfrom[src].resize(payload.size() / sizeof(T));
-    if (!payload.empty())
-      std::memcpy(recvfrom[src].data(), payload.data(), payload.size());
-  }
-  co_return recvfrom;
 }
 
 /// Split a communicator (MPI_Comm_split).  All members call collectively

@@ -74,17 +74,14 @@ struct CostParams {
   /// in MachineConfig::switch_levels).  `link_rate` is the full-bisection
   /// bandwidth of one up/down link; tier i — the links between level-i
   /// switches and their parents — serves at link_rate /
-  /// switch_levels[i].taper, or at link_rates[i] verbatim when that
-  /// per-tier override is non-empty (then it must carry exactly one entry
-  /// per link tier).  Every message additionally occupies each crossed
-  /// link for `link_msg_bytes` of framing (packet headers, rendezvous
-  /// control), so many small messages waste a tapered link faster than
-  /// few aggregated ones.  Off by default: flat-core sweeps are unchanged
-  /// unless a scenario opts in.
-  double link_rate = 12.5e9;       ///< up/down link bandwidth, bytes/s
-  std::vector<double> link_rates;  ///< optional per-tier override, bytes/s
-  double link_msg_bytes = 128.0;   ///< per-message framing charged per link
-  bool use_link_cap = false;       ///< model shared up/down links as queues
+  /// switch_levels[i].taper.  Every message additionally occupies each
+  /// crossed link for `link_msg_bytes` of framing (packet headers,
+  /// rendezvous control), so many small messages waste a tapered link
+  /// faster than few aggregated ones.  Off by default: flat-core sweeps
+  /// are unchanged unless a scenario opts in.
+  double link_rate = 12.5e9;      ///< up/down link bandwidth, bytes/s
+  double link_msg_bytes = 128.0;  ///< per-message framing charged per link
+  bool use_link_cap = false;      ///< model shared up/down links as queues
 
   /// \return Lassen-like defaults (see file comment).
   static CostParams lassen();
@@ -119,13 +116,9 @@ class CostModel {
                                : 0.0;
   }
 
-  /// Effective bandwidth of one tier-`tier` up/down link whose level
-  /// taper is `taper`, bytes/s (see CostParams::link_rate).
-  double link_rate(int tier, double taper) const {
-    if (!p_.link_rates.empty())
-      return p_.link_rates[static_cast<std::size_t>(tier)];
-    return p_.link_rate / taper;
-  }
+  /// Effective bandwidth of one up/down link whose level taper is
+  /// `taper`, bytes/s (see CostParams::link_rate).
+  double link_rate(double taper) const { return p_.link_rate / taper; }
 
   /// Time one message occupies one crossed up/down link serving at
   /// `rate` (store-and-forward, framing included).

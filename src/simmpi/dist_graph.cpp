@@ -6,6 +6,17 @@ namespace simmpi {
 
 namespace {
 
+// Modeled CPU costs of graph construction, seconds.
+/// Per int of the gathered global edge list scanned (allgather algo).
+constexpr double kScanPerInt = 2.0e-9;
+/// Per member of communicator bookkeeping (allgather algo).
+constexpr double kSetupPerRank = 2.0e-6;
+/// Per neighbor of bookkeeping (handshake algo).
+constexpr double kSetupPerNeighbor = 3.0e-7;
+/// Per member of communicator *duplication* bookkeeping, paid by both
+/// algorithms (every MPI_Dist_graph_create_adjacent dups the base comm).
+constexpr double kDupPerRank = 3.0e-7;
+
 /// Duplicate the communicator for topology use (deterministic, no traffic
 /// beyond the split's allgather, mirroring MPI_Comm_dup cost behaviour).
 Task<Comm> dup_for_topology(Context& ctx, Comm comm) {
@@ -17,7 +28,7 @@ Task<Comm> dup_for_topology(Context& ctx, Comm comm) {
 Task<DistGraph> dist_graph_create_adjacent(Context& ctx, Comm comm,
                                            std::vector<int> sources,
                                            std::vector<int> destinations,
-                                           GraphAlgo algo, GraphCosts costs) {
+                                           GraphAlgo algo) {
   for (int s : sources)
     if (s < 0 || s >= comm.size())
       throw SimError("dist_graph_create_adjacent: source out of range");
@@ -26,7 +37,7 @@ Task<DistGraph> dist_graph_create_adjacent(Context& ctx, Comm comm,
       throw SimError("dist_graph_create_adjacent: destination out of range");
 
   Comm topo = co_await dup_for_topology(ctx, comm);
-  ctx.compute(costs.dup_per_rank * static_cast<double>(comm.size()));
+  ctx.compute(kDupPerRank * static_cast<double>(comm.size()));
 
   if (algo == GraphAlgo::allgather) {
     // Heavyweight construction: every rank gathers the entire global edge
@@ -46,8 +57,8 @@ Task<DistGraph> dist_graph_create_adjacent(Context& ctx, Comm comm,
     // Re-derive my sources from everyone's destination lists (validating the
     // user-declared adjacency), scanning the full list as heavyweight
     // implementations do.
-    ctx.compute(costs.scan_per_int * static_cast<double>(global.size()));
-    ctx.compute(costs.setup_per_rank * static_cast<double>(comm.size()));
+    ctx.compute(kScanPerInt * static_cast<double>(global.size()));
+    ctx.compute(kSetupPerRank * static_cast<double>(comm.size()));
 
     std::vector<int> derived_sources;
     long pos = 0;
@@ -79,7 +90,7 @@ Task<DistGraph> dist_graph_create_adjacent(Context& ctx, Comm comm,
   for (auto& r : reqs) r.start(ctx);
   co_await ctx.wait_all(std::span<Request>(reqs));
 
-  ctx.compute(costs.setup_per_neighbor *
+  ctx.compute(kSetupPerNeighbor *
               static_cast<double>(sources.size() + destinations.size()));
   const long out = static_cast<long>(destinations.size());
   const long in = static_cast<long>(sources.size());

@@ -33,27 +33,14 @@ struct DistGraph {
   std::vector<int> destinations;  ///< ranks this rank sends to
 };
 
-/// Modeled CPU costs of graph construction (tunable for ablations).
-struct GraphCosts {
-  /// per-int cost of scanning the gathered global edge list (allgather algo)
-  double scan_per_int = 2.0e-9;
-  /// per-member communicator bookkeeping cost (allgather algo)
-  double setup_per_rank = 2.0e-6;
-  /// per-neighbor bookkeeping cost (handshake algo)
-  double setup_per_neighbor = 3.0e-7;
-  /// per-member communicator *duplication* bookkeeping, paid by both
-  /// algorithms (every MPI_Dist_graph_create_adjacent dups the base comm)
-  double dup_per_rank = 3.0e-7;
-};
-
 /// Create an adjacent distributed-graph topology.  Collective over `comm`;
 /// `sources` and `destinations` are local ranks.  The returned DistGraph
 /// uses a fresh communicator so topology traffic cannot collide with the
-/// parent's.
+/// parent's.  Each algorithm charges its modeled CPU bookkeeping
+/// (dist_graph.cpp) on top of the simulated messages.
 Task<DistGraph> dist_graph_create_adjacent(Context& ctx, Comm comm,
                                            std::vector<int> sources,
                                            std::vector<int> destinations,
-                                           GraphAlgo algo,
-                                           GraphCosts costs = {});
+                                           GraphAlgo algo);
 
 }  // namespace simmpi

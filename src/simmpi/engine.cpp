@@ -14,24 +14,11 @@ namespace simmpi {
 namespace {
 
 /// The link-cap parameters are only read when the cap is on, so they are
-/// only validated then — a default CostParams with stale link_rates must
-/// not fail construction of a flat-core engine.
-void validate_link_params(const CostParams& p, int tiers) {
+/// only validated then.
+void validate_link_params(const CostParams& p) {
   if (!(p.link_rate > 0.0))
     throw SimError("CostParams: link_rate must be > 0 (got " +
                    std::to_string(p.link_rate) + ")");
-  if (!p.link_rates.empty()) {
-    if (static_cast<int>(p.link_rates.size()) != tiers)
-      throw SimError("CostParams: link_rates must carry one entry per link "
-                     "tier (" +
-                     std::to_string(tiers) + "), got " +
-                     std::to_string(p.link_rates.size()));
-    for (std::size_t i = 0; i < p.link_rates.size(); ++i)
-      if (!(p.link_rates[i] > 0.0))
-        throw SimError("CostParams: link_rates[" + std::to_string(i) +
-                       "] must be > 0 (got " +
-                       std::to_string(p.link_rates[i]) + ")");
-  }
   if (!(p.link_msg_bytes >= 0.0))
     throw SimError("CostParams: link_msg_bytes must be >= 0 (got " +
                    std::to_string(p.link_msg_bytes) + ")");
@@ -70,7 +57,7 @@ Engine::Engine(Machine machine, CostParams params, Options opts)
 
   if (model_.params().use_link_cap) {
     const int tiers = machine_.num_link_tiers();
-    validate_link_params(model_.params(), tiers);
+    validate_link_params(model_.params());
     link_tier_off_.assign(tiers + 1, 0);
     for (int t = 0; t < tiers; ++t)
       link_tier_off_[t + 1] = link_tier_off_[t] + machine_.switches_at(t);
@@ -78,7 +65,7 @@ Engine::Engine(Machine machine, CostParams params, Options opts)
     link_down_free_.assign(link_tier_off_[tiers], 0.0);
     link_rate_eff_.resize(tiers);
     for (int t = 0; t < tiers; ++t)
-      link_rate_eff_[t] = model_.link_rate(t, machine_.level_taper(t));
+      link_rate_eff_[t] = model_.link_rate(machine_.level_taper(t));
   }
 }
 
@@ -440,13 +427,13 @@ double Engine::stall_stretch(int rank, double when) const {
 
 void Engine::deliver(const PendingSend& ps) {
   // Fault gate: only payload-bearing network messages are candidates;
-  // control traffic (reliability acks) is exempt under protect_control so
-  // retransmission terminates.  One uniform draw per message decides
+  // control traffic (reliability acks, collective scaffolding) is always
+  // exempt, so retransmission terminates.  One uniform draw per message decides
   // drop vs duplicate vs clean delivery — a pure function of (plan seed,
   // channel, per-channel sequence number), evaluated only here in the
   // single-threaded commit step.
   if (fault_msgs_ && ps.loc == Locality::network && ps.size > 0 &&
-      !(ps.control && faults_.protect_control)) {
+      !ps.control) {
     ChanFaultCounts& cf = fault_chan_[ps.key];
     const std::uint64_t seq = ++cf.sent;
     double drop_rate = 0.0;
@@ -773,10 +760,7 @@ std::shared_ptr<const CommData> Engine::get_or_create_comm(
     std::uint32_t parent_ctx, int round, int color,
     const std::vector<int>& members_global) {
   if (color < 0) throw SimError("get_or_create_comm: color must be >= 0");
-  const std::uint64_t key = (static_cast<std::uint64_t>(parent_ctx) << 48) |
-                            ((static_cast<std::uint64_t>(round) & 0xFFFFFF)
-                             << 24) |
-                            (static_cast<std::uint64_t>(color) & 0xFFFFFF);
+  const auto key = std::make_tuple(parent_ctx, round, color);
   // Ranks of one phase may create the same communicator concurrently; the
   // winner under the lock assigns the ctx_id.  ctx_ids are identities only
   // — no simulated cost or schedule decision reads their numeric value —

@@ -28,9 +28,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <type_traits>
-#include <unordered_map>  // lint:allow(unordered-container) comm_cache_ below
 #include <vector>
 
 #include "simmpi/comm.hpp"
@@ -206,7 +207,6 @@ class Engine {
   /// no-ops (rate 0 / severity 1) — the engine is byte-inert: it takes
   /// the identical hot path and produces byte-identical schedules.
   void set_fault_plan(FaultPlan plan);
-  const FaultPlan& fault_plan() const { return faults_; }
 
   /// Per-channel delivery accounting, maintained only while a fault plan
   /// with drop/duplication events is attached (commit-step-only writes);
@@ -238,8 +238,8 @@ class Engine {
   /// suspends: advances the sender clock, counts statistics, and journals
   /// the send for delivery at the next phase commit (arrival times and NIC
   /// occupancy are computed there, in deterministic rank order).  Zero
-  /// bytes never touch the arena.  `control` marks protocol traffic exempt
-  /// from drop/duplication under FaultPlan::protect_control.
+  /// bytes never touch the arena.  `control` marks protocol traffic, which
+  /// a FaultPlan never drops or duplicates.
   std::span<std::byte> post_send_in_place(const Comm& comm, int src_local,
                                           int dst_local, int tag,
                                           std::size_t bytes,
@@ -280,8 +280,6 @@ class Engine {
   int next_split_round(const Comm& comm);
   std::shared_ptr<const CommData> world_data() const { return world_data_; }
 
-  double& clock_ref(int rank) { return clocks_[rank]; }
-
   /// Charge `seconds` of simulated local computation to `rank`: advances
   /// its virtual clock and accumulates RankStats::compute_seconds.  Purely
   /// per-rank state, so calls from concurrently executing rank coroutines
@@ -320,7 +318,7 @@ class Engine {
     util::Arena::Chunk* chunk = nullptr;
     double depart = 0.0;  ///< sender clock after the send overhead
     Locality loc = Locality::self;
-    bool control = false;  ///< protocol ack (see FaultPlan::protect_control)
+    bool control = false;  ///< protocol traffic, exempt from message faults
   };
 
   /// FIFO of committed, undelivered messages on one channel.  A plain
@@ -438,10 +436,9 @@ class Engine {
   std::shared_ptr<const CommData> world_data_;
   util::Mutex comm_mu_;
   std::uint32_t next_ctx_id_ GUARDED_BY(comm_mu_) = 1;
-  // Never iterated: keyed get-or-create only, so its nondeterministic
-  // bucket order can never leak into the schedule.
-  // lint:allow(unordered-container)
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CommData>>
+  /// Created communicators by (parent ctx_id, split round, color).
+  std::map<std::tuple<std::uint32_t, int, int>,
+           std::shared_ptr<const CommData>>
       comm_cache_ GUARDED_BY(comm_mu_);
 
   // sync_reset generation state (commit-side; see sync_reset)

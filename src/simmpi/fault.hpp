@@ -9,7 +9,9 @@
 /// from mutable state — probabilistic events (drop/duplication) are keyed
 /// by counter-mode splitmix64 over (plan seed, channel key, per-channel
 /// sequence number), so every fault decision is a pure function of the
-/// schedule itself.  Combined with the engine rule that faults are charged
+/// schedule itself.  Control messages (Request::set_control: reliability
+/// acks, collective scaffolding) are never dropped or duplicated, so a
+/// reliable collective's retransmissions always terminate.  Combined with the engine rule that faults are charged
 /// only in the single-threaded commit step (see Engine::deliver), the
 /// faulted schedule is bit-identical at every sim width, exactly like the
 /// fault-free one.
@@ -85,11 +87,6 @@ struct FaultPlan {
   /// Seed of the counter-mode hash deciding drop/duplication.  Two plans
   /// differing only in seed drop *different* messages at the same rates.
   std::uint64_t seed = 0;
-  /// Exempt control messages (the reliability layer's acks, see
-  /// mpix::Reliability) from drop/duplication so retransmission
-  /// terminates.  Disabling this can livelock a reliable collective into
-  /// its retry limit; see docs/ARCHITECTURE.md.
-  bool protect_control = true;
   std::vector<FaultSpec> events;
 
   bool empty() const { return events.empty(); }

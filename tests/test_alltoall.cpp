@@ -143,7 +143,7 @@ DenseRun run_dense(const DenseSpec& s, int nodes, int rpn,
       co_await coll->wait(ctx);
       EXPECT_TRUE(std::equal(a.recvbuf.begin(), a.recvbuf.end(),
                              a.expected.begin()))
-          << coll->name() << " rank " << r << " iter " << it;
+          << to_string(method) << " rank " << r << " iter " << it;
     }
     out.recv[r] = a.recvbuf;
     co_return;
@@ -360,7 +360,7 @@ TEST(DensePlan, PlanFeedbackReproducesDelivery) {
         AlltoallvArgs args = a.args(s);
         auto coll = co_await alltoallv_init(ctx, ctx.world(), args, m);
         cold[r] = coll->stats();
-        plans[r] = coll->plan_base();
+        plans[r] = coll->plan();
         a.fill(s, r, 0);
         co_await coll->start(ctx);
         co_await coll->wait(ctx);
@@ -389,26 +389,166 @@ TEST(DensePlan, PlanFeedbackReproducesDelivery) {
   }
 }
 
+// Exact Bruck plan of a hand-checked pattern: three regions of two ranks
+// (R = 3, two rounds; leaders 0, 2, 4), one value per rank pair except
+// that rank 1 sends nothing off-region.  Region traffic T[g][q] is 2 from
+// region 0 toward each remote region and 4 everywhere else.  Resident
+// layouts start as [distance 1 | distance 2]; after each round the final
+// chunks lead in arrival order, and every chunk interior is sender-major,
+// so a member reads every other value of a chunk.
+TEST(DensePlan, HandCheckedBruckPlan) {
+  DenseSpec s = uniform_spec(6, 1, 8);
+  for (int dst = 2; dst < 6; ++dst) s.counts[1][dst] = 0;
+  std::vector<std::shared_ptr<const BruckPlan>> plans(6);
+  Engine eng(Machine::with_region_size(6, 2), CostParams::lassen());
+  eng.run([&](Context& ctx) -> Task<> {
+    const int r = ctx.rank();
+    RankDense a(s, r);
+    AlltoallvArgs args = a.args(s);
+    auto coll =
+        co_await alltoallv_init(ctx, ctx.world(), args, AlltoallMethod::bruck);
+    plans[r] = std::dynamic_pointer_cast<const BruckPlan>(coll->plan());
+    a.fill(s, r, 0);
+    co_await coll->start(ctx);
+    co_await coll->wait(ctx);
+    EXPECT_EQ(a.recvbuf, a.expected) << "rank " << r;
+    co_return;
+  });
+  for (const auto& p : plans) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->regions, 3);
+  }
+  using R = std::vector<CopyRun>;
+  const auto expect_msg = [](const auto& m, int peer, long values,
+                             const R& runs, const char* what) {
+    EXPECT_EQ(m.peer, peer) << what;
+    EXPECT_EQ(m.values, values) << what;
+    EXPECT_EQ(m.runs, runs) << what;
+  };
+  struct RoundSpec {
+    int send_peer, recv_peer;
+    long send_values, recv_values;
+    R gather, keep, merge;
+  };
+  const auto expect_rounds = [](const BruckPlan& p,
+                                const std::vector<RoundSpec>& want) {
+    ASSERT_EQ(p.rounds.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const BruckPlan::Round& got = p.rounds[k];
+      EXPECT_EQ(got.send_peer, want[k].send_peer) << "round " << k;
+      EXPECT_EQ(got.recv_peer, want[k].recv_peer) << "round " << k;
+      EXPECT_EQ(got.send_values, want[k].send_values) << "round " << k;
+      EXPECT_EQ(got.recv_values, want[k].recv_values) << "round " << k;
+      EXPECT_EQ(got.gather, want[k].gather) << "round " << k;
+      EXPECT_EQ(got.keep, want[k].keep) << "round " << k;
+      EXPECT_EQ(got.merge, want[k].merge) << "round " << k;
+    }
+  };
+
+  // Leaders: their own remote-bound row straight into the resident buffer,
+  // one fill receive and one deliver send per member, and their own
+  // share of every final chunk.
+  const BruckPlan& p0 = *plans[0];
+  EXPECT_TRUE(p0.is_leader);
+  EXPECT_EQ(p0.resident_values, 8);
+  EXPECT_EQ(p0.fill.self, (R{{2, 0, 4}}));
+  ASSERT_EQ(p0.fill.recvs.size(), 1u);
+  expect_msg(p0.fill.recvs[0], 1, 0, R{}, "rank 0 fill from 1");
+  expect_rounds(p0, {{2, 4, 2, 4, {{0, 0, 2}}, {{2, 4, 2}}, {{0, 0, 4}}},
+                     {4, 2, 2, 4, {{4, 0, 2}}, {{0, 0, 4}}, {{0, 4, 4}}}});
+  ASSERT_EQ(p0.deliver.sends.size(), 1u);
+  expect_msg(p0.deliver.sends[0], 1, 4,
+             R{{1, 0, 1}, {3, 1, 1}, {5, 2, 1}, {7, 3, 1}},
+             "rank 0 deliver to 1");
+  EXPECT_EQ(p0.deliver.self,
+            (R{{0, 4, 1}, {2, 5, 1}, {4, 2, 1}, {6, 3, 1}}));
+
+  const BruckPlan& p2 = *plans[2];
+  EXPECT_TRUE(p2.is_leader);
+  EXPECT_EQ(p2.fill.self, (R{{4, 0, 2}, {0, 4, 2}}));
+  ASSERT_EQ(p2.fill.recvs.size(), 1u);
+  expect_msg(p2.fill.recvs[0], 3, 4, R{{0, 2, 2}, {2, 6, 2}},
+             "rank 2 fill from 3");
+  expect_rounds(p2, {{4, 0, 4, 2, {{0, 0, 4}}, {{4, 2, 4}}, {{0, 0, 2}}},
+                     {0, 4, 4, 4, {{2, 0, 4}}, {{0, 0, 2}}, {{0, 2, 4}}}});
+  ASSERT_EQ(p2.deliver.sends.size(), 1u);
+  expect_msg(p2.deliver.sends[0], 3, 3, R{{1, 0, 1}, {3, 1, 1}, {5, 2, 1}},
+             "rank 2 deliver to 3");
+  EXPECT_EQ(p2.deliver.self, (R{{0, 0, 1}, {2, 3, 1}, {4, 4, 1}}));
+
+  const BruckPlan& p4 = *plans[4];
+  EXPECT_TRUE(p4.is_leader);
+  EXPECT_EQ(p4.fill.self, (R{{0, 0, 2}, {2, 4, 2}}));
+  ASSERT_EQ(p4.fill.recvs.size(), 1u);
+  expect_msg(p4.fill.recvs[0], 5, 4, R{{0, 2, 2}, {2, 6, 2}},
+             "rank 4 fill from 5");
+  expect_rounds(p4, {{0, 2, 4, 4, {{0, 0, 4}}, {{4, 4, 4}}, {{0, 0, 4}}},
+                     {2, 0, 4, 2, {{4, 0, 4}}, {{0, 0, 4}}, {{0, 4, 2}}}});
+  ASSERT_EQ(p4.deliver.sends.size(), 1u);
+  expect_msg(p4.deliver.sends[0], 5, 3, R{{1, 0, 1}, {3, 1, 1}, {5, 2, 1}},
+             "rank 4 deliver to 5");
+  EXPECT_EQ(p4.deliver.self, (R{{0, 1, 1}, {2, 2, 1}, {4, 0, 1}}));
+
+  // Members: one fill send and one deliver receive each, no rounds.  Rank
+  // 1 has nothing to send off-region, yet still declares its (empty) fill
+  // message, so the channel structure does not depend on counts.
+  for (int r : {0, 2, 4}) {
+    EXPECT_TRUE(plans[r]->fill.sends.empty()) << "rank " << r;
+    EXPECT_TRUE(plans[r]->deliver.recvs.empty()) << "rank " << r;
+  }
+  for (int r : {1, 3, 5}) {
+    const BruckPlan& p = *plans[r];
+    EXPECT_FALSE(p.is_leader) << "rank " << r;
+    EXPECT_TRUE(p.rounds.empty()) << "rank " << r;
+    EXPECT_TRUE(p.fill.recvs.empty()) << "rank " << r;
+    EXPECT_TRUE(p.fill.self.empty()) << "rank " << r;
+    EXPECT_TRUE(p.deliver.sends.empty()) << "rank " << r;
+    EXPECT_TRUE(p.deliver.self.empty()) << "rank " << r;
+    ASSERT_EQ(p.fill.sends.size(), 1u) << "rank " << r;
+    ASSERT_EQ(p.deliver.recvs.size(), 1u) << "rank " << r;
+  }
+  expect_msg(plans[1]->fill.sends[0], 0, 0, R{}, "rank 1 fill");
+  EXPECT_EQ(plans[1]->stats.local_msgs, 3);  // two l-phase sends + fill
+  expect_msg(plans[1]->deliver.recvs[0], 0, 4, R{{0, 4, 2}, {2, 2, 2}},
+             "rank 1 deliver");
+  expect_msg(plans[3]->fill.sends[0], 2, 4, R{{4, 0, 2}, {0, 2, 2}},
+             "rank 3 fill");
+  expect_msg(plans[3]->deliver.recvs[0], 2, 3, R{{0, 0, 1}, {1, 3, 2}},
+             "rank 3 deliver");
+  expect_msg(plans[5]->fill.sends[0], 4, 4, R{{0, 0, 4}}, "rank 5 fill");
+  expect_msg(plans[5]->deliver.recvs[0], 4, 3, R{{0, 1, 2}, {2, 0, 1}},
+             "rank 5 deliver");
+}
+
+namespace {
+/// Rank 0's plans of both aggregated methods for `s` on two regions of
+/// two, as `NeighborAlltoallv::plan()` returns them.
+struct DensePlans {
+  std::shared_ptr<const PlanBase> agg, bru;
+};
+DensePlans rank0_plans(const DenseSpec& s) {
+  DensePlans out;
+  Engine eng(machine_of(2, 2), CostParams::lassen());
+  eng.run([&](Context& ctx) -> Task<> {
+    RankDense a(s, ctx.rank());
+    AlltoallvArgs args = a.args(s);
+    auto agg = co_await alltoallv_init(ctx, ctx.world(), args,
+                                       AlltoallMethod::node_aggregated);
+    auto bru =
+        co_await alltoallv_init(ctx, ctx.world(), args, AlltoallMethod::bruck);
+    if (ctx.rank() == 0) {
+      out.agg = agg->plan();
+      out.bru = bru->plan();
+    }
+  });
+  return out;
+}
+}  // namespace
+
 TEST(DensePlan, WrongPlanKindRejected) {
   const DenseSpec s = uniform_spec(4, 1, 8);
-  // Build one plan of each kind, then feed each where it does not belong.
-  std::shared_ptr<const PlanBase> agg, bru;
-  {
-    Engine eng(machine_of(2, 2), CostParams::lassen());
-    eng.run([&](Context& ctx) -> Task<> {
-      RankDense a(s, ctx.rank());
-      AlltoallvArgs args = a.args(s);
-      auto p1 = co_await make_alltoall_plan(ctx, ctx.world(), args,
-                                            AlltoallMethod::node_aggregated);
-      auto p2 = co_await make_alltoall_plan(ctx, ctx.world(), args,
-                                            AlltoallMethod::bruck);
-      if (ctx.rank() == 0) {
-        agg = p1;
-        bru = p2;
-      }
-      co_return;
-    });
-  }
+  // One plan of each kind, each fed where it does not belong.
+  const auto [agg, bru] = rank0_plans(s);
   ASSERT_NE(agg, nullptr);
   ASSERT_NE(bru, nullptr);
   struct Case {
@@ -433,49 +573,43 @@ TEST(DensePlan, WrongPlanKindRejected) {
                  SimError)
         << to_string(c.method);
   }
+  // A neighbor method needs a LocalityPlan too.
+  const PlanBase* bruck_plan = bru.get();
+  Engine eng(machine_of(2, 2), CostParams::lassen());
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 RankDense a(s, ctx.rank());
+                 AlltoallvArgs args = a.args(s);
+                 DistGraph g{ctx.world(), {0, 1, 2, 3}, {0, 1, 2, 3}};
+                 co_await neighbor_alltoallv_init(ctx, g, args,
+                                                  Method::locality,
+                                                  {.plan = bruck_plan});
+               }),
+               SimError);
 }
 
 TEST(DensePlan, StandardHasNoPlan) {
   const DenseSpec s = uniform_spec(4, 1, 8);
   Engine eng(machine_of(2, 2), CostParams::lassen());
-  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
-                 RankDense a(s, ctx.rank());
-                 AlltoallvArgs args = a.args(s);
-                 co_await make_alltoall_plan(ctx, ctx.world(), args,
-                                             AlltoallMethod::standard);
-               }),
-               SimError);
+  eng.run([&](Context& ctx) -> Task<> {
+    RankDense a(s, ctx.rank());
+    AlltoallvArgs args = a.args(s);
+    auto coll = co_await alltoallv_init(ctx, ctx.world(), args,
+                                        AlltoallMethod::standard);
+    EXPECT_EQ(coll->plan(), nullptr);
+  });
 }
 
 TEST(DensePlan, PlanCacheResolvesKinds) {
-  const DenseSpec s = uniform_spec(4, 1, 8);
-  std::shared_ptr<const PlanBase> agg, bru;
-  {
-    Engine eng(machine_of(2, 2), CostParams::lassen());
-    eng.run([&](Context& ctx) -> Task<> {
-      RankDense a(s, ctx.rank());
-      AlltoallvArgs args = a.args(s);
-      auto p1 = co_await make_alltoall_plan(ctx, ctx.world(), args,
-                                            AlltoallMethod::node_aggregated);
-      auto p2 = co_await make_alltoall_plan(ctx, ctx.world(), args,
-                                            AlltoallMethod::bruck);
-      if (ctx.rank() == 0) {
-        agg = p1;
-        bru = p2;
-      }
-      co_return;
-    });
-  }
+  const auto [agg, bru] = rank0_plans(uniform_spec(4, 1, 8));
+  // One cache holds both kinds.
   harness::PlanCache cache;
   cache.put(1, 0, agg);
   cache.put(2, 0, bru);
-  EXPECT_NE(cache.find<LocalityPlan>(1, 0), nullptr);
-  EXPECT_NE(cache.find<BruckPlan>(2, 0), nullptr);
-  // Wrong kind reads as absent (find_base still counts the hit).
-  EXPECT_EQ(cache.find<BruckPlan>(1, 0), nullptr);
-  EXPECT_EQ(cache.find<LocalityPlan>(2, 0), nullptr);
-  EXPECT_NE(cache.find_base(1, 0), nullptr);
-  EXPECT_EQ(cache.hits(), 5);
+  EXPECT_NE(std::dynamic_pointer_cast<const LocalityPlan>(cache.find(1, 0)),
+            nullptr);
+  EXPECT_NE(std::dynamic_pointer_cast<const BruckPlan>(cache.find(2, 0)),
+            nullptr);
+  EXPECT_EQ(cache.hits(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -130,18 +130,6 @@ TEST(CollStress, AllgathervEmptyContributions) {
   });
 }
 
-TEST(CollStress, ExscanNonUniformValues) {
-  Engine eng = grid_engine(3, 3);
-  eng.run([&](Context& ctx) -> Task<> {
-    const long mine = (ctx.rank() * 7) % 5;
-    long v = co_await coll::exscan<long>(
-        ctx, ctx.world(), mine, [](long a, long b) { return a + b; }, 0L);
-    long expected = 0;
-    for (int r = 0; r < ctx.rank(); ++r) expected += (r * 7) % 5;
-    EXPECT_EQ(v, expected);
-  });
-}
-
 TEST(CollStress, CollectiveTimeGrowsWithCommunicatorSize) {
   auto barrier_time = [](int nodes) {
     Engine eng = grid_engine(nodes, 4);

@@ -52,7 +52,7 @@ RunResult run_locality(int nodes, int rpn, const GlobalPattern& pat,
       co_await proto->wait(ctx);
       for (std::size_t k = 0; k < a.recvbuf.size(); ++k)
         EXPECT_DOUBLE_EQ(a.recvbuf[k], a.expected[k])
-            << proto->name() << " rank " << r << " pos " << k << " iter "
+            << to_string(method) << " rank " << r << " pos " << k << " iter "
             << it;
     }
     out.recv[r] = a.recvbuf;

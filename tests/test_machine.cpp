@@ -208,14 +208,6 @@ TEST(Machine, EngineRejectsBadLinkRatesNamingTheField) {
   simmpi::CostParams bad_rate;
   bad_rate.link_rate = 0.0;
   EXPECT_NE(message_of(bad_rate).find("link_rate"), std::string::npos);
-  simmpi::CostParams wrong_arity;
-  wrong_arity.link_rates = {1.0, 1.0, 1.0};  // machine has 1 tier
-  EXPECT_NE(message_of(wrong_arity).find("link_rates"), std::string::npos);
-  simmpi::CostParams negative_entry;
-  negative_entry.link_rates = {-5.0};
-  EXPECT_NE(message_of(negative_entry).find("link_rates[0]"),
-            std::string::npos);
-  EXPECT_NE(message_of(negative_entry).find("-5"), std::string::npos);
   // With the cap off the same parameters are inert: construction succeeds.
   simmpi::CostParams off;
   off.link_rate = 0.0;

@@ -57,8 +57,10 @@ RunStats run_all_protocols(const Shape& shape, const GlobalPattern& pat,
     stats.standard_[r] = standard->stats();
     stats.partial_[r] = partial->stats();
     stats.full_[r] = full->stats();
-    stats.partial_plans_[r] = partial->plan();
-    stats.full_plans_[r] = full->plan();
+    stats.partial_plans_[r] =
+        std::dynamic_pointer_cast<const LocalityPlan>(partial->plan());
+    stats.full_plans_[r] =
+        std::dynamic_pointer_cast<const LocalityPlan>(full->plan());
     // Standard wraps every send segment in exactly one message, so its
     // counted values must sum to the send buffer size; the locality
     // variants re-route values through leaders, so only the internal
@@ -68,8 +70,13 @@ RunStats run_all_protocols(const Shape& shape, const GlobalPattern& pat,
     pattern::verify_stats(stats.partial_[r]);
     pattern::verify_stats(stats.full_[r]);
 
-    NeighborAlltoallv* protos[] = {standard.get(), partial.get(), full.get()};
-    for (auto* proto : protos) {
+    const std::pair<Method, NeighborAlltoallv*> protos[] = {
+        {Method::standard, standard.get()},
+        {Method::locality, partial.get()},
+        {Method::locality_dedup, full.get()}};
+    for (const auto& entry : protos) {
+      const Method m = entry.first;
+      NeighborAlltoallv* proto = entry.second;
       for (int it = 0; it < iters; ++it) {
         a.fill(100 * it + (proto == full.get() ? 7 : 0));
         std::fill(a.recvbuf.begin(), a.recvbuf.end(), -1.0);
@@ -77,7 +84,7 @@ RunStats run_all_protocols(const Shape& shape, const GlobalPattern& pat,
         co_await proto->wait(ctx);
         for (std::size_t k = 0; k < a.recvbuf.size(); ++k)
           EXPECT_DOUBLE_EQ(a.recvbuf[k], a.expected[k])
-              << proto->name() << " rank " << r << " pos " << k << " iter "
+              << to_string(m) << " rank " << r << " pos " << k << " iter "
               << it;
       }
     }
@@ -129,27 +136,27 @@ bool coalesced(const std::vector<CopyRun>& runs) {
 /// all of it, the s_stage and every receive segment are written exactly
 /// once, and every run list is coalesced.
 void check_run_coverage(const LocalityPlan& p, const std::string& what) {
-  for (const auto* sends : {&p.s_sends, &p.r_sends})
+  for (const auto* sends : {&p.s.sends, &p.r.sends})
     for (const auto& m : *sends) {
       Cover msg(m.values);
-      for (const CopyRun& r : m.gather) msg.add(r.dst, r.len);
+      for (const CopyRun& r : m.runs) msg.add(r.dst, r.len);
       EXPECT_TRUE(msg.exactly_once()) << what << " send to " << m.peer;
-      EXPECT_TRUE(coalesced(m.gather)) << what << " send to " << m.peer;
+      EXPECT_TRUE(coalesced(m.runs)) << what << " send to " << m.peer;
     }
-  for (const auto* recvs : {&p.s_recvs, &p.r_recvs})
+  for (const auto* recvs : {&p.s.recvs, &p.r.recvs})
     for (const auto& m : *recvs) {
       Cover msg(m.values);
-      for (const CopyRun& r : m.scatter) msg.add(r.src, r.len);
+      for (const CopyRun& r : m.runs) msg.add(r.src, r.len);
       EXPECT_TRUE(msg.at_least_once()) << what << " recv from " << m.peer;
-      EXPECT_TRUE(coalesced(m.scatter)) << what << " recv from " << m.peer;
+      EXPECT_TRUE(coalesced(m.runs)) << what << " recv from " << m.peer;
     }
-  EXPECT_TRUE(coalesced(p.s_self)) << what << " s_self";
-  EXPECT_TRUE(coalesced(p.r_self)) << what << " r_self";
+  EXPECT_TRUE(coalesced(p.s.self)) << what << " s.self";
+  EXPECT_TRUE(coalesced(p.r.self)) << what << " r.self";
 
   Cover stage(p.s_stage_values);
-  for (const CopyRun& r : p.s_self) stage.add(r.dst, r.len);
-  for (const auto& m : p.s_recvs)
-    for (const CopyRun& r : m.scatter) stage.add(r.dst, r.len);
+  for (const CopyRun& r : p.s.self) stage.add(r.dst, r.len);
+  for (const auto& m : p.s.recvs)
+    for (const CopyRun& r : m.runs) stage.add(r.dst, r.len);
   EXPECT_TRUE(stage.exactly_once()) << what << " s_stage";
 
   // Every receive-segment position is written exactly once; positions
@@ -161,9 +168,9 @@ void check_run_coverage(const LocalityPlan& p, const std::string& what) {
   for (std::size_t i = 0; i < p.rdispls.size(); ++i)
     need.add(p.rdispls[i], p.recvcounts[i]);
   for (const auto& m : p.l_recvs) got.add(m.displ, m.count);
-  for (const CopyRun& r : p.r_self) got.add(r.dst, r.len);
-  for (const auto& m : p.r_recvs)
-    for (const CopyRun& r : m.scatter) got.add(r.dst, r.len);
+  for (const CopyRun& r : p.r.self) got.add(r.dst, r.len);
+  for (const auto& m : p.r.recvs)
+    for (const CopyRun& r : m.runs) got.add(r.dst, r.len);
   EXPECT_TRUE(got.in_range) << what << " recvbuf";
   EXPECT_EQ(got.hits, need.hits) << what << " recvbuf";
 }
@@ -492,7 +499,7 @@ std::vector<std::shared_ptr<const LocalityPlan>> hand_checked_plans(
     DistGraph g = co_await dist_graph_create_adjacent(
         ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
     auto proto = co_await neighbor_alltoallv_init(ctx, g, a.view(), method);
-    plans[r] = proto->plan();
+    plans[r] = std::dynamic_pointer_cast<const LocalityPlan>(proto->plan());
     a.fill(0);
     co_await proto->start(ctx);
     co_await proto->wait(ctx);
@@ -517,8 +524,8 @@ PerValue expand(const std::vector<CopyRun>& runs) {
 }
 /// A staged send's per-value gather map: the source position of each
 /// message value, in message order (which the runs must follow).
-std::vector<int> gather_map(const LocalityPlan::GatherMsg& m) {
-  const PerValue v = expand(m.gather);
+std::vector<int> gather_map(const StagedPhase::Msg& m) {
+  const PerValue v = expand(m.runs);
   std::vector<int> order(static_cast<std::size_t>(m.values));
   std::iota(order.begin(), order.end(), 0);
   EXPECT_EQ(v.dst, order) << "gather runs must write the message in order";
@@ -536,40 +543,40 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
   // Rank 0 leads: keep-first of {7, 5, 7} is positions {1 (gid 5), 0 (gid
   // 7)}, staged at its block {0, 1}; rank 1's three unique gids land at 2..4.
   const LocalityPlan& p0 = *plans[0];
-  EXPECT_EQ(expand(p0.s_self).src, (V{1, 0}));
-  EXPECT_EQ(expand(p0.s_self).dst, (V{0, 1}));
-  EXPECT_TRUE(p0.s_sends.empty());
-  ASSERT_EQ(p0.s_recvs.size(), 1u);
-  EXPECT_EQ(p0.s_recvs[0].peer, 1);
-  EXPECT_EQ(expand(p0.s_recvs[0].scatter).src, (V{0, 1, 2}));
-  EXPECT_EQ(expand(p0.s_recvs[0].scatter).dst, (V{2, 3, 4}));
+  EXPECT_EQ(expand(p0.s.self).src, (V{1, 0}));
+  EXPECT_EQ(expand(p0.s.self).dst, (V{0, 1}));
+  EXPECT_TRUE(p0.s.sends.empty());
+  ASSERT_EQ(p0.s.recvs.size(), 1u);
+  EXPECT_EQ(p0.s.recvs[0].peer, 1);
+  EXPECT_EQ(expand(p0.s.recvs[0].runs).src, (V{0, 1, 2}));
+  EXPECT_EQ(expand(p0.s.recvs[0].runs).dst, (V{2, 3, 4}));
 
   // Rank 1 enumerates its edges by destination (2 before 3), so gid 4 is
   // kept from position 2 (segment to rank 2), not from the smaller 1.
   const LocalityPlan& p1 = *plans[1];
-  EXPECT_TRUE(p1.s_self.empty());
-  ASSERT_EQ(p1.s_sends.size(), 1u);
-  EXPECT_EQ(p1.s_sends[0].peer, 0);
-  EXPECT_EQ(gather_map(p1.s_sends[0]), (V{2, 3, 0}));  // gids 4, 6, 9
+  EXPECT_TRUE(p1.s.self.empty());
+  ASSERT_EQ(p1.s.sends.size(), 1u);
+  EXPECT_EQ(p1.s.sends[0].peer, 0);
+  EXPECT_EQ(gather_map(p1.s.sends[0]), (V{2, 3, 0}));  // gids 4, 6, 9
 
   // Rank 2 leads the inbound pair: it keeps {4, 6} (message positions 2, 3)
   // and forwards rank 3's unique gids {5, 7} and {4, 9}.
   const LocalityPlan& p2 = *plans[2];
-  ASSERT_EQ(p2.r_sends.size(), 1u);
-  EXPECT_EQ(p2.r_sends[0].peer, 3);
-  EXPECT_EQ(gather_map(p2.r_sends[0]), (V{0, 1, 2, 4}));
-  EXPECT_EQ(expand(p2.r_self).src, (V{2, 3}));
-  EXPECT_EQ(expand(p2.r_self).dst, (V{0, 1}));
-  EXPECT_TRUE(p2.r_recvs.empty());
+  ASSERT_EQ(p2.r.sends.size(), 1u);
+  EXPECT_EQ(p2.r.sends[0].peer, 3);
+  EXPECT_EQ(gather_map(p2.r.sends[0]), (V{0, 1, 2, 4}));
+  EXPECT_EQ(expand(p2.r.self).src, (V{2, 3}));
+  EXPECT_EQ(expand(p2.r.self).dst, (V{0, 1}));
+  EXPECT_TRUE(p2.r.recvs.empty());
 
   // Rank 3 receives {5, 7, 4, 9} and scatters gid 7 to both positions 0, 2.
   const LocalityPlan& p3 = *plans[3];
-  EXPECT_TRUE(p3.r_sends.empty());
-  ASSERT_EQ(p3.r_recvs.size(), 1u);
-  EXPECT_EQ(p3.r_recvs[0].peer, 2);
-  EXPECT_EQ(p3.r_recvs[0].values, 4);
-  EXPECT_EQ(expand(p3.r_recvs[0].scatter).src, (V{0, 1, 1, 2, 3}));
-  EXPECT_EQ(expand(p3.r_recvs[0].scatter).dst, (V{1, 0, 2, 4, 3}));
+  EXPECT_TRUE(p3.r.sends.empty());
+  ASSERT_EQ(p3.r.recvs.size(), 1u);
+  EXPECT_EQ(p3.r.recvs[0].peer, 2);
+  EXPECT_EQ(p3.r.recvs[0].values, 4);
+  EXPECT_EQ(expand(p3.r.recvs[0].runs).src, (V{0, 1, 1, 2, 3}));
+  EXPECT_EQ(expand(p3.r.recvs[0].runs).dst, (V{1, 0, 2, 4, 3}));
 }
 
 // The same pattern without dedup: the pair's message is its edges in
@@ -583,40 +590,40 @@ TEST(PartialPlan, HandCheckedRunLists) {
   // edges are consecutive in the pair, so its scatter is one run.
   const LocalityPlan& p0 = *plans[0];
   EXPECT_EQ(p0.s_stage_values, 7);
-  EXPECT_EQ(p0.s_self, (R{{0, 0, 3}}));
-  EXPECT_TRUE(p0.s_sends.empty());
-  ASSERT_EQ(p0.s_recvs.size(), 1u);
-  EXPECT_EQ(p0.s_recvs[0].peer, 1);
-  EXPECT_EQ(p0.s_recvs[0].values, 4);
-  EXPECT_EQ(p0.s_recvs[0].scatter, (R{{0, 3, 4}}));
+  EXPECT_EQ(p0.s.self, (R{{0, 0, 3}}));
+  EXPECT_TRUE(p0.s.sends.empty());
+  ASSERT_EQ(p0.s.recvs.size(), 1u);
+  EXPECT_EQ(p0.s.recvs[0].peer, 1);
+  EXPECT_EQ(p0.s.recvs[0].values, 4);
+  EXPECT_EQ(p0.s.recvs[0].runs, (R{{0, 3, 4}}));
 
   // Rank 1 gathers its segment to rank 2 (sendbuf 2..3) before the one to
   // rank 3 (sendbuf 0..1): the sources do not abut, so two runs.
   const LocalityPlan& p1 = *plans[1];
-  EXPECT_TRUE(p1.s_self.empty());
-  ASSERT_EQ(p1.s_sends.size(), 1u);
-  EXPECT_EQ(p1.s_sends[0].peer, 0);
-  EXPECT_EQ(p1.s_sends[0].values, 4);
-  EXPECT_EQ(p1.s_sends[0].gather, (R{{2, 0, 2}, {0, 2, 2}}));
+  EXPECT_TRUE(p1.s.self.empty());
+  ASSERT_EQ(p1.s.sends.size(), 1u);
+  EXPECT_EQ(p1.s.sends[0].peer, 0);
+  EXPECT_EQ(p1.s.sends[0].values, 4);
+  EXPECT_EQ(p1.s.sends[0].runs, (R{{2, 0, 2}, {0, 2, 2}}));
 
   // Rank 2 leads the inbound pair: it keeps 1->2 (g_stage 3..4) and
   // forwards 0->3 and 1->3, which do not abut in g_stage.
   const LocalityPlan& p2 = *plans[2];
   EXPECT_EQ(p2.g_stage_values, 7);
-  ASSERT_EQ(p2.r_sends.size(), 1u);
-  EXPECT_EQ(p2.r_sends[0].peer, 3);
-  EXPECT_EQ(p2.r_sends[0].values, 5);
-  EXPECT_EQ(p2.r_sends[0].gather, (R{{0, 0, 3}, {5, 3, 2}}));
-  EXPECT_EQ(p2.r_self, (R{{3, 0, 2}}));
-  EXPECT_TRUE(p2.r_recvs.empty());
+  ASSERT_EQ(p2.r.sends.size(), 1u);
+  EXPECT_EQ(p2.r.sends[0].peer, 3);
+  EXPECT_EQ(p2.r.sends[0].values, 5);
+  EXPECT_EQ(p2.r.sends[0].runs, (R{{0, 0, 3}, {5, 3, 2}}));
+  EXPECT_EQ(p2.r.self, (R{{3, 0, 2}}));
+  EXPECT_TRUE(p2.r.recvs.empty());
 
   // Rank 3's segments from ranks 0 and 1 abut in both the message and its
   // recvbuf: the two edges coalesce into one run.
   const LocalityPlan& p3 = *plans[3];
-  EXPECT_TRUE(p3.r_sends.empty());
-  EXPECT_TRUE(p3.r_self.empty());
-  ASSERT_EQ(p3.r_recvs.size(), 1u);
-  EXPECT_EQ(p3.r_recvs[0].peer, 2);
-  EXPECT_EQ(p3.r_recvs[0].values, 5);
-  EXPECT_EQ(p3.r_recvs[0].scatter, (R{{0, 0, 5}}));
+  EXPECT_TRUE(p3.r.sends.empty());
+  EXPECT_TRUE(p3.r.self.empty());
+  ASSERT_EQ(p3.r.recvs.size(), 1u);
+  EXPECT_EQ(p3.r.recvs[0].peer, 2);
+  EXPECT_EQ(p3.r.recvs[0].values, 5);
+  EXPECT_EQ(p3.r.recvs[0].runs, (R{{0, 0, 5}}));
 }

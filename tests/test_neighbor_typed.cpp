@@ -76,7 +76,7 @@ void verify_typed(int nodes, int rpn, const GlobalPattern& pat, Method method,
       EXPECT_TRUE(recvbuf.empty() ||
                   std::memcmp(recvbuf.data(), expected.data(),
                               recvbuf.size() * sizeof(T)) == 0)
-          << proto->name() << " rank " << r << " iter " << it;
+          << to_string(method) << " rank " << r << " iter " << it;
     }
     co_return;
   });
@@ -218,7 +218,7 @@ TEST(PlanReuse, DifferentMachineShapeRejected) {
   // Same ranks, same adjacency, different region layout: the plan's peer
   // resolution is stale, and binding must say so instead of misrouting.
   GlobalPattern pat = pattern::random_pattern(16, 17);
-  std::vector<std::shared_ptr<const LocalityPlan>> plans(pat.nranks);
+  std::vector<std::shared_ptr<const PlanBase>> plans(pat.nranks);
   {
     Engine eng(Machine({.num_nodes = 4, .regions_per_node = 1,
                         .ranks_per_region = 4}),
