@@ -11,10 +11,10 @@
 ///  * `completion_x`   — blocking-window time over the fault-free
 ///    baseline of the same method (1.0 on the baseline row),
 ///  * `goodput_values_per_s` — delivered payload values per simulated
-///    second of the blocking window (retransmits and duplicates move
-///    time, never payload: the pattern runner's payload check keeps
-///    proving delivered bytes equal the fault-free truth),
-///  * the engine's fault ledger (drops / dups / retransmits / timeouts).
+///    second of the blocking window (retransmits move time, never
+///    payload: the pattern runner's payload check keeps proving delivered
+///    bytes equal the fault-free truth),
+///  * the engine's fault ledger (drops / retransmits / timeouts).
 ///
 /// The whole sweep is schedule-deterministic: CI byte-compares the quick
 /// series at --sim-threads=1 vs 4 (.github/workflows/ci.yml, bench-smoke).
@@ -137,29 +137,28 @@ int main(int argc, char** argv) {
                       static_cast<double>(m.sum_global_values) /
                           m.blocking_seconds},
                      {"drops", m.drops},
-                     {"dups", m.dups},
                      {"retransmits", m.retransmits},
                      {"timeouts", m.timeouts}}};
   }));
   std::printf(
       "\nFault sweep (P=%d, tapered fat tree, link cap on; times are "
       "simulated seconds)\n"
-      "%5s %5s | %-22s %12s %8s %14s %6s %5s %7s %6s\n",
+      "%5s %5s | %-22s %12s %8s %14s %6s %7s %6s\n",
       shape().procs(), "drop", "sev", "method", "blocking_s", "compl_x",
-      "goodput_vals_s", "drops", "dups", "retrans", "tmouts");
+      "goodput_vals_s", "drops", "retrans", "tmouts");
   for (const Point& pt : d) {
     for (int mi = 0; mi < kNumMethods; ++mi) {
       const harness::PatternMeasurement& m = pt.m[mi];
       const harness::PatternMeasurement& base = d[0].m[mi];
       std::printf(
-          "%5.2f %5.2f | %-22s %12.3e %8.2f %14.3e %6ld %5ld %7ld %6ld\n",
+          "%5.2f %5.2f | %-22s %12.3e %8.2f %14.3e %6ld %7ld %6ld\n",
           pt.drop, pt.severity,
           (std::string(mi < kNumSparse ? "sparse/" : "dense/") +
            method_name(mi))
               .c_str(),
           m.blocking_seconds, m.blocking_seconds / base.blocking_seconds,
           static_cast<double>(m.sum_global_values) / m.blocking_seconds,
-          m.drops, m.dups, m.retransmits, m.timeouts);
+          m.drops, m.retransmits, m.timeouts);
     }
   }
   return 0;

@@ -1,5 +1,5 @@
 /// \file bench_fig_dense_crossover.cpp
-/// \brief Dense alltoall crossover sweep: the three `mpix::alltoall_init`
+/// \brief Dense alltoall crossover sweep: the three `mpix::alltoallv_init`
 /// methods (standard pairwise, node-aggregated, locality-aware Bruck)
 /// across message size x machine shape.  Not a paper figure — the paper's
 /// evaluation is sparse neighbor exchanges — but the same locality model

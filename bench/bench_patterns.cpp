@@ -44,7 +44,7 @@ patterns::PatternParams params_for(const char* name) {
     p.values = 256;
     p.fan_in = 0;  // every other rank
   } else if (n == "bursty_io") {
-    p.values = 64;  // x burst(8) = 512 values per writer
+    p.values = 64;  // x 8 = 512 values per writer
     p.sinks = 4;
   } else if (n == "random_sparse") {
     p.values = 32;

@@ -1,22 +1,12 @@
 #include "amg/coarsen.hpp"
 
 #include <algorithm>
-#include <cstdint>
 
 namespace amg {
 
 namespace {
 
 constexpr signed char kUnassigned = 0;
-
-/// SplitMix64 hash for deterministic PMIS weights.
-double hash_weight(std::uint64_t x, std::uint64_t seed) {
-  x += 0x9E3779B97F4A7C15ull + seed * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x = x ^ (x >> 31);
-  return static_cast<double>(x >> 11) / 9007199254740992.0;  // [0, 1)
-}
 
 }  // namespace
 
@@ -90,73 +80,6 @@ std::vector<CF> coarsen_rs(const sparse::Csr& S) {
     cf[i] = mark[i] == static_cast<signed char>(CF::coarse) ? CF::coarse
                                                             : CF::fine;
   return cf;
-}
-
-std::vector<CF> coarsen_pmis(const sparse::Csr& S, unsigned seed) {
-  const int n = S.rows();
-  const sparse::Csr St = S.transpose();
-  std::vector<signed char> mark(n, kUnassigned);
-
-  // Weight = influence count + deterministic random tie-break in [0,1).
-  std::vector<double> w(n);
-  std::vector<bool> isolated(n, false);
-  for (int i = 0; i < n; ++i) {
-    const int infl = static_cast<int>(St.row_cols(i).size());
-    w[i] = infl + hash_weight(static_cast<std::uint64_t>(i), seed);
-    if (infl == 0 && S.row_cols(i).empty()) isolated[i] = true;
-  }
-  // Isolated points (no strong connections either way) stay exact as C.
-  int assigned = 0;
-  for (int i = 0; i < n; ++i)
-    if (isolated[i]) {
-      mark[i] = static_cast<signed char>(CF::coarse);
-      ++assigned;
-    }
-
-  auto neighbors_beat = [&](int i) {
-    // i joins the independent set iff its weight is a strict maximum over
-    // unassigned strong neighbors (in either direction).
-    for (int j : S.row_cols(i))
-      if (mark[j] == kUnassigned && w[j] >= w[i] && j != i) return true;
-    for (int j : St.row_cols(i))
-      if (mark[j] == kUnassigned && w[j] >= w[i] && j != i) return true;
-    return false;
-  };
-
-  while (assigned < n) {
-    std::vector<int> new_c;
-    for (int i = 0; i < n; ++i)
-      if (mark[i] == kUnassigned && !neighbors_beat(i)) new_c.push_back(i);
-    if (new_c.empty())
-      throw sparse::Error("coarsen_pmis: stalled (weight collision)");
-    for (int c : new_c) {
-      if (mark[c] != kUnassigned) continue;
-      mark[c] = static_cast<signed char>(CF::coarse);
-      ++assigned;
-    }
-    for (int c : new_c) {
-      for (int j : St.row_cols(c))
-        if (mark[j] == kUnassigned) {
-          mark[j] = static_cast<signed char>(CF::fine);
-          ++assigned;
-        }
-      for (int j : S.row_cols(c))
-        if (mark[j] == kUnassigned) {
-          mark[j] = static_cast<signed char>(CF::fine);
-          ++assigned;
-        }
-    }
-  }
-
-  std::vector<CF> cf(n);
-  for (int i = 0; i < n; ++i)
-    cf[i] = mark[i] == static_cast<signed char>(CF::coarse) ? CF::coarse
-                                                            : CF::fine;
-  return cf;
-}
-
-std::vector<CF> coarsen(const sparse::Csr& S, CoarsenAlgo algo) {
-  return algo == CoarsenAlgo::rs ? coarsen_rs(S) : coarsen_pmis(S);
 }
 
 std::vector<int> coarse_points(const std::vector<CF>& cf) {

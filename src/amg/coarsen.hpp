@@ -1,6 +1,6 @@
 #pragma once
 /// \file coarsen.hpp
-/// \brief Coarse/fine splitting algorithms (Ruge-Stueben and PMIS).
+/// \brief Coarse/fine splitting (Ruge-Stueben).
 
 #include <vector>
 
@@ -11,21 +11,10 @@ namespace amg {
 /// CF marks.
 enum class CF : signed char { fine = -1, coarse = 1 };
 
-enum class CoarsenAlgo {
-  rs,    ///< classical Ruge-Stueben first pass (deterministic, sequential)
-  pmis,  ///< parallel modified independent set (deterministic hash weights)
-};
-
 /// Ruge-Stueben first-pass splitting over the strength matrix S.
 /// Points with no strong connections in either direction become C points
 /// (kept exact on the coarse grid).
 std::vector<CF> coarsen_rs(const sparse::Csr& S);
-
-/// PMIS splitting with deterministic pseudo-random weights.
-std::vector<CF> coarsen_pmis(const sparse::Csr& S, unsigned seed = 0);
-
-/// Dispatch helper.
-std::vector<CF> coarsen(const sparse::Csr& S, CoarsenAlgo algo);
 
 /// Indices of C points, ascending ("canonical" coarse numbering).
 std::vector<int> coarse_points(const std::vector<CF>& cf);

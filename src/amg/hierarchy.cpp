@@ -25,20 +25,20 @@ Hierarchy Hierarchy::build(sparse::Csr A, const Options& opts) {
   h.levels.push_back(Level{std::move(A), {}, {}, {}, {}});
 
   const sparse::Threads bt{opts.threads};
-  while (h.num_levels() < opts.max_levels &&
-         h.levels.back().n() > opts.min_coarse_size) {
+  while (h.num_levels() < kMaxLevels &&
+         h.levels.back().n() > kMinCoarseSize) {
     Level& lvl = h.levels.back();
-    const sparse::Csr S = strength(lvl.A, opts.strength_theta, bt);
-    std::vector<CF> cf = coarsen(S, opts.coarsen_algo);
+    const sparse::Csr S = strength(lvl.A, kStrengthTheta, bt);
+    std::vector<CF> cf = coarsen_rs(S);
     std::vector<int> cpts = coarse_points(cf);
     const int nc = static_cast<int>(cpts.size());
     if (nc == 0 || nc == lvl.n()) break;  // coarsening stalled
 
     sparse::Csr P =
-        direct_interpolation(lvl.A, S, cf, opts.interp_max_elements, bt);
+        direct_interpolation(lvl.A, S, cf, kInterpMaxElements, bt);
     sparse::Csr R = P.transpose(bt);
     sparse::Csr Ac = sparse::galerkin_product(R, lvl.A, P, bt)
-                         .pruned(opts.galerkin_prune_tol, bt);
+                         .pruned(kGalerkinPruneTol, bt);
 
     lvl.P = std::move(P);
     lvl.R = std::move(R);

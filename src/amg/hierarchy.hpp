@@ -16,15 +16,16 @@
 
 namespace amg {
 
-/// Hierarchy construction options (defaults follow the paper's setting:
-/// classical strength 0.25, RS coarsening, direct interpolation).
+/// Construction constants of the paper's setting: classical strength,
+/// Ruge-Stueben coarsening (coarsen_rs), direct interpolation.
+inline constexpr double kStrengthTheta = 0.25;  ///< strength threshold
+inline constexpr int kInterpMaxElements = 4;    ///< P row truncation
+inline constexpr int kMaxLevels = 30;
+inline constexpr int kMinCoarseSize = 16;  ///< rows at which coarsening stops
+inline constexpr double kGalerkinPruneTol = 1e-12;  ///< drop zero RAP entries
+
+/// Hierarchy construction options.
 struct Options {
-  double strength_theta = 0.25;
-  CoarsenAlgo coarsen_algo = CoarsenAlgo::rs;
-  int interp_max_elements = 4;
-  int max_levels = 30;
-  int min_coarse_size = 16;  ///< stop coarsening below this many rows
-  double galerkin_prune_tol = 1e-12;  ///< drop numerically-zero RAP entries
   /// Worker threads of the construction kernels (strength, interpolation,
   /// transpose, Galerkin SpGEMM).  <= 0 = auto: COLLOM_BUILD_THREADS, else
   /// COLLOM_SIM_THREADS, else hardware concurrency (sparse::Threads).  The

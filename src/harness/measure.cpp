@@ -137,7 +137,6 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
   for (const auto* window : {&fault_block, &fault_overlap})
     for (const Engine::FaultStats& f : *window) {
       out.drops += static_cast<long>(f.drops);
-      out.dups += static_cast<long>(f.dups);
       out.retransmits += static_cast<long>(f.retransmits);
       out.timeouts += static_cast<long>(f.timeouts);
     }

@@ -95,12 +95,11 @@ struct MeasureConfig {
   /// its run (see simmpi::FaultPlan and `simulate`).  nullptr — the
   /// default — keeps the engine's byte-inert fault-free hot path, so series
   /// without a plan are bit-identical to builds that predate fault
-  /// injection.  The drivers' sync_reset brackets rewind rank clocks, so
-  /// time windows in the plan apply within each measured window.  A plan
-  /// that drops messages completes only where `reliability` is forwarded
-  /// (the pattern runners): `measure_protocol` and `run_distributed_amg`
-  /// forward none, so a dropped message there ends the run in the
-  /// engine's deadlock SimError.
+  /// injection.  Every event applies to the whole run.  A plan that drops
+  /// messages completes only where `reliability` is forwarded (the pattern
+  /// runners): `measure_protocol` and `run_distributed_amg` forward none,
+  /// so a dropped message there ends the run in the engine's deadlock
+  /// SimError.
   const simmpi::FaultPlan* faults = nullptr;
   /// Reliable-delivery knobs forwarded to every collective the pattern
   /// runners initialize (mpix::Options::reliability).  Off by default;
@@ -175,7 +174,6 @@ struct PatternMeasurement : StatsSummary {
   /// (simmpi::Engine::FaultStats).  All zeros without
   /// MeasureConfig::faults.
   long drops = 0;
-  long dups = 0;
   long retransmits = 0;
   long timeouts = 0;
 };

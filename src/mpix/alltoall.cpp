@@ -14,7 +14,6 @@
 #include "mpix/alltoall.hpp"
 
 #include <numeric>
-#include <string>
 #include <utility>
 
 #include "mpix/impl.hpp"
@@ -94,37 +93,6 @@ Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoallv_init(
     simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args,
     AlltoallMethod method, Options opts) {
-  return dense_init_impl(ctx, std::move(comm), std::move(args), method,
-                         std::move(opts));
-}
-
-simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoall_init(
-    simmpi::Context& ctx, simmpi::Comm comm,
-    std::span<const std::byte> sendbuf, std::span<std::byte> recvbuf,
-    int count, std::size_t element_size, AlltoallMethod method, Options opts) {
-  const int p = comm.size();
-  if (count < 0) throw SimError("alltoall_init: negative count");
-  if (element_size == 0) throw SimError("alltoall_init: element_size is zero");
-  const std::size_t need = static_cast<std::size_t>(p) *
-                           static_cast<std::size_t>(count) * element_size;
-  if (sendbuf.size() != need)
-    throw SimError("alltoall_init: sendbuf holds " +
-                   std::to_string(sendbuf.size()) + " bytes, expected " +
-                   std::to_string(need) + " (nranks * count * element_size)");
-  if (recvbuf.size() != need)
-    throw SimError("alltoall_init: recvbuf holds " +
-                   std::to_string(recvbuf.size()) + " bytes, expected " +
-                   std::to_string(need) + " (nranks * count * element_size)");
-
-  AlltoallvArgs args;
-  args.sendbuf = sendbuf;
-  args.recvbuf = recvbuf;
-  args.element_size = element_size;
-  args.sendcounts.assign(static_cast<std::size_t>(p), count);
-  args.sdispls.resize(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i) args.sdispls[i] = i * count;
-  args.recvcounts = args.sendcounts;
-  args.rdispls = args.sdispls;
   return dense_init_impl(ctx, std::move(comm), std::move(args), method,
                          std::move(opts));
 }

@@ -26,8 +26,7 @@
 ///
 /// Arguments reuse the byte-generic `AlltoallvArgs` of the neighbor
 /// collectives with one difference: counts/displacements carry one entry
-/// per *communicator rank* (the dense adjacency), not per neighbor.  The
-/// uniform-count `alltoall_init` convenience wrapper builds them.
+/// per *communicator rank* (the dense adjacency), not per neighbor.
 ///
 /// Lifecycle, plan split and statistics mirror the neighbor collectives:
 /// init once (collective for the aggregated methods unless a plan is
@@ -40,7 +39,6 @@
 /// plans (see harness::PlanCache) and feed back through `Options::plan`.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "mpix/neighbor.hpp"
@@ -135,17 +133,7 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoallv_init(
     simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args,
     AlltoallMethod method = AlltoallMethod::standard, Options opts = {});
 
-/// Uniform-count convenience wrapper (MPI_Alltoall): every rank exchanges
-/// `count` values of `element_size` bytes with every rank.  `sendbuf` /
-/// `recvbuf` must hold exactly `comm.size() * count` values; segment i
-/// (for rank i) starts at value `i * count`.
-simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoall_init(
-    simmpi::Context& ctx, simmpi::Comm comm,
-    std::span<const std::byte> sendbuf, std::span<std::byte> recvbuf,
-    int count, std::size_t element_size,
-    AlltoallMethod method = AlltoallMethod::standard, Options opts = {});
-
-/// Typed-argument overloads, normalizing the wrapper to the byte-based
+/// Typed-argument overload, normalizing the wrapper to the byte-based
 /// core inside a plain (non-coroutine) function (see the g++ 12 warning
 /// on the neighbor typed overloads; the same idiom applies here).
 template <class T>
@@ -155,16 +143,6 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoallv_init(
   AlltoallvArgs bytes = args;
   return alltoallv_init(ctx, std::move(comm), std::move(bytes), method,
                         std::move(opts));
-}
-
-template <class T>
-simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoall_init(
-    simmpi::Context& ctx, simmpi::Comm comm, std::span<const T> sendbuf,
-    std::span<T> recvbuf, int count,
-    AlltoallMethod method = AlltoallMethod::standard, Options opts = {}) {
-  return alltoall_init(ctx, std::move(comm), std::as_bytes(sendbuf),
-                       std::as_writable_bytes(recvbuf), count, sizeof(T),
-                       method, std::move(opts));
 }
 
 }  // namespace mpix

@@ -294,11 +294,12 @@ class NeighborAlltoallv {
 /// Opt-in reliable delivery for the persistent collectives: every
 /// *network* data channel carries a per-channel sequence number, the
 /// receiver acknowledges each payload with a control message, and the
-/// sender retransmits on a virtual-time timeout with exponential backoff
-/// (built on simmpi::Context::wait_until).  With a FaultPlan dropping or
-/// duplicating messages, recvbufs stay byte-identical to the fault-free
-/// run — up to the configured retry budget.  Intra-node channels are
-/// never wrapped: the fault model only drops network messages.
+/// sender retransmits on a virtual-time timeout that doubles per
+/// retransmit (built on simmpi::Context::wait_until), giving up after 16
+/// retransmits.  With a FaultPlan dropping messages, recvbufs stay
+/// byte-identical to the fault-free run — up to that retry budget.
+/// Intra-node channels are never wrapped: the fault model only drops
+/// network messages.
 /// Must be set uniformly across the ranks of a collective (like every
 /// option that shapes the message schedule).
 struct Reliability {
@@ -307,10 +308,6 @@ struct Reliability {
   /// Choose comfortably above the expected network round trip, or the
   /// protocol retransmits spuriously (correct, but noisy and slow).
   double timeout = 1e-3;
-  /// Timeout multiplier per successive retransmit (>= 1).
-  double backoff = 2.0;
-  /// Retransmits per message before giving up with a SimError (>= 1).
-  int max_retries = 16;
 };
 
 /// Tunable knobs of `neighbor_alltoallv_init`.

@@ -18,12 +18,6 @@ void validate_reliability(const Reliability& rel) {
   if (!(rel.timeout > 0.0))
     throw SimError("Reliability::timeout must be > 0, got " +
                    std::to_string(rel.timeout));
-  if (!(rel.backoff >= 1.0))
-    throw SimError("Reliability::backoff must be >= 1, got " +
-                   std::to_string(rel.backoff));
-  if (rel.max_retries < 1)
-    throw SimError("Reliability::max_retries must be >= 1, got " +
-                   std::to_string(rel.max_retries));
 }
 
 namespace {
@@ -31,6 +25,10 @@ namespace {
 /// Bytes prepended to every reliable data message (32-bit sequence number
 /// padded to preserve 8-byte payload alignment); also the size of an ack.
 constexpr std::size_t kRelHeaderBytes = 8;
+/// Timeout multiplier per successive retransmit.
+constexpr double kBackoff = 2.0;
+/// Retransmits per message before giving up with a SimError.
+constexpr int kMaxRetries = 16;
 
 /// Sender half of one wrapped channel.  Driven by `finish_channels`.
 class RelSend {
@@ -85,24 +83,25 @@ class RelSend {
   }
 
   /// Park until the ack arrives or the retransmit deadline fires; on
-  /// timeout retransmit with backoff, giving up after max_retries.
-  Task<> step_park(Context& ctx, const Reliability& rel) {
+  /// timeout retransmit and double the timeout, giving up after
+  /// kMaxRetries.
+  Task<> step_park(Context& ctx) {
     const bool got = co_await ctx.wait_until(ack_, deadline_);
     if (got) {
       handle_ack(ctx);
       co_return;
     }
-    if (++retries_ > rel.max_retries)
+    if (++retries_ > kMaxRetries)
       throw SimError("reliable send rank " + std::to_string(ctx.rank()) +
                      ": no ack from peer " + std::to_string(data_.peer()) +
                      " tag " + std::to_string(data_.tag()) + " seq " +
                      std::to_string(seq_) + " after " +
-                     std::to_string(rel.max_retries) + " retransmits");
+                     std::to_string(kMaxRetries) + " retransmits");
     // Timed out: the ack receive stays armed; repost the data message.
     ctx.engine().note_retransmit(ctx.rank());
     data_.start(ctx);
     co_await ctx.wait(data_);
-    timeout_ *= rel.backoff;
+    timeout_ *= kBackoff;
     deadline_ = ctx.now() + timeout_;
   }
 
@@ -121,8 +120,8 @@ class RelSend {
                      ": ack for future seq " + std::to_string(acked) +
                      " (current " + std::to_string(seq_) + ") from peer " +
                      std::to_string(data_.peer()));
-    // Stale ack of an already-confirmed sequence (duplicated ack or a late
-    // ack overtaken by a retransmit round): keep listening.
+    // Stale ack of an already-confirmed sequence (a late ack overtaken by
+    // a retransmit round): keep listening.
     ack_.start(ctx);
   }
 
@@ -166,9 +165,9 @@ class RelRecv {
   simmpi::ChannelKey data_key() const { return data_.key(); }
 
   /// Consume one data message (parks if none is committed yet): stale
-  /// duplicates and retransmit debris are discarded and the receive
-  /// re-armed; the expected sequence is copied into the declared span,
-  /// acknowledged, and already-committed debris drained.
+  /// retransmit debris is discarded and the receive re-armed; the expected
+  /// sequence is copied into the declared span, acknowledged, and
+  /// already-committed debris drained.
   Task<> pump(Context& ctx) {
     co_await ctx.wait(data_);
     std::uint32_t seq = 0;
@@ -180,7 +179,7 @@ class RelRecv {
                      std::to_string(data_.peer()) +
                      " (message lost without reliability retransmit?)");
     if (seq < expected_) {
-      // Stale duplicate or retransmit of an already-acknowledged sequence.
+      // Stale retransmit of an already-acknowledged sequence.
       data_.start(ctx);
       co_return;
     }
@@ -191,7 +190,7 @@ class RelRecv {
     co_await ctx.wait(ack_);
     ++expected_;
     done_ = true;
-    // Drain retransmit/duplicate debris already committed for the sequence
+    // Drain retransmit debris already committed for the sequence
     // just acknowledged: retransmissions fire only under global quiescence,
     // and once our ack commits the sender never goes quiescent on this
     // sequence again, so every copy of it is committed by now.
@@ -261,7 +260,7 @@ Task<> finish_channels(Context& ctx, const Reliability& rel,
       if (!s.done() && (due == nullptr || s.deadline() < due->deadline()))
         due = &s;
     if (due != nullptr) {
-      co_await due->step_park(ctx, rel);
+      co_await due->step_park(ctx);
     } else {
       for (auto& r : recvs) {
         if (!r.done()) {

@@ -16,13 +16,12 @@
 ///     sequence number) in front of the payload, staged in a buffer owned
 ///     by the set;
 ///   * the receiver consumes the expected sequence (discarding stale
-///     duplicates and retransmit debris), copies the payload into the
-///     declared span, and posts an 8-byte *control* acknowledgement —
-///     which a FaultPlan never drops or duplicates, so the protocol
-///     terminates;
+///     retransmit debris), copies the payload into the declared span, and
+///     posts an 8-byte *control* acknowledgement — which a FaultPlan never
+///     drops, so the protocol terminates;
 ///   * the sender awaits the ack with a virtual-time timeout
-///     (Context::wait_until) and retransmits with exponential backoff,
-///     giving up with a SimError after Reliability::max_retries.
+///     (Context::wait_until) and retransmits, doubling the timeout each
+///     time, giving up with a SimError after 16 retransmits.
 ///
 /// `finish` completes the plain requests first and then multiplexes every
 /// open wrapped channel instead of finishing them one by one.  Sequential

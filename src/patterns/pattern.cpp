@@ -200,15 +200,14 @@ Workload make_incast(const simmpi::Machine& m, const PatternParams& p) {
   return finalize("incast", m, p, std::move(edges));
 }
 
-/// Checkpoint-style bursty writes: every rank flushes values*burst values
+/// Checkpoint-style bursty writes: every rank flushes 8 * values values
 /// to its assigned I/O aggregator (`sinks` aggregators, round-robin
 /// assignment).  Aggregators write to themselves — a self-tier memcpy.
 Workload make_bursty_io(const simmpi::Machine& m, const PatternParams& p) {
   const int n = m.num_ranks();
   const std::vector<int> aggs = spread_ranks(n, p.sinks);
-  const long burst = static_cast<long>(std::max(1, p.values)) *
-                     std::max(1, p.burst);
-  const int cnt = static_cast<int>(std::min<long>(burst, 1 << 20));
+  const long flush = static_cast<long>(std::max(1, p.values)) * 8;
+  const int cnt = static_cast<int>(std::min<long>(flush, 1 << 20));
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
@@ -217,15 +216,15 @@ Workload make_bursty_io(const simmpi::Machine& m, const PatternParams& p) {
 }
 
 /// Random sparse graph with locality skew: each rank picks `degree`
-/// distinct destinations, each in its own region with probability
-/// `locality_skew`, with ragged per-edge counts.  Counter-mode draws keyed
-/// by (seed, src) make the graph a pure function of the params.
+/// distinct destinations, each drawn from its own region with probability
+/// 1/2 (else from all ranks), with ragged per-edge counts.  Counter-mode
+/// draws keyed by (seed, src) make the graph a pure function of the
+/// params.
 Workload make_random_sparse(const simmpi::Machine& m, const PatternParams& p) {
   const int n = m.num_ranks();
   const int rpr = m.ranks_per_region();
   const int want = std::clamp(p.degree, 0, n - 1);
-  const auto skew =
-      static_cast<std::uint64_t>(std::clamp(p.locality_skew, 0.0, 1.0) * 4096);
+  constexpr std::uint64_t kSkew = 2048;  // of 4096: P(draw in own region)
   std::vector<Edge> edges;
   std::vector<int> picked;
   for (int src = 0; src < n; ++src) {
@@ -236,7 +235,7 @@ Workload make_random_sparse(const simmpi::Machine& m, const PatternParams& p) {
     for (int t = 0; t < want && ctr < 8u * want + 64u; ) {
       const std::uint64_t u = draw(p.seed, src, ctr++);
       int dst;
-      if ((u & 4095) < skew && reg_size > 1) {
+      if ((u & 4095) < kSkew && reg_size > 1) {
         dst = reg_base + static_cast<int>((u >> 12) % reg_size);
       } else {
         dst = static_cast<int>((u >> 12) % n);

@@ -60,8 +60,6 @@ struct PatternParams {
   int fan_in = 0;        ///< incast: senders per sink; 0 = every other rank
   int sinks = 1;         ///< incast sinks / bursty-I/O aggregator count
   int degree = 4;        ///< random_sparse: destinations per rank
-  double locality_skew = 0.5;  ///< random_sparse: P(dest in own region)
-  int burst = 8;         ///< bursty_io: per-rank burst multiplier
   double overlap_seconds = 0.0;  ///< simulated compute inside the window;
                                  ///< 0 = the pattern's own default
 };

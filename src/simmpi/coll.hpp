@@ -14,10 +14,10 @@
 /// Every payload-bearing send here is marked *control* traffic
 /// (Request::set_control): these primitives carry setup metadata and
 /// synchronization, not workload payload, and losing one would deadlock
-/// the collective.  A FaultPlan never drops or duplicates control
-/// messages, so faults apply to the data channels of the persistent
-/// collectives — the layer that can opt into reliable delivery — and
-/// never to the scaffolding underneath it.
+/// the collective.  A FaultPlan never drops control messages, so faults
+/// apply to the data channels of the persistent collectives — the layer
+/// that can opt into reliable delivery — and never to the scaffolding
+/// underneath it.
 
 #include <algorithm>
 #include <cstring>

@@ -121,11 +121,9 @@ class Request {
   bool is_send() const { return is_send_; }
   bool started() const { return started_; }
   /// Mark a send request as *control* traffic (protocol acknowledgements,
-  /// not payload).  Control messages are exempt from drop/duplication so
-  /// reliable delivery terminates.  No effect on receives or on fault-free
-  /// runs.
+  /// not payload).  Control messages are exempt from drops so reliable
+  /// delivery terminates.  No effect on receives or on fault-free runs.
   void set_control(bool c) { control_ = c; }
-  bool is_control() const { return control_; }
   const Comm& comm() const { return comm_; }
   int peer() const { return peer_; }
   int tag() const { return tag_; }

@@ -86,9 +86,9 @@ void Engine::run(const RankProgram& program) {
   } guard{*this};
 
   // Per-run channel accounting (sequence numbers restart per run so the
-  // drop/dup schedule is a function of the run alone, not of engine
-  // history).  clear() keeps the map's storage.
-  if (fault_msgs_) fault_chan_.clear();
+  // drop schedule is a function of the run alone, not of engine history).
+  // clear() keeps the map's storage.
+  if (drop_rate_ > 0.0) fault_chan_.clear();
 
   const int nranks = machine_.num_ranks();
   std::vector<Context> ctxs;
@@ -177,8 +177,7 @@ void Engine::run(const RankProgram& program) {
          << key.src << "->" << key.dst << " tag=" << key.tag;
       if (const ChanFaultCounts* cf = fault_chan_.find(key)) {
         os << ": sent=" << cf->sent << " dropped=" << cf->dropped
-           << " duplicated=" << cf->duped
-           << " delivered=" << cf->sent - cf->dropped + cf->duped;
+           << " delivered=" << cf->sent - cf->dropped;
       }
       os << "]";
     }
@@ -366,111 +365,48 @@ void Engine::commit_phase() {
   }
 }
 
-namespace {
-
-/// Whether a fault window covers a message's departure (all fault kinds
-/// key their window on the sender-side departure time: a value fixed
-/// before the commit step, so window membership can never depend on
-/// queue state).
-bool in_window(const FaultSpec& e, double when) {
-  return when >= e.t_begin && when < e.t_end;
-}
-
-}  // namespace
-
-void Engine::set_fault_plan(FaultPlan plan) {
+void Engine::set_fault_plan(const FaultPlan& plan) {
   if (running_) throw SimError("Engine::set_fault_plan: engine is running");
-  validate_fault_plan(plan, machine_);
-  // Effects the cost model would silently ignore are configuration
-  // errors: a brownout needs the link cap (and a switch hierarchy with
-  // link tiers), a NIC slowdown the injection cap.
+  validate_fault_plan(plan);
+  double drop = 0.0;
+  double brownout = 1.0;
   for (const auto& e : plan.events) {
-    if (e.kind == FaultSpec::Kind::link_brownout && e.severity < 1.0 &&
-        (!model_.params().use_link_cap || machine_.num_link_tiers() == 0))
-      throw SimError(
-          "FaultPlan: link_brownout requires CostParams::use_link_cap and "
-          "MachineConfig::switch_levels with at least one link tier");
-    if (e.kind == FaultSpec::Kind::nic_slowdown && e.severity < 1.0 &&
-        !model_.params().use_injection_cap)
-      throw SimError(
-          "FaultPlan: nic_slowdown requires CostParams::use_injection_cap");
+    if (e.kind == FaultSpec::Kind::msg_drop) drop = e.rate;
+    if (e.kind == FaultSpec::Kind::link_brownout) brownout = e.severity;
   }
-  faults_ = std::move(plan);
-  fault_msgs_ = fault_stalls_ = fault_brownout_ = fault_nic_ = false;
-  for (const auto& e : faults_.events) {
-    switch (e.kind) {
-      case FaultSpec::Kind::msg_drop:
-      case FaultSpec::Kind::msg_dup:
-        fault_msgs_ = fault_msgs_ || e.rate > 0.0;
-        break;
-      case FaultSpec::Kind::link_brownout:
-        fault_brownout_ = fault_brownout_ || e.severity < 1.0;
-        break;
-      case FaultSpec::Kind::nic_slowdown:
-        fault_nic_ = fault_nic_ || e.severity < 1.0;
-        break;
-      case FaultSpec::Kind::compute_stall:
-        fault_stalls_ = fault_stalls_ || e.severity < 1.0;
-        break;
-    }
-  }
-}
-
-double Engine::stall_stretch(int rank, double when) const {
-  double stretch = 1.0;
-  for (const auto& e : faults_.events)
-    if (e.kind == FaultSpec::Kind::compute_stall &&
-        (e.rank < 0 || e.rank == rank) && in_window(e, when))
-      stretch /= e.severity;
-  return stretch;
+  // A brownout the cost model would silently ignore is a configuration
+  // error: it needs the link cap and a switch hierarchy with link tiers.
+  if (brownout < 1.0 &&
+      (!model_.params().use_link_cap || machine_.num_link_tiers() == 0))
+    throw SimError(
+        "FaultPlan: link_brownout requires CostParams::use_link_cap and "
+        "MachineConfig::switch_levels with at least one link tier");
+  fault_seed_ = plan.seed;
+  drop_rate_ = drop;
+  brownout_ = brownout;
 }
 
 void Engine::deliver(const PendingSend& ps) {
   // Fault gate: only payload-bearing network messages are candidates;
   // control traffic (reliability acks, collective scaffolding) is always
-  // exempt, so retransmission terminates.  One uniform draw per message decides
-  // drop vs duplicate vs clean delivery — a pure function of (plan seed,
+  // exempt, so retransmission terminates.  One uniform draw per message
+  // decides drop vs clean delivery — a pure function of (plan seed,
   // channel, per-channel sequence number), evaluated only here in the
   // single-threaded commit step.
-  if (fault_msgs_ && ps.loc == Locality::network && ps.size > 0 &&
+  if (drop_rate_ > 0.0 && ps.loc == Locality::network && ps.size > 0 &&
       !ps.control) {
     ChanFaultCounts& cf = fault_chan_[ps.key];
     const std::uint64_t seq = ++cf.sent;
-    double drop_rate = 0.0;
-    double dup_rate = 0.0;
-    for (const auto& e : faults_.events) {
-      if (e.kind != FaultSpec::Kind::msg_drop &&
-          e.kind != FaultSpec::Kind::msg_dup)
-        continue;
-      if (e.rank >= 0 && e.rank != ps.key.src) continue;
-      if (!in_window(e, ps.depart)) continue;
-      (e.kind == FaultSpec::Kind::msg_drop ? drop_rate : dup_rate) += e.rate;
-    }
-    if (drop_rate > 0.0 || dup_rate > 0.0) {
-      const double u = fault_uniform(faults_.seed, ps.key, seq);
-      if (u < drop_rate) {
-        // Lost at injection: no queue is charged, the payload chunk is
-        // released, the receiver sees nothing.
-        ++stats_[ps.key.src].faults.drops;
-        ++cf.dropped;
-        if (ps.chunk != nullptr) util::Arena::release(ps.chunk);
-        return;
-      }
-      if (u < drop_rate + dup_rate) {
-        // Duplicate: a second copy of the same payload bytes traverses —
-        // and is charged by — the network independently.  Both copies
-        // share one arena chunk; each delivery releases one reference.
-        ++stats_[ps.key.src].faults.dups;
-        ++cf.duped;
-        util::Arena::retain(ps.chunk);
-        deliver_one(ps);
-      }
+    if (fault_uniform(fault_seed_, ps.key, seq) < drop_rate_) {
+      // Lost at injection: no queue is charged, the payload chunk is
+      // released, the receiver sees nothing.
+      ++stats_[ps.key.src].faults.drops;
+      ++cf.dropped;
+      if (ps.chunk != nullptr) util::Arena::release(ps.chunk);
+      return;
     }
   }
-  deliver_one(ps);
-}
 
-void Engine::deliver_one(const PendingSend& ps) {
   const std::size_t bytes = ps.size;
   double arrival;
   if (ps.loc == Locality::network && model_.params().use_injection_cap) {
@@ -480,16 +416,7 @@ void Engine::deliver_one(const PendingSend& ps) {
     // bandwidth and must not extend the NIC busy window: a late-departing
     // empty message would otherwise re-contaminate the queue across a
     // sync_reset measurement boundary.
-    if (bytes > 0) {
-      double occ = model_.nic_occupancy(bytes);
-      if (fault_nic_) {
-        for (const auto& e : faults_.events)
-          if (e.kind == FaultSpec::Kind::nic_slowdown &&
-              (e.node < 0 || e.node == node) && in_window(e, ps.depart))
-            occ /= e.severity;
-      }
-      nic_free_[node] = inject + occ;
-    }
+    if (bytes > 0) nic_free_[node] = inject + model_.nic_occupancy(bytes);
     arrival = inject + model_.transfer_time(ps.loc, bytes);
   } else {
     arrival = ps.depart + model_.transfer_time(ps.loc, bytes);
@@ -516,14 +443,9 @@ void Engine::deliver_one(const PendingSend& ps) {
         LinkStats& ls = st.link[static_cast<std::size_t>(tier)];
         ls.max_backlog_seconds =
             std::max(ls.max_backlog_seconds, free_at - arrival);
-        double rate = link_rate_eff_[tier];
-        if (fault_brownout_) {
-          for (const auto& e : faults_.events)
-            if (e.kind == FaultSpec::Kind::link_brownout &&
-                (e.tier < 0 || e.tier == tier) && in_window(e, ps.depart))
-              rate *= e.severity;
-        }
-        const double occ = model_.link_occupancy(bytes, rate);
+        // A brownout scales every tier; 1.0 without one (exact).
+        const double occ =
+            model_.link_occupancy(bytes, link_rate_eff_[tier] * brownout_);
         ls.busy_seconds += occ;
         arrival = std::max(arrival, free_at) + occ;
         free_at = arrival;

@@ -142,12 +142,11 @@ class Engine {
     bool operator==(const LinkStats&) const = default;
   };
   /// Fault-injection and reliability counters of one rank (all zero
-  /// without a FaultPlan).  Drops/duplications are attributed to the
-  /// *sender* of the affected message; retransmits and timeout fires to
-  /// the rank running the reliable sender protocol.
+  /// without a FaultPlan).  Drops are attributed to the *sender* of the
+  /// dropped message; retransmits and timeout fires to the rank running
+  /// the reliable sender protocol.
   struct FaultStats {
     std::uint64_t drops = 0;        ///< messages dropped in flight
-    std::uint64_t dups = 0;         ///< duplicate deliveries injected
     std::uint64_t retransmits = 0;  ///< reliability-layer resends
     std::uint64_t timeouts = 0;     ///< wait_until deadlines that fired
     bool operator==(const FaultStats&) const = default;
@@ -201,20 +200,20 @@ class Engine {
   /// Maximum clock across ranks (completion time of the last rank).
   double max_clock() const;
 
-  /// Attach (replacing any previous) a fault schedule.  Validates against
-  /// this engine's machine and cost model; pass a default-constructed
-  /// plan to clear.  Without a plan — or with one whose events are all
-  /// no-ops (rate 0 / severity 1) — the engine is byte-inert: it takes
-  /// the identical hot path and produces byte-identical schedules.
-  void set_fault_plan(FaultPlan plan);
+  /// Attach (replacing any previous) a fault schedule.  Validates it and
+  /// checks it against this engine's machine and cost model; pass a
+  /// default-constructed plan to clear.  Without a plan — or with one
+  /// whose events are all no-ops (rate 0 / severity 1) — the engine is
+  /// byte-inert: it takes the identical hot path and produces
+  /// byte-identical schedules.
+  void set_fault_plan(const FaultPlan& plan);
 
   /// Per-channel delivery accounting, maintained only while a fault plan
-  /// with drop/duplication events is attached (commit-step-only writes);
-  /// the watchdog's deadlock report reads it.
+  /// drops messages (commit-step-only writes); the watchdog's deadlock
+  /// report reads it.
   struct ChanFaultCounts {
     std::uint64_t sent = 0;     ///< messages committed on the channel
     std::uint64_t dropped = 0;  ///< of those, dropped in flight
-    std::uint64_t duped = 0;    ///< duplicate copies injected
   };
 
   const RankStats& stats(int rank) const { return stats_[rank]; }
@@ -239,7 +238,7 @@ class Engine {
   /// the send for delivery at the next phase commit (arrival times and NIC
   /// occupancy are computed there, in deterministic rank order).  Zero
   /// bytes never touch the arena.  `control` marks protocol traffic, which
-  /// a FaultPlan never drops or duplicates.
+  /// a FaultPlan never drops.
   std::span<std::byte> post_send_in_place(const Comm& comm, int src_local,
                                           int dst_local, int tag,
                                           std::size_t bytes,
@@ -283,12 +282,8 @@ class Engine {
   /// Charge `seconds` of simulated local computation to `rank`: advances
   /// its virtual clock and accumulates RankStats::compute_seconds.  Purely
   /// per-rank state, so calls from concurrently executing rank coroutines
-  /// are race-free and the schedule stays width-independent.  Compute
-  /// stalls (FaultSpec::Kind::compute_stall) stretch the charge here: the
-  /// stretch reads only this rank's clock and the immutable fault plan,
-  /// so it is in the same width-safety class as the charge itself.
+  /// are race-free and the schedule stays width-independent.
   void add_compute(int rank, double seconds) {
-    if (fault_stalls_) seconds *= stall_stretch(rank, clocks_[rank]);
     clocks_[rank] += seconds;
     stats_[rank].compute_seconds += seconds;
   }
@@ -394,19 +389,14 @@ class Engine {
   };
 
   void commit_phase();
-  /// Fault gate: decides drop/duplication for one journaled send, then
-  /// forwards surviving copies to deliver_one.  Commit step only.
+  /// Decide whether one journaled send is dropped; charge the surviving
+  /// message's NIC/link/ejection queues and enqueue it into the
+  /// destination mailbox.  Commit step only.
   void deliver(const PendingSend& ps);
-  /// Charge NIC/link/ejection queues and enqueue into the destination
-  /// mailbox (the pre-fault deliver body).  Commit step only.
-  void deliver_one(const PendingSend& ps);
   /// Wake the timed park with the earliest (deadline, rank); false when
   /// none exists.  Called only under global quiescence (ready_ empty), so
   /// firing order is a pure function of the schedule.
   bool fire_earliest_timeout();
-  /// Time multiplier (>= 1) faults apply to compute charged to `rank` at
-  /// virtual time `when`.
-  double stall_stretch(int rank, double when) const;
   void check_quiescent();
 
   Machine machine_;
@@ -444,17 +434,16 @@ class Engine {
   // sync_reset generation state (commit-side; see sync_reset)
   int sync_arrivals_ = 0;
 
-  // Fault injection (see fault.hpp).  The plan is immutable while running;
-  // the booleans cache which fault classes have any effective event, so
-  // the fault-free hot path stays branch-only (byte-inert contract).
-  FaultPlan faults_;
-  bool fault_msgs_ = false;      // any msg_drop / msg_dup with rate > 0
-  bool fault_stalls_ = false;    // any compute_stall with severity < 1
-  bool fault_brownout_ = false;  // any link_brownout with severity < 1
-  bool fault_nic_ = false;       // any nic_slowdown with severity < 1
+  // Fault injection (see fault.hpp): the attached plan's seed and its two
+  // magnitudes, fixed while running.  With no plan the drop rate is 0 and
+  // the brownout factor 1, so the fault-free hot path stays branch-only
+  // and multiplies by exactly 1 (byte-inert contract).
+  std::uint64_t fault_seed_ = 0;
+  double drop_rate_ = 0.0;  // msg_drop rate
+  double brownout_ = 1.0;   // link_brownout severity
   /// Per-channel sequence + delivery accounting; written only in the
-  /// commit step, only while fault_msgs_ (steady workloads on persistent
-  /// channels stop growing it after the first iteration).
+  /// commit step, only while drop_rate_ > 0 (steady workloads on
+  /// persistent channels stop growing it after the first iteration).
   util::FlatMap<ChannelKey, ChanFaultCounts> fault_chan_;
 
   bool running_ = false;

@@ -2,109 +2,48 @@
 
 #include <string>
 
-#include "simmpi/machine.hpp"
-
 namespace simmpi {
 
 const char* to_string(FaultSpec::Kind k) {
   switch (k) {
     case FaultSpec::Kind::link_brownout: return "link_brownout";
-    case FaultSpec::Kind::nic_slowdown: return "nic_slowdown";
     case FaultSpec::Kind::msg_drop: return "msg_drop";
-    case FaultSpec::Kind::msg_dup: return "msg_dup";
-    case FaultSpec::Kind::compute_stall: return "compute_stall";
   }
   return "?";
 }
 
 namespace {
 
-std::string field(std::size_t i, const char* name) {
-  return "FaultPlan: events[" + std::to_string(i) + "]." + name;
-}
-
 [[noreturn]] void fail_range(std::size_t i, const char* name,
                              const std::string& constraint, double got) {
-  throw SimError(field(i, name) + " must be " + constraint + " (got " +
-                 std::to_string(got) + ")");
-}
-
-[[noreturn]] void fail_target(std::size_t i, const char* name, int got,
-                              int limit) {
-  throw SimError(field(i, name) + " must be -1 (all) or in [0, " +
-                 std::to_string(limit) + ") (got " + std::to_string(got) +
+  throw SimError("FaultPlan: events[" + std::to_string(i) + "]." + name +
+                 " must be " + constraint + " (got " + std::to_string(got) +
                  ")");
-}
-
-/// The target index an event applies to, for the overlap check: two events
-/// of the same kind collide when their targets are equal or either is the
-/// -1 wildcard.
-int target_of(const FaultSpec& e) {
-  switch (e.kind) {
-    case FaultSpec::Kind::link_brownout: return e.tier;
-    case FaultSpec::Kind::nic_slowdown: return e.node;
-    case FaultSpec::Kind::msg_drop:
-    case FaultSpec::Kind::msg_dup:
-    case FaultSpec::Kind::compute_stall: return e.rank;
-  }
-  return -1;
 }
 
 }  // namespace
 
-void validate_fault_plan(const FaultPlan& plan, const Machine& machine) {
+void validate_fault_plan(const FaultPlan& plan) {
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
     const FaultSpec& e = plan.events[i];
-    if (!(e.t_begin >= 0.0))
-      fail_range(i, "t_begin", ">= 0", e.t_begin);
-    if (!(e.t_end > e.t_begin))
-      throw SimError(field(i, "t_end") + " must be > t_begin (window [" +
-                     std::to_string(e.t_begin) + ", " +
-                     std::to_string(e.t_end) + ") is inverted or empty)");
     switch (e.kind) {
       case FaultSpec::Kind::link_brownout:
         if (!(e.severity > 0.0 && e.severity <= 1.0))
           fail_range(i, "severity", "in (0, 1]", e.severity);
-        if (e.tier < -1 || e.tier >= machine.num_link_tiers())
-          fail_target(i, "tier", e.tier, machine.num_link_tiers());
-        break;
-      case FaultSpec::Kind::nic_slowdown:
-        if (!(e.severity > 0.0 && e.severity <= 1.0))
-          fail_range(i, "severity", "in (0, 1]", e.severity);
-        if (e.node < -1 || e.node >= machine.num_nodes())
-          fail_target(i, "node", e.node, machine.num_nodes());
         break;
       case FaultSpec::Kind::msg_drop:
-      case FaultSpec::Kind::msg_dup:
         if (!(e.rate >= 0.0 && e.rate <= 1.0))
           fail_range(i, "rate", "in [0, 1]", e.rate);
-        if (e.rank < -1 || e.rank >= machine.num_ranks())
-          fail_target(i, "rank", e.rank, machine.num_ranks());
-        break;
-      case FaultSpec::Kind::compute_stall:
-        if (!(e.severity > 0.0 && e.severity <= 1.0))
-          fail_range(i, "severity", "in (0, 1]", e.severity);
-        if (e.rank < -1 || e.rank >= machine.num_ranks())
-          fail_target(i, "rank", e.rank, machine.num_ranks());
         break;
     }
-    // Overlapping same-kind windows on a colliding target would stack
-    // ambiguously (which severity applies?  do rates add?) — reject, like
-    // MachineConfig rejects shapes it would have to guess about.
-    for (std::size_t j = 0; j < i; ++j) {
-      const FaultSpec& p = plan.events[j];
-      if (p.kind != e.kind) continue;
-      const int ta = target_of(p), tb = target_of(e);
-      if (ta != tb && ta != -1 && tb != -1) continue;
-      if (e.t_begin < p.t_end && p.t_begin < e.t_end)
+    // Two events of one kind would stack ambiguously (which severity
+    // applies?  do rates add?) — reject, like MachineConfig rejects shapes
+    // it would have to guess about.
+    for (std::size_t j = 0; j < i; ++j)
+      if (plan.events[j].kind == e.kind)
         throw SimError("FaultPlan: events[" + std::to_string(j) + "] and "
-                       "events[" + std::to_string(i) + "] are overlapping " +
-                       to_string(e.kind) + " windows on the same target ([" +
-                       std::to_string(p.t_begin) + ", " +
-                       std::to_string(p.t_end) + ") vs [" +
-                       std::to_string(e.t_begin) + ", " +
-                       std::to_string(e.t_end) + "))");
-    }
+                       "events[" + std::to_string(i) + "] repeat kind " +
+                       to_string(e.kind) + "; give each kind at most once");
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -43,17 +42,5 @@ class SimError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-/// Reinterpret a typed span as const bytes (for message payloads).
-template <class T>
-std::span<const std::byte> as_bytes_of(std::span<const T> s) {
-  return std::as_bytes(s);
-}
-
-/// Reinterpret a typed span as writable bytes (for receive buffers).
-template <class T>
-std::span<std::byte> as_writable_bytes_of(std::span<T> s) {
-  return std::as_writable_bytes(s);
-}
 
 }  // namespace simmpi

@@ -95,14 +95,6 @@ class Arena {
     c->live.fetch_sub(1, std::memory_order_release);
   }
 
-  /// Add a reference to a live block (fault injection delivers duplicate
-  /// messages sharing one payload; each copy release()s independently).
-  /// Only valid while the caller already holds a reference, so relaxed
-  /// ordering suffices — the count cannot hit zero concurrently.
-  static void retain(Chunk* c) noexcept {
-    c->live.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Hard reset: zero every refcount and rewind (error-path cleanup; the
   /// owner must know no consumer still holds a block).  Chunks are kept.
   void reset();

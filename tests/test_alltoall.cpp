@@ -306,43 +306,6 @@ TEST(DenseShapes, SubcommunicatorWithUnevenRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// The uniform wrapper and the v-interface must agree.
-// ---------------------------------------------------------------------------
-TEST(DenseUniform, AlltoallMatchesAlltoallv) {
-  const int p = 8, count = 2;
-  const std::size_t es = 8;
-  const DenseSpec s = uniform_spec(p, count, es);
-  DenseRun ref = run_dense(s, 2, 4, AlltoallMethod::bruck, 1);
-
-  Engine eng(machine_of(2, 4), CostParams::lassen());
-  eng.run([&](Context& ctx) -> Task<> {
-    const int r = ctx.rank();
-    RankDense a(s, r);
-    auto coll = co_await alltoall_init(
-        ctx, ctx.world(), std::span<const std::byte>(a.sendbuf),
-        std::span<std::byte>(a.recvbuf), count, es, AlltoallMethod::bruck);
-    a.fill(s, r, /*iter=*/1);  // run_dense's last iteration
-    co_await coll->start(ctx);
-    co_await coll->wait(ctx);
-    EXPECT_EQ(a.recvbuf, ref.recv[r]) << "rank " << r;
-    co_return;
-  });
-}
-
-TEST(DenseUniform, WrapperValidatesBufferSizes) {
-  Engine eng(machine_of(1, 4), CostParams::lassen());
-  EXPECT_THROW(
-      eng.run([&](Context& ctx) -> Task<> {
-        std::vector<std::byte> send(4 * 2 * 8), recv(4 * 2 * 8 - 8);
-        co_await alltoall_init(ctx, ctx.world(),
-                               std::span<const std::byte>(send),
-                               std::span<std::byte>(recv), 2, 8,
-                               AlltoallMethod::standard);
-      }),
-      SimError);
-}
-
-// ---------------------------------------------------------------------------
 // Plan feedback and the shared PlanCache.
 // ---------------------------------------------------------------------------
 TEST(DensePlan, PlanFeedbackReproducesDelivery) {

@@ -65,27 +65,22 @@ TEST(Strength, RejectsBadArguments) {
   EXPECT_THROW(strength(b, 1.5), sparse::Error);
 }
 
-class CoarsenBoth : public ::testing::TestWithParam<CoarsenAlgo> {};
-INSTANTIATE_TEST_SUITE_P(Algos, CoarsenBoth,
-                         ::testing::Values(CoarsenAlgo::rs,
-                                           CoarsenAlgo::pmis));
-
-TEST_P(CoarsenBoth, SplittingCoversAllPoints) {
+TEST(CoarsenRs, SplittingCoversAllPoints) {
   Csr a = sparse::laplacian_5pt(10, 10);
   Csr s = strength(a, 0.25);
-  auto cf = coarsen(s, GetParam());
+  auto cf = coarsen_rs(s);
   EXPECT_EQ(cf.size(), 100u);
   int nc = static_cast<int>(coarse_points(cf).size());
   EXPECT_GT(nc, 0);
   EXPECT_LT(nc, 100);
 }
 
-TEST_P(CoarsenBoth, EveryFinePointHasAStrongCoarseNeighborOnLaplace) {
-  // The essential RS/PMIS property on nicely-connected graphs: F points
-  // see at least one C point among their strong neighbors.
+TEST(CoarsenRs, EveryFinePointHasAStrongCoarseNeighborOnLaplace) {
+  // The essential RS property on nicely-connected graphs: F points see at
+  // least one C point among their strong neighbors.
   Csr a = sparse::laplacian_5pt(12, 12);
   Csr s = strength(a, 0.25);
-  auto cf = coarsen(s, GetParam());
+  auto cf = coarsen_rs(s);
   for (int i = 0; i < s.rows(); ++i) {
     if (cf[i] == CF::coarse) continue;
     bool has_c = false;
@@ -94,11 +89,11 @@ TEST_P(CoarsenBoth, EveryFinePointHasAStrongCoarseNeighborOnLaplace) {
   }
 }
 
-TEST_P(CoarsenBoth, IsolatedPointsBecomeCoarse) {
+TEST(CoarsenRs, IsolatedPointsBecomeCoarse) {
   // A diagonal matrix has no strong connections at all.
   Csr a = Csr::identity(5);
   Csr s = strength(a, 0.25);
-  auto cf = coarsen(s, GetParam());
+  auto cf = coarsen_rs(s);
   for (auto m : cf) EXPECT_EQ(m, CF::coarse);
 }
 
@@ -111,14 +106,6 @@ TEST(CoarsenRs, AnisotropicCoarsensAlongStrongDirection) {
   const int nc = static_cast<int>(coarse_points(cf).size());
   EXPECT_GT(nc, 256 / 3);
   EXPECT_LT(nc, 2 * 256 / 3);
-}
-
-TEST(CoarsenPmis, DeterministicAcrossCalls) {
-  Csr a = sparse::laplacian_9pt(9, 9);
-  Csr s = strength(a, 0.25);
-  auto cf1 = coarsen_pmis(s, 3);
-  auto cf2 = coarsen_pmis(s, 3);
-  EXPECT_TRUE(cf1 == cf2);
 }
 
 TEST(Interp, CoarsePointsInterpolateExactly) {
@@ -194,7 +181,7 @@ TEST(Hierarchy, CoarseOperatorIsGalerkin) {
   Hierarchy h = Hierarchy::build(a);
   const auto& l0 = h.levels[0];
   Csr expect = sparse::galerkin_product(l0.R, l0.A, l0.P)
-                   .pruned(h.options.galerkin_prune_tol);
+                   .pruned(kGalerkinPruneTol);
   EXPECT_EQ(h.levels[1].A, expect);
 }
 
@@ -268,17 +255,6 @@ TEST(Solve, AmgPcgConvergesOnPaperProblem) {
   auto res = amg_pcg(h, b, x, 1e-8, 200);
   EXPECT_TRUE(res.converged) << "residual " << res.final_residual;
   EXPECT_LT(residual_norm(a, b, x) / residual_norm(a, b, std::vector<double>(a.rows(), 0.0)), 1e-7);
-}
-
-TEST(Solve, AmgPcgConvergesWithPmisCoarsening) {
-  Csr a = sparse::paper_problem(32, 32);
-  Options opts;
-  opts.coarsen_algo = CoarsenAlgo::pmis;
-  Hierarchy h = Hierarchy::build(a, opts);
-  auto b = random_vec(a.rows(), 5);
-  std::vector<double> x(a.rows(), 0.0);
-  auto res = amg_pcg(h, b, x, 1e-8, 300);
-  EXPECT_TRUE(res.converged) << "residual " << res.final_residual;
 }
 
 TEST(Solve, SolutionMatchesDenseReference) {

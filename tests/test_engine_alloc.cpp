@@ -157,9 +157,9 @@ TEST(EngineAlloc, OversizedPayloadSpillsAndRecycles) {
   EXPECT_GT(after.recycles, warm.recycles);
 }
 
-/// The PR's zero-allocation guarantee must survive fault injection and the
-/// reliability layer: drops, duplicates, timed parks, retransmissions and
-/// debris draining all run on warmed structures (arena payload copies,
+/// The zero-allocation guarantee must survive fault injection and the
+/// reliability layer: drops, timed parks, retransmissions and debris
+/// draining all run on warmed structures (arena payload copies,
 /// interned channels, pooled coroutine frames).  Same proof technique as
 /// the fault-free test: iteration count must not move the allocation count
 /// of a warmed engine.
@@ -167,13 +167,11 @@ TEST(EngineAlloc, FaultedSteadyStateAllocationFree) {
   Engine eng(test_machine(), CostParams::lassen(),
              Engine::Options{.threads = 1});
   eng.set_fault_plan(
-      {.seed = 5,
-       .events = {{.kind = FaultSpec::Kind::msg_drop, .rate = 0.2},
-                  {.kind = FaultSpec::Kind::msg_dup, .rate = 0.2}}});
+      {.seed = 5, .events = {{.kind = FaultSpec::Kind::msg_drop, .rate = 0.2}}});
   const mpix::Reliability rel{.enabled = true, .timeout = 1e-4};
 
   // Cross-node pairing ((r + p/2) % p spans the node boundary on this
-  // machine), so every data message is a drop/duplication candidate.
+  // machine), so every data message is a drop candidate.
   auto faulted_ring = [&](Context& ctx, int iters) -> Task<> {
     const int p = ctx.world().size();
     const int r = ctx.rank();
@@ -196,7 +194,7 @@ TEST(EngineAlloc, FaultedSteadyStateAllocationFree) {
   };
 
   // Warm-up at the longest length used: the in-flight payload high-water
-  // (retransmit copies, duplicate debris) grows with run length, so the
+  // (retransmit copies and their debris) grows with run length, so the
   // arena must see its peak before the measured runs.
   faulted_allocs(128);
   faulted_allocs(128);
@@ -216,14 +214,12 @@ TEST(EngineAlloc, FaultedSteadyStateAllocationFree) {
   EXPECT_EQ(util::frame_pool_mallocs(), frame_warm)
       << "frame pool missed after faulted warm-up";
   // The fault machinery must actually have fired during the proof run.
-  std::uint64_t drops = 0, dups = 0, retransmits = 0;
+  std::uint64_t drops = 0, retransmits = 0;
   for (int r = 0; r < test_machine().num_ranks(); ++r) {
     drops += eng.stats(r).faults.drops;
-    dups += eng.stats(r).faults.dups;
     retransmits += eng.stats(r).faults.retransmits;
   }
   EXPECT_GT(drops, 0u);
-  EXPECT_GT(dups, 0u);
   EXPECT_GT(retransmits, 0u);
 }
 

@@ -2,12 +2,15 @@
 /// \brief Fault injection and reliable delivery: schedule validation,
 /// counter-mode hash determinism, the quiescence watchdog, byte-inertness
 /// of no-op plans, timeout/retransmit semantics, and the width-determinism
-/// battery — every fault class, through every sparse and every dense
+/// battery — both fault classes, through every sparse and every dense
 /// method, bit-identical at sim widths {1, 2, 4, 7}.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,9 +43,8 @@ Machine test_machine() {
                   .ranks_per_region = 4, .switch_levels = {}});
 }
 
-/// 4:1-tapered two-leaf fat tree with both endpoint caps charged: the
-/// shape every fault class can act on (brownouts need link tiers, NIC
-/// slowdowns the injection cap).
+/// 4:1-tapered two-leaf fat tree with the link cap charged: the shape both
+/// fault classes can act on (brownouts need link tiers).
 MeasureConfig fault_config() {
   MeasureConfig cfg;
   cfg.ranks_per_region = 4;
@@ -88,14 +90,13 @@ void expect_identical(const PatternMeasurement& a, const PatternMeasurement& b,
   EXPECT_EQ(a.max_link_backlog_seconds, b.max_link_backlog_seconds) << what;
   EXPECT_EQ(a.sum_link_msgs, b.sum_link_msgs) << what;
   EXPECT_EQ(a.drops, b.drops) << what;
-  EXPECT_EQ(a.dups, b.dups) << what;
   EXPECT_EQ(a.retransmits, b.retransmits) << what;
   EXPECT_EQ(a.timeouts, b.timeouts) << what;
 }
 
-/// One entry per fault class of the width battery.  Drop/duplication run
-/// with reliable delivery enabled — without it a drop deadlocks (that path
-/// is the watchdog test) and a duplicate would linger across windows.
+/// One entry per fault class of the width battery.  Drops run with
+/// reliable delivery enabled — without it a drop deadlocks (that path is
+/// the watchdog test).
 struct FaultCase {
   const char* name;
   FaultPlan plan;
@@ -107,17 +108,8 @@ std::vector<FaultCase> fault_cases() {
       {"msg_drop",
        {.seed = 42, .events = {{.kind = Kind::msg_drop, .rate = 0.25}}},
        true},
-      {"msg_dup",
-       {.seed = 7, .events = {{.kind = Kind::msg_dup, .rate = 0.25}}},
-       true},
       {"link_brownout",
        {.events = {{.kind = Kind::link_brownout, .severity = 0.5}}},
-       false},
-      {"nic_slowdown",
-       {.events = {{.kind = Kind::nic_slowdown, .severity = 0.5}}},
-       false},
-      {"compute_stall",
-       {.events = {{.kind = Kind::compute_stall, .severity = 0.25}}},
        false},
   };
 }
@@ -129,9 +121,8 @@ std::vector<FaultCase> fault_cases() {
 // field and the offending value.
 
 TEST(FaultValidation, RejectsOutOfRangeFields) {
-  const Machine m = test_machine();
-  auto reject = [&](FaultSpec e) {
-    return error_of([&] { validate_fault_plan({.events = {e}}, m); });
+  auto reject = [](FaultSpec e) {
+    return error_of([&] { simmpi::validate_fault_plan({.events = {e}}); });
   };
 
   std::string msg = reject({.kind = Kind::msg_drop, .rate = -0.1});
@@ -139,92 +130,40 @@ TEST(FaultValidation, RejectsOutOfRangeFields) {
   expect_contains(msg, "in [0, 1]");
   expect_contains(msg, "-0.1");
 
-  msg = reject({.kind = Kind::msg_dup, .rate = 1.5});
+  msg = reject({.kind = Kind::msg_drop, .rate = 1.5});
   expect_contains(msg, "events[0].rate");
 
-  msg = reject({.kind = Kind::compute_stall, .severity = 0.0});
+  msg = reject({.kind = Kind::link_brownout, .severity = 0.0});
   expect_contains(msg, "events[0].severity");
   expect_contains(msg, "in (0, 1]");
 
   msg = reject({.kind = Kind::link_brownout, .severity = 2.0});
   expect_contains(msg, "events[0].severity");
-
-  msg = reject({.kind = Kind::msg_drop, .t_begin = -1.0, .rate = 0.5});
-  expect_contains(msg, "events[0].t_begin");
-  expect_contains(msg, ">= 0");
-
-  msg = reject(
-      {.kind = Kind::msg_drop, .t_begin = 2.0, .t_end = 1.0, .rate = 0.5});
-  expect_contains(msg, "events[0].t_end");
-  expect_contains(msg, "inverted or empty");
 }
 
-TEST(FaultValidation, RejectsOutOfRangeTargets) {
-  const Machine m = test_machine();  // 16 ranks, 4 nodes, no link tiers
-  auto reject = [&](FaultSpec e) {
-    return error_of([&] { validate_fault_plan({.events = {e}}, m); });
-  };
-
-  // The flat machine has zero link tiers, so any tier index is out of
-  // range.
-  std::string msg = reject({.kind = Kind::link_brownout, .tier = 0});
-  expect_contains(msg, "events[0].tier");
-  expect_contains(msg, "[0, 0)");
-
-  msg = reject({.kind = Kind::nic_slowdown, .node = 4});
-  expect_contains(msg, "events[0].node");
-  expect_contains(msg, "[0, 4)");
-
-  msg = reject({.kind = Kind::msg_drop, .rank = 16, .rate = 0.5});
-  expect_contains(msg, "events[0].rank");
-  expect_contains(msg, "[0, 16)");
-
-  msg = reject({.kind = Kind::compute_stall, .rank = -2, .severity = 0.5});
-  expect_contains(msg, "events[0].rank");
-}
-
-TEST(FaultValidation, RejectsOverlappingSameKindWindows) {
-  const Machine m = test_machine();
-  // Same target, intersecting windows.
+TEST(FaultValidation, RejectsRepeatedKind) {
+  // Every event applies to the whole run, so two of one kind would stack
+  // ambiguously.
   std::string msg = error_of([&] {
-    validate_fault_plan(
-        {.events = {{.kind = Kind::msg_drop, .t_begin = 0.0, .t_end = 2.0,
-                     .rank = 3, .rate = 0.5},
-                    {.kind = Kind::msg_drop, .t_begin = 1.0, .t_end = 3.0,
-                     .rank = 3, .rate = 0.5}}},
-        m);
+    simmpi::validate_fault_plan(
+        {.events = {{.kind = Kind::msg_drop, .rate = 0.5},
+                    {.kind = Kind::link_brownout, .severity = 0.5},
+                    {.kind = Kind::msg_drop, .rate = 0.2}}});
   });
-  expect_contains(msg, "events[0] and events[1]");
-  expect_contains(msg, "overlapping msg_drop windows");
+  expect_contains(msg, "events[0] and events[2]");
+  expect_contains(msg, "repeat kind msg_drop");
 
-  // The -1 wildcard collides with every explicit target.
   msg = error_of([&] {
-    validate_fault_plan(
-        {.events = {{.kind = Kind::compute_stall, .t_begin = 0.0,
-                     .t_end = 1.0, .rank = -1, .severity = 0.5},
-                    {.kind = Kind::compute_stall, .t_begin = 0.5,
-                     .t_end = 1.5, .rank = 2, .severity = 0.5}}},
-        m);
+    simmpi::validate_fault_plan(
+        {.events = {{.kind = Kind::link_brownout, .severity = 0.5},
+                    {.kind = Kind::link_brownout, .severity = 0.25}}});
   });
-  expect_contains(msg, "overlapping compute_stall windows");
-}
+  expect_contains(msg, "repeat kind link_brownout");
 
-TEST(FaultValidation, AcceptsDisjointAndDistinctTargetWindows) {
-  const Machine m = test_machine();
-  // Adjacent half-open windows on the same target, same-window different
-  // targets, and different kinds in the same window are all fine.
-  EXPECT_NO_THROW(validate_fault_plan(
-      {.events = {{.kind = Kind::msg_drop, .t_begin = 0.0, .t_end = 1.0,
-                   .rate = 0.5},
-                  {.kind = Kind::msg_drop, .t_begin = 1.0, .t_end = 2.0,
-                   .rate = 0.2},
-                  {.kind = Kind::compute_stall, .t_begin = 0.0, .t_end = 1.0,
-                   .rank = 1, .severity = 0.5},
-                  {.kind = Kind::compute_stall, .t_begin = 0.0, .t_end = 1.0,
-                   .rank = 2, .severity = 0.25},
-                  {.kind = Kind::msg_dup, .t_begin = 0.5, .t_end = 1.5,
-                   .rate = 0.1}}},
-      m));
+  // One event of each kind is fine.
+  EXPECT_NO_THROW(simmpi::validate_fault_plan(
+      {.events = {{.kind = Kind::msg_drop, .rate = 0.5},
+                  {.kind = Kind::link_brownout, .severity = 0.5}}}));
 }
 
 TEST(FaultValidation, EngineRejectsEffectsTheCostModelWouldIgnore) {
@@ -238,15 +177,7 @@ TEST(FaultValidation, EngineRejectsEffectsTheCostModelWouldIgnore) {
   });
   expect_contains(msg, "link_brownout requires CostParams::use_link_cap");
 
-  cost.use_injection_cap = false;
-  simmpi::Engine nocap(m, cost, {.threads = 1});
-  msg = error_of([&] {
-    nocap.set_fault_plan(
-        {.events = {{.kind = Kind::nic_slowdown, .severity = 0.5}}});
-  });
-  expect_contains(msg, "nic_slowdown requires CostParams::use_injection_cap");
-
-  // Severity 1.0 is a no-op: accepted even without the caps.
+  // Severity 1.0 is a no-op: accepted even without the cap.
   EXPECT_NO_THROW(flat.set_fault_plan(
       {.events = {{.kind = Kind::link_brownout, .severity = 1.0}}}));
 }
@@ -256,14 +187,6 @@ TEST(FaultValidation, ReliabilityKnobsAreRangeChecked) {
   rel.timeout = 0.0;
   expect_contains(error_of([&] { mpix::impl::validate_reliability(rel); }),
                   "Reliability::timeout must be > 0");
-  rel = {};
-  rel.backoff = 0.5;
-  expect_contains(error_of([&] { mpix::impl::validate_reliability(rel); }),
-                  "Reliability::backoff must be >= 1");
-  rel = {};
-  rel.max_retries = 0;
-  expect_contains(error_of([&] { mpix::impl::validate_reliability(rel); }),
-                  "Reliability::max_retries must be >= 1");
   EXPECT_NO_THROW(mpix::impl::validate_reliability({}));
 
   // The public entry points check the knobs before any plan build
@@ -271,7 +194,7 @@ TEST(FaultValidation, ReliabilityKnobsAreRangeChecked) {
   // methods whose setup is collective.
   const Machine m = test_machine();
   mpix::Options bad;
-  bad.reliability = {.enabled = true, .max_retries = 0};
+  bad.reliability = {.enabled = true, .timeout = 0.0};
   for (const bool dense : {false, true}) {
     simmpi::Engine eng(m, simmpi::CostParams::lassen(), {.threads = 1});
     const std::string msg = error_of([&] {
@@ -279,17 +202,21 @@ TEST(FaultValidation, ReliabilityKnobsAreRangeChecked) {
         const int p = ctx.world().size();
         const int r = ctx.rank();
         std::vector<double> out(p, r), in(p);
+        mpix::AlltoallvArgs args;
         if (dense) {
-          co_await mpix::alltoall_init(
-              ctx, ctx.world(), std::as_bytes(std::span<const double>(out)),
-              std::as_writable_bytes(std::span<double>(in)), 1,
-              sizeof(double), mpix::AlltoallMethod::bruck, bad);
+          args.sendbuf = std::as_bytes(std::span<const double>(out));
+          args.recvbuf = std::as_writable_bytes(std::span<double>(in));
+          args.sendcounts = args.recvcounts = std::vector<int>(p, 1);
+          args.sdispls.resize(p);
+          std::iota(args.sdispls.begin(), args.sdispls.end(), 0);
+          args.rdispls = args.sdispls;
+          co_await mpix::alltoallv_init(ctx, ctx.world(), args,
+                                        mpix::AlltoallMethod::bruck, bad);
         } else {
           simmpi::DistGraph g;
           g.comm = ctx.world();
           g.destinations.push_back((r + 1) % p);
           g.sources.push_back((r + p - 1) % p);
-          mpix::AlltoallvArgs args;
           args.sendbuf = std::as_bytes(std::span<const double>(out).first(1));
           args.recvbuf = std::as_writable_bytes(std::span<double>(in).first(1));
           args.sendcounts = args.recvcounts = {1};
@@ -299,7 +226,7 @@ TEST(FaultValidation, ReliabilityKnobsAreRangeChecked) {
         }
       });
     });
-    expect_contains(msg, "Reliability::max_retries must be >= 1");
+    expect_contains(msg, "Reliability::timeout must be > 0");
     for (int r = 0; r < m.num_ranks(); ++r)
       EXPECT_EQ(eng.stats(r).total_msgs(), 0u)
           << (dense ? "bruck" : "locality") << " rank " << r;
@@ -307,7 +234,7 @@ TEST(FaultValidation, ReliabilityKnobsAreRangeChecked) {
 }
 
 // ---------------------------------------------------------------------------
-// The counter-mode hash underlying drop/duplication decisions.
+// The counter-mode hash underlying drop decisions.
 
 TEST(FaultUniform, PureInRangeAndSeedSensitive) {
   const ChannelKey key{.ctx = 3, .src = 1, .dst = 9, .tag = 17};
@@ -337,7 +264,7 @@ TEST(FaultWatchdog, SwallowedMessageFailsFast) {
                    .ranks_per_region = 2, .switch_levels = {}});
   simmpi::Engine eng(m, simmpi::CostParams::lassen(), {.threads = 1});
   eng.set_fault_plan(
-      {.seed = 1, .events = {{.kind = Kind::msg_drop, .rank = 0, .rate = 1.0}}});
+      {.seed = 1, .events = {{.kind = Kind::msg_drop, .rate = 1.0}}});
 
   const std::string msg = error_of([&] {
     eng.run([&](Context& ctx) -> Task<> {
@@ -412,10 +339,7 @@ TEST(FaultInertness, NoOpPlansAreByteInert) {
   const FaultPlan noop{
       .seed = 99,
       .events = {{.kind = Kind::msg_drop, .rate = 0.0},
-                 {.kind = Kind::msg_dup, .rate = 0.0},
-                 {.kind = Kind::link_brownout, .severity = 1.0},
-                 {.kind = Kind::nic_slowdown, .severity = 1.0},
-                 {.kind = Kind::compute_stall, .severity = 1.0}}};
+                 {.kind = Kind::link_brownout, .severity = 1.0}}};
   for (const FaultPlan* plan : {&empty, &noop}) {
     const Run got = run_once(plan);
     EXPECT_EQ(base.clocks, got.clocks);
@@ -474,8 +398,7 @@ TEST(FaultReliability, RetryExhaustionFailsWithDiagnostics) {
   simmpi::Engine eng(m, simmpi::CostParams::lassen(), {.threads = 1});
   eng.set_fault_plan(
       {.seed = 3, .events = {{.kind = Kind::msg_drop, .rate = 1.0}}});
-  mpix::Reliability rel{
-      .enabled = true, .timeout = 1e-4, .backoff = 2.0, .max_retries = 2};
+  const mpix::Reliability rel{.enabled = true, .timeout = 1e-4};
 
   const std::string msg = error_of([&] {
     eng.run([&](Context& ctx) -> Task<> {
@@ -489,12 +412,60 @@ TEST(FaultReliability, RetryExhaustionFailsWithDiagnostics) {
   });
   expect_contains(msg, "reliable send rank 0");
   expect_contains(msg, "no ack from peer 2");
-  expect_contains(msg, "after 2 retransmits");
+  expect_contains(msg, "after 16 retransmits");
+}
+
+// ---------------------------------------------------------------------------
+// Stale sequences: a data message carrying an already-acknowledged
+// sequence number is discarded, and the exchange still delivers the
+// current payload.  No fault produces one on its own here, so the sender
+// posts it by hand on the wrapped channel's data tag.
+
+TEST(FaultReliability, StaleSequenceIsDiscarded) {
+  const Machine m({.num_nodes = 2, .regions_per_node = 1,
+                   .ranks_per_region = 1, .switch_levels = {}});
+  simmpi::Engine eng(m, simmpi::CostParams::lassen(), {.threads = 1});
+  const mpix::Reliability rel{.enabled = true, .timeout = 1e-3};
+  constexpr int kDataTag = 11;
+  std::vector<double> got(2, 0.0);  // rank 1's payload after each exchange
+
+  auto program = [&](Context& ctx) -> Task<> {
+    double val = 0.0;
+    const auto bytes = std::as_writable_bytes(std::span<double>(&val, 1));
+    mpix::impl::ChannelSet set(ctx.world(), rel, 12);
+    if (ctx.rank() == 0) set.send(bytes, 1, kDataTag);
+    if (ctx.rank() == 1) set.recv(bytes, 0, kDataTag);
+    for (int it = 0; it < 2; ++it) {
+      if (ctx.rank() == 0) {
+        val = 10.0 + it;
+        if (it == 1) {
+          // Sequence 1 was acknowledged by the first exchange.
+          const std::uint32_t seq = 1;
+          const double old = -1.0;
+          std::vector<std::byte> stale(8 + sizeof(old));
+          std::memcpy(stale.data(), &seq, sizeof(seq));
+          std::memcpy(stale.data() + 8, &old, sizeof(old));
+          auto s = simmpi::Request::send(ctx.world(), stale, 1, kDataTag);
+          s.start(ctx);
+          co_await ctx.wait(s);
+        }
+      }
+      set.start(ctx);
+      co_await set.finish(ctx);
+      if (ctx.rank() == 1) got[it] = val;
+    }
+  };
+  // A stale message left unconsumed would fail the run with "posted but
+  // never received".
+  EXPECT_NO_THROW(eng.run(program));
+  EXPECT_EQ(got[0], 10.0);
+  EXPECT_EQ(got[1], 11.0);
+  EXPECT_EQ(eng.stats(0).faults.retransmits, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Fault effects: each class observably perturbs a measurement (and the
-// drop/duplication counters surface in PatternMeasurement), while
+// drop counters surface in PatternMeasurement), while
 // the runner's payload check keeps proving delivered bytes equal the
 // fault-free truth.
 
@@ -507,20 +478,10 @@ TEST(FaultEffects, EachClassPerturbsTheMeasurement) {
   cfg.threads = 1;
   const PatternMeasurement base =
       harness::measure_pattern(wl, mpix::Method::locality, cfg);
-  EXPECT_EQ(base.drops + base.dups + base.retransmits + base.timeouts, 0);
-
-  // The NIC slowdown needs its own flat baseline: under the tapered link
-  // cap the link queues are the bottleneck and absorb injection delays
-  // entirely (correct queueing — just not observable from the outside).
-  MeasureConfig flat;
-  flat.ranks_per_region = 4;
-  flat.threads = 1;
-  const PatternMeasurement base_flat =
-      harness::measure_pattern(wl, mpix::Method::locality, flat);
+  EXPECT_EQ(base.drops + base.retransmits + base.timeouts, 0);
 
   for (const FaultCase& fc : fault_cases()) {
-    const bool nic = std::string(fc.name) == "nic_slowdown";
-    MeasureConfig fcfg = nic ? flat : cfg;
+    MeasureConfig fcfg = cfg;
     fcfg.faults = &fc.plan;
     if (fc.reliable) {
       fcfg.reliability.enabled = true;
@@ -532,17 +493,10 @@ TEST(FaultEffects, EachClassPerturbsTheMeasurement) {
       EXPECT_GT(got.drops, 0) << fc.name;
       EXPECT_GT(got.retransmits, 0) << fc.name;
       EXPECT_GT(got.timeouts, 0) << fc.name;
-      EXPECT_EQ(got.dups, 0) << fc.name;
-    } else if (std::string(fc.name) == "msg_dup") {
-      EXPECT_GT(got.dups, 0) << fc.name;
-      EXPECT_EQ(got.drops, 0) << fc.name;
     } else {
-      // Bandwidth/compute degradation: strictly slower blocking window.
-      EXPECT_GT(got.blocking_seconds,
-                (nic ? base_flat : base).blocking_seconds)
-          << fc.name;
-      EXPECT_EQ(got.drops + got.dups + got.retransmits + got.timeouts, 0)
-          << fc.name;
+      // Bandwidth degradation: strictly slower blocking window.
+      EXPECT_GT(got.blocking_seconds, base.blocking_seconds) << fc.name;
+      EXPECT_EQ(got.drops + got.retransmits + got.timeouts, 0) << fc.name;
     }
   }
 }

@@ -121,14 +121,16 @@ TEST(Measure, GraphCreationHandshakeBeatsAllgather) {
 
 TEST(Measure, FaultPlanReachesEveryDriver) {
   // One engine builder attaches cfg.faults for every driver, not only the
-  // pattern runners: a NIC slowdown slows each of them.
+  // pattern runners: a link brownout slows each of them.
   using Kind = simmpi::FaultSpec::Kind;
   auto dh = small_dist(8);
-  const MeasureConfig clean = small_cfg();
+  MeasureConfig clean = small_cfg();
+  clean.switch_levels = {{.radix = 1, .taper = 1.0}, {.radix = 2, .taper = 1.0}};
+  clean.cost.use_link_cap = true;
   MeasureConfig slow = clean;
-  const simmpi::FaultPlan nic{
-      .events = {{.kind = Kind::nic_slowdown, .severity = 0.25}}};
-  slow.faults = &nic;
+  const simmpi::FaultPlan brownout{
+      .events = {{.kind = Kind::link_brownout, .severity = 0.25}}};
+  slow.faults = &brownout;
   EXPECT_GT(total_time(measure_protocol(dh, Protocol::hypre, slow)),
             total_time(measure_protocol(dh, Protocol::hypre, clean)));
   EXPECT_GT(measure_graph_creation(dh, GraphAlgo::handshake, slow),

@@ -134,7 +134,7 @@ TEST_P(AmgSweep, HierarchyInvariantsHold) {
     // P has no row with more entries than the truncation limit (+C rows=1).
     for (int i = 0; i < lvl.P.rows(); ++i)
       EXPECT_LE(lvl.P.row_cols(i).size(),
-                static_cast<std::size_t>(h.options.interp_max_elements));
+                static_cast<std::size_t>(amg::kInterpMaxElements));
   }
 }
 

@@ -125,27 +125,6 @@ TEST(Patterns, GenerationIsDeterministicAndSeedSensitive) {
   EXPECT_NE(s1.fingerprint(), s2.fingerprint());
 }
 
-TEST(Patterns, LocalitySkewShiftsTrafficIntoRegions) {
-  const Machine m = small_machine();
-  auto region_edges = [&](double skew) {
-    const Workload wl = patterns::generate(
-        "random_sparse", m, {.values = 4, .seed = 3, .degree = 3,
-                             .locality_skew = skew});
-    long local = 0, total = 0;
-    for (int r = 0; r < wl.nranks; ++r)
-      for (int dst : wl.ranks[r].destinations) {
-        ++total;
-        if (m.region_of(dst) == m.region_of(r)) ++local;
-      }
-    EXPECT_GT(total, 0);
-    return std::pair{local, total};
-  };
-  const auto [l0, t0] = region_edges(0.0);
-  const auto [l1, t1] = region_edges(1.0);
-  EXPECT_EQ(l1, t1) << "skew 1.0 must keep every edge in-region";
-  EXPECT_LT(static_cast<double>(l0) / t0, 1.0);
-}
-
 /// Tentpole acceptance: every registered pattern runs through every sparse
 /// neighbor method with byte-verified delivery (the pattern runner throws
 /// on the first bad byte).

@@ -100,7 +100,7 @@ TEST(SparseThreads, SelectRowsAndPermutedBitIdenticalAcrossWidths) {
 TEST(SparseThreads, StrengthAndInterpBitIdenticalAcrossWidths) {
   const Csr a = test_matrix();
   const Csr s1 = amg::strength(a, 0.25, Threads{1});
-  const std::vector<amg::CF> cf = amg::coarsen(s1, amg::CoarsenAlgo::rs);
+  const std::vector<amg::CF> cf = amg::coarsen_rs(s1);
   const Csr p1 = amg::direct_interpolation(a, s1, cf, 4, Threads{1});
   for (int w : kWidths) {
     const Csr sw = amg::strength(a, 0.25, Threads{w});
@@ -113,7 +113,7 @@ TEST(SparseThreads, StrengthAndInterpBitIdenticalAcrossWidths) {
 TEST(SparseThreads, GalerkinProductBitIdenticalAcrossWidths) {
   const Csr a = test_matrix();
   const Csr s = amg::strength(a, 0.25, Threads{1});
-  const std::vector<amg::CF> cf = amg::coarsen(s, amg::CoarsenAlgo::rs);
+  const std::vector<amg::CF> cf = amg::coarsen_rs(s);
   const Csr p = amg::direct_interpolation(a, s, cf, 4, Threads{1});
   const Csr r = p.transpose(Threads{1});
   const Csr base = sparse::galerkin_product(r, a, p, Threads{1});

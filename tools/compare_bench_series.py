@@ -14,6 +14,10 @@ simulator's determinism contract (docs/ARCHITECTURE.md) promises the
 *counters* are bit-identical across engine widths and hierarchy
 construction widths, and CI uses this script to hold benches to it.
 
+A counter present on only one side (added or retired) is reported once
+per file with its row count, e.g. "old_counter only in <dir_a>, 24 of 24
+rows"; every other field of those rows is still compared.
+
 Exits 0 when every series matches, 1 with a per-mismatch report else.
 """
 
@@ -77,20 +81,28 @@ def main(argv):
             print(f"  only in b: {sorted(set(names_b) - set(names_a))}")
             failures += 1
             continue
+        # Fields present on one side only: counted per field, reported once.
+        one_sided = {}
         mismatches = []
         for (name, fa), (_, fb) in zip(a, b):
-            if fa != fb:
-                keys = sorted(
-                    k
-                    for k in set(fa) | set(fb)
-                    if fa.get(k) != fb.get(k)
-                )
+            for k in set(fa) ^ set(fb):
+                side = str(dir_a if k in fa else dir_b)
+                one_sided[(k, side)] = one_sided.get((k, side), 0) + 1
+            keys = sorted(k for k in set(fa) & set(fb) if fa[k] != fb[k])
+            if keys:
                 mismatches.append((name, keys, fa, fb))
-        if mismatches:
-            print(f"DIFFER   {file_a.name}: {len(mismatches)} benchmark(s)")
+        if one_sided or mismatches:
+            parts = []
+            if one_sided:
+                parts.append(f"{len(one_sided)} one-sided field(s)")
+            if mismatches:
+                parts.append(f"{len(mismatches)} benchmark(s)")
+            print(f"DIFFER   {file_a.name}: {', '.join(parts)}")
+            for (k, side), rows in sorted(one_sided.items()):
+                print(f"  {k} only in {side}, {rows} of {len(a)} rows")
             for name, keys, fa, fb in mismatches[:8]:
                 for k in keys:
-                    print(f"  {name}.{k}: {fa.get(k)!r} != {fb.get(k)!r}")
+                    print(f"  {name}.{k}: {fa[k]!r} != {fb[k]!r}")
             failures += 1
         else:
             print(f"match    {file_a.name} ({len(a)} benchmarks)")
