@@ -31,6 +31,7 @@ struct Entry {
 Entry measure(const char* name, simmpi::CostParams params) {
   harness::MeasureConfig cfg = paper_config();
   cfg.cost = params;
+  cfg.plans = &plan_cache();  // the three models share every plan
   const auto& dh = harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
   Entry e;
   e.name = name;

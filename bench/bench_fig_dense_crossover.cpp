@@ -53,7 +53,6 @@ Data measure(const std::vector<Point>& pts) {
   for (const Point& pt : pts) {
     harness::MeasureConfig cfg;
     cfg.ranks_per_region = pt.ppn;
-    cfg.plans = &plan_cache();
     const patterns::Workload wl = patterns::uniform_dense(
         harness::machine_for(pt.procs, cfg), {.values = pt.count});
     harness::PatternMeasurement per[kNumDense];

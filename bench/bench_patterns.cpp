@@ -73,7 +73,6 @@ std::vector<PointData> measure() {
     cfg.ranks_per_region = sh.rpr;
     cfg.regions_per_node = sh.rpn;
     cfg.cost.use_ejection_cap = true;  // endpoint congestion first-class
-    cfg.plans = &plan_cache();
     for (const auto& spec : patterns::registry()) {
       PointData pt;
       pt.shape = sh;

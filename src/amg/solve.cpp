@@ -7,7 +7,7 @@
 namespace amg {
 
 void jacobi(const sparse::Csr& A, std::span<const double> b,
-            std::span<double> x, double omega) {
+            std::span<double> x) {
   const int n = A.rows();
   std::vector<double> r(n);
   A.spmv(x, r);
@@ -15,7 +15,7 @@ void jacobi(const sparse::Csr& A, std::span<const double> b,
   const auto d = A.diagonal();
   for (int i = 0; i < n; ++i) {
     if (d[i] == 0.0) throw sparse::Error("jacobi: zero diagonal");
-    x[i] += omega * r[i] / d[i];
+    x[i] += kJacobiOmega * r[i] / d[i];
   }
 }
 
@@ -65,14 +65,13 @@ void dense_solve(const sparse::Csr& A, std::span<const double> b,
 }
 
 void vcycle(const Hierarchy& h, int lvl, std::span<const double> b,
-            std::span<double> x, const CycleOptions& opts) {
+            std::span<double> x) {
   const Level& level = h.levels[lvl];
   if (lvl == h.num_levels() - 1 || level.is_coarsest()) {
     dense_solve(level.A, b, x);
     return;
   }
-  for (int s = 0; s < opts.pre_sweeps; ++s)
-    jacobi(level.A, b, x, opts.jacobi_omega);
+  jacobi(level.A, b, x);
 
   // Restrict the residual.
   const int n = level.n();
@@ -83,15 +82,14 @@ void vcycle(const Hierarchy& h, int lvl, std::span<const double> b,
   std::vector<double> rc(nc), xc(nc, 0.0);
   level.R.spmv(r, rc);
 
-  vcycle(h, lvl + 1, rc, xc, opts);
+  vcycle(h, lvl + 1, rc, xc);
 
   // Prolongate and correct.
   std::vector<double> corr(n);
   level.P.spmv(xc, corr);
   for (int i = 0; i < n; ++i) x[i] += corr[i];
 
-  for (int s = 0; s < opts.post_sweeps; ++s)
-    jacobi(level.A, b, x, opts.jacobi_omega);
+  jacobi(level.A, b, x);
 }
 
 double residual_norm(const sparse::Csr& A, std::span<const double> b,
@@ -157,8 +155,7 @@ SolveResult pcg(const sparse::Csr& A, std::span<const double> b,
 }
 
 SolveResult amg_solve(const Hierarchy& h, std::span<const double> b,
-                      std::span<double> x, double rel_tol, int max_iter,
-                      const CycleOptions& opts) {
+                      std::span<double> x, double rel_tol, int max_iter) {
   const sparse::Csr& A = h.levels.front().A;
   const double bnorm = std::max(norm2(b), 1e-300);
   SolveResult res;
@@ -168,7 +165,7 @@ SolveResult amg_solve(const Hierarchy& h, std::span<const double> b,
       res.converged = true;
       return res;
     }
-    vcycle(h, 0, b, x, opts);
+    vcycle(h, 0, b, x);
     ++res.iterations;
   }
   res.final_residual = residual_norm(A, b, x) / bnorm;
@@ -177,11 +174,10 @@ SolveResult amg_solve(const Hierarchy& h, std::span<const double> b,
 }
 
 SolveResult amg_pcg(const Hierarchy& h, std::span<const double> b,
-                    std::span<double> x, double rel_tol, int max_iter,
-                    const CycleOptions& opts) {
+                    std::span<double> x, double rel_tol, int max_iter) {
   Precond M = [&](std::span<const double> r, std::span<double> z) {
     std::fill(z.begin(), z.end(), 0.0);
-    vcycle(h, 0, r, z, opts);
+    vcycle(h, 0, r, z);
   };
   return pcg(h.levels.front().A, b, x, M, rel_tol, max_iter);
 }

@@ -1,6 +1,10 @@
 #pragma once
 /// \file solve.hpp
 /// \brief Sequential solve-phase kernels: smoothers, V-cycle, PCG.
+///
+/// The V-cycle smooths with one weighted-Jacobi pre-sweep and one
+/// post-sweep at `kJacobiOmega`, as does the distributed solve
+/// (harness/dist_solve.hpp).
 
 #include <functional>
 #include <span>
@@ -9,24 +13,20 @@
 
 namespace amg {
 
-/// x += omega * D^{-1} (b - A x)   (one weighted-Jacobi sweep).
+/// Weighted-Jacobi damping of every smoothing sweep.
+inline constexpr double kJacobiOmega = 2.0 / 3.0;
+
+/// x += kJacobiOmega * D^{-1} (b - A x)   (one weighted-Jacobi sweep).
 void jacobi(const sparse::Csr& A, std::span<const double> b,
-            std::span<double> x, double omega = 2.0 / 3.0);
+            std::span<double> x);
 
 /// Dense LU solve with partial pivoting (coarsest-level solver).
 void dense_solve(const sparse::Csr& A, std::span<const double> b,
                  std::span<double> x);
 
-/// Solve-phase parameters.
-struct CycleOptions {
-  int pre_sweeps = 1;
-  int post_sweeps = 1;
-  double jacobi_omega = 2.0 / 3.0;
-};
-
 /// One V-cycle on level `lvl` of the hierarchy: x <- V(x, b).
 void vcycle(const Hierarchy& h, int lvl, std::span<const double> b,
-            std::span<double> x, const CycleOptions& opts = {});
+            std::span<double> x);
 
 /// Result of an iterative solve.
 struct SolveResult {
@@ -48,12 +48,12 @@ SolveResult pcg(const sparse::Csr& A, std::span<const double> b,
 /// drops below rel_tol.
 SolveResult amg_solve(const Hierarchy& h, std::span<const double> b,
                       std::span<double> x, double rel_tol = 1e-8,
-                      int max_iter = 200, const CycleOptions& opts = {});
+                      int max_iter = 200);
 
 /// Convenience: PCG preconditioned with one V-cycle of `h`.
 SolveResult amg_pcg(const Hierarchy& h, std::span<const double> b,
                     std::span<double> x, double rel_tol = 1e-8,
-                    int max_iter = 500, const CycleOptions& opts = {});
+                    int max_iter = 500);
 
 /// Two-norm of b - A x.
 double residual_norm(const sparse::Csr& A, std::span<const double> b,

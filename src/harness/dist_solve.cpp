@@ -20,8 +20,6 @@ struct LevelState {
   long nloc = 0;
 };
 
-constexpr double kJacobiOmega = 2.0 / 3.0;
-
 /// y = A x on this rank (exchange + local compute).
 Task<> dist_spmv(Context& ctx, const sparse::ParCsrRank& a, HaloExchange& ex,
                  std::span<const double> x, std::span<double> y) {
@@ -117,7 +115,7 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
       LevelState& s = st[l];
       co_await dist_spmv(c, dh.levels[l].A.ranks[r], *s.ex_a, s.x, s.tmp);
       for (long i = 0; i < s.nloc; ++i)
-        s.x[i] += kJacobiOmega * (s.b[i] - s.tmp[i]) / s.diag[i];
+        s.x[i] += amg::kJacobiOmega * (s.b[i] - s.tmp[i]) / s.diag[i];
     };
     auto coarse_solve = [&](Context& c) -> Task<> {
       // Gather the coarsest rhs everywhere and solve redundantly.

@@ -29,81 +29,6 @@ using simmpi::Context;
 using simmpi::Task;
 using util::fnv_mix;
 
-/// Shared bookkeeping: owned buffers + gather list.
-struct Buffers {
-  std::vector<int> send_gather;   ///< local x index per sendbuf slot
-  std::vector<double> sendbuf;
-  std::vector<double> xext;
-  std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
-  std::vector<mpix::gidx> send_idx, recv_idx;
-  std::vector<int> destinations, sources;
-
-  explicit Buffers(const sparse::RankHalo& halo) {
-    destinations = halo.send_ranks;
-    sources = halo.recv_ranks;
-    sendcounts = halo.send_counts;
-    recvcounts = halo.recv_counts;
-    sdispls.resize(sendcounts.size());
-    rdispls.resize(recvcounts.size());
-    int acc = 0;
-    for (std::size_t i = 0; i < sendcounts.size(); ++i) {
-      sdispls[i] = acc;
-      acc += sendcounts[i];
-    }
-    acc = 0;
-    for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-      rdispls[i] = acc;
-      acc += recvcounts[i];
-    }
-    send_gather = halo.send_idx;
-    send_idx.assign(halo.send_gids.begin(), halo.send_gids.end());
-    recv_idx.assign(halo.recv_gids.begin(), halo.recv_gids.end());
-    sendbuf.resize(send_gather.size());
-    xext.resize(recv_idx.size());
-  }
-
-  mpix::AlltoallvArgs args() {
-    return mpix::AlltoallvArgsT<double>{
-        .sendbuf = sendbuf,
-        .sendcounts = sendcounts,
-        .sdispls = sdispls,
-        .recvbuf = xext,
-        .recvcounts = recvcounts,
-        .rdispls = rdispls,
-        .send_idx = send_idx,
-        .recv_idx = recv_idx,
-    };
-  }
-
-  void gather(std::span<const double> x_local) {
-    for (std::size_t k = 0; k < send_gather.size(); ++k)
-      sendbuf[k] = x_local[send_gather[k]];
-  }
-};
-
-/// Any mpix neighbor collective behind the HaloExchange interface.
-class NeighborExchange final : public HaloExchange {
- public:
-  NeighborExchange(Buffers buf, simmpi::DistGraph graph,
-                   std::unique_ptr<mpix::NeighborAlltoallv> coll)
-      : buf_(std::move(buf)),
-        graph_(std::move(graph)),
-        coll_(std::move(coll)) {}
-
-  Task<> start(Context& ctx, std::span<const double> x_local) override {
-    buf_.gather(x_local);
-    co_await coll_->start(ctx);
-  }
-  Task<> wait(Context& ctx) override { co_await coll_->wait(ctx); }
-  std::span<const double> x_ext() const override { return buf_.xext; }
-  mpix::NeighborStats stats() const override { return coll_->stats(); }
-
- private:
-  Buffers buf_;
-  simmpi::DistGraph graph_;
-  std::unique_ptr<mpix::NeighborAlltoallv> coll_;
-};
-
 template <class T>
 std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
   h = fnv_mix(h, v.size());
@@ -126,6 +51,17 @@ std::uint64_t plan_key(std::uint64_t pattern_key, std::uint64_t family,
   for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
     h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
   return h;
+}
+
+/// Prefix-sum displacements of `counts`.
+std::vector<int> displs_of(const std::vector<int>& counts) {
+  std::vector<int> d(counts.size());
+  int acc = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    d[i] = acc;
+    acc += counts[i];
+  }
+  return d;
 }
 
 }  // namespace
@@ -174,13 +110,28 @@ std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
   return h;
 }
 
+HaloExchange::HaloExchange(const sparse::RankHalo& halo)
+    : send_gather_(halo.send_idx),
+      sendbuf_(halo.send_idx.size()),
+      xext_(halo.recv_gids.size()),
+      sendcounts_(halo.send_counts),
+      sdispls_(displs_of(halo.send_counts)),
+      recvcounts_(halo.recv_counts),
+      rdispls_(displs_of(halo.recv_counts)),
+      send_idx_(halo.send_gids.begin(), halo.send_gids.end()),
+      recv_idx_(halo.recv_gids.begin(), halo.recv_gids.end()) {}
+
+Task<> HaloExchange::start(Context& ctx, std::span<const double> x_local) {
+  for (std::size_t k = 0; k < send_gather_.size(); ++k)
+    sendbuf_[k] = x_local[send_gather_[k]];
+  co_await coll_->start(ctx);
+}
+
 Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     Context& ctx, Comm comm, Protocol protocol, const sparse::RankHalo& halo,
     const ExchangeOptions& opts) {
-  // Neighbor collectives bind spans into the Buffers vectors at init.
-  // Moving `Buffers` afterwards is safe: vector moves transfer the heap
-  // storage the spans point into.
-  auto buf = std::make_unique<Buffers>(halo);
+  // Not make_unique: the constructor is private to this factory.
+  std::unique_ptr<HaloExchange> ex(new HaloExchange(halo));
   const bool hypre = protocol == Protocol::hypre;
   const mpix::Method method = hypre ? mpix::Method::standard
                                     : method_of(protocol);
@@ -197,20 +148,27 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
 
   // Hypre's exchange is the standard method without a topology
   // communicator: its adjacency lives on `comm` itself.
-  simmpi::DistGraph graph;
   if (hypre)
-    graph = {comm, buf->sources, buf->destinations};
+    ex->graph_ = {comm, halo.recv_ranks, halo.send_ranks};
   else
-    graph = co_await simmpi::dist_graph_create_adjacent(
-        ctx, comm, buf->sources, buf->destinations,
+    ex->graph_ = co_await simmpi::dist_graph_create_adjacent(
+        ctx, comm, halo.recv_ranks, halo.send_ranks,
         simmpi::GraphAlgo::handshake);
-  std::unique_ptr<mpix::NeighborAlltoallv> coll =
-      co_await mpix::neighbor_alltoallv_init(ctx, graph, buf->args(), method,
-                                             mopts);
-  if (cacheable && !cached) opts.plans->put(key, comm.rank(), coll->plan());
-  co_return std::make_unique<NeighborExchange>(std::move(*buf),
-                                               std::move(graph),
-                                               std::move(coll));
+  mpix::AlltoallvArgs args = mpix::AlltoallvArgsT<double>{
+      .sendbuf = ex->sendbuf_,
+      .sendcounts = ex->sendcounts_,
+      .sdispls = ex->sdispls_,
+      .recvbuf = ex->xext_,
+      .recvcounts = ex->recvcounts_,
+      .rdispls = ex->rdispls_,
+      .send_idx = ex->send_idx_,
+      .recv_idx = ex->recv_idx_,
+  };
+  ex->coll_ = co_await mpix::neighbor_alltoallv_init(
+      ctx, ex->graph_, std::move(args), method, mopts);
+  if (cacheable && !cached)
+    opts.plans->put(key, comm.rank(), ex->coll_->plan());
+  co_return ex;
 }
 
 }  // namespace harness

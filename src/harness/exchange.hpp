@@ -1,7 +1,7 @@
 #pragma once
 /// \file exchange.hpp
-/// \brief Halo-exchange backends for the distributed SpMV, one per
-/// protocol of the paper's evaluation (Section 4):
+/// \brief The halo exchange of the distributed SpMV, over the four
+/// protocols of the paper's evaluation (Section 4):
 ///   * `hypre`            — persistent point-to-point, as in Hypre 2.28:
 ///     the standard method's p2p wrap on the parent communicator, with no
 ///     topology communicator created;
@@ -13,10 +13,11 @@
 /// (`method_of`/`protocol_of`); the dispatch of all four lives entirely in
 /// `mpix::neighbor_alltoallv_init`.
 ///
-/// One backend serves every protocol: it owns its gathered send buffer
-/// and its external-vector receive buffer (`x_ext`, laid out as
-/// col_map_offd), so the SpMV code is protocol-agnostic: start(x_local)
-/// gathers and launches, wait() completes and exposes x_ext.
+/// One concrete `HaloExchange` serves every protocol: it owns its gather
+/// list, its gathered send buffer, its external-vector receive buffer
+/// (`x_ext`, laid out as col_map_offd), its graph and its collective, so
+/// the SpMV code is protocol-agnostic: start(x_local) gathers and
+/// launches, wait() completes and exposes x_ext.
 ///
 /// A `PlanCache` amortizes locality-aware setup across exchanges: the
 /// first init of a pattern stores its `mpix::LocalityPlan`; later inits of
@@ -25,8 +26,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "mpix/alltoall.hpp"
 #include "mpix/neighbor.hpp"
@@ -181,19 +184,7 @@ struct ExchangeOptions {
 // owning members.
 static_assert(std::is_trivially_destructible_v<ExchangeOptions>);
 
-/// A persistent halo exchange bound to one rank's pattern.
-class HaloExchange {
- public:
-  virtual ~HaloExchange() = default;
-  /// Gather x values and launch the exchange.
-  virtual simmpi::Task<> start(simmpi::Context& ctx,
-                               std::span<const double> x_local) = 0;
-  /// Complete the exchange; afterwards x_ext() holds the halo values in
-  /// col_map_offd order.
-  virtual simmpi::Task<> wait(simmpi::Context& ctx) = 0;
-  virtual std::span<const double> x_ext() const = 0;
-  virtual mpix::NeighborStats stats() const = 0;
-};
+class HaloExchange;
 
 /// Build the exchange for `rank`'s halo pattern.  Collective over `comm`
 /// (neighbor protocols create topologies; the locality-aware ones also
@@ -202,5 +193,32 @@ class HaloExchange {
 simmpi::Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     simmpi::Context& ctx, simmpi::Comm comm, Protocol protocol,
     const sparse::RankHalo& halo, const ExchangeOptions& opts = {});
+
+/// A persistent halo exchange bound to one rank's pattern; built only by
+/// `make_halo_exchange`.  Its collective binds spans into the buffers
+/// below.
+class HaloExchange {
+ public:
+  /// Gather x values and launch the exchange.
+  simmpi::Task<> start(simmpi::Context& ctx, std::span<const double> x_local);
+  /// Complete the exchange; afterwards x_ext() holds the halo values in
+  /// col_map_offd order.
+  simmpi::Task<> wait(simmpi::Context& ctx) { return coll_->wait(ctx); }
+  std::span<const double> x_ext() const { return xext_; }
+  mpix::NeighborStats stats() const { return coll_->stats(); }
+
+ private:
+  friend simmpi::Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
+      simmpi::Context&, simmpi::Comm, Protocol, const sparse::RankHalo&,
+      const ExchangeOptions&);
+  explicit HaloExchange(const sparse::RankHalo& halo);
+
+  std::vector<int> send_gather_;  ///< local x index per sendbuf slot
+  std::vector<double> sendbuf_, xext_;
+  std::vector<int> sendcounts_, sdispls_, recvcounts_, rdispls_;
+  std::vector<mpix::gidx> send_idx_, recv_idx_;
+  simmpi::DistGraph graph_;
+  std::unique_ptr<mpix::NeighborAlltoallv> coll_;
+};
 
 }  // namespace harness

@@ -28,15 +28,17 @@
 /// collectives with one difference: counts/displacements carry one entry
 /// per *communicator rank* (the dense adjacency), not per neighbor.
 ///
-/// Lifecycle, plan split and statistics mirror the neighbor collectives:
-/// init once (collective for the aggregated methods unless a plan is
-/// reused through `Options::plan`), then `start`/`wait` per iteration;
+/// Lifecycle, plan split and statistics mirror the neighbor collectives,
+/// and both entry points share one dispatcher (init.cpp): init once
+/// (collective for the aggregated methods unless a plan is reused through
+/// `Options::plan`), then `start`/`wait` per iteration;
 /// `NeighborAlltoallv::stats()` counts intra-region ("local") and
 /// inter-region ("global") messages on the sender side, so
 /// `verify_stats()` and the measurement harness work unchanged.
-/// `node_aggregated` reuses the neighbor `LocalityPlan`; `bruck` has its
-/// own `BruckPlan`.  Both derive from `PlanBase`, cache like neighbor
-/// plans (see harness::PlanCache) and feed back through `Options::plan`.
+/// `node_aggregated` reuses the neighbor `LocalityPlan` over the dense
+/// graph (`impl::dense_graph`); `bruck` has its own `BruckPlan`.  Both
+/// derive from `PlanBase`, cache like neighbor plans (see
+/// harness::PlanCache) and feed back through `Options::plan`.
 
 #include <memory>
 #include <vector>
@@ -65,26 +67,15 @@ constexpr bool alltoall_uses_plan(AlltoallMethod m) {
 /// Human-readable method name ("standard", "node_aggregated", "bruck").
 const char* to_string(AlltoallMethod m);
 
-/// The reusable, buffer-free half of `AlltoallMethod::bruck` init: the
-/// complete rotation schedule of this rank — its region's ⌈log2 R⌉ Bruck
-/// rounds resolved into per-round peers, message sizes and value-run copy
-/// lists — plus the intra-region fill/deliver routing.  Built
-/// collectively (region metadata allgather + one comm-wide exchange of
-/// per-region traffic totals); binding buffers to it is purely local.
-/// All offsets are in *values*; binding scales by `element_size`.  Like
-/// LocalityPlan, instances are immutable and shared-ptr-owned.
+/// The plan of `AlltoallMethod::bruck`: the complete rotation schedule of
+/// this rank — its region's ⌈log2 R⌉ Bruck rounds resolved into per-round
+/// peers, message sizes and value-run copy lists — plus the intra-region
+/// fill/deliver routing.  Built collectively (region metadata allgather +
+/// one comm-wide exchange of per-region traffic totals); binding buffers
+/// to it is purely local.  Counts and displacements (PlanBase) carry one
+/// entry per comm rank.
 struct BruckPlan : PlanBase {
-  /// See LocalityPlan::binding_fingerprint (0 = unchecked).
-  std::uint64_t binding_fingerprint = 0;
-
-  /// The dense pattern the plan was built for (one entry per comm rank).
-  std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
-
   int regions = 0;  ///< R: regions spanned by the communicator
-
-  /// Intra-region traffic: direct user-buffer p2p, as in the neighbor
-  /// locality plan.
-  std::vector<DirectMsg> l_sends, l_recvs;
 
   bool is_leader = false;  ///< leads its region (its smallest comm rank)
 
@@ -117,8 +108,6 @@ struct BruckPlan : PlanBase {
   long resident_values = 0;  ///< resident buffer size (max over epochs)
   long round_send_max = 0;   ///< largest per-round outgoing message
   long round_recv_max = 0;   ///< largest per-round incoming message
-
-  NeighborStats stats;  ///< fixed at plan time (independent of payload)
 };
 
 /// Create a persistent dense all-to-all-v (the dense analogue of

@@ -100,35 +100,12 @@ struct BruckAlltoallv final : NeighborAlltoallv {
   std::shared_ptr<const PlanBase> plan() const override { return routing; }
 };
 
-/// Validate `args` against the dense adjacency and the exact pattern
-/// `plan` was built for, and the communicator against the plan's binding
-/// fingerprint.
-void validate_bruck_args(const BruckPlan& plan, const Comm& comm,
-                         const AlltoallvArgs& args) {
-  detail::validate_args(impl::dense_graph(comm), args, /*need_idx=*/false);
-  if (plan.binding_fingerprint != 0 &&
-      plan.binding_fingerprint !=
-          detail::binding_fingerprint(comm, comm.engine().machine()))
-    throw SimError(
-        "alltoallv bruck: plan was built for a different communicator or "
-        "machine layout");
-  const std::size_t p = static_cast<std::size_t>(comm.size());
-  if (plan.sendcounts.size() != p)
-    throw SimError("alltoallv bruck: plan was built for " +
-                   std::to_string(plan.sendcounts.size()) +
-                   " ranks, communicator has " + std::to_string(p));
-  if (args.sendcounts != plan.sendcounts || args.sdispls != plan.sdispls ||
-      args.recvcounts != plan.recvcounts || args.rdispls != plan.rdispls)
-    throw SimError(
-        "alltoallv bruck: arguments do not match the pattern the plan was "
-        "built for");
-}
-
 }  // namespace
 
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
-    Context& ctx, Comm comm, AlltoallvArgs args) {
-  detail::validate_args(impl::dense_graph(comm), args, /*need_idx=*/false);
+    Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args) {
+  detail::validate_args(graph, args, /*need_idx=*/false);
+  const Comm& comm = graph.comm;
   const auto& machine = ctx.engine().machine();
   const int p = comm.size();
   const int me = comm.rank();
@@ -367,9 +344,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
           std::max(plan->stats.max_global_msg_values,
                    static_cast<long>(round.send_values));
       detail::count_link_crossing(machine, comm.global(comm.rank()),
-                                  comm.global(round.send_peer),
-                                  static_cast<long>(round.send_values),
-                                  plan->stats);
+                                  comm.global(round.send_peer), plan->stats);
       plan->rounds.push_back(std::move(round));
     }
   }
@@ -491,9 +466,10 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 }
 
 std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
-    Context& ctx, Comm comm, AlltoallvArgs args,
+    Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     std::shared_ptr<const BruckPlan> plan, const Options& opts) {
-  validate_bruck_args(*plan, comm, args);
+  detail::validate_plan_args(*plan, graph, args, /*need_idx=*/false);
+  const Comm& comm = graph.comm;
 
   const std::size_t es = args.element_size;
   const BruckPlan& p = *plan;
@@ -512,12 +488,8 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
       opts.reliability.enabled ? ctx.engine().next_coll_tag(comm) : -1;
 
   obj->l = impl::ChannelSet(comm, opts.reliability, tag_back);
-  for (const auto& m : p.l_sends)
-    obj->l.send(obj->args.sendbuf.subspan(m.displ * es, m.count * es), m.peer,
-                tag_l);
-  for (const auto& m : p.l_recvs)
-    obj->l.recv(obj->args.recvbuf.subspan(m.displ * es, m.count * es), m.peer,
-                tag_l);
+  obj->l.declare(p.l_sends, obj->args.sendbuf, p.l_recvs, obj->args.recvbuf,
+                 tag_l, es);
 
   obj->fill = detail::BoundPhase(p.fill, comm, tag_f, es);
   obj->deliver = detail::BoundPhase(p.deliver, comm, tag_d, es);

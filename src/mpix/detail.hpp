@@ -1,10 +1,10 @@
 #pragma once
 /// \file detail.hpp
-/// \brief Helpers behind the aggregated collectives: argument validation,
-/// traffic metadata serialization, leader load balancing, the canonical
-/// layout of inter-region messages (all pure, so unit-testable without
-/// the simulator), and `BoundPhase`, the driver of their intra-region
-/// staging phases.
+/// \brief Helpers behind the collectives: argument validation and the one
+/// plan validator every binding runs, traffic metadata serialization,
+/// leader load balancing, the canonical layout of inter-region messages
+/// (all pure, so unit-testable without the simulator), and `BoundPhase`,
+/// the driver of the aggregated collectives' intra-region staging phases.
 
 #include <cstring>
 #include <span>
@@ -39,18 +39,23 @@ void reject_duplicate_edges(const simmpi::DistGraph& graph);
 std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
                                   const simmpi::Machine& machine);
 
-/// Accumulate `stats.link_msgs` / `link_values` for one network message
-/// from global rank `gsrc` to `gdst`: one count per link tier the pair's
-/// LCA path crosses.  No-op on flat machines and for pairs under one leaf
-/// switch (including same-node pairs), mirroring what the engine charges.
+/// Accumulate `stats.link_msgs` for one network message from global rank
+/// `gsrc` to `gdst`: one count per link tier the pair's LCA path crosses.
+/// No-op on flat machines and for pairs under one leaf switch (including
+/// same-node pairs), mirroring what the engine charges.
 void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
-                         long values, NeighborStats& stats);
+                         NeighborStats& stats);
 
-/// Validate that `args` carries the exact pattern `plan` was built for
-/// (adjacency, counts, displacements, and — for dedup plans — the index
-/// annotations the routing depends on), and that the graph's communicator
-/// and machine match the plan's binding fingerprint (skipped when the plan
-/// carries none).  Throws SimError on any mismatch.
+/// The checks every plan kind shares before binding: `validate_args`
+/// (with `need_idx`), the graph's communicator and machine against the
+/// plan's binding fingerprint (skipped when the plan carries none), and
+/// the counts and displacements the plan was built for.  Throws SimError
+/// on any mismatch.
+void validate_plan_args(const PlanBase& plan, const simmpi::DistGraph& graph,
+                        const AlltoallvArgs& args, bool need_idx);
+
+/// The shared checks plus what a LocalityPlan adds: the graph adjacency
+/// and, for dedup plans, the index annotations the routing depends on.
 void validate_plan_args(const LocalityPlan& plan,
                         const simmpi::DistGraph& graph,
                         const AlltoallvArgs& args);
@@ -97,12 +102,9 @@ std::vector<int> assign_leaders(std::span<const std::pair<int, long>> loads,
 struct PairLayout {
   long total = 0;  ///< values crossing the region boundary
 
-  /// Partial (no dedup): one contiguous segment per edge, in edge order.
-  struct Segment {
-    int edge_index;  ///< into the pair's (sorted) edge vector
-    long offset;     ///< value offset within the message
-  };
-  std::vector<Segment> segments;
+  /// Partial (no dedup): one contiguous segment per edge, in edge order;
+  /// `segments[e]` is edge e's value offset within the message.
+  std::vector<long> segments;
 
   /// Dedup: per source rank, sorted unique gids at a block offset.
   struct SrcBlock {

@@ -110,11 +110,12 @@ struct RegionRoutes {
 /// which is taken by value and so freed on return — before the caller's
 /// root handshake suspends, so the members of a region do not all hold
 /// their copies at once.  Layouts are built only for the pairs this rank
-/// leads: nobody else reads them.
+/// leads: nobody else reads them.  `lpt` picks the leader assignment (see
+/// Options::lpt_balance).
 RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
                           const simmpi::DistGraph& graph,
                           const AlltoallvArgs& args, const Comm& rc,
-                          std::span<const int> g2l) {
+                          std::span<const int> g2l, bool lpt) {
   const bool dedup = plan.dedup;
   const Comm& comm = graph.comm;
   const auto& machine = comm.engine().machine();
@@ -162,10 +163,8 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     for (const Edge* e : v) t += e->count;
     in_loads.emplace_back(rr, t);
   }
-  const auto out_assign =
-      detail::assign_leaders(out_loads, nlocal, plan.lpt_balance);
-  const auto in_assign =
-      detail::assign_leaders(in_loads, nlocal, plan.lpt_balance);
+  const auto out_assign = detail::assign_leaders(out_loads, nlocal, lpt);
+  const auto in_assign = detail::assign_leaders(in_loads, nlocal, lpt);
   for (std::size_t i = 0; i < out_loads.size(); ++i)
     routes.out_leader_core[out_loads[i].first] = out_assign[i];
   for (std::size_t i = 0; i < in_loads.size(); ++i)
@@ -204,7 +203,7 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         const auto& pair = *out_pairs.find(led.region);
         for (std::size_t e = 0; e < pair.size(); ++e)
           if (pair[e]->src == src)
-            take(lay.segments[e].offset, pair[e]->count);
+            take(lay.segments[e], pair[e]->count);
       } else {
         for (const auto& blk : lay.src_blocks)
           if (blk.src == src)
@@ -278,8 +277,8 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
         for (std::size_t e = 0; e < pair.size(); ++e) {
           if (pair[e]->dst != d) continue;
           if (!dedup) {
-            detail::push_run(m.runs, block + lay.segments[e].offset,
-                             m.values, pair[e]->count);
+            detail::push_run(m.runs, block + lay.segments[e], m.values,
+                             pair[e]->count);
             m.values += pair[e]->count;
           } else {
             const auto& src_block = lay.block(pair[e]->src);
@@ -347,8 +346,7 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
 
 Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
-    Method method, Options opts) {
-  const bool dedup = needs_idx(method);
+    bool dedup, bool lpt_balance) {
   detail::validate_args(graph, args, dedup);
   detail::reject_duplicate_edges(graph);
   const Comm& comm = graph.comm;
@@ -356,7 +354,6 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
 
   auto plan = std::make_shared<LocalityPlan>();
   plan->dedup = dedup;
-  plan->lpt_balance = opts.lpt_balance;
   plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
   plan->destinations = graph.destinations;
   plan->sources = graph.sources;
@@ -417,7 +414,8 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
 
   // ---- s/r routing; the region's metadata is freed before the handshake ----
   const RegionRoutes routes =
-      route_region(*plan, std::move(all_md), graph, args, rc, g2l);
+      route_region(*plan, std::move(all_md), graph, args, rc, g2l,
+                   lpt_balance);
   ctx.compute(impl::kSetupComputePerWord * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------
@@ -426,7 +424,10 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   // deterministic (outbound loop before inbound loop on both ends).
   util::FlatMap<int, int> g_dst_leader;  // Q  -> comm-local recv leader in Q
   util::FlatMap<int, int> g_src_leader;  // R' -> comm-local send leader in R'
-  std::vector<long long> hs_blob;
+  // Both leader tables are identical on every member, so each knows the
+  // broadcast's size: a count word and a (region, leader) pair per entry.
+  std::vector<long long> hs_blob(
+      2 + 2 * (routes.in_leader_core.size() + routes.out_leader_core.size()));
   if (me == *region_root.find(my_region)) {
     for (const auto& [q, core] : routes.out_leader_core)
       co_await coll::send_val<long long>(
@@ -440,15 +441,16 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     for (const auto& [q, core] : routes.out_leader_core)
       g_dst_leader[q] = static_cast<int>(co_await coll::recv_val<long long>(
           ctx, comm, *region_root.find(q), tag_hs));
-    hs_blob.push_back(static_cast<long long>(g_src_leader.size()));
+    std::size_t pos = 0;
+    hs_blob[pos++] = static_cast<long long>(g_src_leader.size());
     for (const auto& [rr, l] : g_src_leader) {
-      hs_blob.push_back(rr);
-      hs_blob.push_back(l);
+      hs_blob[pos++] = rr;
+      hs_blob[pos++] = l;
     }
-    hs_blob.push_back(static_cast<long long>(g_dst_leader.size()));
+    hs_blob[pos++] = static_cast<long long>(g_dst_leader.size());
     for (const auto& [q, l] : g_dst_leader) {
-      hs_blob.push_back(q);
-      hs_blob.push_back(l);
+      hs_blob[pos++] = q;
+      hs_blob[pos++] = l;
     }
   }
   co_await coll::bcast(ctx, rc, hs_blob, 0);
@@ -475,7 +477,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     plan->stats.max_global_msg_values =
         std::max(plan->stats.max_global_msg_values, p.total);
     detail::count_link_crossing(machine, comm.global(me), comm.global(peer),
-                                p.total, plan->stats);
+                                plan->stats);
   }
   for (const LedPair& p : routes.led_in)
     plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
@@ -512,21 +514,10 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_locality(
       opts.reliability.enabled ? ctx.engine().next_coll_tag(comm) : -1;
 
   obj->l = impl::ChannelSet(comm, opts.reliability, tag_gack);
+  obj->l.declare(p.l_sends, obj->args.sendbuf, p.l_recvs, obj->args.recvbuf,
+                 tag_l, es);
   obj->g = impl::ChannelSet(comm, opts.reliability, tag_gack);
-  for (const auto& m : p.l_sends)
-    obj->l.send(obj->args.sendbuf.subspan(m.displ * es, m.count * es), m.peer,
-                tag_l);
-  for (const auto& m : p.l_recvs)
-    obj->l.recv(obj->args.recvbuf.subspan(m.displ * es, m.count * es), m.peer,
-                tag_l);
-  for (const auto& m : p.g_sends)
-    obj->g.send(std::span<const std::byte>(obj->s_stage)
-                    .subspan(m.offset * es, m.count * es),
-                m.peer, tag_g);
-  for (const auto& m : p.g_recvs)
-    obj->g.recv(std::span<std::byte>(obj->g_stage)
-                    .subspan(m.offset * es, m.count * es),
-                m.peer, tag_g);
+  obj->g.declare(p.g_sends, obj->s_stage, p.g_recvs, obj->g_stage, tag_g, es);
 
   // Staged messages move in place: no per-message buffer is bound.
   obj->s = detail::BoundPhase(p.s, comm, tag_s, es);

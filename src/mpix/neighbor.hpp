@@ -31,10 +31,13 @@
 /// `LocalityPlan` (all setup *communication* — region metadata gather,
 /// leader load balancing, root handshake — and all routing computation),
 /// and a purely local binding step that attaches buffers and channels.
-/// `neighbor_alltoallv_init` builds the plan on demand; passing a
-/// previously built plan through `Options::plan` makes init entirely
-/// communication-free, so a hierarchy (or a benchmark loop) that re-inits
-/// the same halo pattern pays the setup cost once.
+/// Every plan kind derives from `PlanBase`, which holds the fields all
+/// kinds share (binding fingerprint, counts/displacements, the direct
+/// intra-region messages, statistics).  One dispatcher (init.cpp) serves
+/// both this entry point and the dense `alltoallv_init`: it builds the
+/// plan on demand, or binds one passed through `Options::plan` without any
+/// communication, so a hierarchy (or a benchmark loop) that re-inits the
+/// same halo pattern can pay the setup cost once.
 
 #include <cstddef>
 #include <cstdint>
@@ -135,9 +138,6 @@ inline constexpr Method kAllMethods[] = {Method::standard, Method::locality,
 /// performs collective setup / uses a LocalityPlan).
 constexpr bool uses_locality(Method m) { return m != Method::standard; }
 
-/// Whether the method requires `send_idx`/`recv_idx` annotations.
-constexpr bool needs_idx(Method m) { return m == Method::locality_dedup; }
-
 /// Human-readable method name ("standard", "locality", "locality+dedup").
 const char* to_string(Method m);
 
@@ -154,13 +154,12 @@ struct NeighborStats {
   long global_values = 0;
   long max_global_msg_values = 0;
   /// Per switch-link tier (tier 0 = leaf up/down links; see
-  /// simmpi::Machine::num_link_tiers): network messages / values this
-  /// rank sends whose destination subtree first joins its own *above*
-  /// that tier, i.e. the static crossing counts of the plan.  Sized
-  /// lazily by the first counted crossing, so both stay empty on flat
-  /// machines and for ranks whose traffic never leaves the leaf subtree.
+  /// simmpi::Machine::num_link_tiers): network messages this rank sends
+  /// whose destination subtree first joins its own *above* that tier,
+  /// i.e. the static crossing counts of the plan.  Sized lazily by the
+  /// first counted crossing, so it stays empty on flat machines and for
+  /// ranks whose traffic never leaves the leaf subtree.
   std::vector<long> link_msgs = {};
-  std::vector<long> link_values = {};
 };
 
 /// A contiguous value copy: `len` values from position `src` of the source
@@ -175,12 +174,14 @@ struct CopyRun {
   bool operator==(const CopyRun&) const = default;
 };
 
-/// Fully local traffic of the aggregated collectives: direct user-buffer
-/// p2p (value displ/count).
+/// One direct (unstaged) message of an aggregated collective: `count`
+/// values at value offset `displ` of a user or staging buffer, to or from
+/// comm-local rank `peer`.  `impl::ChannelSet::declare` binds a list of
+/// them.
 struct DirectMsg {
-  int peer = -1;  ///< comm-local rank
-  int displ = 0;
-  int count = 0;
+  int peer = -1;
+  long displ = 0;
+  long count = 0;
 };
 
 /// One leader-mediated intra-region staging phase of an aggregated
@@ -203,39 +204,23 @@ struct StagedPhase {
   std::vector<CopyRun> self;
 };
 
-/// Common polymorphic base of every reusable collective plan (the
-/// neighbor methods' LocalityPlan, the dense methods' BruckPlan in
-/// alltoall.hpp).  Exists so plan-agnostic plumbing — Options::plan, the
-/// harness PlanCache — can hold any plan kind behind one pointer type;
-/// each init entry point resolves the kind its method needs with
-/// `impl::plan_as`, which throws on mismatch.
-struct PlanBase : std::enable_shared_from_this<PlanBase> {
-  virtual ~PlanBase() = default;
-};
-
-/// The reusable, buffer-free half of locality-aware init: every routing
-/// decision for one (pattern, machine, method) combination — leader
-/// assignments resolved into per-message peers, gather/scatter copy-run
-/// lists, staging layouts, message statistics.  Building it is collective
-/// (region metadata allgather, root handshake); binding buffers to it is
-/// purely local, so a plan built once can be reused by every later init on
-/// the same pattern — across element sizes, buffer instances, and even
-/// engine runs, as long as the communicator membership and machine shape
-/// match.
+/// The reusable, buffer-free half of every aggregated collective's init
+/// (the neighbor methods' LocalityPlan, the dense methods' BruckPlan in
+/// alltoall.hpp): built collectively once, then bound to buffers and
+/// channels locally by every later init on the same pattern — across
+/// element sizes, buffer instances and engine runs, as long as the
+/// communicator membership and machine shape match.  This base holds what
+/// every kind carries; plan-agnostic plumbing (Options::plan, the harness
+/// PlanCache) holds any kind behind a pointer to it, and init resolves the
+/// kind its method needs with `impl::plan_as`, which throws on mismatch.
 ///
 /// All offsets are in *values*; binding scales them by
-/// `AlltoallvArgs::element_size`.  Every staged (intra-region) copy is a
-/// list of `CopyRun`s, coalesced as the plan build enumerates values: no
-/// per-value index map is stored, and a non-dedup map holds at most one
-/// run per edge.  Staged messages move straight between the user or
-/// staging buffers and the engine (Request::send_in_place /
-/// recv_in_place), so a bound collective owns no per-message buffer.
-/// Treat instances as immutable (`neighbor_alltoallv_init` holds them by
-/// shared_ptr-to-const; plans fed back through `Options::plan` come from
-/// `NeighborAlltoallv::plan`, which owns them that way).
-struct LocalityPlan : PlanBase {
-  bool dedup = false;
-  bool lpt_balance = true;
+/// `AlltoallvArgs::element_size`.  Treat instances as immutable: init
+/// holds them by shared_ptr-to-const, and plans fed back through
+/// `Options::plan` come from `NeighborAlltoallv::plan`, which owns them
+/// that way.
+struct PlanBase : std::enable_shared_from_this<PlanBase> {
+  virtual ~PlanBase() = default;
 
   /// Fingerprint of the (communicator membership, machine region layout)
   /// the plan's comm-local peers were resolved against.  Binding validates
@@ -244,14 +229,35 @@ struct LocalityPlan : PlanBase {
   /// (hand-built plans in unit tests).
   std::uint64_t binding_fingerprint = 0;
 
-  /// The pattern the plan was built for, kept so init can reject
-  /// incompatible arguments.  For dedup plans the routing depends on the
-  /// index annotations, so those are part of the pattern.
-  std::vector<int> destinations, sources;
+  /// The counts and displacements the plan was built for, kept so init
+  /// can reject incompatible arguments.
   std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
-  std::vector<gidx> send_idx, recv_idx;
 
-  std::vector<DirectMsg> l_sends, l_recvs;  ///< fully local traffic
+  /// Intra-region traffic straight between the user buffers.
+  std::vector<DirectMsg> l_sends, l_recvs;
+
+  NeighborStats stats;  ///< fixed at plan time (independent of payload)
+};
+
+/// The plan of the locality methods (and of dense `node_aggregated`):
+/// every routing decision for one (pattern, machine, method) combination —
+/// leader assignments resolved into per-message peers, gather/scatter
+/// copy-run lists, staging layouts, message statistics.  Building it is
+/// collective (region metadata allgather, root handshake).
+///
+/// Every staged (intra-region) copy is a list of `CopyRun`s, coalesced as
+/// the plan build enumerates values: no per-value index map is stored, and
+/// a non-dedup map holds at most one run per edge.  Staged messages move
+/// straight between the user or staging buffers and the engine
+/// (Request::send_in_place / recv_in_place), so a bound collective owns no
+/// per-message buffer.
+struct LocalityPlan : PlanBase {
+  bool dedup = false;
+
+  /// The adjacency the plan was built for.  For dedup plans the routing
+  /// depends on the index annotations, so those are part of the pattern.
+  std::vector<int> destinations, sources;
+  std::vector<gidx> send_idx, recv_idx;
 
   /// Initial redistribution, sendbuf -> s_stage: sources send, leaders
   /// receive, and `s.self` stages what a rank leads itself.
@@ -260,18 +266,11 @@ struct LocalityPlan : PlanBase {
   /// receive, and `r.self` delivers what a rank received as leader.
   StagedPhase r;
 
-  /// One inter-region message per (region pair, direction), over the
-  /// staging buffers (value offset/count).
-  struct StageMsg {
-    int peer = -1;
-    long offset = 0;
-    long count = 0;
-  };
-  std::vector<StageMsg> g_sends, g_recvs;
+  /// One inter-region message per (region pair, direction): sends read
+  /// s_stage, receives write g_stage.
+  std::vector<DirectMsg> g_sends, g_recvs;
   long s_stage_values = 0;  ///< send-side staging buffer size, in values
   long g_stage_values = 0;  ///< recv-side staging buffer size, in values
-
-  NeighborStats stats;  ///< fixed at plan time (independent of payload)
 };
 
 /// A persistent neighborhood collective (abstract).
@@ -322,8 +321,8 @@ struct Options {
   /// from NeighborAlltoallv::plan and match the method — including the
   /// plan *kind*: a neighbor method needs a LocalityPlan, dense bruck a
   /// BruckPlan — the argument pattern, and the graph adjacency, or init
-  /// throws.  `lpt_balance` is ignored on reuse (the plan keeps the value
-  /// it was built with).
+  /// throws.  `lpt_balance` is ignored on reuse (the plan's leader
+  /// assignment was made when it was built).
   const PlanBase* plan = nullptr;
   /// Reliable delivery over network channels (see Reliability).  Purely a
   /// binding-time property — plans are reliability-agnostic and reusable

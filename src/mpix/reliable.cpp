@@ -76,7 +76,7 @@ class RelSend {
   }
 
   /// Consume one committed ack (precondition: Engine::has_message on
-  /// ack_key()): expected -> done, stale -> re-arm, future -> SimError.
+  /// ack_key()): the current sequence -> done, any other -> SimError.
   Task<> poll(Context& ctx) {
     co_await ctx.wait(ack_);
     handle_ack(ctx);
@@ -108,21 +108,17 @@ class RelSend {
  private:
   std::byte* ack_data() { return stage_.data() + stage_.size() - kRelHeaderBytes; }
 
-  void handle_ack(Context& ctx) {
+  void handle_ack(const Context& ctx) {
     std::uint32_t acked = 0;
     std::memcpy(&acked, ack_data(), sizeof(acked));
-    if (acked == seq_) {
-      done_ = true;
-      return;
-    }
-    if (acked > seq_)
+    // Acks are control traffic (never dropped) and the receiver acks each
+    // sequence once, so the only ack that can arrive is the current one.
+    if (acked != seq_)
       throw SimError("reliable send rank " + std::to_string(ctx.rank()) +
-                     ": ack for future seq " + std::to_string(acked) +
+                     ": ack for seq " + std::to_string(acked) +
                      " (current " + std::to_string(seq_) + ") from peer " +
                      std::to_string(data_.peer()));
-    // Stale ack of an already-confirmed sequence (a late ack overtaken by
-    // a retransmit round): keep listening.
-    ack_.start(ctx);
+    done_ = true;
   }
 
   std::span<const std::byte> payload_{};
@@ -314,6 +310,20 @@ void ChannelSet::recv(std::span<std::byte> out, int peer, int tag) {
     w->recvs.emplace_back(comm_, out, peer, tag, ack_tag_);
   else
     recvs_.push_back(Request::recv(comm_, out, peer, tag));
+}
+
+void ChannelSet::declare(std::span<const DirectMsg> sends,
+                         std::span<const std::byte> from,
+                         std::span<const DirectMsg> recvs,
+                         std::span<std::byte> to, int tag,
+                         std::size_t element_size) {
+  const auto bytes = [element_size](long values) {
+    return static_cast<std::size_t>(values) * element_size;
+  };
+  for (const DirectMsg& m : sends)
+    send(from.subspan(bytes(m.displ), bytes(m.count)), m.peer, tag);
+  for (const DirectMsg& m : recvs)
+    recv(to.subspan(bytes(m.displ), bytes(m.count)), m.peer, tag);
 }
 
 void ChannelSet::start(Context& ctx) {

@@ -4,8 +4,9 @@
 /// channels, plain or reliably wrapped (Options::reliability).
 ///
 /// A collective *declares* its persistent channels on a `ChannelSet` at
-/// bind time (`send` / `recv`) and then drives them with `start` and
-/// `finish` once per collective start/wait.  The set decides per channel
+/// bind time (`send` / `recv`, or `declare` for a plan phase's list of
+/// `DirectMsg`s) and then drives them with `start` and `finish` once per
+/// collective start/wait.  The set decides per channel
 /// whether to wrap it: only with reliability on, a non-empty payload and a
 /// pair that crosses the network — zero-byte and intra-node messages are
 /// never dropped.  The rule is symmetric in the pair, so both endpoints
@@ -21,7 +22,9 @@
 ///     drops, so the protocol terminates;
 ///   * the sender awaits the ack with a virtual-time timeout
 ///     (Context::wait_until) and retransmits, doubling the timeout each
-///     time, giving up with a SimError after 16 retransmits.
+///     time, giving up with a SimError after 16 retransmits.  The receiver
+///     acknowledges each sequence exactly once and acks are never dropped,
+///     so an ack for any sequence but the current one is a SimError.
 ///
 /// `finish` completes the plain requests first and then multiplexes every
 /// open wrapped channel instead of finishing them one by one.  Sequential
@@ -73,6 +76,13 @@ class ChannelSet {
   void send(std::span<const std::byte> payload, int peer, int tag);
   /// Declare a receive into `out`.
   void recv(std::span<std::byte> out, int peer, int tag);
+  /// Declare one plan phase's direct messages on `tag`: every send over
+  /// its value slice of `from`, then every receive into its slice of `to`
+  /// (offsets scaled by `element_size`), each in list order.
+  void declare(std::span<const DirectMsg> sends,
+               std::span<const std::byte> from,
+               std::span<const DirectMsg> recvs, std::span<std::byte> to,
+               int tag, std::size_t element_size);
 
   /// Post every channel: plain sends, wrapped sends, plain receives, then
   /// wrapped receives, each in declaration order.

@@ -43,8 +43,7 @@ class StandardNeighbor final : public NeighborAlltoallv {
             stats_.max_global_msg_values,
             static_cast<long>(args_.sendcounts[i]));
         detail::count_link_crossing(machine, comm.global(comm.rank()),
-                                    comm.global(dst), args_.sendcounts[i],
-                                    stats_);
+                                    comm.global(dst), stats_);
       } else {
         ++stats_.local_msgs;
         stats_.local_values += args_.sendcounts[i];

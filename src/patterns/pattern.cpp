@@ -17,21 +17,13 @@ struct Edge {
   int count;  ///< values
 };
 
-/// SplitMix64 finalizer: the repo's stock bit mixer (same recipe as the
-/// engine's channel hash), used for both payload bytes and random-pattern
-/// draws.  Stateless — determinism is inherited, not arranged.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using util::splitmix64;
 
 /// Counter-mode RNG over (seed, stream, counter): every draw is addressed,
 /// so generation order cannot leak into the result.
 std::uint64_t draw(unsigned seed, std::uint64_t stream, std::uint64_t ctr) {
-  return mix64((static_cast<std::uint64_t>(seed) << 32) ^ mix64(stream) ^
-               (ctr * 0xD1342543DE82EF95ull));
+  return splitmix64((static_cast<std::uint64_t>(seed) << 32) ^
+                    splitmix64(stream) ^ (ctr * 0xD1342543DE82EF95ull));
 }
 
 /// Assemble the global edge list into per-rank exchanges: sort by
@@ -348,7 +340,8 @@ mpix::gidx value_gid(int src, int dst, int j, unsigned seed) {
 
 std::byte payload_byte(mpix::gidx gid, std::size_t i) {
   return static_cast<std::byte>(
-      mix64(static_cast<std::uint64_t>(gid) * 0x100000001B3ull + i) & 0xFF);
+      splitmix64(static_cast<std::uint64_t>(gid) * 0x100000001B3ull + i) &
+      0xFF);
 }
 
 RankBuffers make_buffers(const Workload& wl, int rank,

@@ -7,7 +7,9 @@
 /// collective *costs* in the simulator scale the way real MPI libraries do.
 /// All operations are collective over the communicator: every member must
 /// call them in the same order.  Reduction operators must be associative and
-/// commutative.
+/// commutative.  As in MPI, every receive is sized up front: a rank passes
+/// the size it expects (bcast), or the sizes are exchanged first
+/// (allgatherv).
 ///
 /// Values of type `T` must be trivially copyable.
 ///
@@ -20,8 +22,8 @@
 /// underneath it.
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -105,8 +107,9 @@ inline Task<> barrier(Context& ctx, Comm comm) {
   }
 }
 
-/// Binomial-tree broadcast of a variable-size vector.  Non-root vectors are
-/// resized to the incoming payload.
+/// Binomial-tree broadcast (MPI_Bcast): every rank passes a vector of the
+/// broadcast size, and non-root vectors are overwritten with the root's.
+/// A non-root vector of another size is a SimError.
 template <class T>
 Task<> bcast(Context& ctx, Comm comm, std::vector<T>& data, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -119,13 +122,14 @@ Task<> bcast(Context& ctx, Comm comm, std::vector<T>& data, int root) {
   if (vr != 0) {
     const int lowbit = vr & (-vr);
     const int parent = ((vr ^ lowbit) + root) % p;
-    auto rr = Request::recv_dyn(comm, parent, tag);
+    auto rr = Request::recv(comm, detail::vec_as_writable(data), parent, tag);
     rr.start(ctx);
     co_await ctx.wait(rr);
-    auto payload = rr.take_payload();
-    data.resize(payload.size() / sizeof(T));
-    if (!payload.empty())
-      std::memcpy(data.data(), payload.data(), payload.size());
+    if (rr.received_bytes() != data.size() * sizeof(T))
+      throw SimError("coll::bcast: rank " + std::to_string(r) + " passed " +
+                     std::to_string(data.size() * sizeof(T)) +
+                     " bytes, root " + std::to_string(root) + " sent " +
+                     std::to_string(rr.received_bytes()));
   }
   int maxmask = 1;
   while (maxmask < p) maxmask <<= 1;

@@ -34,12 +34,6 @@ Request Request::recv(const Comm& comm, std::span<std::byte> buf, int src,
   return r;
 }
 
-Request Request::recv_dyn(const Comm& comm, int src, int tag) {
-  Request r = recv(comm, {}, src, tag);
-  r.dyn_ = true;
-  return r;
-}
-
 Request Request::send_in_place(const Comm& comm, std::size_t bytes, int dst,
                                int tag) {
   Request r = send(comm, {}, dst, tag);

@@ -84,7 +84,10 @@ class Comm {
 /// Lifecycle mirrors MPI persistent requests: build with `Request::send` /
 /// `Request::recv` (equivalents of `MPI_Send_init` / `MPI_Recv_init`),
 /// then repeatedly `start()` and `co_await ctx.wait(req)`.
-/// The buffer span must stay valid for the lifetime of the request.
+/// The buffer span must stay valid for the lifetime of the request.  A
+/// receive is always sized by its caller — a bound span or, in place, a
+/// declared byte count — so a request owns no payload storage (the dense
+/// standard method holds O(P) of them per rank).
 class Request {
  public:
   Request() = default;
@@ -95,10 +98,6 @@ class Request {
   /// Persistent-receive request from local rank `src` with tag `tag`.
   static Request recv(const Comm& comm, std::span<std::byte> buf, int src,
                       int tag);
-  /// Receive request with no pre-sized buffer: the payload is captured into
-  /// an internal vector, retrievable with `take_payload()`.  Used where the
-  /// receiver cannot know the message size up front.
-  static Request recv_dyn(const Comm& comm, int src, int tag);
   /// Persistent send of `bytes` payload bytes that the caller writes in
   /// place at each `start_in_place` — no user buffer, no staging copy.
   static Request send_in_place(const Comm& comm, std::size_t bytes, int dst,
@@ -131,8 +130,6 @@ class Request {
   ChannelKey key() const;
   /// Bytes actually received by the last completed receive.
   std::size_t received_bytes() const { return bytes_; }
-  /// Move out the payload captured by a completed `recv_dyn` request.
-  std::vector<std::byte> take_payload() { return std::move(payload_); }
 
  private:
   friend class Engine;
@@ -143,11 +140,9 @@ class Request {
   Comm comm_{};
   std::span<const std::byte> sbuf_{};
   std::span<std::byte> rbuf_{};
-  std::vector<std::byte> payload_{};
   int peer_ = -1;
   int tag_ = -1;
   bool is_send_ = false;
-  bool dyn_ = false;
   bool in_place_ = false;
   bool started_ = false;
   bool control_ = false;

@@ -33,10 +33,6 @@ Task<> Context::wait_all(std::span<Request> reqs) {
   for (auto& r : reqs) co_await wait(r);
 }
 
-Task<> Context::wait_all(std::span<Request* const> reqs) {
-  for (auto* r : reqs) co_await wait(*r);
-}
-
 Engine::Engine(Machine machine, CostParams params)
     : Engine(std::move(machine), params, Options{}) {}
 
@@ -646,8 +642,6 @@ void Engine::complete_recv(Request& req, PayloadSink consume) {
             " got " + std::to_string(msg.size) + "B, declared " +
             std::to_string(req.bytes_) + "B");
       consume(bytes);
-    } else if (req.dyn_) {
-      req.payload_.assign(bytes.begin(), bytes.end());
     } else {
       if (msg.size > req.rbuf_.size())
         throw SimError("Engine::complete_recv: message truncated (payload " +

@@ -105,7 +105,6 @@ class Context {
   /// Complete a set of requests (MPI_Waitall).  Requests are completed in
   /// the order given; clocks advance monotonically regardless of order.
   Task<> wait_all(std::span<Request> reqs);
-  Task<> wait_all(std::span<Request* const> reqs);
 
  private:
   Engine* eng_;

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "util/hash.hpp"
+
 namespace simmpi {
 
 const char* to_string(FaultSpec::Kind k) {
@@ -47,20 +49,9 @@ void validate_fault_plan(const FaultPlan& plan) {
   }
 }
 
-namespace {
-
-/// SplitMix64 finalizer: the standard avalanche, applied counter-mode.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 double fault_uniform(std::uint64_t seed, const ChannelKey& key,
                      std::uint64_t seq) {
+  using util::splitmix64;
   std::uint64_t h = splitmix64(seed);
   h = splitmix64(h ^ ((static_cast<std::uint64_t>(key.ctx) << 32) |
                       static_cast<std::uint32_t>(key.tag)));

@@ -1,12 +1,13 @@
 #pragma once
 /// \file hash.hpp
-/// \brief Canonical byte-wise FNV-1a for the in-process plan keys and
-/// workload fingerprints.
+/// \brief The repo's two hash recipes: canonical byte-wise FNV-1a for the
+/// in-process plan keys and fingerprints, and the SplitMix64 finalizer
+/// behind every counter-mode draw (fault drops, pattern generation,
+/// payload bytes).
 ///
-/// One definition of the constants (offset basis 0xcbf29ce484222325,
-/// prime 0x100000001b3) and of the word mix, so users cannot drift apart.
-/// No hash value is persisted: keys and fingerprints live only as long as
-/// the process that computed them.
+/// One definition of each, so users cannot drift apart.  No FNV value is
+/// persisted: keys and fingerprints live only as long as the process that
+/// computed them.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +34,15 @@ inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
     h *= kFnvPrime;
   }
   return h;
+}
+
+/// SplitMix64 finalizer: the standard 64-bit avalanche.  Stateless, so a
+/// draw addressed by its counter is reproducible in any order.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
 }
 
 }  // namespace util

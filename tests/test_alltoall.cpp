@@ -550,6 +550,46 @@ TEST(DensePlan, WrongPlanKindRejected) {
                SimError);
 }
 
+// A Bruck plan binds only the pattern and machine it was built for.  Fed
+// back with drifted counts, or on a machine of the same size whose regions
+// are smaller (its peers and layouts would misroute), init must throw.
+TEST(DensePlan, ForeignBruckPlanRejected) {
+  const DenseSpec s = uniform_spec(8, 1, 8);
+  std::vector<std::shared_ptr<const PlanBase>> plans(8);
+  {
+    Engine eng(machine_of(2, 4), CostParams::lassen());
+    eng.run([&](Context& ctx) -> Task<> {
+      RankDense a(s, ctx.rank());
+      AlltoallvArgs args = a.args(s);
+      auto coll = co_await alltoallv_init(ctx, ctx.world(), args,
+                                          AlltoallMethod::bruck);
+      plans[ctx.rank()] = coll->plan();
+    });
+  }
+  DenseSpec drifted = s;
+  for (auto& row : drifted.counts) row[0] = 2;  // one more value to rank 0
+  struct Case {
+    const DenseSpec& spec;
+    Machine machine;
+    const char* what;
+  };
+  const Case cases[] = {{drifted, machine_of(2, 4), "drifted counts"},
+                        {s, machine_of(4, 2), "regions of 2, not 4"}};
+  for (const Case& c : cases) {
+    Engine eng(c.machine, CostParams::lassen());
+    EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                   RankDense a(c.spec, ctx.rank());
+                   AlltoallvArgs args = a.args(c.spec);
+                   Options mopts;
+                   mopts.plan = plans[ctx.rank()].get();
+                   co_await alltoallv_init(ctx, ctx.world(), args,
+                                           AlltoallMethod::bruck, mopts);
+                 }),
+                 SimError)
+        << c.what;
+  }
+}
+
 TEST(DensePlan, StandardHasNoPlan) {
   const DenseSpec s = uniform_spec(4, 1, 8);
   Engine eng(machine_of(2, 2), CostParams::lassen());
@@ -591,6 +631,27 @@ TEST(DenseValidation, RaggedPayloadBufferRejected) {
                                 AlltoallMethod::bruck);
       }),
       SimError);
+}
+
+TEST(DenseValidation, InvalidMethodValuesRejected) {
+  // An enumerator outside either method list selects no implementation.
+  const DenseSpec s = uniform_spec(4, 1, 8);
+  Engine eng(machine_of(1, 4), CostParams::lassen());
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 RankDense a(s, ctx.rank());
+                 AlltoallvArgs args = a.args(s);
+                 co_await alltoallv_init(ctx, ctx.world(), args,
+                                         static_cast<AlltoallMethod>(3));
+               }),
+               SimError);
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 RankDense a(s, ctx.rank());
+                 AlltoallvArgs args = a.args(s);
+                 DistGraph g{ctx.world(), {0, 1, 2, 3}, {0, 1, 2, 3}};
+                 co_await neighbor_alltoallv_init(ctx, g, args,
+                                                  static_cast<Method>(3));
+               }),
+               SimError);
 }
 
 TEST(DenseValidation, WrongCountArityRejected) {

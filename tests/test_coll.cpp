@@ -110,7 +110,7 @@ TEST_P(CollSize, BcastFromEveryRoot) {
   for (int root = 0; root < p; root = root * 2 + 1) {
     Engine eng = make_engine(p);
     eng.run([&](Context& ctx) -> Task<> {
-      std::vector<double> data;
+      std::vector<double> data(3);
       if (ctx.rank() == root) data = {3.5, -1.0, static_cast<double>(root)};
       co_await coll::bcast(ctx, ctx.world(), data, root);
       EXPECT_EQ(data.size(), 3u);
@@ -118,6 +118,21 @@ TEST_P(CollSize, BcastFromEveryRoot) {
       EXPECT_DOUBLE_EQ(data[0], 3.5);
       EXPECT_DOUBLE_EQ(data[2], root);
     });
+  }
+}
+
+TEST(Coll, BcastRejectsAMissizedVector) {
+  // MPI_Bcast semantics: every rank passes a vector of the broadcast size.
+  // A non-root vector one value short (the message would be truncated) or
+  // one value long (it would be left partly unwritten) is an error.
+  for (int wrong : {2, 4}) {
+    Engine eng = make_engine(4);
+    EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                   std::vector<double> data(ctx.rank() == 3 ? wrong : 3, 1.0);
+                   co_await coll::bcast(ctx, ctx.world(), data, 0);
+                 }),
+                 SimError)
+        << wrong << " values on rank 3, 3 on the root";
   }
 }
 

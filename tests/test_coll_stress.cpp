@@ -29,11 +29,9 @@ TEST_P(BcastSizes, PayloadIntactAcrossRegimes) {
   const int n = GetParam();
   Engine eng = grid_engine(3, 4);
   eng.run([&](Context& ctx) -> Task<> {
-    std::vector<double> data;
-    if (ctx.rank() == 5) {
-      data.resize(n);
+    std::vector<double> data(n);
+    if (ctx.rank() == 5)
       for (int i = 0; i < n; ++i) data[i] = 1.5 * i - 7;
-    }
     co_await coll::bcast(ctx, ctx.world(), data, 5);
     EXPECT_EQ(static_cast<int>(data.size()), n);
     for (int i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(data[i], 1.5 * i - 7);
@@ -46,7 +44,7 @@ TEST_P(BcastSizes, LargerPayloadsTakeLonger) {
   auto elapsed = [](int count) {
     Engine eng = grid_engine(2, 1);
     eng.run([&](Context& ctx) -> Task<> {
-      std::vector<double> data(ctx.rank() == 0 ? count : 0, 1.0);
+      std::vector<double> data(count, 1.0);
       co_await coll::bcast(ctx, ctx.world(), data, 0);
     });
     return eng.max_clock();

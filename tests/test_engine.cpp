@@ -369,27 +369,6 @@ TEST(Engine, DeterministicClocksAcrossRuns) {
   EXPECT_EQ(once(), once());
 }
 
-TEST(Engine, DynamicRecvCapturesPayload) {
-  Engine eng = make_engine(2, 1);
-  std::vector<int> got;
-  eng.run([&](Context& ctx) -> Task<> {
-    if (ctx.rank() == 0) {
-      std::vector<int> data{7, 8, 9};
-      auto s = Request::send(ctx.world(), bytes_of(data), 1, 0);
-      s.start(ctx);
-      co_await ctx.wait(s);
-    } else {
-      auto r = Request::recv_dyn(ctx.world(), 0, 0);
-      r.start(ctx);
-      co_await ctx.wait(r);
-      auto payload = r.take_payload();
-      got.resize(payload.size() / sizeof(int));
-      std::memcpy(got.data(), payload.data(), payload.size());
-    }
-  });
-  EXPECT_EQ(got, (std::vector<int>{7, 8, 9}));
-}
-
 TEST(Engine, SyncResetIsolatesMeasurementSections) {
   // Regression: heavy pre-reset network traffic (and the zero-byte barrier
   // messages of sync_reset itself, sent by ranks whose clocks are not yet

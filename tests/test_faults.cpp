@@ -464,6 +464,47 @@ TEST(FaultReliability, StaleSequenceIsDiscarded) {
 }
 
 // ---------------------------------------------------------------------------
+// Stale acks: the receiver acknowledges each sequence once and acks are
+// never dropped, so an ack for an earlier sequence can only come from a
+// broken peer and must fail the run.  No fault produces one, so the
+// receiver posts it by hand on the ack tag before the second exchange.
+
+TEST(FaultReliability, StaleAckIsAnError) {
+  const Machine m({.num_nodes = 2, .regions_per_node = 1,
+                   .ranks_per_region = 1, .switch_levels = {}});
+  simmpi::Engine eng(m, simmpi::CostParams::lassen(), {.threads = 1});
+  const mpix::Reliability rel{.enabled = true, .timeout = 1e-3};
+  constexpr int kDataTag = 11;
+  constexpr int kAckTag = 12;
+
+  const std::string msg = error_of([&] {
+    eng.run([&](Context& ctx) -> Task<> {
+      double val = 0.0;
+      const auto bytes = std::as_writable_bytes(std::span<double>(&val, 1));
+      mpix::impl::ChannelSet set(ctx.world(), rel, kAckTag);
+      if (ctx.rank() == 0) set.send(bytes, 1, kDataTag);
+      if (ctx.rank() == 1) set.recv(bytes, 0, kDataTag);
+      for (int it = 0; it < 2; ++it) {
+        if (ctx.rank() == 1 && it == 1) {
+          // Sequence 1 was acknowledged by the first exchange.
+          std::vector<std::byte> ack(8);
+          const std::uint32_t seq = 1;
+          std::memcpy(ack.data(), &seq, sizeof(seq));
+          auto s = simmpi::Request::send(ctx.world(), ack, 0, kAckTag);
+          s.set_control(true);
+          s.start(ctx);
+          co_await ctx.wait(s);
+        }
+        set.start(ctx);
+        co_await set.finish(ctx);
+      }
+    });
+  });
+  expect_contains(msg, "reliable send rank 0");
+  expect_contains(msg, "ack for seq 1 (current 2)");
+}
+
+// ---------------------------------------------------------------------------
 // Fault effects: each class observably perturbs a measurement (and the
 // drop counters surface in PatternMeasurement), while
 // the runner's payload check keeps proving delivered bytes equal the

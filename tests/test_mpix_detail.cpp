@@ -70,9 +70,7 @@ TEST(PairLayout, PartialSegmentsFollowEdgeOrder) {
   PairLayout lay = pair_layout(edges, false);
   EXPECT_EQ(lay.total, 6);
   ASSERT_EQ(lay.segments.size(), 3u);
-  EXPECT_EQ(lay.segments[0].offset, 0);
-  EXPECT_EQ(lay.segments[1].offset, 2);
-  EXPECT_EQ(lay.segments[2].offset, 5);
+  EXPECT_EQ(lay.segments, (std::vector<long>{0, 2, 5}));
   EXPECT_TRUE(lay.src_blocks.empty());
 }
 
