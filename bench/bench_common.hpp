@@ -23,8 +23,8 @@
 ///    bit-identical for every width).
 ///
 /// Each binary builds the hierarchies it measures in process
-/// (harness::paper_dist_hierarchy), so every series is a function of the
-/// code alone.
+/// (harness::paper_dist_hierarchy) and holds them only while it measures
+/// them, so every series is a function of the code alone.
 
 #include <benchmark/benchmark.h>
 
@@ -188,18 +188,6 @@ inline const std::vector<int>& graph_ranks() {
   return quick_mode() ? quick : full;
 }
 
-/// Plans shared by the sweeps that re-measure one pattern on one machine
-/// shape under several cost settings (bench_ablation_model,
-/// bench_link_taper, bench_fault_sweep): a plan depends on neither cost
-/// parameters, link tapers nor fault plans, so later points bind the first
-/// point's plans without setup communication.  Every other sweep measures
-/// each (pattern, method, shape) once and gets no hit, so it builds its
-/// plans without a cache.
-inline harness::PlanCache& plan_cache() {
-  static harness::PlanCache cache;
-  return cache;
-}
-
 inline harness::MeasureConfig paper_config() {
   harness::MeasureConfig cfg;
   cfg.ranks_per_region = kRanksPerRegion;
@@ -215,9 +203,8 @@ struct ProtocolSet {
   }
 };
 
-inline ProtocolSet measure_all(long rows, int nranks) {
+inline ProtocolSet measure_all(const amg::DistHierarchy& dh) {
   const auto cfg = paper_config();
-  const auto& dh = harness::paper_dist_hierarchy(rows, nranks);
   ProtocolSet s;
   for (harness::Protocol p : harness::kAllProtocols)
     s.per[static_cast<int>(p)] = harness::measure_protocol(dh, p, cfg);
@@ -259,16 +246,17 @@ inline void run_level_figure(const std::string& family,
 }
 
 /// Figures 12/13: total SpMV communication across every AMG level at each
-/// scaling_ranks() point, `rows(p)` unknowns on p ranks.  As in the paper
+/// scaling_ranks() point, on the hierarchy `hierarchy(p)` distributed over
+/// p ranks (held only while that point is measured).  As in the paper
 /// (Section 4.2), the optimized lines use the cheaper of standard and
 /// optimized communication on each level ("maximum possible improvement";
 /// a per-pattern selection strategy achieves it — see
 /// model::select_protocol).  Closes with the speedups at the largest point
 /// next to the paper's at 2048 processes.
-inline void run_scaling_figure(const std::string& family,
-                               const std::function<long(int)>& rows,
-                               const std::string& title, double paper_partial,
-                               double paper_full) {
+inline void run_scaling_figure(
+    const std::string& family,
+    const std::function<amg::DistHierarchy(int)>& hierarchy,
+    const std::string& title, double paper_partial, double paper_full) {
   using harness::Protocol;
   std::vector<double> procs;
   std::vector<Series> series{{"Standard Hypre", {}},
@@ -276,7 +264,7 @@ inline void run_scaling_figure(const std::string& family,
                              {"Partially Optimized", {}},
                              {"Fully Optimized", {}}};
   for (int p : scaling_ranks()) {
-    ProtocolSet s = measure_all(rows(p), p);
+    const ProtocolSet s = measure_all(hierarchy(p));
     const auto& hyp = s.of(Protocol::hypre);
     procs.push_back(p);
     series[0].y.push_back(harness::total_time(hyp));
@@ -316,18 +304,30 @@ inline const char* method_name(int mi) {
              : mpix::to_string(mpix::kAllAlltoallMethods[mi - kNumSparse]);
 }
 
+/// Plan slots of the sparse-vs-dense sweeps, one harness::Plans per
+/// method, indexed like method_name.  A sweep that re-measures one pattern
+/// pair on one machine shape under several cost settings (link tapers,
+/// fault plans) holds one set across its points: plans depend on neither,
+/// so the first point builds every aggregated method's plans and the later
+/// points bind them without setup communication.
+using MethodPlans = std::array<harness::Plans, kNumMethods>;
+
 /// Every method of the sparse-vs-dense sweeps under `cfg`, indexed like
 /// method_name: the sparse ones on `sparse_wl`, the dense ones on
-/// `dense_wl`.
+/// `dense_wl`, each with its slots of `plans`.
 inline std::array<harness::PatternMeasurement, kNumMethods> measure_methods(
     const patterns::Workload& sparse_wl, const patterns::Workload& dense_wl,
-    const harness::MeasureConfig& cfg) {
+    const harness::MeasureConfig& cfg, MethodPlans& plans) {
   std::array<harness::PatternMeasurement, kNumMethods> m;
-  for (int mi = 0; mi < kNumSparse; ++mi)
-    m[mi] = harness::measure_pattern(sparse_wl, mpix::kAllMethods[mi], cfg);
-  for (int mi = 0; mi < kNumDense; ++mi)
-    m[kNumSparse + mi] = harness::measure_pattern_dense(
-        dense_wl, mpix::kAllAlltoallMethods[mi], cfg);
+  harness::MeasureConfig c = cfg;
+  for (int mi = 0; mi < kNumMethods; ++mi) {
+    c.plans = &plans[mi];
+    m[mi] = mi < kNumSparse
+                ? harness::measure_pattern(sparse_wl, mpix::kAllMethods[mi], c)
+                : harness::measure_pattern_dense(
+                      dense_wl, mpix::kAllAlltoallMethods[mi - kNumSparse],
+                      c);
+  }
   return m;
 }
 

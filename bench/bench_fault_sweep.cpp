@@ -16,8 +16,9 @@
 ///    bytes equal the fault-free truth),
 ///  * the engine's fault ledger (drops / retransmits / timeouts).
 ///
-/// The whole sweep is schedule-deterministic: CI byte-compares the quick
-/// series at --sim-threads=1 vs 4 (.github/workflows/ci.yml, bench-smoke).
+/// The whole sweep is schedule-deterministic: CI holds the quick series to
+/// its golden at --sim-threads=1 and 4 (.github/workflows/ci.yml,
+/// bench-smoke).
 
 #include "bench_common.hpp"
 
@@ -66,7 +67,6 @@ harness::MeasureConfig sweep_config() {
   cfg.switch_levels = {{.radix = 4, .taper = 2.0}, {.radix = 2, .taper = 1.0}};
   cfg.cost.use_link_cap = true;
   cfg.cost.link_msg_bytes = 256.0;
-  cfg.plans = &plan_cache();
   return cfg;
 }
 
@@ -89,6 +89,9 @@ std::vector<Point> measure() {
   const patterns::Workload dense_wl = patterns::generate(
       "incast", machine, {.values = 16, .seed = 9, .fan_in = 0, .sinks = 4});
 
+  // Plans depend on no fault plan: the fault-free first point builds them
+  // and every later point binds them.
+  MethodPlans plans;
   std::vector<Point> out;
   for (double drop : drop_rates()) {
     for (double sev : severities()) {
@@ -108,7 +111,8 @@ std::vector<Point> measure() {
         cfg.reliability.enabled = true;
         cfg.reliability.timeout = 5e-4;
       }
-      out.push_back({drop, sev, measure_methods(sparse_wl, dense_wl, cfg)});
+      out.push_back(
+          {drop, sev, measure_methods(sparse_wl, dense_wl, cfg, plans)});
     }
   }
   return out;

@@ -11,9 +11,11 @@ using namespace benchfig;
 
 int main(int argc, char** argv) {
   init(&argc, argv);
+  // One canonical hierarchy, distributed anew at every point.
+  const amg::Hierarchy h = harness::paper_hierarchy(paper_rows());
   std::vector<double> procs, spectrum, mvapich;
   for (int p : graph_ranks()) {
-    const auto& dh = harness::paper_dist_hierarchy(paper_rows(), p);
+    const amg::DistHierarchy dh = amg::distribute_hierarchy(h, p);
     procs.push_back(p);
     spectrum.push_back(harness::measure_graph_creation(
         dh, simmpi::GraphAlgo::allgather, paper_config()));

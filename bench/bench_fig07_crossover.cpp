@@ -12,7 +12,8 @@ using harness::Protocol;
 
 int main(int argc, char** argv) {
   init(&argc, argv);
-  const ProtocolSet s = measure_all(paper_rows(), paper_ranks());
+  const ProtocolSet s =
+      measure_all(harness::paper_dist_hierarchy(paper_rows(), paper_ranks()));
   double init_s[4] = {};  // summed over levels, per protocol
   double iter_s[4] = {};
   for (int p = 0; p < 4; ++p) {

@@ -13,7 +13,8 @@ using harness::Protocol;
 
 int main(int argc, char** argv) {
   init(&argc, argv);
-  ProtocolSet s = measure_all(paper_rows(), paper_ranks());
+  const ProtocolSet s =
+      measure_all(harness::paper_dist_hierarchy(paper_rows(), paper_ranks()));
   const auto time = &harness::LevelMeasurement::start_wait_seconds;
   std::vector<std::string> labels;
   for (Protocol p : harness::kAllProtocols)

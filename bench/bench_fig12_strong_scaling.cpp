@@ -13,8 +13,11 @@ using namespace benchfig;
 
 int main(int argc, char** argv) {
   init(&argc, argv);
+  // One canonical hierarchy, distributed anew at every point.
+  const amg::Hierarchy h = harness::paper_hierarchy(paper_rows());
   run_scaling_figure(
-      "BM_StrongScaling", [](int) { return paper_rows(); },
+      "BM_StrongScaling",
+      [&h](int p) { return amg::distribute_hierarchy(h, p); },
       "Figure 12: strong scaling of SpMV communication over all AMG levels "
       "(seconds, " +
           std::to_string(paper_rows()) + " rows)",

@@ -12,7 +12,10 @@ using namespace benchfig;
 int main(int argc, char** argv) {
   init(&argc, argv);
   run_scaling_figure(
-      "BM_WeakScaling", [](int p) { return kWeakRowsPerRank * p; },
+      "BM_WeakScaling",
+      [](int p) {
+        return harness::paper_dist_hierarchy(kWeakRowsPerRank * p, p);
+      },
       "Figure 13: weak scaling of SpMV communication over all AMG levels "
       "(seconds, 256 rows/rank)",
       1.96, 2.17);

@@ -68,9 +68,11 @@ std::vector<Point> measure() {
     const simmpi::Machine machine =
         simmpi::Machine::with_region_size(sh.procs, sh.rpr);
     for (const char* pname : {"stencil3d27", "random_sparse", "incast"}) {
-      // One workload per (shape, pattern): tapers change link costs,
-      // never the traffic, so plans and buffers sweep unchanged.
+      // One workload and one set of plan slots per (shape, pattern):
+      // tapers change link costs, never the traffic, so the first taper
+      // builds the plans and the later ones bind them.
       patterns::Workload wl;
+      MethodPlans plans;
       for (const auto& spec : patterns::registry())
         if (std::string(spec.name) == pname)
           wl = spec.make(machine, params_for(pname));
@@ -90,8 +92,7 @@ std::vector<Point> measure() {
         cfg.cost.send_overhead = 5.0e-8;
         cfg.cost.recv_overhead = 5.0e-8;
         cfg.cost.queue_search = 0.0;
-        cfg.plans = &plan_cache();
-        out.push_back({sh, taper, wl, measure_methods(wl, wl, cfg)});
+        out.push_back({sh, taper, wl, measure_methods(wl, wl, cfg, plans)});
       }
     }
   }

@@ -48,33 +48,15 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
   const int nlevels = dh.num_levels();
   if (static_cast<long>(b_global.size()) != dh.levels[0].n())
     throw simmpi::SimError("run_distributed_amg: rhs size mismatch");
+  if (cfg.plans)
+    throw simmpi::SimError(
+        "run_distributed_amg: MeasureConfig::plans is not supported");
 
   DistSolveResult result;
   std::vector<std::vector<double>> x_parts(p);
   WindowTimes solve_time(1, p);
 
-  // Global pattern keys for the optional plan cache (host-side, identical
-  // for every rank): each level contributes up to three exchange patterns
-  // (operator, restriction, prolongation).  With a cache that persists
-  // across solves of the same hierarchy, every locality-aware setup after
-  // the first re-binds its cached LocalityPlan without communication.
-  struct LevelKeys {
-    std::uint64_t a = 0, r = 0, p = 0;
-  };
-  std::vector<LevelKeys> keys(nlevels);
-  if (cfg.plans && uses_locality(protocol))
-    for (int l = 0; l < nlevels; ++l) {
-      keys[l].a = pattern_fingerprint(dh.levels[l].halo);
-      if (dh.levels[l].has_coarse()) {
-        keys[l].r = pattern_fingerprint(dh.levels[l].halo_R);
-        keys[l].p = pattern_fingerprint(dh.levels[l].halo_P);
-      }
-    }
-  auto ex_opts = [&](std::uint64_t key) {
-    return ExchangeOptions{.lpt_balance = cfg.lpt_balance,
-                           .plans = cfg.plans,
-                           .pattern_key = key};
-  };
+  const ExchangeOptions xo{.lpt_balance = cfg.lpt_balance};
 
   simulate(machine_for(p, cfg), cfg, [&](Context& ctx) -> Task<> {
     const int r = ctx.rank();
@@ -94,13 +76,12 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
         if (s.diag[i] == 0.0)
           throw simmpi::SimError("run_distributed_amg: zero diagonal");
       s.ex_a = co_await make_halo_exchange(ctx, comm, protocol,
-                                           lvl.halo.ranks[r],
-                                           ex_opts(keys[l].a));
+                                           lvl.halo.ranks[r], xo);
       if (lvl.has_coarse()) {
-        s.ex_r = co_await make_halo_exchange(
-            ctx, comm, protocol, lvl.halo_R.ranks[r], ex_opts(keys[l].r));
-        s.ex_p = co_await make_halo_exchange(
-            ctx, comm, protocol, lvl.halo_P.ranks[r], ex_opts(keys[l].p));
+        s.ex_r = co_await make_halo_exchange(ctx, comm, protocol,
+                                             lvl.halo_R.ranks[r], xo);
+        s.ex_p = co_await make_halo_exchange(ctx, comm, protocol,
+                                             lvl.halo_P.ranks[r], xo);
       }
     }
     const long first0 = dh.levels[0].A.row_part[r];

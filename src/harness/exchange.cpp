@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "simmpi/dist_graph.hpp"
-#include "util/hash.hpp"
 
 namespace harness {
 
@@ -27,31 +26,6 @@ namespace {
 using simmpi::Comm;
 using simmpi::Context;
 using simmpi::Task;
-using util::fnv_mix;
-
-template <class T>
-std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
-  h = fnv_mix(h, v.size());
-  for (const T& x : v) h = fnv_mix(h, static_cast<std::uint64_t>(x));
-  return h;
-}
-
-/// `cache_key` behind its family tag (see exchange.hpp).
-std::uint64_t plan_key(std::uint64_t pattern_key, std::uint64_t family,
-                       std::uint64_t method, bool lpt,
-                       const simmpi::Comm& comm) {
-  std::uint64_t h = fnv_mix(fnv_mix(pattern_key, family), method);
-  h = fnv_mix(h, lpt ? 1 : 0);
-  const auto& machine = comm.engine().machine();
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_node()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
-  for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
-    h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
-  return h;
-}
 
 /// Prefix-sum displacements of `counts`.
 std::vector<int> displs_of(const std::vector<int>& counts) {
@@ -65,50 +39,6 @@ std::vector<int> displs_of(const std::vector<int>& counts) {
 }
 
 }  // namespace
-
-std::shared_ptr<const mpix::PlanBase> PlanCache::find(std::uint64_t key,
-                                                      int rank) {
-  util::MutexLock lk(mu_);
-  auto* entry = plans_.find({key, rank});
-  if (!entry) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return *entry;
-}
-
-void PlanCache::put(std::uint64_t key, int rank,
-                    std::shared_ptr<const mpix::PlanBase> plan) {
-  util::MutexLock lk(mu_);
-  if (plan) plans_[{key, rank}] = std::move(plan);
-}
-
-std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
-                        bool lpt, const simmpi::Comm& comm) {
-  return plan_key(pattern_key, /*family=*/0,
-                  static_cast<std::uint64_t>(method), lpt, comm);
-}
-
-std::uint64_t cache_key(std::uint64_t pattern_key, mpix::AlltoallMethod method,
-                        bool lpt, const simmpi::Comm& comm) {
-  return plan_key(pattern_key, /*family=*/1,
-                  static_cast<std::uint64_t>(method), lpt, comm);
-}
-
-std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
-  std::uint64_t h = fnv_mix(util::kFnvOffsetBasis, halo.ranks.size());
-  for (const sparse::RankHalo& r : halo.ranks) {
-    h = fnv_mix_vec(h, r.recv_ranks);
-    h = fnv_mix_vec(h, r.recv_counts);
-    h = fnv_mix_vec(h, r.send_ranks);
-    h = fnv_mix_vec(h, r.send_counts);
-    h = fnv_mix_vec(h, r.send_idx);
-    h = fnv_mix_vec(h, r.send_gids);
-    h = fnv_mix_vec(h, r.recv_gids);
-  }
-  return h;
-}
 
 HaloExchange::HaloExchange(const sparse::RankHalo& halo)
     : send_gather_(halo.send_idx),
@@ -135,16 +65,8 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
   const bool hypre = protocol == Protocol::hypre;
   const mpix::Method method = hypre ? mpix::Method::standard
                                     : method_of(protocol);
-  mpix::Options mopts{.lpt_balance = opts.lpt_balance};
-
-  const bool cacheable = opts.plans && mpix::uses_locality(method);
-  std::uint64_t key = 0;
-  std::shared_ptr<const mpix::PlanBase> cached;  // keeps the plan alive
-  if (cacheable) {
-    key = cache_key(opts.pattern_key, method, opts.lpt_balance, comm);
-    cached = opts.plans->find(key, comm.rank());
-    mopts.plan = cached.get();
-  }
+  const mpix::Options mopts{.lpt_balance = opts.lpt_balance,
+                            .plan = opts.plan};
 
   // Hypre's exchange is the standard method without a topology
   // communicator: its adjacency lives on `comm` itself.
@@ -166,8 +88,6 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
   };
   ex->coll_ = co_await mpix::neighbor_alltoallv_init(
       ctx, ex->graph_, std::move(args), method, mopts);
-  if (cacheable && !cached)
-    opts.plans->put(key, comm.rank(), ex->coll_->plan());
   co_return ex;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <type_traits>
 
 #include "sparse/stencil.hpp"
@@ -25,13 +24,12 @@ double x_value(long g) { return 0.5 * static_cast<double>(g) + 1.0; }
 /// the clock, then the blocking and overlapped windows run and verify.
 template <class M>
 PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
-                               bool uses_plan, const MeasureConfig& cfg,
+                               const MeasureConfig& cfg,
                                std::size_t element_size) {
   constexpr bool dense = std::is_same_v<M, mpix::AlltoallMethod>;
   const int p = wl.nranks;
   const Machine machine = machine_for(p, cfg);
-  const bool cacheable = cfg.plans != nullptr && uses_plan;
-  const std::uint64_t fingerprint = cacheable ? wl.fingerprint() : 0;
+  if (cfg.plans) cfg.plans->resize(static_cast<std::size_t>(p));
   enum { kInit, kBlocking, kOverlapped, kWindows };
   WindowTimes times(kWindows, p);
   std::vector<mpix::NeighborStats> stats(p);
@@ -45,15 +43,11 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
         dense ? patterns::dense_args_view(wl, r, buf, element_size)
               : patterns::args_view(wl, r, buf, element_size);
 
+    std::shared_ptr<const mpix::PlanBase>* slot =
+        cfg.plans ? &(*cfg.plans)[r] : nullptr;
     mpix::Options mopts{.lpt_balance = cfg.lpt_balance,
+                        .plan = slot ? slot->get() : nullptr,
                         .reliability = cfg.reliability};
-    std::uint64_t key = 0;
-    std::shared_ptr<const mpix::PlanBase> cached;  // keeps the plan alive
-    if (cacheable) {
-      key = cache_key(fingerprint, method, cfg.lpt_balance, ctx.world());
-      cached = cfg.plans->find(key, r);
-      mopts.plan = cached.get();
-    }
 
     co_await ctx.engine().sync_reset(ctx);
     std::unique_ptr<mpix::NeighborAlltoallv> coll;
@@ -70,7 +64,7 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     }
     times.stamp(kInit, r, ctx.now());
     stats[r] = coll->stats();
-    if (cacheable && !cached) cfg.plans->put(key, r, coll->plan());
+    if (slot && !*slot) *slot = coll->plan();
 
     auto check = [&](const char* window) {
       const long bad = patterns::verify_recv(wl, r, buf, element_size);
@@ -204,16 +198,14 @@ PatternMeasurement measure_pattern(const patterns::Workload& wl,
                                    mpix::Method method,
                                    const MeasureConfig& cfg,
                                    std::size_t element_size) {
-  return run_pattern(wl, method, mpix::uses_locality(method), cfg,
-                     element_size);
+  return run_pattern(wl, method, cfg, element_size);
 }
 
 PatternMeasurement measure_pattern_dense(const patterns::Workload& wl,
                                          mpix::AlltoallMethod method,
                                          const MeasureConfig& cfg,
                                          std::size_t element_size) {
-  return run_pattern(wl, method, mpix::alltoall_uses_plan(method), cfg,
-                     element_size);
+  return run_pattern(wl, method, cfg, element_size);
 }
 
 std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
@@ -227,13 +219,7 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
   std::vector<std::vector<mpix::NeighborStats>> stats(
       nlevels, std::vector<mpix::NeighborStats>(p));
 
-  // Global pattern keys for the optional plan cache, one per level (the
-  // same on every rank by construction).  Only the locality-aware
-  // protocols consult the cache, so the others skip the fingerprint walk.
-  std::vector<std::uint64_t> level_keys(nlevels, 0);
-  if (cfg.plans && uses_locality(protocol))
-    for (int l = 0; l < nlevels; ++l)
-      level_keys[l] = pattern_fingerprint(dh.levels[l].halo);
+  if (cfg.plans) cfg.plans->resize(static_cast<std::size_t>(nlevels) * p);
 
   simulate(machine, cfg, [&](Context& ctx) -> Task<> {
     const int r = ctx.rank();
@@ -257,14 +243,17 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
       for (long i = 0; i < nloc; ++i) x[i] = x_value(first + i);
 
       // Init cost: topology creation + collective initialization.
+      std::shared_ptr<const mpix::PlanBase>* slot =
+          cfg.plans ? &(*cfg.plans)[static_cast<std::size_t>(l) * p + r]
+                    : nullptr;
       co_await ctx.engine().sync_reset(ctx);
       auto ex = co_await make_halo_exchange(
           ctx, ctx.world(), protocol, halo,
           {.lpt_balance = cfg.lpt_balance,
-           .plans = cfg.plans,
-           .pattern_key = level_keys[l]});
+           .plan = slot ? slot->get() : nullptr});
       times.stamp(2 * l, r, ctx.now());
       stats[l][r] = ex->stats();
+      if (slot && !*slot) *slot = ex->plan();
 
       // One Start+Wait (deterministic, so one execution is exact).
       co_await ctx.engine().sync_reset(ctx);
@@ -341,30 +330,14 @@ int crossover_iterations(double base_init, double base_iter, double opt_init,
   return -1;
 }
 
-const amg::Hierarchy& paper_hierarchy(long rows) {
-  // Single-entry cache: benches sweep sizes sequentially and the largest
-  // hierarchy is hundreds of MB.
-  static long cached_rows = -1;
-  static std::optional<amg::Hierarchy> cached;
-  if (cached_rows != rows) {
-    int nx = 0, ny = 0;
-    sparse::factor_grid(rows, nx, ny);
-    cached.emplace(amg::Hierarchy::build(sparse::paper_problem(nx, ny)));
-    cached_rows = rows;
-  }
-  return *cached;
+amg::Hierarchy paper_hierarchy(long rows) {
+  int nx = 0, ny = 0;
+  sparse::factor_grid(rows, nx, ny);
+  return amg::Hierarchy::build(sparse::paper_problem(nx, ny));
 }
 
-const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks) {
-  static long cached_rows = -1;
-  static int cached_ranks = -1;
-  static std::optional<amg::DistHierarchy> cached;
-  if (cached_rows != rows || cached_ranks != nranks) {
-    cached.emplace(amg::distribute_hierarchy(paper_hierarchy(rows), nranks));
-    cached_rows = rows;
-    cached_ranks = nranks;
-  }
-  return *cached;
+amg::DistHierarchy paper_dist_hierarchy(long rows, int nranks) {
+  return amg::distribute_hierarchy(paper_hierarchy(rows), nranks);
 }
 
 }  // namespace harness

@@ -12,17 +12,18 @@
 /// Every driver here (and `run_distributed_amg`) is one rank program over
 /// the same plumbing, each decision made in one place: `simulate` builds
 /// the engine, `WindowTimes` stamps per-window rank times and reports their
-/// max, `reduce` folds per-rank `mpix::NeighborStats` into the
-/// `StatsSummary` both measurement structs inherit, and `cache_key`
-/// (exchange.hpp) keys every cached plan.  Dense alltoall sweeps run the
-/// `patterns::uniform_dense` workload through `measure_pattern_dense`.
+/// max, and `reduce` folds per-rank `mpix::NeighborStats` into the
+/// `StatsSummary` both measurement structs inherit.  Dense alltoall sweeps
+/// run the `patterns::uniform_dense` workload through
+/// `measure_pattern_dense`.
 ///
-/// Two in-process caches amortize repeated runs: `MeasureConfig::plans`
-/// (locality setup per halo pattern, see harness::PlanCache) and the
-/// single-entry `paper_hierarchy` / `paper_dist_hierarchy` memos, so a
-/// binary that measures one hierarchy many times builds it once.
+/// The harness keeps no state between calls.  A sweep that re-measures one
+/// pattern reuses its plans through the `Plans` it hands in
+/// (`MeasureConfig::plans`), and a binary that measures one hierarchy many
+/// times holds the value `paper_dist_hierarchy` returned.
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -67,6 +68,10 @@ struct LevelMeasurement : StatsSummary {
   double start_wait_seconds = 0.0;  ///< one Start+Wait (max rank)
 };
 
+/// Plan slots of a measurement (see MeasureConfig::plans): one plan per
+/// rank, or per (level, rank), owned by the caller that reuses them.
+using Plans = std::vector<std::shared_ptr<const mpix::PlanBase>>;
+
 /// Configuration of a measurement run.
 struct MeasureConfig {
   int ranks_per_region = 16;  ///< the paper's Lassen setting
@@ -86,11 +91,16 @@ struct MeasureConfig {
   /// Any value produces the same measured virtual times.
   int threads = 0;
   bool lpt_balance = true;  ///< leader assignment (ablation knob)
-  /// Optional locality-plan reuse (see harness::PlanCache): the runners
-  /// key each level's exchanges by the global halo fingerprint, so a solve
-  /// or measurement repeated on the same hierarchy re-binds cached plans
-  /// instead of redoing the aggregation setup communication.
-  PlanCache* plans = nullptr;
+  /// Optional plan reuse across measurements of one pattern on one
+  /// machine shape.  The pattern runners use one slot per rank;
+  /// `measure_protocol` uses one per (level, rank), level-major.  The
+  /// driver sizes the vector before the run, and each rank reads and
+  /// writes only its own slots.  An empty slot builds the plan and keeps
+  /// the collective's `plan()` (null for the standard methods); a filled
+  /// slot is bound through `mpix::Options::plan`, without setup
+  /// communication.  Slots filled by another method or machine shape make
+  /// init throw.  `run_distributed_amg` takes none.
+  Plans* plans = nullptr;
   /// Optional fault schedule attached to the engine of every driver before
   /// its run (see simmpi::FaultPlan and `simulate`).  nullptr — the
   /// default — keeps the engine's byte-inert fault-free hot path, so series
@@ -152,7 +162,7 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
 /// Measurements of one generated workload (patterns layer) under one
 /// method.  Three simulated windows, each bracketed by `Engine::sync_reset`
 /// and reported as the max rank-local elapsed virtual time:
-///  * init — topology + collective init (plan-cache-aware),
+///  * init — topology + collective init (binds `cfg.plans` when filled),
 ///  * blocking — start; wait; then the workload's overlap window of
 ///    simulated compute (communication and compute serialize),
 ///  * overlapped — start; compute; wait (compute hides transfer time).
@@ -181,8 +191,6 @@ struct PatternMeasurement : StatsSummary {
 /// Run one generated workload through a sparse neighbor method
 /// (`mpix::neighbor_alltoallv_init` over the pattern's adjacency).  Both
 /// windows' delivered bytes are checked against the pattern's gid scheme.
-/// `cfg.plans` caches locality plans keyed by (workload fingerprint,
-/// method, machine shape).
 PatternMeasurement measure_pattern(const patterns::Workload& wl,
                                    mpix::Method method,
                                    const MeasureConfig& cfg = {},
@@ -214,15 +222,15 @@ double total_time(const std::vector<LevelMeasurement>& self,
 int crossover_iterations(double base_init, double base_iter, double opt_init,
                          double opt_iter, int max_iters = 100000);
 
-/// Build (and memoize per rows) the canonical hierarchy of the paper's
-/// rotated anisotropic diffusion problem with `rows` unknowns.  The
-/// construction width is amg::Options::threads' auto default
-/// (COLLOM_BUILD_THREADS, else COLLOM_SIM_THREADS, else hardware); it never
-/// changes the built hierarchy.
-const amg::Hierarchy& paper_hierarchy(long rows);
+/// Build the canonical hierarchy of the paper's rotated anisotropic
+/// diffusion problem with `rows` unknowns.  The construction width is
+/// amg::Options::threads' auto default (COLLOM_BUILD_THREADS, else
+/// COLLOM_SIM_THREADS, else hardware); it never changes the built
+/// hierarchy.
+amg::Hierarchy paper_hierarchy(long rows);
 
-/// Single-entry memo of
-/// `amg::distribute_hierarchy(paper_hierarchy(rows), nranks)`.
-const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks);
+/// `amg::distribute_hierarchy(paper_hierarchy(rows), nranks)`; the
+/// canonical hierarchy is freed before it returns.
+amg::DistHierarchy paper_dist_hierarchy(long rows, int nranks);
 
 }  // namespace harness

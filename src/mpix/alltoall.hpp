@@ -37,8 +37,8 @@
 /// `verify_stats()` and the measurement harness work unchanged.
 /// `node_aggregated` reuses the neighbor `LocalityPlan` over the dense
 /// graph (`impl::dense_graph`); `bruck` has its own `BruckPlan`.  Both
-/// derive from `PlanBase`, cache like neighbor plans (see
-/// harness::PlanCache) and feed back through `Options::plan`.
+/// derive from `PlanBase` and, like neighbor plans, come out of
+/// `NeighborAlltoallv::plan()` and feed back through `Options::plan`.
 
 #include <memory>
 #include <vector>
@@ -57,12 +57,6 @@ enum class AlltoallMethod {
 inline constexpr AlltoallMethod kAllAlltoallMethods[] = {
     AlltoallMethod::standard, AlltoallMethod::node_aggregated,
     AlltoallMethod::bruck};
-
-/// Whether the method performs collective setup (and therefore builds /
-/// accepts a reusable plan through `Options::plan`).
-constexpr bool alltoall_uses_plan(AlltoallMethod m) {
-  return m != AlltoallMethod::standard;
-}
 
 /// Human-readable method name ("standard", "node_aggregated", "bruck").
 const char* to_string(AlltoallMethod m);

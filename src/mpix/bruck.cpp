@@ -468,7 +468,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     std::shared_ptr<const BruckPlan> plan, const Options& opts) {
-  detail::validate_plan_args(*plan, graph, args, /*need_idx=*/false);
   const Comm& comm = graph.comm;
 
   const std::size_t es = args.element_size;

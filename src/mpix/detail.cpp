@@ -94,9 +94,9 @@ bool same_gids(std::span<const gidx> a, std::span<const gidx> b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
-/// One multiply per word, not util::fnv_mix's eight: every plan build and
-/// every bind hashes two words per communicator member, and the byte-wise
-/// mix made each locality init about 25 % slower at 256 ranks.
+/// One multiply per word, not byte-wise FNV-1a's eight: every plan build
+/// and every plan reuse hashes two words per communicator member, and the
+/// byte-wise mix made each locality init about 25 % slower at 256 ranks.
 std::uint64_t word_mix(std::uint64_t h, std::uint64_t v) {
   h ^= v;
   h *= util::kFnvPrime;

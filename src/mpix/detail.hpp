@@ -1,7 +1,7 @@
 #pragma once
 /// \file detail.hpp
 /// \brief Helpers behind the collectives: argument validation and the one
-/// plan validator every binding runs, traffic metadata serialization,
+/// plan validator every reused plan passes, traffic metadata serialization,
 /// leader load balancing, the canonical layout of inter-region messages
 /// (all pure, so unit-testable without the simulator), and `BoundPhase`,
 /// the driver of the aggregated collectives' intra-region staging phases.
@@ -46,7 +46,8 @@ std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
 void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
                          NeighborStats& stats);
 
-/// The checks every plan kind shares before binding: `validate_args`
+/// The checks every plan kind shares before an `Options::plan` is bound
+/// (init.cpp): `validate_args`
 /// (with `need_idx`), the graph's communicator and machine against the
 /// plan's binding fingerprint (skipped when the plan carries none), and
 /// the counts and displacements the plan was built for.  Throws SimError

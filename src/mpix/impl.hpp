@@ -6,8 +6,10 @@
 ///
 /// Every aggregated collective has the same two halves: a collective
 /// `build_*_plan` coroutine that performs all setup communication and
-/// returns an immutable plan, and a purely local `bind_*` that validates
-/// the arguments against the plan and attaches buffers and channels.
+/// returns an immutable plan, and a purely local `bind_*` that attaches
+/// buffers and channels.  A binder trusts its plan: the dispatcher hands
+/// it one it has just built from these arguments, or an `Options::plan`
+/// it has checked with `detail::validate_plan_args`.
 
 #include <memory>
 #include <string>

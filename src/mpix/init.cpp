@@ -9,12 +9,14 @@
 /// wrap, a `LocalityPlan` (the locality methods and dense
 /// `node_aggregated`, which applies them to `impl::dense_graph`), or a
 /// `BruckPlan`.  Every aggregated binding has the same shape — resolve
-/// `Options::plan` or build the plan collectively, then bind locally.
+/// and validate `Options::plan`, or build the plan collectively, then bind
+/// locally.
 
 #include <numeric>
 #include <string>
 #include <utility>
 
+#include "mpix/detail.hpp"
 #include "mpix/impl.hpp"
 #include "mpix/reliable.hpp"
 
@@ -88,10 +90,12 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
   }
   if (binding == Binding::bruck) {
     std::shared_ptr<const BruckPlan> plan;
-    if (opts.plan)
+    if (opts.plan) {
       plan = impl::plan_as<BruckPlan>(*opts.plan, who);
-    else
+      detail::validate_plan_args(*plan, graph, args, /*need_idx=*/false);
+    } else {
       plan = co_await impl::build_bruck_plan(ctx, graph, args);
+    }
     co_return impl::bind_bruck(ctx, graph, std::move(args), std::move(plan),
                                opts);
   }
@@ -102,6 +106,7 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
     if (plan->dedup != dedup)
       throw SimError(std::string(who) +
                      ": plan's dedup mode does not match the method");
+    detail::validate_plan_args(*plan, graph, args);
   } else {
     plan = co_await impl::build_locality_plan(ctx, graph, args, dedup,
                                               opts.lpt_balance);

@@ -493,7 +493,6 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
 std::unique_ptr<NeighborAlltoallv> impl::bind_locality(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     std::shared_ptr<const LocalityPlan> plan, const Options& opts) {
-  detail::validate_plan_args(*plan, graph, args);
   const Comm& comm = graph.comm;
   const std::size_t es = args.element_size;
   const LocalityPlan& p = *plan;

@@ -35,9 +35,10 @@
 /// kinds share (binding fingerprint, counts/displacements, the direct
 /// intra-region messages, statistics).  One dispatcher (init.cpp) serves
 /// both this entry point and the dense `alltoallv_init`: it builds the
-/// plan on demand, or binds one passed through `Options::plan` without any
-/// communication, so a hierarchy (or a benchmark loop) that re-inits the
-/// same halo pattern can pay the setup cost once.
+/// plan on demand, or validates and binds one passed through
+/// `Options::plan` without any communication, so a hierarchy (or a
+/// benchmark loop) that re-inits the same halo pattern can pay the setup
+/// cost once.
 
 #include <cstddef>
 #include <cstdint>
@@ -134,10 +135,6 @@ enum class Method {
 inline constexpr Method kAllMethods[] = {Method::standard, Method::locality,
                                          Method::locality_dedup};
 
-/// Whether the method routes traffic through region leaders (and therefore
-/// performs collective setup / uses a LocalityPlan).
-constexpr bool uses_locality(Method m) { return m != Method::standard; }
-
 /// Human-readable method name ("standard", "locality", "locality+dedup").
 const char* to_string(Method m);
 
@@ -211,8 +208,9 @@ struct StagedPhase {
 /// element sizes, buffer instances and engine runs, as long as the
 /// communicator membership and machine shape match.  This base holds what
 /// every kind carries; plan-agnostic plumbing (Options::plan, the harness
-/// PlanCache) holds any kind behind a pointer to it, and init resolves the
-/// kind its method needs with `impl::plan_as`, which throws on mismatch.
+/// plan slots) holds any kind behind a pointer to it, and init resolves
+/// the kind its method needs with `impl::plan_as`, which throws on
+/// mismatch.
 ///
 /// All offsets are in *values*; binding scales them by
 /// `AlltoallvArgs::element_size`.  Treat instances as immutable: init
@@ -223,10 +221,10 @@ struct PlanBase : std::enable_shared_from_this<PlanBase> {
   virtual ~PlanBase() = default;
 
   /// Fingerprint of the (communicator membership, machine region layout)
-  /// the plan's comm-local peers were resolved against.  Binding validates
-  /// it, so a plan cannot silently be reused on a different communicator
-  /// or machine shape whose adjacency happens to match.  0 = unchecked
-  /// (hand-built plans in unit tests).
+  /// the plan's comm-local peers were resolved against.  Init checks it
+  /// when the plan is reused, so a plan cannot silently be reused on a
+  /// different communicator or machine shape whose adjacency happens to
+  /// match.  0 = unchecked (hand-built plans in unit tests).
   std::uint64_t binding_fingerprint = 0;
 
   /// The counts and displacements the plan was built for, kept so init

@@ -308,21 +308,6 @@ Workload uniform_dense(const simmpi::Machine& machine,
   return finalize("uniform_dense", machine, params, std::move(edges));
 }
 
-std::uint64_t Workload::fingerprint() const {
-  std::uint64_t h = util::fnv1a(
-      reinterpret_cast<const unsigned char*>(pattern.data()), pattern.size());
-  h = util::fnv_mix(h, params.seed);
-  h = util::fnv_mix(h, static_cast<std::uint64_t>(nranks));
-  for (const RankExchange& r : ranks) {
-    h = util::fnv_mix(h, r.destinations.size());
-    for (std::size_t i = 0; i < r.destinations.size(); ++i) {
-      h = util::fnv_mix(h, static_cast<std::uint64_t>(r.destinations[i]));
-      h = util::fnv_mix(h, static_cast<std::uint64_t>(r.sendcounts[i]));
-    }
-  }
-  return h;
-}
-
 mpix::gidx value_gid(int src, int dst, int j, unsigned seed) {
   // Indices live in per-source blocks of kStride and are drawn from a
   // per-source pool of kPool < kStride slots, so distinct sources never

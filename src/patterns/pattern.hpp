@@ -19,7 +19,6 @@
 /// generators: a workload is bit-identical for every sim/build width.
 
 #include <cstddef>
-#include <cstdint>
 #include <numeric>
 #include <span>
 #include <string>
@@ -49,6 +48,7 @@ struct RankExchange {
   long recv_values() const {
     return std::accumulate(recvcounts.begin(), recvcounts.end(), 0L);
   }
+  bool operator==(const RankExchange&) const = default;
 };
 
 /// Generator knobs.  Each pattern reads the subset that applies to it and
@@ -74,10 +74,6 @@ struct Workload {
   int nranks = 0;
   double overlap_seconds = 0.0;  ///< simulated compute between start and wait
   std::vector<RankExchange> ranks;
-
-  /// Content fingerprint (canonical FNV-1a over name, seed, adjacency and
-  /// counts) for plan-cache keys and cross-width identity checks.
-  std::uint64_t fingerprint() const;
 };
 
 /// A pattern generator: pure function of machine shape and params.

@@ -539,15 +539,6 @@ double Engine::total_link_seconds(int tier) const {
   return sum;
 }
 
-double Engine::max_link_backlog_seconds(int tier) const {
-  double best = 0.0;
-  for (const auto& rs : stats_)
-    if (static_cast<std::size_t>(tier) < rs.link.size())
-      best = std::max(
-          best, rs.link[static_cast<std::size_t>(tier)].max_backlog_seconds);
-  return best;
-}
-
 Task<> Engine::sync_reset(Context& ctx) {
   co_await coll::barrier(ctx, ctx.world());
   // The dissemination barrier guarantees every rank has entered before any

@@ -221,8 +221,6 @@ class Engine {
   /// Sum over ranks of shared-link occupancy charged at `tier` (0.0 when
   /// the link cap is off or nothing crossed the tier).
   double total_link_seconds(int tier) const;
-  /// Max over ranks of the worst link-queue backlog encountered at `tier`.
-  double max_link_backlog_seconds(int tier) const;
 
   /// Collective clock reset: barrier-equivalent synchronization point after
   /// which every rank's clock restarts at zero, NIC queues are drained and

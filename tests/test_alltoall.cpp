@@ -3,7 +3,7 @@
 /// collectives (mpix/alltoall.hpp): byte-exact delivery of all three
 /// methods against a host-side reference on uniform and ragged patterns,
 /// bit-identical results across engine widths, exact network message
-/// counts, plan feedback/caching, and argument validation.
+/// counts, plan feedback, and argument validation.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <random>
 #include <utility>
 
-#include "harness/exchange.hpp"
 #include "mpix/alltoall.hpp"
 #include "pattern_util.hpp"
 #include "simmpi/coll.hpp"
@@ -306,7 +305,7 @@ TEST(DenseShapes, SubcommunicatorWithUnevenRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan feedback and the shared PlanCache.
+// Plan feedback.
 // ---------------------------------------------------------------------------
 TEST(DensePlan, PlanFeedbackReproducesDelivery) {
   const DenseSpec s = ragged_spec(8, 3, 8);
@@ -600,19 +599,6 @@ TEST(DensePlan, StandardHasNoPlan) {
                                         AlltoallMethod::standard);
     EXPECT_EQ(coll->plan(), nullptr);
   });
-}
-
-TEST(DensePlan, PlanCacheResolvesKinds) {
-  const auto [agg, bru] = rank0_plans(uniform_spec(4, 1, 8));
-  // One cache holds both kinds.
-  harness::PlanCache cache;
-  cache.put(1, 0, agg);
-  cache.put(2, 0, bru);
-  EXPECT_NE(std::dynamic_pointer_cast<const LocalityPlan>(cache.find(1, 0)),
-            nullptr);
-  EXPECT_NE(std::dynamic_pointer_cast<const BruckPlan>(cache.find(2, 0)),
-            nullptr);
-  EXPECT_EQ(cache.hits(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -250,6 +250,15 @@ TEST(Measure, RejectsNonPositiveShapeFields) {
   EXPECT_THROW(measure_pattern(wl, mpix::Method::standard, cfg), SimError);
 }
 
+TEST(Measure, PaperHierarchiesAreValues) {
+  // Each call returns its own hierarchy: a second call leaves the first
+  // result, held by the caller, untouched.
+  const auto& a = paper_dist_hierarchy(256, 4);
+  const auto& b = paper_dist_hierarchy(256, 8);
+  EXPECT_EQ(a.nranks, 4);
+  EXPECT_EQ(b.nranks, 8);
+}
+
 TEST(Model, EstimateGrowsWithTraffic) {
   simmpi::CostModel cm(simmpi::CostParams::lassen());
   mpix::NeighborStats small{.local_msgs = 1,

@@ -210,15 +210,3 @@ TEST(PatternWidths, DeliveredBytesMatchHostReference) {
     }
   }
 }
-
-/// Workload generation itself is width-free (pure host code), but the
-/// fingerprint doubles as the plan-cache key — pin it against accidental
-/// dependence on anything besides the pattern content.
-TEST(PatternWidths, FingerprintIsStableAcrossCalls) {
-  const Machine m = test_machine();
-  for (const auto& spec : patterns::registry()) {
-    const std::uint64_t a = spec.make(m, PatternParams{.seed = 3}).fingerprint();
-    const std::uint64_t b = spec.make(m, PatternParams{.seed = 3}).fingerprint();
-    EXPECT_EQ(a, b) << spec.name;
-  }
-}

@@ -1,13 +1,16 @@
 /// \file test_plan_cache.cpp
-/// \brief Locality-plan reuse in the harness: PlanCache bookkeeping, global
-/// pattern fingerprints, and end-to-end plan reuse through
-/// measure_protocol / run_distributed_amg — repeated setups on the same
-/// hierarchy must hit the cache, perform fewer setup communications, and
-/// change nothing about the delivered results.
+/// \brief Plan reuse in the harness through caller-owned plan slots
+/// (`MeasureConfig::plans`): a second measurement binds the first one's
+/// plans without setup communication and delivers the same traffic, the
+/// standard methods leave their slots empty, slots handed to another
+/// method or machine shape are rejected, and the distributed solve takes
+/// none.
 
 #include <gtest/gtest.h>
 
-#include "amg/solve.hpp"
+#include <algorithm>
+#include <string>
+
 #include "harness/dist_solve.hpp"
 #include "harness/measure.hpp"
 #include "sparse/stencil.hpp"
@@ -21,64 +24,33 @@ amg::DistHierarchy small_dist(int nranks, int nx = 32, int ny = 32) {
   return amg::distribute_hierarchy(h, nranks);
 }
 
-MeasureConfig cached_cfg(PlanCache* plans) {
+MeasureConfig slot_cfg(Plans* plans) {
   MeasureConfig cfg;
   cfg.ranks_per_region = 4;
   cfg.plans = plans;
   return cfg;
 }
 
+long filled(const Plans& plans) {
+  return std::count_if(plans.begin(), plans.end(),
+                       [](const auto& plan) { return plan != nullptr; });
+}
+
 }  // namespace
 
-TEST(PlanCache, CountsHitsAndMisses) {
-  PlanCache cache;
-  EXPECT_EQ(cache.find(1, 0), nullptr);
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 0);
-
-  auto plan = std::make_shared<mpix::LocalityPlan>();
-  cache.put(1, 0, plan);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(1, 0), plan);
-  EXPECT_EQ(cache.hits(), 1);
-  // Same key, different rank; different key, same rank: both miss.
-  EXPECT_EQ(cache.find(1, 1), nullptr);
-  EXPECT_EQ(cache.find(2, 0), nullptr);
-  EXPECT_EQ(cache.misses(), 3);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find(1, 0), nullptr);
-}
-
-TEST(PlanCache, FingerprintIdentifiesGlobalPatterns) {
-  auto halo_of = [](int nx, int ny, int p) {
-    sparse::Csr a = sparse::paper_problem(nx, ny);
-    auto part = sparse::block_partition(a.rows(), p);
-    return sparse::Halo::build(sparse::ParCsr::distribute(a, part, part));
-  };
-  const auto h1 = halo_of(16, 16, 8);
-  const auto h2 = halo_of(16, 16, 8);
-  const auto h3 = halo_of(16, 16, 4);
-  const auto h4 = halo_of(20, 16, 8);
-  EXPECT_EQ(pattern_fingerprint(h1), pattern_fingerprint(h2));
-  EXPECT_NE(pattern_fingerprint(h1), pattern_fingerprint(h3));
-  EXPECT_NE(pattern_fingerprint(h1), pattern_fingerprint(h4));
-}
-
-TEST(PlanCache, MeasureProtocolReusesPlansAcrossRuns) {
+TEST(PlanSlots, MeasureProtocolReusesPlansAcrossRuns) {
   auto dh = small_dist(16);
-  PlanCache cache;
-  const auto cold = measure_protocol(dh, Protocol::neighbor_full,
-                                     cached_cfg(&cache));
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_GT(cache.misses(), 0);
-  const long misses_after_cold = cache.misses();
+  Plans plans;
+  const auto cold =
+      measure_protocol(dh, Protocol::neighbor_full, slot_cfg(&plans));
+  // One slot per (level, rank), each filled by the cold run.
+  ASSERT_EQ(plans.size(), static_cast<std::size_t>(dh.num_levels()) * 16);
+  EXPECT_EQ(filled(plans), static_cast<long>(plans.size()));
+  const Plans built = plans;
 
-  const auto warm = measure_protocol(dh, Protocol::neighbor_full,
-                                     cached_cfg(&cache));
-  EXPECT_GT(cache.hits(), 0);
-  EXPECT_EQ(cache.misses(), misses_after_cold);  // every lookup hit
+  const auto warm =
+      measure_protocol(dh, Protocol::neighbor_full, slot_cfg(&plans));
+  EXPECT_EQ(plans, built);  // bound, not rebuilt
 
   ASSERT_EQ(warm.size(), cold.size());
   double cold_init = 0, warm_init = 0;
@@ -95,106 +67,71 @@ TEST(PlanCache, MeasureProtocolReusesPlansAcrossRuns) {
     cold_init += cold[l].init_seconds;
     warm_init += warm[l].init_seconds;
   }
-  // The cached plans skip the metadata allgather, leader handshake and
+  // The bound plans skip the metadata allgather, leader handshake and
   // broadcast: warm init must be decisively cheaper in aggregate.
   EXPECT_LT(warm_init, cold_init);
 }
 
-TEST(PlanCache, DistinctMethodsAndStrategiesDoNotCollide) {
-  auto dh = small_dist(16);
-  PlanCache cache;
-  MeasureConfig cfg = cached_cfg(&cache);
-  measure_protocol(dh, Protocol::neighbor_partial, cfg);
-  const long misses_partial = cache.misses();
-  // Same pattern, different method: must not reuse the partial plans.
-  measure_protocol(dh, Protocol::neighbor_full, cfg);
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_GT(cache.misses(), misses_partial);
-  // Different leader strategy: again a distinct plan family.
-  cfg.lpt_balance = false;
-  measure_protocol(dh, Protocol::neighbor_partial, cfg);
-  EXPECT_EQ(cache.hits(), 0);
-}
-
-TEST(PlanCache, DistSolveReusesPlansAndConvergesIdentically) {
-  const int nx = 24, ny = 24;
-  amg::Hierarchy h = amg::Hierarchy::build(sparse::paper_problem(nx, ny));
-  amg::DistHierarchy dh = amg::distribute_hierarchy(h, 8);
-  std::vector<double> b(static_cast<std::size_t>(nx) * ny, 1.0);
-
-  MeasureConfig plain;
-  plain.ranks_per_region = 4;
-  auto ref = run_distributed_amg(dh, Protocol::neighbor_full, b, 1e-8, 40,
-                                 plain);
-
-  PlanCache cache;
-  MeasureConfig cfg = cached_cfg(&cache);
-  auto first = run_distributed_amg(dh, Protocol::neighbor_full, b, 1e-8, 40,
-                                   cfg);
-  const long hits_cold = cache.hits();
-  EXPECT_GT(cache.misses(), 0);
-
-  // A second solve on the same hierarchy re-binds every cached plan
-  // without setup communication: the per-pattern setup is paid once, not
-  // once per solve (the acceptance criterion's plan-cache hits).
-  auto second = run_distributed_amg(dh, Protocol::neighbor_full, b, 1e-8, 40,
-                                    cfg);
-  EXPECT_GT(cache.hits(), hits_cold);
-  EXPECT_GT(cache.hits(), 0);
-
-  // Plan reuse changes setup cost only — iterates are bit-identical.
-  // (Virtual solve times are not compared: the shorter setup perturbs
-  // coroutine scheduling order, which shifts NIC queuing by a hair.)
-  for (const auto* res : {&first, &second}) {
-    EXPECT_EQ(res->converged, ref.converged);
-    ASSERT_EQ(res->residual_history.size(), ref.residual_history.size());
-    for (std::size_t i = 0; i < ref.residual_history.size(); ++i)
-      EXPECT_DOUBLE_EQ(res->residual_history[i], ref.residual_history[i]);
-    ASSERT_EQ(res->solution.size(), ref.solution.size());
-    for (std::size_t i = 0; i < ref.solution.size(); ++i)
-      EXPECT_DOUBLE_EQ(res->solution[i], ref.solution[i]);
+TEST(PlanSlots, HypreAndStandardLeaveSlotsEmpty) {
+  auto dh = small_dist(8);
+  for (Protocol p : {Protocol::hypre, Protocol::neighbor_standard}) {
+    Plans plans;
+    measure_protocol(dh, p, slot_cfg(&plans));
+    EXPECT_EQ(plans.size(), static_cast<std::size_t>(dh.num_levels()) * 8);
+    EXPECT_EQ(filled(plans), 0) << to_string(p);
   }
 }
 
-TEST(PlanCache, HypreAndStandardIgnoreTheCache) {
-  auto dh = small_dist(8);
-  PlanCache cache;
-  measure_protocol(dh, Protocol::hypre, cached_cfg(&cache));
-  measure_protocol(dh, Protocol::neighbor_standard, cached_cfg(&cache));
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.misses(), 0);
-  EXPECT_EQ(cache.size(), 0u);
+TEST(PlanSlots, AnotherMethodsPlansAreRejected) {
+  auto dh = small_dist(16);
+  Plans plans;
+  measure_protocol(dh, Protocol::neighbor_partial, slot_cfg(&plans));
+  // Partial plans carry no dedup routing, and Hypre's exchange takes no
+  // plan at all: both throw at bind time instead of misrouting.
+  EXPECT_THROW(measure_protocol(dh, Protocol::neighbor_full, slot_cfg(&plans)),
+               simmpi::SimError);
+  EXPECT_THROW(measure_protocol(dh, Protocol::hypre, slot_cfg(&plans)),
+               simmpi::SimError);
 }
 
-TEST(PlanCache, KeyTagsTheMethodFamily) {
-  // Method::locality and AlltoallMethod::node_aggregated share enumerator
-  // value 1 and both build LocalityPlans: one workload run through both
-  // (as the link-taper sweep does) must build two plans, not bind one.
-  PlanCache cache;
-  MeasureConfig cfg = cached_cfg(&cache);
-  const patterns::Workload wl =
-      patterns::generate("stencil2d5", machine_for(16, cfg));
-  measure_pattern(wl, mpix::Method::locality, cfg);
-  measure_pattern_dense(wl, mpix::AlltoallMethod::node_aggregated, cfg);
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.misses(), 32);
-  measure_pattern_dense(wl, mpix::AlltoallMethod::node_aggregated, cfg);
-  EXPECT_EQ(cache.hits(), 16);
-}
-
-TEST(PlanCache, KeyIgnoresTapersButNotRadixes) {
-  // Tapers scale link costs, never a plan: a taper sweep re-binds.
-  PlanCache cache;
-  MeasureConfig cfg = cached_cfg(&cache);
+TEST(PlanSlots, TapersRebindButRadixesReject) {
+  // Tapers scale link costs, never a plan: a taper sweep binds the first
+  // taper's plans.  Radixes shape the tree whose link crossings the plan
+  // counts, so another radix rejects them.
+  Plans plans;
+  MeasureConfig cfg = slot_cfg(&plans);
   cfg.switch_levels = {{.radix = 2, .taper = 1.0}, {.radix = 2, .taper = 1.0}};
   const patterns::Workload wl =
       patterns::generate("stencil2d5", machine_for(16, cfg));
-  measure_pattern(wl, mpix::Method::locality, cfg);
+  const PatternMeasurement cold =
+      measure_pattern(wl, mpix::Method::locality, cfg);
+  EXPECT_EQ(filled(plans), 16);
+  const Plans built = plans;
+
   cfg.switch_levels[0].taper = 4.0;
-  measure_pattern(wl, mpix::Method::locality, cfg);
-  EXPECT_EQ(cache.hits(), 16);
+  const PatternMeasurement warm =
+      measure_pattern(wl, mpix::Method::locality, cfg);
+  EXPECT_EQ(plans, built);
+  EXPECT_LT(warm.init_seconds, cold.init_seconds);
+
   cfg.switch_levels = {{.radix = 4, .taper = 1.0}, {.radix = 1, .taper = 1.0}};
-  measure_pattern(wl, mpix::Method::locality, cfg);
-  EXPECT_EQ(cache.hits(), 16);
-  EXPECT_EQ(cache.misses(), 32);
+  EXPECT_THROW(measure_pattern(wl, mpix::Method::locality, cfg),
+               simmpi::SimError);
+}
+
+TEST(PlanSlots, DistributedSolveTakesNone) {
+  auto dh = small_dist(8, 16, 16);
+  const std::vector<double> b(static_cast<std::size_t>(dh.levels[0].n()),
+                              1.0);
+  Plans plans;
+  try {
+    run_distributed_amg(dh, Protocol::neighbor_full, b, 1e-8, 40,
+                        slot_cfg(&plans));
+    FAIL() << "run_distributed_amg accepted plan slots";
+  } catch (const simmpi::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("MeasureConfig::plans"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(plans.empty());
 }
