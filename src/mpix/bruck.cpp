@@ -14,10 +14,10 @@
 ///             toward destination region (g + d) mod R;
 ///   rounds  — ⌈log2 R⌉ Bruck rounds: in round k each leader forwards,
 ///             in one message to the leader of region (g + 2^k) mod R,
-///             every resident chunk whose remaining distance has bit k
-///             set.  Chunks are never split; arriving chunks either join
-///             the resident set at distance d - 2^k or, at distance 0,
-///             the final set.  Each region therefore sends exactly one
+///             every resident chunk whose distance d has bit k set.
+///             Chunks are never split and keep their d, so after the last
+///             round region g holds chunk d of region g - d: the values
+///             bound for g.  Each region therefore sends exactly one
 ///             inter-region message per round: R·⌈log2 R⌉ total, versus
 ///             R·(R-1) for node_aggregated and O(P^2) for standard;
 ///   deliver — the leader scatters the R-1 arrived chunks to its members
@@ -29,12 +29,14 @@
 /// phases.
 /// Determinism: the rotation schedule is a pure function of the
 /// region-level traffic matrix T (exchanged collectively, identical on
-/// every rank), chunks are enumerated in fixed (distance, arrival) order,
-/// and all four channels use collective tags minted in the same order on
-/// every rank — so payload movement is identical at every simulator
-/// width.  Every rank replays the full R-region rotation symbolically
-/// during plan construction; only its own region's gather/keep/merge runs
-/// are recorded.
+/// every rank), chunks are laid out in ascending d, and all four channels
+/// use collective tags minted in the same order on every rank — so
+/// payload movement is identical at every simulator width.  No rank
+/// simulates the rotation: Bruck's index rule (Bruck et al., "Efficient
+/// Algorithms for All-to-All Communications in Multiport Message-Passing
+/// Systems", IEEE TPDS 8(11), 1997) names the origin of every chunk a
+/// region holds after each round, so a rank lays out its own region's
+/// resident buffer, epoch by epoch, straight from T in O(R·log R).
 
 #include <algorithm>
 #include <string>
@@ -183,8 +185,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 
   // ---- region traffic matrix T (identical on every rank) -------------------
   // Each rank publishes its per-destination-region totals; summing rows by
-  // the sender's region gives T[g][q], the basis of the shared symbolic
-  // rotation below.
+  // the sender's region gives T[g][q], the chunk sizes of the rotation
+  // below.
   std::vector<long long> row(static_cast<std::size_t>(nregions), 0);
   for (int j = 0; j < p; ++j)
     row[region_index(region_of(j))] += args.sendcounts[j];
@@ -221,136 +223,63 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 
   if (nregions == 1) co_return plan;  // everything is intra-region
 
-  // ---- symbolic rotation (identical replay on every rank) ------------------
+  // ---- rotation: Bruck's index rule ----------------------------------------
+  // Chunk d (0 < d < R) of a region carries its values for the region d
+  // ahead.  Round k moves every chunk whose d has bit k set 2^k regions
+  // ahead, whole, so after e rounds region g holds chunk d of origin
+  // g - (d mod 2^e).  Regions keep their chunks in ascending d and send a
+  // round's moving chunks in ascending d, so my region's layout at every
+  // epoch follows from T.
   int nrounds = 0;
   while ((1 << nrounds) < nregions) ++nrounds;
-
-  struct SimChunk {
-    int origin;         // region whose data this is
-    long long size;     // values
-    long long off;      // offset in the holder's resident buffer (-1: in flight)
-    long long msg_off;  // offset in the current round's message
-  };
-  std::vector<std::vector<SimChunk>> fin(region_ids.size());  // arrival order
-  std::vector<std::vector<std::vector<SimChunk>>> blocks(region_ids.size());
-  for (int g = 0; g < nregions; ++g) {
-    blocks[g].resize(region_ids.size());
-    for (int d = 1; d < nregions; ++d)
-      blocks[g][d].push_back({g, traffic(g, (g + d) % nregions), -1, -1});
-  }
-  // Resident layout of a region: final chunks in arrival order, then the
-  // pending blocks by ascending remaining distance, chunks in list order.
-  auto layout_region = [&](int g) -> long long {
-    long long off = 0;
-    for (auto& c : fin[g]) {
-      c.off = off;
-      off += c.size;
+  auto wrap = [&](int g) { return (g % nregions + nregions) % nregions; };
+  // Offsets of my region's chunks after e rounds: chunk d occupies
+  // [off[d], off[d + 1]), and off[R] is the resident total.
+  auto layout = [&](int e) {
+    std::vector<long long> off(static_cast<std::size_t>(nregions) + 1, 0);
+    for (int d = 1; d < nregions; ++d) {
+      const int origin = wrap(gi - d % (1 << e));
+      off[d + 1] = off[d] + traffic(origin, wrap(origin + d));
     }
-    for (int d = 1; d < nregions; ++d)
-      for (auto& c : blocks[g][d]) {
-        c.off = off;
-        off += c.size;
-      }
     return off;
   };
-  long long resident_max = 0;
-  for (int g = 0; g < nregions; ++g) {
-    const long long tot = layout_region(g);
-    if (g == gi) resident_max = tot;
-  }
-  std::vector<long long> chunk_off0(region_ids.size(), 0);  // epoch-0, my region
-  for (int d = 1; d < nregions; ++d) chunk_off0[d] = blocks[gi][d][0].off;
-
+  const std::vector<long long> chunk_off0 = layout(0);
+  std::vector<long long> cur = chunk_off0;
+  long long resident_max = cur[nregions];
   for (int k = 0; k < nrounds; ++k) {
     const int step = 1 << k;
+    std::vector<long long> next = layout(k + 1);
     BruckPlan::Round round;
     round.send_peer = members[(gi + step) % nregions][0];
     round.recv_peer = members[(gi - step + nregions) % nregions][0];
-
-    // Message layout: moving chunks by ascending distance, list order.
-    std::vector<long long> msg_size(region_ids.size(), 0);
-    for (int g = 0; g < nregions; ++g) {
-      long long mo = 0;
-      for (int d = 1; d < nregions; ++d) {
-        if (!((d >> k) & 1)) continue;
-        for (auto& c : blocks[g][d]) {
-          c.msg_off = mo;
-          mo += c.size;
-        }
-      }
-      msg_size[g] = mo;
-    }
-    round.send_values = msg_size[gi];
-    round.recv_values = msg_size[(gi - step + nregions) % nregions];
-    plan->round_send_max = std::max(plan->round_send_max,
-                                    static_cast<long>(round.send_values));
-    plan->round_recv_max = std::max(plan->round_recv_max,
-                                    static_cast<long>(round.recv_values));
     for (int d = 1; d < nregions; ++d) {
-      if (!((d >> k) & 1)) continue;
-      for (const auto& c : blocks[gi][d])
-        detail::push_run(round.gather, c.off, c.msg_off, c.size);
-    }
-
-    // Move the chunks: one hop of 2^k, remaining distance d - 2^k.
-    std::vector<std::vector<std::pair<int, SimChunk>>> moved(
-        region_ids.size());
-    for (int g = 0; g < nregions; ++g) {
-      const int dst = (g + step) % nregions;
-      for (int d = 1; d < nregions; ++d) {
-        if (!((d >> k) & 1)) continue;
-        for (auto& c : blocks[g][d]) {
-          SimChunk arriving = c;
-          arriving.off = -1;
-          moved[dst].emplace_back(d - step, arriving);
-        }
-        blocks[g][d].clear();
+      const long long held = cur[d + 1] - cur[d];
+      if ((d >> k) & 1) {
+        detail::push_run(round.gather, cur[d], round.send_values, held);
+        round.send_values += held;
+        const long long arriving = next[d + 1] - next[d];
+        detail::push_run(round.merge, round.recv_values, next[d], arriving);
+        round.recv_values += arriving;
+      } else {
+        detail::push_run(round.keep, cur[d], next[d], held);
       }
     }
-    for (int g = 0; g < nregions; ++g)
-      for (auto& [dn, c] : moved[g]) {
-        if (dn == 0)
-          fin[g].push_back(c);
-        else
-          blocks[g][dn].push_back(c);
-      }
-
-    // Re-pack: record my region's keep (still resident) and merge
-    // (arriving) runs against the new layout.
-    for (int g = 0; g < nregions; ++g) {
-      if (g != gi) {
-        layout_region(g);
-        continue;
-      }
-      long long off = 0;
-      auto place = [&](SimChunk& c) {
-        if (c.off >= 0)
-          detail::push_run(round.keep, c.off, off, c.size);
-        else
-          detail::push_run(round.merge, c.msg_off, off, c.size);
-        c.off = off;
-        off += c.size;
-      };
-      for (auto& c : fin[gi]) place(c);
-      for (int d = 1; d < nregions; ++d)
-        for (auto& c : blocks[gi][d]) place(c);
-      resident_max = std::max(resident_max, off);
-    }
+    plan->round_send_max = std::max(plan->round_send_max, round.send_values);
+    plan->round_recv_max = std::max(plan->round_recv_max, round.recv_values);
+    resident_max = std::max(resident_max, next[nregions]);
+    cur = std::move(next);
 
     if (plan->is_leader) {
       ++plan->stats.global_msgs;
       plan->stats.global_values += round.send_values;
       plan->stats.max_global_msg_values =
-          std::max(plan->stats.max_global_msg_values,
-                   static_cast<long>(round.send_values));
+          std::max(plan->stats.max_global_msg_values, round.send_values);
       detail::count_link_crossing(machine, comm.global(comm.rank()),
                                   comm.global(round.send_peer), plan->stats);
       plan->rounds.push_back(std::move(round));
     }
   }
   plan->resident_values = static_cast<long>(resident_max);
-  if (static_cast<int>(fin[gi].size()) != nregions - 1)
-    throw SimError("alltoallv bruck: internal rotation error");
 
   // ---- fill: members -> leader resident buffer -----------------------------
   // Chunk (distance d) interior: member-major rows [k in g ascending], each
@@ -408,9 +337,9 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   }
 
   // ---- deliver: leader resident buffer -> members' recvbufs ----------------
-  // A final chunk from origin s keeps its epoch-0 interior, so member m's
-  // share is one slice per sender rank k in s: row offset sum over earlier
-  // senders, column offset sum over earlier members.
+  // Final chunk d comes from region g - d and keeps its epoch-0 interior,
+  // so member m's share is one slice per sender rank k there: row offset
+  // sum over earlier senders, column offset sum over earlier members.
   auto row_in = [&](int k) {
     long long t = 0;
     for (int m = 0; m < nlocal; ++m) t += rcount(k, m);
@@ -422,42 +351,44 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     return t;
   };
   if (plan->is_leader) {
-    for (const auto& c : fin[gi]) {
+    for (int d = 1; d < nregions; ++d) {
       long long rowoff = 0;
-      for (int k : members[c.origin]) {
-        detail::push_run(plan->deliver.self, c.off + rowoff + col_in(k, 0),
+      for (int k : members[wrap(gi - d)]) {
+        detail::push_run(plan->deliver.self, cur[d] + rowoff + col_in(k, 0),
                          args.rdispls[k], rcount(k, 0));
         rowoff += row_in(k);
       }
     }
     for (int m = 1; m < nlocal; ++m) {
-      StagedPhase::Msg d{.peer = mem[m]};
-      for (const auto& c : fin[gi]) {
+      StagedPhase::Msg msg{.peer = mem[m]};
+      for (int d = 1; d < nregions; ++d) {
         long long rowoff = 0;
-        for (int k : members[c.origin]) {
-          detail::push_run(d.runs, c.off + rowoff + col_in(k, m), d.values,
-                           rcount(k, m));
-          d.values += rcount(k, m);
+        for (int k : members[wrap(gi - d)]) {
+          detail::push_run(msg.runs, cur[d] + rowoff + col_in(k, m),
+                           msg.values, rcount(k, m));
+          msg.values += rcount(k, m);
           rowoff += row_in(k);
         }
       }
       ++plan->stats.local_msgs;
-      plan->stats.local_values += d.values;
-      plan->deliver.sends.push_back(std::move(d));
+      plan->stats.local_values += msg.values;
+      plan->deliver.sends.push_back(std::move(msg));
     }
   } else {
-    StagedPhase::Msg d{.peer = mem[0]};
-    for (const auto& c : fin[gi]) {
-      for (int k : members[c.origin]) {
-        detail::push_run(d.runs, d.values, args.rdispls[k],
+    StagedPhase::Msg msg{.peer = mem[0]};
+    for (int d = 1; d < nregions; ++d) {
+      for (int k : members[wrap(gi - d)]) {
+        detail::push_run(msg.runs, msg.values, args.rdispls[k],
                          args.recvcounts[k]);
-        d.values += args.recvcounts[k];
+        msg.values += args.recvcounts[k];
       }
     }
-    plan->deliver.recvs.push_back(std::move(d));
+    plan->deliver.recvs.push_back(std::move(msg));
   }
 
-  // Charge the symbolic rotation and layout computation to this rank.
+  // Charge the plan build to this rank.  The cost model prices it as a
+  // replay of the whole R-region rotation, R^2 * (ceil(log2 R) + 1) words,
+  // plus the O(P) fill and deliver layout.
   ctx.compute(impl::kSetupComputePerWord *
               static_cast<double>(static_cast<long long>(nregions) * nregions *
                                       (nrounds + 1) +
