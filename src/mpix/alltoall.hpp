@@ -99,6 +99,7 @@ struct BruckPlan : PlanBase {
   /// (`deliver.self`).
   StagedPhase deliver;
 
+  /// The leader's staging sizes; 0 on members, which run no rounds.
   long resident_values = 0;  ///< resident buffer size (max over epochs)
   long round_send_max = 0;   ///< largest per-round outgoing message
   long round_recv_max = 0;   ///< largest per-round incoming message

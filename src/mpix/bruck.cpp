@@ -229,7 +229,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   // ahead, whole, so after e rounds region g holds chunk d of origin
   // g - (d mod 2^e).  Regions keep their chunks in ascending d and send a
   // round's moving chunks in ascending d, so my region's layout at every
-  // epoch follows from T.
+  // epoch follows from T.  Only the leader lays it out: a member's fill
+  // and deliver messages need just the chunk order.
   int nrounds = 0;
   while ((1 << nrounds) < nregions) ++nrounds;
   auto wrap = [&](int g) { return (g % nregions + nregions) % nregions; };
@@ -243,33 +244,35 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     }
     return off;
   };
-  const std::vector<long long> chunk_off0 = layout(0);
-  std::vector<long long> cur = chunk_off0;
-  long long resident_max = cur[nregions];
-  for (int k = 0; k < nrounds; ++k) {
-    const int step = 1 << k;
-    std::vector<long long> next = layout(k + 1);
-    BruckPlan::Round round;
-    round.send_peer = members[(gi + step) % nregions][0];
-    round.recv_peer = members[(gi - step + nregions) % nregions][0];
-    for (int d = 1; d < nregions; ++d) {
-      const long long held = cur[d + 1] - cur[d];
-      if ((d >> k) & 1) {
-        detail::push_run(round.gather, cur[d], round.send_values, held);
-        round.send_values += held;
-        const long long arriving = next[d + 1] - next[d];
-        detail::push_run(round.merge, round.recv_values, next[d], arriving);
-        round.recv_values += arriving;
-      } else {
-        detail::push_run(round.keep, cur[d], next[d], held);
+  // My region's chunk offsets before the first and after the last round.
+  std::vector<long long> chunk_off0, cur;
+  if (plan->is_leader) {
+    chunk_off0 = layout(0);
+    cur = chunk_off0;
+    long long resident_max = cur[nregions];
+    for (int k = 0; k < nrounds; ++k) {
+      const int step = 1 << k;
+      std::vector<long long> next = layout(k + 1);
+      BruckPlan::Round round;
+      round.send_peer = members[(gi + step) % nregions][0];
+      round.recv_peer = members[(gi - step + nregions) % nregions][0];
+      for (int d = 1; d < nregions; ++d) {
+        const long long held = cur[d + 1] - cur[d];
+        if ((d >> k) & 1) {
+          detail::push_run(round.gather, cur[d], round.send_values, held);
+          round.send_values += held;
+          const long long arriving = next[d + 1] - next[d];
+          detail::push_run(round.merge, round.recv_values, next[d], arriving);
+          round.recv_values += arriving;
+        } else {
+          detail::push_run(round.keep, cur[d], next[d], held);
+        }
       }
-    }
-    plan->round_send_max = std::max(plan->round_send_max, round.send_values);
-    plan->round_recv_max = std::max(plan->round_recv_max, round.recv_values);
-    resident_max = std::max(resident_max, next[nregions]);
-    cur = std::move(next);
+      plan->round_send_max = std::max(plan->round_send_max, round.send_values);
+      plan->round_recv_max = std::max(plan->round_recv_max, round.recv_values);
+      resident_max = std::max(resident_max, next[nregions]);
+      cur = std::move(next);
 
-    if (plan->is_leader) {
       ++plan->stats.global_msgs;
       plan->stats.global_values += round.send_values;
       plan->stats.max_global_msg_values =
@@ -278,8 +281,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
                                   comm.global(round.send_peer), plan->stats);
       plan->rounds.push_back(std::move(round));
     }
+    plan->resident_values = static_cast<long>(resident_max);
   }
-  plan->resident_values = static_cast<long>(resident_max);
 
   // ---- fill: members -> leader resident buffer -----------------------------
   // Chunk (distance d) interior: member-major rows [k in g ascending], each
@@ -441,8 +444,10 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     }
   }
 
-  // Charge the buffer binding work (staging allocation + channel setup),
-  // including a member's own fill and deliver messages (none on leaders).
+  // Charge the buffer binding work (staging allocation + channel setup):
+  // the leader's two resident buffers (resident_values is 0 on members,
+  // which allocate none) and a member's own fill and deliver messages
+  // (none on leaders).
   long member_values = 0;
   for (const auto& m : p.fill.sends) member_values += m.values;
   for (const auto& m : p.deliver.recvs) member_values += m.values;

@@ -462,6 +462,7 @@ TEST(DensePlan, HandCheckedBruckPlan) {
     const BruckPlan& p = *plans[r];
     EXPECT_FALSE(p.is_leader) << "rank " << r;
     EXPECT_TRUE(p.rounds.empty()) << "rank " << r;
+    EXPECT_EQ(p.resident_values, 0) << "rank " << r;
     EXPECT_TRUE(p.fill.recvs.empty()) << "rank " << r;
     EXPECT_TRUE(p.fill.self.empty()) << "rank " << r;
     EXPECT_TRUE(p.deliver.sends.empty()) << "rank " << r;
