@@ -102,6 +102,17 @@ struct BruckAlltoallv final : NeighborAlltoallv {
   std::shared_ptr<const PlanBase> plan() const override { return routing; }
 };
 
+// Message statistics: every send this rank posts, by one rule.
+void count_sends(BruckPlan& plan, const Comm& comm) {
+  for (const DirectMsg& m : plan.l_sends)
+    detail::count_send(plan.stats, comm, m.peer, m.count);
+  for (const StagedPhase* phase : {&plan.fill, &plan.deliver})
+    for (const StagedPhase::Msg& m : phase->sends)
+      detail::count_send(plan.stats, comm, m.peer, m.values);
+  for (const BruckPlan::Round& r : plan.rounds)
+    detail::count_send(plan.stats, comm, r.send_peer, r.send_values);
+}
+
 }  // namespace
 
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
@@ -148,8 +159,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   // ---- l phase: intra-region traffic straight from the arguments ----------
   for (int j : mem) {
     plan->l_sends.push_back({j, args.sdispls[j], args.sendcounts[j]});
-    ++plan->stats.local_msgs;
-    plan->stats.local_values += args.sendcounts[j];
     plan->l_recvs.push_back({j, args.rdispls[j], args.recvcounts[j]});
   }
 
@@ -221,7 +230,10 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
           "receivers expect " + std::to_string(expected) + ")");
   }
 
-  if (nregions == 1) co_return plan;  // everything is intra-region
+  if (nregions == 1) {  // everything is intra-region
+    count_sends(*plan, comm);
+    co_return plan;
+  }
 
   // ---- rotation: Bruck's index rule ----------------------------------------
   // Chunk d (0 < d < R) of a region carries its values for the region d
@@ -272,13 +284,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       plan->round_recv_max = std::max(plan->round_recv_max, round.recv_values);
       resident_max = std::max(resident_max, next[nregions]);
       cur = std::move(next);
-
-      ++plan->stats.global_msgs;
-      plan->stats.global_values += round.send_values;
-      plan->stats.max_global_msg_values =
-          std::max(plan->stats.max_global_msg_values, round.send_values);
-      detail::count_link_crossing(machine, comm.global(comm.rank()),
-                                  comm.global(round.send_peer), plan->stats);
       plan->rounds.push_back(std::move(round));
     }
     plan->resident_values = static_cast<long>(resident_max);
@@ -334,8 +339,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
         f.values += args.sendcounts[j];
       }
     }
-    ++plan->stats.local_msgs;
-    plan->stats.local_values += f.values;
     plan->fill.sends.push_back(std::move(f));
   }
 
@@ -373,8 +376,6 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
           rowoff += row_in(k);
         }
       }
-      ++plan->stats.local_msgs;
-      plan->stats.local_values += msg.values;
       plan->deliver.sends.push_back(std::move(msg));
     }
   } else {
@@ -388,6 +389,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     }
     plan->deliver.recvs.push_back(std::move(msg));
   }
+
+  count_sends(*plan, comm);
 
   // Charge the plan build to this rank.  The cost model prices it as a
   // replay of the whole R-region rotation, R^2 * (ceil(log2 R) + 1) words,

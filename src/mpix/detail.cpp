@@ -125,8 +125,19 @@ std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
   return h;
 }
 
-void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
-                         NeighborStats& stats) {
+void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,
+                long values) {
+  const simmpi::Machine& machine = comm.engine().machine();
+  const int gsrc = comm.global(comm.rank());
+  const int gdst = comm.global(peer);
+  if (machine.region_of(gsrc) == machine.region_of(gdst)) {
+    ++stats.local_msgs;
+    stats.local_values += values;
+    return;
+  }
+  ++stats.global_msgs;
+  stats.global_values += values;
+  stats.max_global_msg_values = std::max(stats.max_global_msg_values, values);
   const int lca = machine.lca_level(gsrc, gdst);
   if (lca <= 0) return;
   if (stats.link_msgs.empty())

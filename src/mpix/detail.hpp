@@ -39,12 +39,15 @@ void reject_duplicate_edges(const simmpi::DistGraph& graph);
 std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
                                   const simmpi::Machine& machine);
 
-/// Accumulate `stats.link_msgs` for one network message from global rank
-/// `gsrc` to `gdst`: one count per link tier the pair's LCA path crosses.
-/// No-op on flat machines and for pairs under one leaf switch (including
-/// same-node pairs), mirroring what the engine charges.
-void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
-                         NeighborStats& stats);
+/// The one counting rule of `NeighborStats`: count a message of `values`
+/// values that this rank sends to comm-local rank `peer`.  A send to a
+/// peer in the sender's region (itself included) is local.  Any other is
+/// global: it also updates the largest message size and adds one
+/// `link_msgs` count per link tier the pair's LCA path crosses (none on
+/// flat machines or under one leaf switch), mirroring what the engine
+/// charges.
+void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,
+                long values);
 
 /// The checks every plan kind shares before an `Options::plan` is bound
 /// (init.cpp): `validate_args`

@@ -247,8 +247,6 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     if (L == my_core) {
       plan.s.self = detail::compose_runs(m.runs, staged_from(me).runs);
     } else {
-      ++plan.stats.local_msgs;
-      plan.stats.local_values += m.values;
       m.peer = core_to_local(L);
       plan.s.sends.push_back(std::move(m));
     }
@@ -292,8 +290,6 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
       if (d == me) {
         self_gather = std::move(m);
       } else {
-        ++plan.stats.local_msgs;
-        plan.stats.local_values += m.values;
         m.peer = d;
         plan.r.sends.push_back(std::move(m));
       }
@@ -381,8 +377,6 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     const int d = graph.destinations[i];
     if (region_of(d) != my_region) continue;
     plan->l_sends.push_back({d, args.sdispls[i], args.sendcounts[i]});
-    ++plan->stats.local_msgs;
-    plan->stats.local_values += args.sendcounts[i];
   }
   for (std::size_t i = 0; i < graph.sources.size(); ++i) {
     const int s = graph.sources[i];
@@ -472,15 +466,18 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   for (const LedPair& p : routes.led_out) {
     const int peer = *g_dst_leader.find(p.region);
     plan->g_sends.push_back({peer, p.offset, p.total});
-    ++plan->stats.global_msgs;
-    plan->stats.global_values += p.total;
-    plan->stats.max_global_msg_values =
-        std::max(plan->stats.max_global_msg_values, p.total);
-    detail::count_link_crossing(machine, comm.global(me), comm.global(peer),
-                                plan->stats);
   }
   for (const LedPair& p : routes.led_in)
     plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
+
+  // ---- message statistics: every send this rank posts ----------------------
+  for (const DirectMsg& m : plan->l_sends)
+    detail::count_send(plan->stats, comm, m.peer, m.count);
+  for (const StagedPhase* phase : {&plan->s, &plan->r})
+    for (const StagedPhase::Msg& m : phase->sends)
+      detail::count_send(plan->stats, comm, m.peer, m.values);
+  for (const DirectMsg& m : plan->g_sends)
+    detail::count_send(plan->stats, comm, m.peer, m.count);
 
   // Charge the routing computation (run-list building) to this rank.
   ctx.compute(impl::kSetupComputePerWord *

@@ -143,7 +143,8 @@ const char* to_string(Method m);
 /// inter-region (network) messages.  Point-to-point sends a rank posts to
 /// itself go through the simulated MPI layer and count as local messages;
 /// the locality plan's staging self-copies (when a rank is its own leader)
-/// are plain memcpys and are not counted.
+/// are plain memcpys and are not counted.  Every method counts each send it
+/// posts by one rule, `detail::count_send`.
 struct NeighborStats {
   long local_msgs = 0;
   long global_msgs = 0;

@@ -27,27 +27,12 @@ class StandardNeighbor final : public NeighborAlltoallv {
         opts.reliability.enabled ? ctx.engine().next_coll_tag(comm) : -1;
     channels_ = impl::ChannelSet(comm, opts.reliability, ack_tag);
     channels_.reserve(graph.destinations.size(), graph.sources.size());
-    const auto& machine = ctx.engine().machine();
-    const int my_region = machine.region_of(comm.global(comm.rank()));
-
     for (std::size_t i = 0; i < graph.destinations.size(); ++i) {
       const int dst = graph.destinations[i];
       channels_.send(
           args_.sendbuf.subspan(args_.sdispls[i] * es, args_.sendcounts[i] * es),
           dst, tag);
-      const bool global = machine.region_of(comm.global(dst)) != my_region;
-      if (global) {
-        ++stats_.global_msgs;
-        stats_.global_values += args_.sendcounts[i];
-        stats_.max_global_msg_values = std::max(
-            stats_.max_global_msg_values,
-            static_cast<long>(args_.sendcounts[i]));
-        detail::count_link_crossing(machine, comm.global(comm.rank()),
-                                    comm.global(dst), stats_);
-      } else {
-        ++stats_.local_msgs;
-        stats_.local_values += args_.sendcounts[i];
-      }
+      detail::count_send(stats_, comm, dst, args_.sendcounts[i]);
     }
     for (std::size_t i = 0; i < graph.sources.size(); ++i)
       channels_.recv(

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
+#include <type_traits>
 
 #include "harness/measure.hpp"
+#include "mpix/alltoall.hpp"
 #include "patterns/pattern.hpp"
+#include "simmpi/dist_graph.hpp"
 #include "simmpi/engine.hpp"
 
 using harness::MeasureConfig;
@@ -360,5 +364,97 @@ TEST(Patterns, UniformDenseThroughTheDenseRunner) {
         harness::measure_pattern_dense(wl, method, cfg);
     EXPECT_EQ(got.sum_global_msgs, expected[mi]) << mpix::to_string(method);
     EXPECT_GT(got.blocking_seconds, 0.0) << mpix::to_string(method);
+  }
+}
+
+namespace {
+
+/// Run one start/wait window of `method` over `wl` and hold each rank's
+/// NeighborStats to what the engine counted that rank posting in the
+/// window: local counters against the self and region tiers, global ones
+/// against the node and network tiers (sync_reset clears the engine's
+/// counters, so they hold the window alone).
+template <class M>
+void expect_stats_match_posted(const Workload& wl, const Machine& machine,
+                               M method, const std::string& what) {
+  constexpr bool dense = std::is_same_v<M, mpix::AlltoallMethod>;
+  constexpr std::size_t es = 12;
+  simmpi::Engine eng(machine, simmpi::CostParams::lassen());
+  std::vector<mpix::NeighborStats> stats(wl.nranks);
+  eng.run([&](simmpi::Context& ctx) -> simmpi::Task<> {
+    const int r = ctx.rank();
+    patterns::RankBuffers buf = patterns::make_buffers(wl, r, es);
+    mpix::AlltoallvArgs args = dense
+                                   ? patterns::dense_args_view(wl, r, buf, es)
+                                   : patterns::args_view(wl, r, buf, es);
+    std::unique_ptr<mpix::NeighborAlltoallv> coll;
+    if constexpr (dense) {
+      coll = co_await mpix::alltoallv_init(ctx, ctx.world(), std::move(args),
+                                           method);
+    } else {
+      const patterns::RankExchange& ex = wl.ranks[r];
+      simmpi::DistGraph g = co_await simmpi::dist_graph_create_adjacent(
+          ctx, ctx.world(), ex.sources, ex.destinations,
+          simmpi::GraphAlgo::handshake);
+      coll = co_await mpix::neighbor_alltoallv_init(ctx, g, std::move(args),
+                                                    method);
+    }
+    stats[r] = coll->stats();
+    co_await ctx.engine().sync_reset(ctx);
+    co_await coll->start(ctx);
+    co_await coll->wait(ctx);
+    EXPECT_EQ(patterns::verify_recv(wl, r, buf, es), 0)
+        << what << " rank " << r;
+  });
+  for (int r = 0; r < wl.nranks; ++r) {
+    const auto& tier = eng.stats(r).tier;
+    const auto sum = [&](simmpi::Locality a, simmpi::Locality b) {
+      return simmpi::Engine::TierStats{
+          tier[static_cast<int>(a)].msgs + tier[static_cast<int>(b)].msgs,
+          tier[static_cast<int>(a)].bytes + tier[static_cast<int>(b)].bytes};
+    };
+    const auto local = sum(simmpi::Locality::self, simmpi::Locality::region);
+    const auto global = sum(simmpi::Locality::node, simmpi::Locality::network);
+    const mpix::NeighborStats& s = stats[r];
+    EXPECT_EQ(static_cast<std::uint64_t>(s.local_msgs), local.msgs)
+        << what << " rank " << r;
+    EXPECT_EQ(static_cast<std::uint64_t>(s.local_values) * es, local.bytes)
+        << what << " rank " << r;
+    EXPECT_EQ(static_cast<std::uint64_t>(s.global_msgs), global.msgs)
+        << what << " rank " << r;
+    EXPECT_EQ(static_cast<std::uint64_t>(s.global_values) * es, global.bytes)
+        << what << " rank " << r;
+  }
+}
+
+}  // namespace
+
+/// The counters every method reports count exactly the messages it posts,
+/// on one and two regions per node and on a two-level switch tree, with
+/// self sends (bursty_io) and, on the dense path, zero-count pairs.
+TEST(Patterns, StatsCountWhatEveryMethodPosts) {
+  const Machine shapes[] = {
+      Machine({.num_nodes = 4, .regions_per_node = 1, .ranks_per_region = 4}),
+      Machine({.num_nodes = 3, .regions_per_node = 2, .ranks_per_region = 2}),
+      Machine({.num_nodes = 8,
+               .regions_per_node = 1,
+               .ranks_per_region = 2,
+               .switch_levels = {{.radix = 2}, {.radix = 4}}}),
+  };
+  for (const Machine& m : shapes) {
+    for (const char* name :
+         {"bursty_io", "random_sparse", "stencil2d9", "incast"}) {
+      const Workload wl = patterns::generate(name, m, {.values = 3});
+      const std::string shape =
+          std::string(name) + " on " + std::to_string(m.num_nodes()) +
+          " nodes of " + std::to_string(m.config().regions_per_node) +
+          " regions, ";
+      for (mpix::Method method : mpix::kAllMethods)
+        expect_stats_match_posted(wl, m, method,
+                                  shape + mpix::to_string(method));
+      for (mpix::AlltoallMethod method : mpix::kAllAlltoallMethods)
+        expect_stats_match_posted(wl, m, method,
+                                  shape + mpix::to_string(method));
+    }
   }
 }
