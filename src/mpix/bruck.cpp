@@ -266,8 +266,8 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
       const int step = 1 << k;
       std::vector<long long> next = layout(k + 1);
       BruckPlan::Round round;
-      round.send_peer = members[(gi + step) % nregions][0];
-      round.recv_peer = members[(gi - step + nregions) % nregions][0];
+      round.send_peer = members[wrap(gi + step)][0];
+      round.recv_peer = members[wrap(gi - step)][0];
       for (int d = 1; d < nregions; ++d) {
         const long long held = cur[d + 1] - cur[d];
         if ((d >> k) & 1) {
