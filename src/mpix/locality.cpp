@@ -463,10 +463,8 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   }
 
   // ---- g phase --------------------------------------------------------------
-  for (const LedPair& p : routes.led_out) {
-    const int peer = *g_dst_leader.find(p.region);
-    plan->g_sends.push_back({peer, p.offset, p.total});
-  }
+  for (const LedPair& p : routes.led_out)
+    plan->g_sends.push_back({*g_dst_leader.find(p.region), p.offset, p.total});
   for (const LedPair& p : routes.led_in)
     plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
 
