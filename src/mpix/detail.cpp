@@ -182,19 +182,11 @@ void validate_plan_args(const LocalityPlan& plan,
 }
 
 std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,
-                                       const AlltoallvArgs& args, bool dedup) {
-  // Exact single reservation (the blob is rebuilt once per plan build, but
-  // doubling growth on multi-thousand-entry metadata showed up in staging
-  // profiles): 1 rank word + per-direction [count word + 2 words per edge +
-  // optional gid words].
-  std::size_t words = 3;
-  words += 2 * graph.destinations.size() + 2 * graph.sources.size();
-  if (dedup) {
-    for (std::size_t i = 0; i < graph.destinations.size(); ++i)
-      words += static_cast<std::size_t>(args.sendcounts[i]);
-    for (std::size_t i = 0; i < graph.sources.size(); ++i)
-      words += static_cast<std::size_t>(args.recvcounts[i]);
-  }
+                                       const AlltoallvArgs& args) {
+  // Exact single reservation: 1 rank word + per direction a count word and
+  // 2 words per edge.
+  const std::size_t words =
+      3 + 2 * (graph.destinations.size() + graph.sources.size());
   std::vector<long long> blob;
   blob.reserve(words);
   blob.push_back(graph.comm.rank());
@@ -202,62 +194,42 @@ std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,
   for (std::size_t i = 0; i < graph.destinations.size(); ++i) {
     blob.push_back(graph.destinations[i]);
     blob.push_back(args.sendcounts[i]);
-    if (dedup)
-      for (int k = 0; k < args.sendcounts[i]; ++k)
-        blob.push_back(args.send_idx[args.sdispls[i] + k]);
   }
   blob.push_back(static_cast<long long>(graph.sources.size()));
   for (std::size_t i = 0; i < graph.sources.size(); ++i) {
     blob.push_back(graph.sources[i]);
     blob.push_back(args.recvcounts[i]);
-    if (dedup)
-      for (int k = 0; k < args.recvcounts[i]; ++k)
-        blob.push_back(args.recv_idx[args.rdispls[i] + k]);
   }
-  assert(blob.capacity() == words);  // the reservation above was exact
+  assert(blob.size() == words);  // the reservation above was exact
   return blob;
 }
 
-void parse_edges(std::span<const long long> data, bool dedup,
-                 std::vector<Edge>& out_edges, std::vector<Edge>& in_edges) {
-  auto truncated = [] {
-    return SimError("parse_edges: truncated metadata blob");
-  };
+void parse_edges(std::span<const long long> data, std::vector<Edge>& out_edges,
+                 std::vector<Edge>& in_edges) {
   std::size_t pos = 0;
   auto next = [&]() {
-    if (pos >= data.size()) throw truncated();
+    if (pos >= data.size())
+      throw SimError("parse_edges: truncated metadata blob");
     return data[pos++];
   };
-  // Count word and gid view of one edge.  The count is range-checked
-  // before the view is taken, so a corrupt blob throws instead of yielding
-  // a span past its end.
-  auto payload = [&](Edge& edge) {
-    const long long count = next();
-    const std::size_t remaining = data.size() - pos;
-    if (count < 0 || count > std::numeric_limits<int>::max() ||
-        (dedup && static_cast<unsigned long long>(count) > remaining))
-      throw truncated();
-    edge.count = static_cast<int>(count);
-    if (dedup) {
-      edge.gids = data.subspan(pos, static_cast<std::size_t>(count));
-      pos += edge.gids.size();
-    }
+  auto count = [&]() {
+    const long long c = next();
+    if (c < 0 || c > std::numeric_limits<int>::max())
+      throw SimError("parse_edges: edge count " + std::to_string(c) +
+                     " out of range");
+    return static_cast<int>(c);
   };
   while (pos < data.size()) {
     const int rank = static_cast<int>(next());
     const long long nout = next();
     for (long long e = 0; e < nout; ++e) {
-      Edge& edge = out_edges.emplace_back();
-      edge.src = rank;
-      edge.dst = static_cast<int>(next());
-      payload(edge);
+      const int dst = static_cast<int>(next());
+      out_edges.push_back({rank, dst, count(), {}});
     }
     const long long nin = next();
     for (long long e = 0; e < nin; ++e) {
-      Edge& edge = in_edges.emplace_back();
-      edge.dst = rank;
-      edge.src = static_cast<int>(next());
-      payload(edge);
+      const int src = static_cast<int>(next());
+      in_edges.push_back({src, rank, count(), {}});
     }
   }
   std::sort(out_edges.begin(), out_edges.end());

@@ -65,30 +65,32 @@ void validate_plan_args(const LocalityPlan& plan,
                         const AlltoallvArgs& args);
 
 /// One directed traffic edge between comm-local ranks, as shared inside a
-/// region during setup.  An Edge owns no gid storage: `gids` views the
-/// metadata blob it was parsed from, so it must not outlive that blob.
+/// region during setup.  An Edge owns no gid storage: on the leader of the
+/// edge's region pair, in a dedup plan build, `gids` views the gid block
+/// that the leader gathered from the edge's owner, so it must not outlive
+/// that block.
 struct Edge {
   int src = -1;
   int dst = -1;
   int count = 0;
-  std::span<const gidx> gids;  ///< per-value indices (dedup mode only)
+  std::span<const gidx> gids;  ///< per-value indices (led dedup pairs only)
 
   friend bool operator<(const Edge& a, const Edge& b) {
     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
   }
 };
 
-/// Serialize this rank's out/in edges (graph adjacency + counts + indices).
+/// Serialize this rank's out/in edge headers: its rank, then per direction
+/// the edge count and a (peer, value count) pair per edge.
 std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,
-                                       const AlltoallvArgs& args, bool dedup);
+                                       const AlltoallvArgs& args);
 
-/// Parse concatenated rank blobs back into edge lists.  `out_edges` gets
-/// one entry per (publisher, destination), `in_edges` one per (source,
-/// publisher).  In dedup mode each edge's `gids` is a view into `data`.
-/// Throws SimError on a truncated or corrupt blob: an edge count that is
-/// negative or, in dedup mode, larger than the words left.
-void parse_edges(std::span<const long long> data, bool dedup,
-                 std::vector<Edge>& out_edges, std::vector<Edge>& in_edges);
+/// Parse concatenated rank blobs back into edge lists, sorted by (src,
+/// dst).  `out_edges` gets one entry per (publisher, destination),
+/// `in_edges` one per (source, publisher); no edge views any gids.  Throws
+/// SimError on a truncated or corrupt blob, such as a negative edge count.
+void parse_edges(std::span<const long long> data, std::vector<Edge>& out_edges,
+                 std::vector<Edge>& in_edges);
 
 /// Assign each region (loads given as (region id, total values), sorted by
 /// region id) to one of `nlocal` local cores.  Returns core indices aligned

@@ -13,11 +13,13 @@
 ///
 ///  * `impl::build_locality_plan` (collective) computes every routing
 ///    decision — gather/scatter copy-run lists, staging layouts, leader
-///    assignments — from metadata shared inside each region plus a
+///    assignments — from the edge headers allgathered inside each region,
+///    the gids of the pairs a rank leads (dedup only: each member sends
+///    each leader the gids of its own edges in that leader's pairs) and a
 ///    root-to-root handshake, and stores them in a buffer-free
-///    `LocalityPlan`.  Everything that reads the metadata is decided
-///    before the handshake, and the metadata is freed before the rank
-///    suspends again; each rank lays out only the region pairs it leads.
+///    `LocalityPlan`.  Everything that reads the headers or gids is
+///    decided before the handshake, and both are freed before the rank
+///    suspends there; each rank lays out only the region pairs it leads.
 ///    Runs are coalesced as the values are enumerated, so no per-value
 ///    map is ever built;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
@@ -104,18 +106,29 @@ struct RegionRoutes {
   std::size_t edges = 0;                 ///< region edges parsed, both ways
 };
 
+/// Exclusive prefix sums of per-core block sizes: where each block starts.
+std::vector<long> block_starts(std::span<const int> counts) {
+  std::vector<long> at(counts.size() + 1, 0);
+  for (std::size_t i = 0; i < counts.size(); ++i) at[i + 1] = at[i] + counts[i];
+  return at;
+}
+
 /// Every routing decision that reads the region's metadata: leader
 /// assignment, the led pairs' layouts, and the s- and r-phase run lists
-/// and staging sizes (written to `plan`).  The parsed edges view `md`,
-/// which is taken by value and so freed on return — before the caller's
-/// root handshake suspends, so the members of a region do not all hold
-/// their copies at once.  Layouts are built only for the pairs this rank
-/// leads: nobody else reads them.  `lpt` picks the leader assignment (see
+/// and staging sizes (written to `plan`).  `md` holds the region's edge
+/// headers, allgathered.  In a dedup build each member then sends each
+/// leader the gids of its own edges in the pairs that leader leads (one
+/// coll::alltoallv on `rc`), and the edges of the led pairs view the
+/// blocks received.  Headers and blocks live in this coroutine's frame, so
+/// they are freed when it returns, before the caller's root handshake
+/// suspends.  Layouts are built only for the pairs this rank leads: nobody
+/// else reads them.  `lpt` picks the leader assignment (see
 /// Options::lpt_balance).
-RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
-                          const simmpi::DistGraph& graph,
-                          const AlltoallvArgs& args, const Comm& rc,
-                          std::span<const int> g2l, bool lpt) {
+Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
+                                std::vector<long long> md,
+                                const simmpi::DistGraph& graph,
+                                const AlltoallvArgs& args, const Comm& rc,
+                                std::span<const int> g2l, bool lpt) {
   const bool dedup = plan.dedup;
   const Comm& comm = graph.comm;
   const auto& machine = comm.engine().machine();
@@ -135,18 +148,18 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     src_index[graph.sources[i]] = static_cast<int>(i);
 
   std::vector<Edge> out_edges, in_edges;
-  detail::parse_edges(md, dedup, out_edges, in_edges);
+  detail::parse_edges(md, out_edges, in_edges);
   RegionRoutes routes;
   routes.edges = out_edges.size() + in_edges.size();
 
   // Group remote traffic by peer region (sorted FlatMap => ascending region
   // ids, identical on every member since the metadata is identical).
-  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
-  for (const auto& e : out_edges) {
+  util::FlatMap<int, std::vector<Edge*>> out_pairs, in_pairs;
+  for (auto& e : out_edges) {
     const int q = region_of(e.dst);
     if (q != my_region) out_pairs[q].push_back(&e);
   }
-  for (const auto& e : in_edges) {
+  for (auto& e : in_edges) {
     const int rr = region_of(e.src);
     if (rr != my_region) in_pairs[rr].push_back(&e);
   }
@@ -169,6 +182,59 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
     routes.out_leader_core[out_loads[i].first] = out_assign[i];
   for (std::size_t i = 0; i < in_loads.size(); ++i)
     routes.in_leader_core[in_loads[i].first] = in_assign[i];
+
+  // ---- dedup: each leader gathers the gids of its pairs --------------------
+  // The block from member M to leader L holds the gids of M's own edges in
+  // the pairs L leads: out-edges, then in-edges, in ascending region and
+  // edge order.  Every member knows every leader, so both sides size each
+  // block from the headers, and this one enumeration drives this rank's
+  // send blocks and its views of the blocks it receives alike.
+  std::vector<gidx> gids;  // the blocks this rank received, in core order
+  if (dedup) {
+    util::FlatMap<int, int> core_of;  // comm-local member -> core
+    for (int core = 0; core < nlocal; ++core)
+      core_of[core_to_local(core)] = core;
+    // visit(leader core, owner's comm-local rank, edge, out-edge?)
+    auto for_each_block_edge = [&](const auto& visit) {
+      for (auto& [q, pair] : out_pairs) {
+        const int leader = *routes.out_leader_core.find(q);
+        for (Edge* e : pair) visit(leader, e->src, *e, true);
+      }
+      for (auto& [rr, pair] : in_pairs) {
+        const int leader = *routes.in_leader_core.find(rr);
+        for (Edge* e : pair) visit(leader, e->dst, *e, false);
+      }
+    };
+    std::vector<int> send_counts(nlocal, 0), recv_counts(nlocal, 0);
+    for_each_block_edge([&](int leader, int owner, const Edge& e, bool) {
+      if (owner == me) send_counts[leader] += e.count;
+      if (leader == my_core) recv_counts[*core_of.find(owner)] += e.count;
+    });
+    std::vector<long> at = block_starts(send_counts);
+    std::vector<gidx> blocks(static_cast<std::size_t>(at.back()));
+    for_each_block_edge([&](int leader, int owner, const Edge& e, bool out) {
+      if (owner != me) return;
+      const auto own =
+          out ? args.send_idx.subspan(args.sdispls[*dst_index.find(e.dst)],
+                                      e.count)
+              : args.recv_idx.subspan(args.rdispls[*src_index.find(e.src)],
+                                      e.count);
+      std::copy(own.begin(), own.end(), blocks.begin() + at[leader]);
+      at[leader] += e.count;
+    });
+    gids = co_await coll::alltoallv<gidx>(ctx, rc, blocks, send_counts,
+                                          recv_counts);
+    at = block_starts(recv_counts);
+    for_each_block_edge([&](int leader, int owner, Edge& e, bool) {
+      if (leader != my_core) return;
+      long& next = at[*core_of.find(owner)];
+      e.gids = std::span<const gidx>(gids).subspan(next, e.count);
+      next += e.count;
+    });
+  }
+  // Charge reading the metadata: the header words and the gid words held.
+  ctx.compute(impl::kSetupComputePerWord *
+              static_cast<double>(md.size() + gids.size()));
 
   // ---- layouts and staging blocks of the led pairs -------------------------
   std::vector<PairLayout> out_layouts, in_layouts;  // aligned with led_out/in
@@ -335,7 +401,7 @@ RegionRoutes route_region(LocalityPlan& plan, std::vector<long long> md,
       plan.r.recvs.push_back(std::move(m));
     }
   }
-  return routes;
+  co_return routes;
 }
 
 }  // namespace
@@ -384,13 +450,11 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     plan->l_recvs.push_back({s, args.rdispls[i], args.recvcounts[i]});
   }
 
-  // ---- metadata exchange within the region --------------------------------
+  // ---- edge headers, shared within the region -----------------------------
   Comm rc = co_await coll::split_by_region(ctx, comm);
   const int nlocal = rc.size();
-  auto blob = detail::serialize_edges(graph, args, dedup);
+  auto blob = detail::serialize_edges(graph, args);
   auto all_md = co_await coll::allgatherv<long long>(ctx, rc, std::move(blob));
-  ctx.compute(impl::kSetupComputePerWord *
-              static_cast<double>(all_md.size()));
 
   // ---- rank translation tables --------------------------------------------
   auto members = comm.members();
@@ -407,9 +471,8 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
 
   // ---- s/r routing; the region's metadata is freed before the handshake ----
-  const RegionRoutes routes =
-      route_region(*plan, std::move(all_md), graph, args, rc, g2l,
-                   lpt_balance);
+  const RegionRoutes routes = co_await route_region(
+      ctx, *plan, std::move(all_md), graph, args, rc, g2l, lpt_balance);
   ctx.compute(impl::kSetupComputePerWord * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------

@@ -242,7 +242,9 @@ struct PlanBase : std::enable_shared_from_this<PlanBase> {
 /// every routing decision for one (pattern, machine, method) combination —
 /// leader assignments resolved into per-message peers, gather/scatter
 /// copy-run lists, staging layouts, message statistics.  Building it is
-/// collective (region metadata allgather, root handshake).
+/// collective: an allgather of edge headers within each region, for dedup
+/// plans an alltoallv that sends each leader its pairs' gids, and a root
+/// handshake.
 ///
 /// Every staged (intra-region) copy is a list of `CopyRun`s, coalesced as
 /// the plan build enumerates values: no per-value index map is stored, and

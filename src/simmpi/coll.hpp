@@ -3,13 +3,13 @@
 /// \brief Collective operations built on the simulated point-to-point layer.
 ///
 /// The algorithms are the textbook logarithmic ones (dissemination barrier,
-/// binomial broadcast, recursive-doubling allreduce, Bruck allgather), so
-/// collective *costs* in the simulator scale the way real MPI libraries do.
-/// All operations are collective over the communicator: every member must
-/// call them in the same order.  Reduction operators must be associative and
-/// commutative.  As in MPI, every receive is sized up front: a rank passes
-/// the size it expects (bcast), or the sizes are exchanged first
-/// (allgatherv).
+/// binomial broadcast, recursive-doubling allreduce, Bruck allgather,
+/// direct alltoallv), so collective *costs* in the simulator scale the way
+/// real MPI libraries do.  All operations are collective over the
+/// communicator: every member must call them in the same order.  Reduction
+/// operators must be associative and commutative.  As in MPI, every receive
+/// is sized up front: a rank passes the sizes it expects (bcast,
+/// alltoallv), or the sizes are exchanged first (allgatherv).
 ///
 /// Values of type `T` must be trivially copyable.
 ///
@@ -22,7 +22,9 @@
 /// underneath it.
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -268,6 +270,73 @@ Task<std::vector<T>> allgatherv(Context& ctx, Comm comm, std::vector<T> mine,
   const long head = std::accumulate(counts.begin() + r, counts.end(), 0L);
   std::rotate(acc.begin(), acc.begin() + head, acc.end());
   co_return acc;
+}
+
+/// Personalized exchange of variable-sized blocks (MPI_Alltoallv): `send`
+/// holds this rank's blocks in rank order, `sendcounts[i]` values for rank
+/// i.  As MPI_Alltoallv requires, receive sizes are given up front:
+/// `recvcounts[i]` values from rank i.  Returns the received blocks
+/// concatenated in rank order, this rank's own block included (copied, not
+/// sent).  Blocks travel in rank order and a zero block sends no message.
+/// A block that arrives with another size is a SimError naming both ranks
+/// and both sizes (an in-place receive checks it; see
+/// Request::recv_in_place); one that only one side thinks empty ends the
+/// run in the engine's deadlock or unreceived-message SimError.
+template <class T>
+Task<std::vector<T>> alltoallv(Context& ctx, Comm comm,
+                               std::span<const T> send,
+                               std::span<const int> sendcounts,
+                               std::span<const int> recvcounts) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const int p = comm.size();
+  const int r = comm.rank();
+  // Block offsets in values; entry p is the total.
+  auto offsets = [p](std::span<const int> counts) {
+    if (static_cast<int>(counts.size()) != p)
+      throw SimError("coll::alltoallv: " + std::to_string(counts.size()) +
+                     " counts for " + std::to_string(p) + " ranks");
+    std::vector<std::size_t> at(p + 1, 0);
+    for (int i = 0; i < p; ++i) {
+      if (counts[i] < 0) throw SimError("coll::alltoallv: negative count");
+      at[i + 1] = at[i] + static_cast<std::size_t>(counts[i]);
+    }
+    return at;
+  };
+  const std::vector<std::size_t> sat = offsets(sendcounts);
+  const std::vector<std::size_t> rat = offsets(recvcounts);
+  if (sat[p] != send.size())
+    throw SimError("coll::alltoallv: sendcounts sum to " +
+                   std::to_string(sat[p]) + " values, send holds " +
+                   std::to_string(send.size()));
+  if (sendcounts[r] != recvcounts[r])
+    throw SimError("coll::alltoallv: rank " + std::to_string(r) + " sends " +
+                   std::to_string(sendcounts[r]) +
+                   " values to itself, expects " +
+                   std::to_string(recvcounts[r]));
+  std::vector<T> out(rat[p]);
+  std::copy_n(send.begin() + sat[r], sendcounts[r], out.begin() + rat[r]);
+  if (p == 1) co_return out;
+  const int tag = ctx.engine().next_coll_tag(comm);
+  for (int i = 0; i < p; ++i) {
+    if (i == r || sendcounts[i] == 0) continue;
+    auto s = Request::send(
+        comm, std::as_bytes(send.subspan(sat[i], sendcounts[i])), i, tag);
+    s.set_control(true);
+    s.start(ctx);
+    co_await ctx.wait(s);
+  }
+  for (int i = 0; i < p; ++i) {
+    if (i == r || recvcounts[i] == 0) continue;
+    auto rr = Request::recv_in_place(
+        comm, static_cast<std::size_t>(recvcounts[i]) * sizeof(T), i, tag);
+    rr.start(ctx);
+    T* block = out.data() + rat[i];
+    const auto land = [block](std::span<const std::byte> bytes) {
+      std::memcpy(block, bytes.data(), bytes.size());
+    };
+    co_await ctx.wait_in_place(rr, land);
+  }
+  co_return out;
 }
 
 /// Split a communicator (MPI_Comm_split).  All members call collectively

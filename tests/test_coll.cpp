@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "simmpi/coll.hpp"
@@ -134,6 +135,77 @@ TEST(Coll, BcastRejectsAMissizedVector) {
                  SimError)
         << wrong << " values on rank 3, 3 on the root";
   }
+}
+
+TEST(Coll, AlltoallvDeliversRaggedBlocks) {
+  // Rank i sends (2i + j + 1) % 4 values to rank j: ragged, with zero
+  // blocks, and a self block on every rank but rank 1.  Value k of the
+  // block is 1000i + 100j + k.
+  auto count = [](int i, int j) { return (2 * i + j + 1) % 4; };
+  for (int p : {1, 3, 5}) {
+    Engine eng = make_engine(p);
+    eng.run([&](Context& ctx) -> Task<> {
+      const int r = ctx.rank();
+      std::vector<long> send;
+      std::vector<int> sendcounts(p), recvcounts(p);
+      for (int j = 0; j < p; ++j) {
+        sendcounts[j] = count(r, j);
+        recvcounts[j] = count(j, r);
+        for (int k = 0; k < sendcounts[j]; ++k)
+          send.push_back(1000 * r + 100 * j + k);
+      }
+      auto got = co_await coll::alltoallv<long>(ctx, ctx.world(), send,
+                                                sendcounts, recvcounts);
+      std::vector<long> want;
+      for (int i = 0; i < p; ++i)
+        for (int k = 0; k < count(i, r); ++k)
+          want.push_back(1000 * i + 100 * r + k);
+      EXPECT_EQ(got, want) << "rank " << r << " of " << p;
+    });
+    // Neither a zero block nor the self block is a message.
+    for (int i = 0; i < p; ++i) {
+      std::uint64_t msgs = 0;
+      for (int j = 0; j < p; ++j) msgs += (j != i && count(i, j) > 0);
+      EXPECT_EQ(eng.stats(i).total_msgs(), msgs) << "rank " << i << " of " << p;
+    }
+  }
+}
+
+TEST(Coll, AlltoallvRejectsAMissizedBlock) {
+  // MPI_Alltoallv semantics: every receive is sized up front.  Rank 3
+  // expecting one value fewer (the block would be truncated) or one more
+  // (it would be left partly unwritten) than rank 1 sends is an error
+  // naming both ranks and both sizes.
+  for (int wrong : {2, 4}) {
+    Engine eng = make_engine(4);
+    try {
+      eng.run([&](Context& ctx) -> Task<> {
+        std::vector<double> send(4 * 3, 1.0);
+        std::vector<int> sendcounts(4, 3), recvcounts(4, 3);
+        if (ctx.rank() == 3) recvcounts[1] = wrong;
+        co_await coll::alltoallv<double>(ctx, ctx.world(), send, sendcounts,
+                                         recvcounts);
+      });
+      ADD_FAILURE() << wrong << " values expected, 3 sent: no error";
+    } catch (const SimError& e) {
+      const std::string what = e.what();
+      for (const std::string& part :
+           {std::string("1->3"), std::to_string(3 * sizeof(double)) + "B",
+            std::to_string(wrong * sizeof(double)) + "B"})
+        EXPECT_NE(what.find(part), std::string::npos)
+            << "'" << part << "' missing from: " << what;
+    }
+  }
+  // The self block is copied, not sent, so alltoallv checks it itself.
+  Engine eng = make_engine(4);
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 std::vector<double> send(4 * 3, 1.0);
+                 std::vector<int> sendcounts(4, 3), recvcounts(4, 3);
+                 if (ctx.rank() == 3) recvcounts[3] = 2;
+                 co_await coll::alltoallv<double>(ctx, ctx.world(), send,
+                                                  sendcounts, recvcounts);
+               }),
+               SimError);
 }
 
 TEST(Coll, CommSplitFormsOrderedGroups) {

@@ -298,110 +298,72 @@ TEST(RejectDuplicateEdges, NamesTheDuplicatedRank) {
 }
 
 // ---------------------------------------------------------------------------
-// serialize_edges / parse_edges: parsed edges view the blob in dedup mode,
-// so a corrupt count must throw before a view past the blob is taken.
+// serialize_edges / parse_edges: the region's edge headers round-trip, and
+// a corrupt count throws.
 // ---------------------------------------------------------------------------
 namespace {
 
-/// Rank 0 sends {10, 11} to rank 1 and {12} to rank 3, and receives
-/// {20, 21} from rank 2; rank 1 sends {30} to rank 0.  Returns both ranks'
-/// blobs concatenated, as the region allgather delivers them.
-std::vector<long long> two_rank_blob(bool dedup) {
+/// Rank 0 sends 2 values to rank 1 and 1 to rank 3, and receives 2 from
+/// rank 2; rank 1 sends 1 value to rank 0.  Returns both ranks' headers
+/// concatenated, as the region allgather delivers them.
+std::vector<long long> two_rank_blob() {
   auto comm = std::make_shared<const simmpi::CommData>(
       simmpi::CommData{0, {0, 1, 2, 3}});
   std::vector<double> buf(3);
   std::vector<long long> blob;
 
   simmpi::DistGraph g0{simmpi::Comm(nullptr, comm, 0), {2}, {1, 3}};
-  const gidx send0[] = {10, 11, 12}, recv0[] = {20, 21};
-  auto b0 = serialize_edges(g0,
-                            AlltoallvArgsT<double>{.sendbuf = buf,
-                                                   .sendcounts = {2, 1},
-                                                   .sdispls = {0, 2},
-                                                   .recvbuf = buf,
-                                                   .recvcounts = {2},
-                                                   .rdispls = {0},
-                                                   .send_idx = send0,
-                                                   .recv_idx = recv0},
-                            dedup);
+  auto b0 = serialize_edges(g0, AlltoallvArgsT<double>{.sendbuf = buf,
+                                                       .sendcounts = {2, 1},
+                                                       .sdispls = {0, 2},
+                                                       .recvbuf = buf,
+                                                       .recvcounts = {2},
+                                                       .rdispls = {0}});
   simmpi::DistGraph g1{simmpi::Comm(nullptr, comm, 1), {}, {0}};
-  const gidx send1[] = {30};
-  auto b1 = serialize_edges(g1,
-                            AlltoallvArgsT<double>{.sendbuf = buf,
-                                                   .sendcounts = {1},
-                                                   .sdispls = {0},
-                                                   .recvbuf = buf,
-                                                   .recvcounts = {},
-                                                   .rdispls = {},
-                                                   .send_idx = send1,
-                                                   .recv_idx = {}},
-                            dedup);
+  auto b1 = serialize_edges(g1, AlltoallvArgsT<double>{.sendbuf = buf,
+                                                       .sendcounts = {1},
+                                                       .sdispls = {0},
+                                                       .recvbuf = buf,
+                                                       .recvcounts = {},
+                                                       .rdispls = {}});
   blob.insert(blob.end(), b0.begin(), b0.end());
   blob.insert(blob.end(), b1.begin(), b1.end());
   return blob;
 }
 
-std::vector<gidx> gids_of(const Edge& e) {
-  return {e.gids.begin(), e.gids.end()};
-}
-
 }  // namespace
 
-TEST(ParseEdges, RoundTripsBothModesWithViewsInsideTheBlob) {
-  for (bool dedup : {false, true}) {
-    const std::vector<long long> blob = two_rank_blob(dedup);
-    std::vector<Edge> out, in;
-    parse_edges(blob, dedup, out, in);
-    ASSERT_EQ(out.size(), 3u) << dedup;
-    ASSERT_EQ(in.size(), 1u) << dedup;
-    // Sorted by (src, dst).
-    EXPECT_EQ(out[0].src, 0);
-    EXPECT_EQ(out[0].dst, 1);
-    EXPECT_EQ(out[0].count, 2);
-    EXPECT_EQ(out[1].src, 0);
-    EXPECT_EQ(out[1].dst, 3);
-    EXPECT_EQ(out[1].count, 1);
-    EXPECT_EQ(out[2].src, 1);
-    EXPECT_EQ(out[2].dst, 0);
-    EXPECT_EQ(out[2].count, 1);
-    EXPECT_EQ(in[0].src, 2);
-    EXPECT_EQ(in[0].dst, 0);
-    EXPECT_EQ(in[0].count, 2);
-    if (!dedup) {
-      for (const Edge* e : {&out[0], &out[1], &out[2], &in[0]})
-        EXPECT_TRUE(e->gids.empty());
-      continue;
-    }
-    EXPECT_EQ(gids_of(out[0]), (std::vector<gidx>{10, 11}));
-    EXPECT_EQ(gids_of(out[1]), (std::vector<gidx>{12}));
-    EXPECT_EQ(gids_of(out[2]), (std::vector<gidx>{30}));
-    EXPECT_EQ(gids_of(in[0]), (std::vector<gidx>{20, 21}));
-    for (const Edge* e : {&out[0], &out[1], &out[2], &in[0]}) {
-      EXPECT_GE(e->gids.data(), blob.data());
-      EXPECT_LE(e->gids.data() + e->gids.size(), blob.data() + blob.size());
-    }
-  }
-}
-
-TEST(ParseEdges, BlobCutInsideAGidListThrows) {
-  const std::vector<long long> blob = two_rank_blob(true);
-  // [rank 0, nout 2, dst 1, count 2, gid 10 | gid 11 ...]: the cut leaves
-  // one of the edge's two gid words.
-  ASSERT_EQ(blob[3], 2);
-  ASSERT_EQ(blob[4], 10);
-  const std::span<const long long> cut(blob.data(), 5);
+TEST(ParseEdges, RoundTripsHeadersSortedWithoutGids) {
+  const std::vector<long long> blob = two_rank_blob();
+  // [rank, nout, (dst, count)..., nin, (src, count)...] per rank.
+  EXPECT_EQ(blob, (std::vector<long long>{0, 2, 1, 2, 3, 1, 1, 2, 2,  //
+                                          1, 1, 0, 1, 0}));
   std::vector<Edge> out, in;
-  EXPECT_THROW(parse_edges(cut, true, out, in), simmpi::SimError);
+  parse_edges(blob, out, in);
+  ASSERT_EQ(out.size(), 3u);
+  ASSERT_EQ(in.size(), 1u);
+  // Sorted by (src, dst).
+  EXPECT_EQ(out[0].src, 0);
+  EXPECT_EQ(out[0].dst, 1);
+  EXPECT_EQ(out[0].count, 2);
+  EXPECT_EQ(out[1].src, 0);
+  EXPECT_EQ(out[1].dst, 3);
+  EXPECT_EQ(out[1].count, 1);
+  EXPECT_EQ(out[2].src, 1);
+  EXPECT_EQ(out[2].dst, 0);
+  EXPECT_EQ(out[2].count, 1);
+  EXPECT_EQ(in[0].src, 2);
+  EXPECT_EQ(in[0].dst, 0);
+  EXPECT_EQ(in[0].count, 2);
+  for (const Edge* e : {&out[0], &out[1], &out[2], &in[0]})
+    EXPECT_TRUE(e->gids.empty());
 }
 
 TEST(ParseEdges, NegativeCountThrows) {
-  for (bool dedup : {false, true}) {
-    std::vector<long long> blob = two_rank_blob(dedup);
-    blob[3] = -1;  // rank 0's first out-edge count
-    std::vector<Edge> out, in;
-    EXPECT_THROW(parse_edges(blob, dedup, out, in), simmpi::SimError)
-        << dedup;
-  }
+  std::vector<long long> blob = two_rank_blob();
+  blob[3] = -1;  // rank 0's first out-edge count
+  std::vector<Edge> out, in;
+  EXPECT_THROW(parse_edges(blob, out, in), simmpi::SimError);
 }
 
 TEST(EdgeOrdering, SortsBySrcThenDst) {

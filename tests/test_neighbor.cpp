@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -460,42 +461,58 @@ TEST(Example21, DedupSendsEachValueOnce) {
 // ---------------------------------------------------------------------------
 namespace {
 
+/// One rank's side of a hand-written pattern: one gid segment per peer,
+/// in `dsts` / `srcs` order.
+struct Spec {
+  std::vector<int> dsts, srcs;
+  std::vector<std::vector<gidx>> send, recv;
+};
+
+/// The hand-checked pattern above, rank by rank.
+const std::vector<Spec> kHandChecked = {
+    {.dsts = {3}, .srcs = {}, .send = {{7, 5, 7}}, .recv = {}},
+    {.dsts = {3, 2}, .srcs = {}, .send = {{9, 4}, {4, 6}}, .recv = {}},
+    {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{4, 6}}},
+    {.dsts = {}, .srcs = {0, 1}, .send = {}, .recv = {{7, 5, 7}, {9, 4}}},
+};
+
+RankArgs spec_args(const Spec& spec) {
+  RankArgs a;
+  a.destinations = spec.dsts;
+  a.sources = spec.srcs;
+  for (const auto& seg : spec.send) {
+    a.sdispls.push_back(static_cast<int>(a.send_idx.size()));
+    a.sendcounts.push_back(static_cast<int>(seg.size()));
+    a.send_idx.insert(a.send_idx.end(), seg.begin(), seg.end());
+  }
+  for (const auto& seg : spec.recv) {
+    a.rdispls.push_back(static_cast<int>(a.recv_idx.size()));
+    a.recvcounts.push_back(static_cast<int>(seg.size()));
+    a.recv_idx.insert(a.recv_idx.end(), seg.begin(), seg.end());
+  }
+  a.sendbuf.resize(a.send_idx.size());
+  a.recvbuf.assign(a.recv_idx.size(), -1.0);
+  a.expected.resize(a.recv_idx.size());
+  return a;
+}
+
+/// Two regions of two ranks: region 0 holds ranks 0 and 1, region 1 ranks
+/// 2 and 3.
+Engine two_regions_of_two() {
+  return Engine(Machine({.num_nodes = 2, .regions_per_node = 1,
+                         .ranks_per_region = 2}),
+                CostParams::lassen());
+}
+
 /// Run the hand-checked pattern under `method`, verify delivery, and
 /// return every rank's plan.
 std::vector<std::shared_ptr<const LocalityPlan>> hand_checked_plans(
     Method method) {
-  struct Spec {
-    std::vector<int> dsts, srcs;
-    std::vector<std::vector<gidx>> send, recv;  // one segment per peer
-  };
-  const Spec spec[4] = {
-      {.dsts = {3}, .srcs = {}, .send = {{7, 5, 7}}, .recv = {}},
-      {.dsts = {3, 2}, .srcs = {}, .send = {{9, 4}, {4, 6}}, .recv = {}},
-      {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{4, 6}}},
-      {.dsts = {}, .srcs = {0, 1}, .send = {}, .recv = {{7, 5, 7}, {9, 4}}},
-  };
   std::vector<std::shared_ptr<const LocalityPlan>> plans(4);
-  Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
-                      .ranks_per_region = 2}),
-             CostParams::lassen());
+  Engine eng = two_regions_of_two();
   eng.run([&](Context& ctx) -> Task<> {
     const int r = ctx.rank();
-    RankArgs a;
-    a.destinations = spec[r].dsts;
-    a.sources = spec[r].srcs;
-    for (const auto& seg : spec[r].send) {
-      a.sdispls.push_back(static_cast<int>(a.send_idx.size()));
-      a.sendcounts.push_back(static_cast<int>(seg.size()));
-      a.send_idx.insert(a.send_idx.end(), seg.begin(), seg.end());
-    }
-    for (const auto& seg : spec[r].recv) {
-      a.rdispls.push_back(static_cast<int>(a.recv_idx.size()));
-      a.recvcounts.push_back(static_cast<int>(seg.size()));
-      a.recv_idx.insert(a.recv_idx.end(), seg.begin(), seg.end());
-    }
-    a.sendbuf.resize(a.send_idx.size());
-    a.recvbuf.assign(a.recv_idx.size(), -1.0);
-    a.expected.resize(a.recv_idx.size());
+    RankArgs a = spec_args(kHandChecked[r]);
     DistGraph g = co_await dist_graph_create_adjacent(
         ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
     auto proto = co_await neighbor_alltoallv_init(ctx, g, a.view(), method);
@@ -577,6 +594,60 @@ TEST(DedupPlan, HandCheckedIndexMaps) {
   EXPECT_EQ(p3.r.recvs[0].values, 4);
   EXPECT_EQ(expand(p3.r.recvs[0].runs).src, (V{0, 1, 1, 2, 3}));
   EXPECT_EQ(expand(p3.r.recvs[0].runs).dst, (V{1, 0, 2, 4, 3}));
+}
+
+// A dedup plan build sends each leader only the gids of the sender's own
+// edges in the pairs that leader leads.  Every other set-up message is the
+// same as a locality build's, so from a sync_reset a rank's region-tier
+// init bytes exceed its locality init's by 8 per such gid.  With one pair
+// per direction, core 0 (ranks 0 and 2) leads every pair, so ranks 1 and 3
+// send, counted by hand:
+//   hand-checked: rank 1 its out-edges {9, 4} and {4, 6} (4 gids), rank 3
+//     its in-edges {7, 5, 7} and {9, 4} (5 gids);
+//   both ways: rank 1 out {4, 6}, in {8, 9} and {2, 3} (6 gids), rank 3
+//     out {1} and {2, 3}, in {7, 5, 7} (6 gids): each block carries out-
+//     and in-edge gids.
+TEST(DedupPlan, MembersSendLeadersOnlyTheirOwnPairsGids) {
+  const std::vector<Spec> both_ways = {
+      {.dsts = {3}, .srcs = {3}, .send = {{7, 5, 7}}, .recv = {{1}}},
+      {.dsts = {2}, .srcs = {2, 3}, .send = {{4, 6}}, .recv = {{8, 9}, {2, 3}}},
+      {.dsts = {1}, .srcs = {1}, .send = {{8, 9}}, .recv = {{4, 6}}},
+      {.dsts = {0, 1}, .srcs = {0}, .send = {{1}, {2, 3}},
+       .recv = {{7, 5, 7}}},
+  };
+  const std::pair<const std::vector<Spec>*, std::vector<std::uint64_t>>
+      cases[] = {{&kHandChecked, {0, 4, 0, 5}}, {&both_ways, {0, 6, 0, 6}}};
+  constexpr int kRegion = static_cast<int>(Locality::region);
+  for (const auto& c : cases) {
+    const std::vector<Spec>& spec = *c.first;
+    std::vector<std::uint64_t> partial(4), full(4);
+    Engine eng = two_regions_of_two();
+    eng.run([&](Context& ctx) -> Task<> {
+      const int r = ctx.rank();
+      RankArgs a = spec_args(spec[r]);
+      DistGraph g = co_await dist_graph_create_adjacent(
+          ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+      co_await ctx.engine().sync_reset(ctx);
+      auto p = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                                Method::locality);
+      partial[r] = ctx.engine().stats(r).tier[kRegion].bytes;
+      co_await ctx.engine().sync_reset(ctx);
+      auto f = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                                Method::locality_dedup);
+      full[r] = ctx.engine().stats(r).tier[kRegion].bytes;
+      NeighborAlltoallv* const protos[] = {p.get(), f.get()};
+      for (NeighborAlltoallv* proto : protos) {
+        a.fill(0);
+        co_await proto->start(ctx);
+        co_await proto->wait(ctx);
+        EXPECT_EQ(a.recvbuf, a.expected) << "rank " << r;
+      }
+    });
+    for (int r = 0; r < 4; ++r)
+      EXPECT_EQ(full[r], partial[r] + sizeof(gidx) * c.second[r])
+          << "rank " << r << (c.first == &kHandChecked ? ", hand-checked"
+                                                       : ", both ways");
+  }
 }
 
 // The same pattern without dedup: the pair's message is its edges in
