@@ -28,18 +28,14 @@ struct Entry {
   double speedup() const { return hypre / partial; }
 };
 
-/// One model's totals.  `partial_plans` carries the partially optimized
-/// protocol's plans from model to model: a plan depends on no cost
-/// parameter, so the first model builds them and the later ones bind
-/// them.  Hypre's p2p exchange takes no plan.
+/// One model's totals.
 Entry measure(const char* name, simmpi::CostParams params,
-              const amg::DistHierarchy& dh, harness::Plans& partial_plans) {
+              const amg::DistHierarchy& dh) {
   harness::MeasureConfig cfg = paper_config();
   cfg.cost = params;
   Entry e;
   e.name = name;
   auto hyp = harness::measure_protocol(dh, Protocol::hypre, cfg);
-  cfg.plans = &partial_plans;
   auto par = harness::measure_protocol(dh, Protocol::neighbor_partial, cfg);
   e.hypre = harness::total_time(hyp);
   e.partial = harness::total_time(par, &hyp);
@@ -54,11 +50,9 @@ int main(int argc, char** argv) {
   nocap.use_injection_cap = false;
   const amg::DistHierarchy dh =
       harness::paper_dist_hierarchy(paper_rows(), paper_ranks());
-  harness::Plans partial_plans;
-  const Entry entries[] = {
-      measure("lassen", simmpi::CostParams::lassen(), dh, partial_plans),
-      measure("no-nic-cap", nocap, dh, partial_plans),
-      measure("flat", simmpi::CostParams::flat(), dh, partial_plans)};
+  const Entry entries[] = {measure("lassen", simmpi::CostParams::lassen(), dh),
+                           measure("no-nic-cap", nocap, dh),
+                           measure("flat", simmpi::CostParams::flat(), dh)};
   std::vector<Row> rows;
   for (int i = 0; i < 3; ++i)
     rows.push_back({"BM_CostModelAblation", {i}, entries[i].name,

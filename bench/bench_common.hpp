@@ -304,30 +304,20 @@ inline const char* method_name(int mi) {
              : mpix::to_string(mpix::kAllAlltoallMethods[mi - kNumSparse]);
 }
 
-/// Plan slots of the sparse-vs-dense sweeps, one harness::Plans per
-/// method, indexed like method_name.  A sweep that re-measures one pattern
-/// pair on one machine shape under several cost settings (link tapers,
-/// fault plans) holds one set across its points: plans depend on neither,
-/// so the first point builds every aggregated method's plans and the later
-/// points bind them without setup communication.
-using MethodPlans = std::array<harness::Plans, kNumMethods>;
-
 /// Every method of the sparse-vs-dense sweeps under `cfg`, indexed like
 /// method_name: the sparse ones on `sparse_wl`, the dense ones on
-/// `dense_wl`, each with its slots of `plans`.
+/// `dense_wl`, each building its plans cold.
 inline std::array<harness::PatternMeasurement, kNumMethods> measure_methods(
     const patterns::Workload& sparse_wl, const patterns::Workload& dense_wl,
-    const harness::MeasureConfig& cfg, MethodPlans& plans) {
+    const harness::MeasureConfig& cfg) {
   std::array<harness::PatternMeasurement, kNumMethods> m;
-  harness::MeasureConfig c = cfg;
-  for (int mi = 0; mi < kNumMethods; ++mi) {
-    c.plans = &plans[mi];
+  for (int mi = 0; mi < kNumMethods; ++mi)
     m[mi] = mi < kNumSparse
-                ? harness::measure_pattern(sparse_wl, mpix::kAllMethods[mi], c)
+                ? harness::measure_pattern(sparse_wl, mpix::kAllMethods[mi],
+                                           cfg)
                 : harness::measure_pattern_dense(
                       dense_wl, mpix::kAllAlltoallMethods[mi - kNumSparse],
-                      c);
-  }
+                      cfg);
   return m;
 }
 

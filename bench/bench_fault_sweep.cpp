@@ -89,9 +89,6 @@ std::vector<Point> measure() {
   const patterns::Workload dense_wl = patterns::generate(
       "incast", machine, {.values = 16, .seed = 9, .fan_in = 0, .sinks = 4});
 
-  // Plans depend on no fault plan: the fault-free first point builds them
-  // and every later point binds them.
-  MethodPlans plans;
   std::vector<Point> out;
   for (double drop : drop_rates()) {
     for (double sev : severities()) {
@@ -111,8 +108,7 @@ std::vector<Point> measure() {
         cfg.reliability.enabled = true;
         cfg.reliability.timeout = 5e-4;
       }
-      out.push_back(
-          {drop, sev, measure_methods(sparse_wl, dense_wl, cfg, plans)});
+      out.push_back({drop, sev, measure_methods(sparse_wl, dense_wl, cfg)});
     }
   }
   return out;

@@ -68,11 +68,9 @@ std::vector<Point> measure() {
     const simmpi::Machine machine =
         simmpi::Machine::with_region_size(sh.procs, sh.rpr);
     for (const char* pname : {"stencil3d27", "random_sparse", "incast"}) {
-      // One workload and one set of plan slots per (shape, pattern):
-      // tapers change link costs, never the traffic, so the first taper
-      // builds the plans and the later ones bind them.
+      // One workload per (shape, pattern): tapers change link costs, never
+      // the traffic.
       patterns::Workload wl;
-      MethodPlans plans;
       for (const auto& spec : patterns::registry())
         if (std::string(spec.name) == pname)
           wl = spec.make(machine, params_for(pname));
@@ -92,7 +90,7 @@ std::vector<Point> measure() {
         cfg.cost.send_overhead = 5.0e-8;
         cfg.cost.recv_overhead = 5.0e-8;
         cfg.cost.queue_search = 0.0;
-        out.push_back({sh, taper, wl, measure_methods(wl, wl, cfg, plans)});
+        out.push_back({sh, taper, wl, measure_methods(wl, wl, cfg)});
       }
     }
   }

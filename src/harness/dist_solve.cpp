@@ -48,9 +48,6 @@ DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
   const int nlevels = dh.num_levels();
   if (static_cast<long>(b_global.size()) != dh.levels[0].n())
     throw simmpi::SimError("run_distributed_amg: rhs size mismatch");
-  if (cfg.plans)
-    throw simmpi::SimError(
-        "run_distributed_amg: MeasureConfig::plans is not supported");
 
   DistSolveResult result;
   std::vector<std::vector<double>> x_parts(p);

@@ -23,8 +23,7 @@ struct DistSolveResult {
 /// Run `max_iters` V-cycles (or stop at rel_tol) on the distributed
 /// hierarchy, using `protocol` for every SpMV halo exchange (fine and
 /// coarse operators, restriction, prolongation).  The coarsest system is
-/// solved redundantly on every rank after an allgather.  Every exchange
-/// builds its own plan: throws SimError when `cfg.plans` is set.
+/// solved redundantly on every rank after an allgather.
 DistSolveResult run_distributed_amg(const amg::DistHierarchy& dh,
                                     Protocol protocol,
                                     std::span<const double> b_global,

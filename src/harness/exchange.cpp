@@ -65,8 +65,7 @@ Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
   const bool hypre = protocol == Protocol::hypre;
   const mpix::Method method = hypre ? mpix::Method::standard
                                     : method_of(protocol);
-  const mpix::Options mopts{.lpt_balance = opts.lpt_balance,
-                            .plan = opts.plan};
+  const mpix::Options mopts{.lpt_balance = opts.lpt_balance};
 
   // Hypre's exchange is the standard method without a topology
   // communicator: its adjacency lives on `comm` itself.

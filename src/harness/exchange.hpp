@@ -17,12 +17,9 @@
 /// list, its gathered send buffer, its external-vector receive buffer
 /// (`x_ext`, laid out as col_map_offd), its graph and its collective, so
 /// the SpMV code is protocol-agnostic: start(x_local) gathers and
-/// launches, wait() completes and exposes x_ext.
-///
-/// Plan reuse is the caller's: `HaloExchange::plan()` hands out the
-/// collective's `mpix::LocalityPlan`, and a later exchange of the same
-/// pattern, method and machine shape that receives it through
-/// `ExchangeOptions::plan` binds it without any setup communication.
+/// launches, wait() completes and exposes x_ext.  Every exchange builds its
+/// collective's plan at init; plan reuse is mpix's own
+/// (`mpix::Options::plan`).
 
 #include <memory>
 #include <span>
@@ -83,13 +80,6 @@ struct ExchangeOptions {
   /// Leader-assignment strategy of the locality-aware protocols (see
   /// mpix::Options; ablation knob).
   bool lpt_balance = true;
-  /// Optional plan reuse (mpix::Options::plan): a `plan()` of an earlier
-  /// exchange of the same pattern, protocol and machine shape, bound
-  /// without setup communication.  Init throws on a plan of another kind,
-  /// dedup mode, pattern or machine shape, and on any plan for
-  /// `Protocol::hypre` or `neighbor_standard`.  Non-owning: the caller
-  /// keeps it alive until make_halo_exchange returns.
-  const mpix::PlanBase* plan = nullptr;
 };
 
 // ExchangeOptions is written as a braced temporary inside co_await'd
@@ -121,9 +111,6 @@ class HaloExchange {
   simmpi::Task<> wait(simmpi::Context& ctx) { return coll_->wait(ctx); }
   std::span<const double> x_ext() const { return xext_; }
   mpix::NeighborStats stats() const { return coll_->stats(); }
-  /// The collective's reusable plan (null for the standard methods); see
-  /// ExchangeOptions::plan.
-  std::shared_ptr<const mpix::PlanBase> plan() const { return coll_->plan(); }
 
  private:
   friend simmpi::Task<std::unique_ptr<HaloExchange>> make_halo_exchange(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <type_traits>
 
 #include "sparse/stencil.hpp"
@@ -29,7 +30,6 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
   constexpr bool dense = std::is_same_v<M, mpix::AlltoallMethod>;
   const int p = wl.nranks;
   const Machine machine = machine_for(p, cfg);
-  if (cfg.plans) cfg.plans->resize(static_cast<std::size_t>(p));
   enum { kInit, kBlocking, kOverlapped, kWindows };
   WindowTimes times(kWindows, p);
   std::vector<mpix::NeighborStats> stats(p);
@@ -42,11 +42,7 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     mpix::AlltoallvArgs args =
         dense ? patterns::dense_args_view(wl, r, buf, element_size)
               : patterns::args_view(wl, r, buf, element_size);
-
-    std::shared_ptr<const mpix::PlanBase>* slot =
-        cfg.plans ? &(*cfg.plans)[r] : nullptr;
     mpix::Options mopts{.lpt_balance = cfg.lpt_balance,
-                        .plan = slot ? slot->get() : nullptr,
                         .reliability = cfg.reliability};
 
     co_await ctx.engine().sync_reset(ctx);
@@ -64,7 +60,6 @@ PatternMeasurement run_pattern(const patterns::Workload& wl, M method,
     }
     times.stamp(kInit, r, ctx.now());
     stats[r] = coll->stats();
-    if (slot && !*slot) *slot = coll->plan();
 
     auto check = [&](const char* window) {
       const long bad = patterns::verify_recv(wl, r, buf, element_size);
@@ -219,8 +214,6 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
   std::vector<std::vector<mpix::NeighborStats>> stats(
       nlevels, std::vector<mpix::NeighborStats>(p));
 
-  if (cfg.plans) cfg.plans->resize(static_cast<std::size_t>(nlevels) * p);
-
   simulate(machine, cfg, [&](Context& ctx) -> Task<> {
     const int r = ctx.rank();
     // One test vector reused across levels: level 0 is the largest, so the
@@ -243,17 +236,11 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
       for (long i = 0; i < nloc; ++i) x[i] = x_value(first + i);
 
       // Init cost: topology creation + collective initialization.
-      std::shared_ptr<const mpix::PlanBase>* slot =
-          cfg.plans ? &(*cfg.plans)[static_cast<std::size_t>(l) * p + r]
-                    : nullptr;
       co_await ctx.engine().sync_reset(ctx);
-      auto ex = co_await make_halo_exchange(
-          ctx, ctx.world(), protocol, halo,
-          {.lpt_balance = cfg.lpt_balance,
-           .plan = slot ? slot->get() : nullptr});
+      auto ex = co_await make_halo_exchange(ctx, ctx.world(), protocol, halo,
+                                            {.lpt_balance = cfg.lpt_balance});
       times.stamp(2 * l, r, ctx.now());
       stats[l][r] = ex->stats();
-      if (slot && !*slot) *slot = ex->plan();
 
       // One Start+Wait (deterministic, so one execution is exact).
       co_await ctx.engine().sync_reset(ctx);

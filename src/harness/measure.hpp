@@ -17,13 +17,12 @@
 /// run the `patterns::uniform_dense` workload through
 /// `measure_pattern_dense`.
 ///
-/// The harness keeps no state between calls.  A sweep that re-measures one
-/// pattern reuses its plans through the `Plans` it hands in
-/// (`MeasureConfig::plans`), and a binary that measures one hierarchy many
-/// times holds the value `paper_dist_hierarchy` returned.
+/// The harness keeps no state between calls: every measurement creates its
+/// topologies and builds its plans cold, so every init it reports is a real
+/// plan build.  A binary that measures one hierarchy many times holds the
+/// value `paper_dist_hierarchy` returned.
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -68,10 +67,6 @@ struct LevelMeasurement : StatsSummary {
   double start_wait_seconds = 0.0;  ///< one Start+Wait (max rank)
 };
 
-/// Plan slots of a measurement (see MeasureConfig::plans): one plan per
-/// rank, or per (level, rank), owned by the caller that reuses them.
-using Plans = std::vector<std::shared_ptr<const mpix::PlanBase>>;
-
 /// Configuration of a measurement run.
 struct MeasureConfig {
   int ranks_per_region = 16;  ///< the paper's Lassen setting
@@ -91,16 +86,6 @@ struct MeasureConfig {
   /// Any value produces the same measured virtual times.
   int threads = 0;
   bool lpt_balance = true;  ///< leader assignment (ablation knob)
-  /// Optional plan reuse across measurements of one pattern on one
-  /// machine shape.  The pattern runners use one slot per rank;
-  /// `measure_protocol` uses one per (level, rank), level-major.  The
-  /// driver sizes the vector before the run, and each rank reads and
-  /// writes only its own slots.  An empty slot builds the plan and keeps
-  /// the collective's `plan()` (null for the standard methods); a filled
-  /// slot is bound through `mpix::Options::plan`, without setup
-  /// communication.  Slots filled by another method or machine shape make
-  /// init throw.  `run_distributed_amg` takes none.
-  Plans* plans = nullptr;
   /// Optional fault schedule attached to the engine of every driver before
   /// its run (see simmpi::FaultPlan and `simulate`).  nullptr — the
   /// default — keeps the engine's byte-inert fault-free hot path, so series
@@ -162,7 +147,7 @@ std::vector<LevelMeasurement> measure_protocol(const amg::DistHierarchy& dh,
 /// Measurements of one generated workload (patterns layer) under one
 /// method.  Three simulated windows, each bracketed by `Engine::sync_reset`
 /// and reported as the max rank-local elapsed virtual time:
-///  * init — topology + collective init (binds `cfg.plans` when filled),
+///  * init — topology + collective init (a cold plan build),
 ///  * blocking — start; wait; then the workload's overlap window of
 ///    simulated compute (communication and compute serialize),
 ///  * overlapped — start; compute; wait (compute hides transfer time).

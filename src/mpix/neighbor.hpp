@@ -208,10 +208,9 @@ struct StagedPhase {
 /// channels locally by every later init on the same pattern — across
 /// element sizes, buffer instances and engine runs, as long as the
 /// communicator membership and machine shape match.  This base holds what
-/// every kind carries; plan-agnostic plumbing (Options::plan, the harness
-/// plan slots) holds any kind behind a pointer to it, and init resolves
-/// the kind its method needs with `impl::plan_as`, which throws on
-/// mismatch.
+/// every kind carries; plan-agnostic plumbing (Options::plan) holds any
+/// kind behind a pointer to it, and init resolves the kind its method
+/// needs with `impl::plan_as`, which throws on mismatch.
 ///
 /// All offsets are in *values*; binding scales them by
 /// `AlltoallvArgs::element_size`.  Treat instances as immutable: init

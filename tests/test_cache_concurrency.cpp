@@ -8,7 +8,8 @@
 /// with cross-thread block migration), a cross-thread `util::Arena`
 /// produce/consume pipeline, and `util::WorkerPool` exception rethrow
 /// under contention.  The harness shares no state across ranks (each rank
-/// writes only its own plan slots), so it has no entry here.  The assertions pin functional correctness; the real
+/// writes only its own result slots), so it has no entry here.  The
+/// assertions pin functional correctness; the real
 /// teeth are the `-DSANITIZE=thread` CI job, where ThreadSanitizer turns
 /// any unsynchronized access these workloads reach into a test failure
 /// (see docs/ARCHITECTURE.md, "Thread-safety contract").

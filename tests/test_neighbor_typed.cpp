@@ -2,11 +2,14 @@
 /// \brief Datatype-generic payloads and plan reuse: the collectives must
 /// move any trivially copyable element type (int halos, struct payloads)
 /// byte-identically to a scalar reference, and re-initializing on a cached
-/// LocalityPlan must perform zero setup communication.
+/// LocalityPlan must perform zero setup communication, also under another
+/// link taper, while a plan of another pattern, method or machine shape is
+/// rejected.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "pattern_util.hpp"
 #include "simmpi/dist_graph.hpp"
@@ -270,4 +273,91 @@ TEST(PlanReuse, MethodMismatchRejected) {
                                          {.plan = shared.get()});
       }),
       SimError);
+}
+
+TEST(PlanReuse, TapersRebindButRadixesReject) {
+  // Tapers scale link costs, never a plan: a plan built under one taper
+  // binds in an engine with another.  Radixes shape the tree whose link
+  // crossings the plan counts, so another radix rejects it.
+  GlobalPattern pat = pattern::random_pattern(16, 21);
+  auto tree = [](int leaf_radix, int root_radix, double leaf_taper) {
+    return Machine({.num_nodes = 4,
+                    .regions_per_node = 1,
+                    .ranks_per_region = 4,
+                    .switch_levels = {{.radix = leaf_radix,
+                                       .taper = leaf_taper},
+                                      {.radix = root_radix, .taper = 1.0}}});
+  };
+  std::vector<std::shared_ptr<const PlanBase>> plans(pat.nranks);
+  Engine built(tree(2, 2, 1.0), CostParams::lassen());
+  built.run([&](Context& ctx) -> Task<> {
+    RankArgs a = pattern::rank_args(pat, ctx.rank());
+    DistGraph g = co_await dist_graph_create_adjacent(
+        ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+    auto p = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                              Method::locality);
+    plans[ctx.rank()] = p->plan();
+  });
+
+  // Rebinds every rank's plan in `eng`, checking delivery; returns each
+  // rank's messages sent by the bind.
+  auto rebind = [&](Engine& eng) {
+    std::vector<std::uint64_t> setup(pat.nranks, 0);
+    eng.run([&](Context& ctx) -> Task<> {
+      const int r = ctx.rank();
+      RankArgs a = pattern::rank_args(pat, r);
+      DistGraph g = co_await dist_graph_create_adjacent(
+          ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+      co_await ctx.engine().sync_reset(ctx);
+      const auto shared = plans[r];
+      auto p = co_await neighbor_alltoallv_init(
+          ctx, g, a.view(), Method::locality, {.plan = shared.get()});
+      setup[r] = ctx.engine().stats(r).total_msgs();
+      EXPECT_EQ(p->plan(), plans[r]);
+      a.fill(3);
+      co_await p->start(ctx);
+      co_await p->wait(ctx);
+      for (std::size_t k = 0; k < a.recvbuf.size(); ++k)
+        EXPECT_DOUBLE_EQ(a.recvbuf[k], a.expected[k]) << "rank " << r;
+    });
+    return setup;
+  };
+  Engine tapered(tree(2, 2, 4.0), CostParams::lassen());
+  EXPECT_EQ(rebind(tapered), std::vector<std::uint64_t>(pat.nranks, 0));
+  Engine reshaped(tree(4, 1, 1.0), CostParams::lassen());
+  try {
+    rebind(reshaped);
+    FAIL() << "a plan bound under another switch radix";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("machine shape"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanReuse, StandardHasNoPlan) {
+  // The standard method builds no plan: it hands none out and takes none.
+  GlobalPattern pat = pattern::random_pattern(8, 3);
+  Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
+                      .ranks_per_region = 4}),
+             CostParams::lassen());
+  try {
+    eng.run([&](Context& ctx) -> Task<> {
+      RankArgs a = pattern::rank_args(pat, ctx.rank());
+      DistGraph g = co_await dist_graph_create_adjacent(
+          ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+      auto standard = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                                       Method::standard);
+      EXPECT_EQ(standard->plan(), nullptr);
+      auto locality = co_await neighbor_alltoallv_init(ctx, g, a.view(),
+                                                       Method::locality);
+      const auto shared = locality->plan();
+      co_await neighbor_alltoallv_init(ctx, g, a.view(), Method::standard,
+                                       {.plan = shared.get()});
+    });
+    FAIL() << "the standard method accepted a plan";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("standard method takes no plan"),
+              std::string::npos)
+        << e.what();
+  }
 }

@@ -248,34 +248,6 @@ TEST(Patterns, ZeroWindowMakesWindowsEqual) {
               0.05 * pm.blocking_seconds);
 }
 
-/// Plan-slot integration: a second measurement of the same workload under
-/// a locality method binds every rank's plan from its slot, and its init
-/// pays no setup communication.
-TEST(Patterns, PlanSlotsMakeReinitCheaper) {
-  const Machine m = small_machine();
-  harness::Plans plans;
-  MeasureConfig cfg = small_cfg();
-  cfg.plans = &plans;
-  const Workload wl =
-      patterns::generate("stencil3d27", m, {.values = 8, .seed = 4});
-  const PatternMeasurement cold =
-      harness::measure_pattern(wl, mpix::Method::locality_dedup, cfg);
-  ASSERT_EQ(plans.size(), static_cast<std::size_t>(m.num_ranks()));
-  for (const auto& plan : plans) EXPECT_NE(plan, nullptr);
-  const harness::Plans built = plans;
-  const PatternMeasurement warm =
-      harness::measure_pattern(wl, mpix::Method::locality_dedup, cfg);
-  EXPECT_EQ(plans, built);
-  EXPECT_LT(warm.init_seconds, cold.init_seconds);
-  // The steady-state exchange routes identically either way; only the
-  // phase alignment entering the window (after a communication-free vs a
-  // communicating init) shifts the queue-search overheads slightly.
-  EXPECT_NEAR(warm.blocking_seconds, cold.blocking_seconds,
-              0.05 * cold.blocking_seconds);
-  EXPECT_EQ(warm.sum_global_msgs, cold.sum_global_msgs);
-  EXPECT_EQ(warm.sum_global_values, cold.sum_global_values);
-}
-
 /// Engine-level compute accounting: Context::compute advances the clock
 /// and the per-rank stats symmetrically, and sync_reset clears both.
 TEST(Patterns, ComputeSecondsAreAccounted) {
