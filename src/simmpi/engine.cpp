@@ -24,6 +24,14 @@ void validate_link_params(const CostParams& p) {
                    std::to_string(p.link_msg_bytes) + ")");
 }
 
+/// "channel ctx=<c> <src>-><dst> tag=<t>": how receive errors name the
+/// channel of the failed receive.
+std::string channel_name(const ChannelKey& key) {
+  return "channel ctx=" + std::to_string(key.ctx) + " " +
+         std::to_string(key.src) + "->" + std::to_string(key.dst) +
+         " tag=" + std::to_string(key.tag);
+}
+
 }  // namespace
 
 Context::Context(Engine& eng, int rank)
@@ -626,18 +634,17 @@ void Engine::complete_recv(Request& req, PayloadSink consume) {
     const std::span<const std::byte> bytes(msg.data, msg.size);
     if (req.in_place_) {
       if (msg.size != req.bytes_)
-        throw SimError(
-            "Engine::complete_recv: in-place receive on channel ctx=" +
-            std::to_string(key.ctx) + " " + std::to_string(key.src) + "->" +
-            std::to_string(key.dst) + " tag=" + std::to_string(key.tag) +
-            " got " + std::to_string(msg.size) + "B, declared " +
-            std::to_string(req.bytes_) + "B");
+        throw SimError("Engine::complete_recv: in-place receive on " +
+                       channel_name(key) + " got " +
+                       std::to_string(msg.size) + "B, declared " +
+                       std::to_string(req.bytes_) + "B");
       consume(bytes);
     } else {
       if (msg.size > req.rbuf_.size())
-        throw SimError("Engine::complete_recv: message truncated (payload " +
-                       std::to_string(msg.size) + "B > buffer " +
-                       std::to_string(req.rbuf_.size()) + "B)");
+        throw SimError("Engine::complete_recv: receive on " +
+                       channel_name(key) + " truncated: got " +
+                       std::to_string(msg.size) + "B, buffer " +
+                       std::to_string(req.rbuf_.size()) + "B");
       if (msg.size > 0) std::memcpy(req.rbuf_.data(), msg.data, msg.size);
     }
   }
