@@ -336,7 +336,7 @@ long PairLayout::SrcBlock::find(gidx gid) const {
 const PairLayout::SrcBlock& PairLayout::block(int src) const {
   for (const auto& blk : src_blocks)
     if (blk.src == src) return blk;
-  throw SimError("PairLayout::find: source not in pair");
+  throw SimError("PairLayout::block: source not in pair");
 }
 
 PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup) {

@@ -125,8 +125,6 @@ struct PairLayout {
 
   /// Dedup: the block of source `src`.
   const SrcBlock& block(int src) const;
-  /// Dedup: value offset of `gid` within the message for source `src`.
-  long find(int src, gidx gid) const { return block(src).find(gid); }
 };
 
 PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup);

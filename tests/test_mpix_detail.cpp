@@ -89,10 +89,10 @@ TEST(PairLayout, DedupMergesPerSource) {
   EXPECT_EQ(lay.src_blocks[0].offset, 0);
   EXPECT_EQ(lay.src_blocks[1].src, 1);
   EXPECT_EQ(lay.src_blocks[1].offset, 3);
-  EXPECT_EQ(lay.find(0, 12), 2);
-  EXPECT_EQ(lay.find(1, 20), 3);
-  EXPECT_THROW(lay.find(0, 99), simmpi::SimError);
-  EXPECT_THROW(lay.find(9, 10), simmpi::SimError);
+  EXPECT_EQ(lay.block(0).find(12), 2);
+  EXPECT_EQ(lay.block(1).find(20), 3);
+  EXPECT_THROW(lay.block(0).find(99), simmpi::SimError);
+  EXPECT_THROW(lay.block(9), simmpi::SimError);
 }
 
 TEST(PairLayout, DedupNeverLargerThanPartial) {
