@@ -16,12 +16,17 @@ construction widths, and CI uses this script to hold benches to it.
 
 A counter present on only one side (added or retired) is reported once
 per file with its row count, e.g. "old_counter only in <dir_a>, 24 of 24
-rows"; every other field of those rows is still compared.
+rows"; every other field of those rows is still compared.  A differing
+file lists its first 8 differing rows, then one line per differing field,
+"<field>: <k> of <n> rows differ, largest ratio <r>", where r is the
+largest max(a/b, b/a) over those rows (inf across a zero or a sign
+change, n/a for a label).
 
 Exits 0 when every series matches, 1 with a per-mismatch report else.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +58,26 @@ def series_of(path):
         }
         out.append((bench["name"], fields))
     return out
+
+
+def ratio(x, y):
+    """max(x/y, y/x) of two differing values: inf across a zero or a sign
+    change, None unless both are numbers."""
+    if not all(isinstance(v, (int, float)) for v in (x, y)):
+        return None
+    return math.inf if x * y <= 0 else max(x / y, y / x)
+
+
+def field_summary(mismatches, rows):
+    """One line per differing field of one file: how many of its `rows`
+    differ, and the largest ratio between the two sides."""
+    per = {}
+    for _, keys, fa, fb in mismatches:
+        for k in keys:
+            per.setdefault(k, []).append(ratio(fa[k], fb[k]))
+    for k, rs in sorted(per.items()):
+        largest = "n/a" if None in rs else f"{max(rs):.4g}"
+        yield f"{k}: {len(rs)} of {rows} rows differ, largest ratio {largest}"
 
 
 def main(argv):
@@ -103,6 +128,8 @@ def main(argv):
             for name, keys, fa, fb in mismatches[:8]:
                 for k in keys:
                     print(f"  {name}.{k}: {fa[k]!r} != {fb[k]!r}")
+            for line in field_summary(mismatches, len(a)):
+                print(f"  {line}")
             failures += 1
         else:
             print(f"match    {file_a.name} ({len(a)} benchmarks)")
