@@ -94,20 +94,11 @@ bool same_gids(std::span<const gidx> a, std::span<const gidx> b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
-/// One multiply per word, not byte-wise FNV-1a's eight: every plan build
-/// and every plan reuse hashes two words per communicator member, and the
-/// byte-wise mix made each locality init about 25 % slower at 256 ranks.
-std::uint64_t word_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= util::kFnvPrime;
-  h ^= h >> 29;
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
                                   const simmpi::Machine& machine) {
+  using util::word_mix;
   std::uint64_t h = util::kFnvOffsetBasis;
   h = word_mix(h, static_cast<std::uint64_t>(comm.size()));
   h = word_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
@@ -118,11 +109,9 @@ std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
   h = word_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
   for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
     h = word_mix(h, static_cast<std::uint64_t>(lvl.radix));
-  for (int m : comm.members()) {
-    h = word_mix(h, static_cast<std::uint64_t>(m));
-    h = word_mix(h, static_cast<std::uint64_t>(machine.region_of(m)));
-  }
-  return h;
+  // Every member's rank and region, hashed once when the communicator was
+  // created: O(1) here.
+  return word_mix(h, comm.placement_hash());
 }
 
 void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,

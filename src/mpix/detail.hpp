@@ -64,11 +64,12 @@ void validate_plan_args(const LocalityPlan& plan,
                         const simmpi::DistGraph& graph,
                         const AlltoallvArgs& args);
 
-/// One directed traffic edge between comm-local ranks, as shared inside a
-/// region during setup.  An Edge owns no gid storage: on the leader of the
-/// edge's region pair, in a dedup plan build, `gids` views the gid block
-/// that the leader gathered from the edge's owner, so it must not outlive
-/// that block.
+/// One directed traffic edge between comm-local ranks, as the region root
+/// parses it from its members' headers and a leader reads it from the
+/// headers of the pairs it leads.  An Edge owns no gid storage: on the
+/// leader of the edge's region pair, in a dedup plan build, `gids` views
+/// the gid block that the leader gathered from the edge's owner, so it
+/// must not outlive that block.
 struct Edge {
   int src = -1;
   int dst = -1;
@@ -95,8 +96,8 @@ void parse_edges(std::span<const long long> data, std::vector<Edge>& out_edges,
 /// Assign each region (loads given as (region id, total values), sorted by
 /// region id) to one of `nlocal` local cores.  Returns core indices aligned
 /// with `loads`.  `lpt` = longest-processing-time balancing; otherwise
-/// round-robin.  Deterministic, so every region member computes the same
-/// assignment.
+/// round-robin.  Deterministic: the region root computes it once for the
+/// whole region.
 std::vector<int> assign_leaders(std::span<const std::pair<int, long>> loads,
                                 int nlocal, bool lpt);
 

@@ -13,15 +13,19 @@
 ///
 ///  * `impl::build_locality_plan` (collective) computes every routing
 ///    decision — gather/scatter copy-run lists, staging layouts, leader
-///    assignments — from the edge headers allgathered inside each region,
-///    the gids of the pairs a rank leads (dedup only: each member sends
-///    each leader the gids of its own edges in that leader's pairs) and a
-///    root-to-root handshake, and stores them in a buffer-free
-///    `LocalityPlan`.  Everything that reads the headers or gids is
-///    decided before the handshake, and both are freed before the rank
-///    suspends there; each rank lays out only the region pairs it leads.
-///    Runs are coalesced as the values are enumerated, so no per-value
-///    map is ever built;
+///    assignments — and stores them in a buffer-free `LocalityPlan`.  Each
+///    region routes once, at its root (the region's smallest comm-local
+///    rank): members send it their edge headers (a gatherv), and the root
+///    alone groups the region's edges by peer region, assigns the leaders
+///    and runs the root-to-root handshake.  It broadcasts fixed-size
+///    leader tables and sends each leader only the headers of the pairs
+///    it leads (a scatterv); in a dedup build each member then sends each
+///    leader the gids of its own edges in that leader's pairs.  A member
+///    builds its run lists from its own edges, the tables and its led
+///    pairs, so its work and memory are O(own edges + led edges +
+///    regions), and it lays out only the region pairs it leads.  Runs are
+///    coalesced as the values are enumerated, so no per-value map is ever
+///    built;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
 ///    fresh message channels to a plan, scaling all value offsets by the
 ///    arguments' `element_size`.
@@ -98,12 +102,37 @@ struct LedPair {
   long total;   ///< values in the pair's message
 };
 
+/// What the region root broadcasts to its members, in one message whose
+/// size every member knows.  Per machine region q, four words: the core
+/// that leads this region's pair toward q, the core that leads the pair
+/// from q, and the comm-local ranks of q's receive leader and send leader
+/// for those two pairs; -1 where there is no such pair.  Per core, two
+/// words: its comm-local rank and the words of led-pair headers the root
+/// sends it.
+struct RegionTables {
+  int nregions;
+  std::vector<long long> words;
+
+  RegionTables(int regions, int cores)
+      : nregions(regions),
+        words(4 * static_cast<std::size_t>(regions) +
+                  2 * static_cast<std::size_t>(cores),
+              -1) {}
+  long long& out_leader(int q) { return words[4 * q]; }
+  long long& in_leader(int q) { return words[4 * q + 1]; }
+  long long& peer_recv_leader(int q) { return words[4 * q + 2]; }
+  long long& peer_send_leader(int q) { return words[4 * q + 3]; }
+  long long& local_rank(int core) { return words[4 * nregions + 2 * core]; }
+  long long& led_words(int core) {
+    return words[4 * nregions + 2 * core + 1];
+  }
+};
+
 /// What a plan build still needs once the region's metadata is freed: the
-/// root handshake's leader tables and the g phase's led pairs.
+/// g phase's led pairs.
 struct RegionRoutes {
-  util::FlatMap<int, int> out_leader_core, in_leader_core;  ///< region->core
   std::vector<LedPair> led_out, led_in;  ///< ascending region ids
-  std::size_t edges = 0;                 ///< region edges parsed, both ways
+  std::size_t edges = 0;                 ///< own and led edges read
 };
 
 /// Exclusive prefix sums of per-core block sizes: where each block starts.
@@ -113,22 +142,119 @@ std::vector<long> block_starts(std::span<const int> counts) {
   return at;
 }
 
-/// Every routing decision that reads the region's metadata: leader
-/// assignment, the led pairs' layouts, and the s- and r-phase run lists
-/// and staging sizes (written to `plan`).  `md` holds the region's edge
-/// headers, allgathered.  In a dedup build each member then sends each
-/// leader the gids of its own edges in the pairs that leader leads (one
-/// coll::alltoallv on `rc`), and the edges of the led pairs view the
-/// blocks received.  Headers and blocks live in this coroutine's frame, so
-/// they are freed when it returns, before the caller's root handshake
-/// suspends.  Layouts are built only for the pairs this rank leads: nobody
-/// else reads them.  `lpt` picks the leader assignment (see
-/// Options::lpt_balance).
+/// (peer region, total values) per pair, in the pairs' ascending region
+/// order: what the leader assignment balances.
+std::vector<std::pair<int, long>> pair_loads(
+    const util::FlatMap<int, std::vector<const Edge*>>& pairs) {
+  std::vector<std::pair<int, long>> loads;
+  for (const auto& [region, pair] : pairs) {
+    long t = 0;
+    for (const Edge* e : pair) t += e->count;
+    loads.emplace_back(region, t);
+  }
+  return loads;
+}
+
+/// The region root's routing, the only place that reads the whole region's
+/// edge headers.  `headers` holds its members' headers
+/// (detail::serialize_edges), core after core, `sizes[core]` words each.
+/// Groups the region's remote edges by peer region, assigns each pair a
+/// leader core (`lpt` picks the strategy, see Options::lpt_balance), and
+/// writes the leaders and every core's comm-local rank to `tables`.
+/// Returns the headers of the pairs each core leads, core after core: the
+/// out-edge count and a (src, dst, count) triple per out-edge, then the
+/// same for in-edges, with pairs in ascending region order and each pair's
+/// edges in (src, dst) order.  A core that leads no pair gets no words;
+/// `tables` records each core's word count.
+std::vector<long long> route_at_root(std::span<const long long> headers,
+                                     std::span<const int> sizes,
+                                     const Comm& comm, bool lpt,
+                                     RegionTables& tables) {
+  const auto& machine = comm.engine().machine();
+  const int nlocal = static_cast<int>(sizes.size());
+  auto region_of = [&](int local) {
+    return machine.region_of(comm.global(local));
+  };
+  const int my_region = region_of(comm.rank());
+  // Every member's header starts with its comm-local rank.
+  std::size_t at = 0;
+  for (int core = 0; core < nlocal; at += sizes[core++])
+    tables.local_rank(core) = headers[at];
+
+  std::vector<Edge> out_edges, in_edges;
+  detail::parse_edges(headers, out_edges, in_edges);
+  // Group remote traffic by peer region (sorted FlatMap => ascending region
+  // ids).
+  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
+  for (const Edge& e : out_edges) {
+    const int q = region_of(e.dst);
+    if (q != my_region) out_pairs[q].push_back(&e);
+  }
+  for (const Edge& e : in_edges) {
+    const int rr = region_of(e.src);
+    if (rr != my_region) in_pairs[rr].push_back(&e);
+  }
+
+  // ---- leader assignment ---------------------------------------------------
+  // Each core's led edges, pair after pair.
+  std::vector<std::vector<const Edge*>> led_out(nlocal), led_in(nlocal);
+  using Column = long long& (RegionTables::*)(int);
+  auto assign = [&](const auto& pairs, Column leader_of, auto& led) {
+    const auto cores = detail::assign_leaders(pair_loads(pairs), nlocal, lpt);
+    std::size_t i = 0;
+    for (const auto& [region, pair] : pairs) {
+      const int core = cores[i++];
+      (tables.*leader_of)(region) = core;
+      led[core].insert(led[core].end(), pair.begin(), pair.end());
+    }
+  };
+  assign(out_pairs, &RegionTables::out_leader, led_out);
+  assign(in_pairs, &RegionTables::in_leader, led_in);
+
+  // ---- each core's led-pair headers ----------------------------------------
+  std::vector<long long> led;
+  for (int core = 0; core < nlocal; ++core) {
+    const std::size_t start = led.size();
+    if (!led_out[core].empty() || !led_in[core].empty())
+      for (const auto* edges : {&led_out[core], &led_in[core]}) {
+        led.push_back(static_cast<long long>(edges->size()));
+        for (const Edge* e : *edges)
+          led.insert(led.end(), {e->src, e->dst, e->count});
+      }
+    tables.led_words(core) = static_cast<long long>(led.size() - start);
+  }
+  return led;
+}
+
+/// One of this rank's edges to or from another region: the core leading
+/// its region pair, the peer region, the peer's comm-local rank, and the
+/// edge's position in the graph's destination or source list.  Sorted, a
+/// rank's edges run leader by leader, each in ascending (region, peer)
+/// order: the order of the pairs' edge lists restricted to this rank.
+struct OwnEdge {
+  int leader;
+  int region;
+  int peer;
+  int index;
+  auto operator<=>(const OwnEdge&) const = default;
+};
+
+/// Every routing decision this rank makes from its own edges (`graph`,
+/// `args`), the root's `tables` and the headers of the pairs it leads
+/// (`led`, see route_at_root): the led pairs' layouts, and the s- and
+/// r-phase run lists and staging sizes (written to `plan`).  In a dedup
+/// build each member then sends each leader the gids of its own edges in
+/// the pairs that leader leads (one coll::alltoallv on `rc`), and the
+/// edges of the led pairs view the blocks received.  Layouts are built
+/// only for the pairs this rank leads: nobody else reads them.  Reads
+/// O(own edges + led edges + regions) words; `own_words` is the size of
+/// this rank's own header.
 Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
-                                std::vector<long long> md,
                                 const simmpi::DistGraph& graph,
                                 const AlltoallvArgs& args, const Comm& rc,
-                                std::span<const int> g2l, bool lpt) {
+                                RegionTables& tables,
+                                std::span<const long long> led,
+                                std::size_t own_words) {
   const bool dedup = plan.dedup;
   const Comm& comm = graph.comm;
   const auto& machine = comm.engine().machine();
@@ -138,135 +264,131 @@ Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
   auto region_of = [&](int local) {
     return machine.region_of(comm.global(local));
   };
-  auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
+  auto core_to_local = [&](int core) {
+    return static_cast<int>(tables.local_rank(core));
+  };
   const int my_region = region_of(me);
 
-  util::FlatMap<int, int> dst_index, src_index;
-  for (std::size_t i = 0; i < graph.destinations.size(); ++i)
-    dst_index[graph.destinations[i]] = static_cast<int>(i);
-  for (std::size_t i = 0; i < graph.sources.size(); ++i)
-    src_index[graph.sources[i]] = static_cast<int>(i);
+  // ---- this rank's own remote edges ----------------------------------------
+  auto own_remote = [&](std::span<const int> peers, bool out) {
+    std::vector<OwnEdge> own;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const int q = region_of(peers[i]);
+      if (q == my_region) continue;
+      const long long leader = out ? tables.out_leader(q) : tables.in_leader(q);
+      own.push_back({static_cast<int>(leader), q, peers[i],
+                     static_cast<int>(i)});
+    }
+    std::sort(own.begin(), own.end());
+    return own;
+  };
+  const std::vector<OwnEdge> own_out = own_remote(graph.destinations, true);
+  const std::vector<OwnEdge> own_in = own_remote(graph.sources, false);
 
-  std::vector<Edge> out_edges, in_edges;
-  detail::parse_edges(md, out_edges, in_edges);
+  // ---- the pairs this rank leads -------------------------------------------
+  // Grouped by peer region (sorted FlatMap => ascending region ids); each
+  // pair's edges stay in the root's (src, dst) order.
+  std::vector<Edge> led_edges;
+  led_edges.reserve(led.size() / 3);  // no reallocation under the pointers
+  std::size_t pos = 0;
+  auto read_pairs = [&](bool out) {
+    util::FlatMap<int, std::vector<Edge*>> pairs;
+    if (pos == led.size()) return pairs;
+    const long long n = led[pos++];
+    for (long long k = 0; k < n; ++k, pos += 3) {
+      Edge& e = led_edges.emplace_back();
+      e.src = static_cast<int>(led[pos]);
+      e.dst = static_cast<int>(led[pos + 1]);
+      e.count = static_cast<int>(led[pos + 2]);
+      pairs[region_of(out ? e.dst : e.src)].push_back(&e);
+    }
+    return pairs;
+  };
+  const util::FlatMap<int, std::vector<Edge*>> out_pairs = read_pairs(true);
+  const util::FlatMap<int, std::vector<Edge*>> in_pairs = read_pairs(false);
   RegionRoutes routes;
-  routes.edges = out_edges.size() + in_edges.size();
-
-  // Group remote traffic by peer region (sorted FlatMap => ascending region
-  // ids, identical on every member since the metadata is identical).
-  util::FlatMap<int, std::vector<Edge*>> out_pairs, in_pairs;
-  for (auto& e : out_edges) {
-    const int q = region_of(e.dst);
-    if (q != my_region) out_pairs[q].push_back(&e);
-  }
-  for (auto& e : in_edges) {
-    const int rr = region_of(e.src);
-    if (rr != my_region) in_pairs[rr].push_back(&e);
-  }
-
-  // ---- leader assignment ---------------------------------------------------
-  std::vector<std::pair<int, long>> out_loads, in_loads;
-  for (const auto& [q, v] : out_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    out_loads.emplace_back(q, t);
-  }
-  for (const auto& [rr, v] : in_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    in_loads.emplace_back(rr, t);
-  }
-  const auto out_assign = detail::assign_leaders(out_loads, nlocal, lpt);
-  const auto in_assign = detail::assign_leaders(in_loads, nlocal, lpt);
-  for (std::size_t i = 0; i < out_loads.size(); ++i)
-    routes.out_leader_core[out_loads[i].first] = out_assign[i];
-  for (std::size_t i = 0; i < in_loads.size(); ++i)
-    routes.in_leader_core[in_loads[i].first] = in_assign[i];
+  routes.edges =
+      graph.destinations.size() + graph.sources.size() + led_edges.size();
 
   // ---- dedup: each leader gathers the gids of its pairs --------------------
   // The block from member M to leader L holds the gids of M's own edges in
   // the pairs L leads: out-edges, then in-edges, in ascending region and
-  // edge order.  Every member knows every leader, so both sides size each
-  // block from the headers, and this one enumeration drives this rank's
-  // send blocks and its views of the blocks it receives alike.
+  // edge order.  A member sizes its blocks from its own edges and the
+  // leader tables, a leader its receptions from its led pairs' headers.
   std::vector<gidx> gids;  // the blocks this rank received, in core order
   if (dedup) {
-    util::FlatMap<int, int> core_of;  // comm-local member -> core
-    for (int core = 0; core < nlocal; ++core)
-      core_of[core_to_local(core)] = core;
-    // visit(leader core, owner's comm-local rank, edge, out-edge?)
-    auto for_each_block_edge = [&](const auto& visit) {
-      for (auto& [q, pair] : out_pairs) {
-        const int leader = *routes.out_leader_core.find(q);
-        for (Edge* e : pair) visit(leader, e->src, *e, true);
-      }
-      for (auto& [rr, pair] : in_pairs) {
-        const int leader = *routes.in_leader_core.find(rr);
-        for (Edge* e : pair) visit(leader, e->dst, *e, false);
-      }
-    };
     std::vector<int> send_counts(nlocal, 0), recv_counts(nlocal, 0);
-    for_each_block_edge([&](int leader, int owner, const Edge& e, bool) {
-      if (owner == me) send_counts[leader] += e.count;
-      if (leader == my_core) recv_counts[*core_of.find(owner)] += e.count;
-    });
+    for (const OwnEdge& e : own_out)
+      send_counts[e.leader] += args.sendcounts[e.index];
+    for (const OwnEdge& e : own_in)
+      send_counts[e.leader] += args.recvcounts[e.index];
+    util::FlatMap<int, int> core_of;  // comm-local member -> core
+    if (!led_edges.empty())
+      for (int core = 0; core < nlocal; ++core)
+        core_of[core_to_local(core)] = core;
+    // visit(owner's core, edge) over the led edges, in block order.
+    auto for_each_led_edge = [&](const auto& visit) {
+      for (const auto& [q, pair] : out_pairs)
+        for (Edge* e : pair) visit(*core_of.find(e->src), *e);
+      for (const auto& [rr, pair] : in_pairs)
+        for (Edge* e : pair) visit(*core_of.find(e->dst), *e);
+    };
+    for_each_led_edge(
+        [&](int owner, const Edge& e) { recv_counts[owner] += e.count; });
     std::vector<long> at = block_starts(send_counts);
     std::vector<gidx> blocks(static_cast<std::size_t>(at.back()));
-    for_each_block_edge([&](int leader, int owner, const Edge& e, bool out) {
-      if (owner != me) return;
-      const auto own =
-          out ? args.send_idx.subspan(args.sdispls[*dst_index.find(e.dst)],
-                                      e.count)
-              : args.recv_idx.subspan(args.rdispls[*src_index.find(e.src)],
-                                      e.count);
-      std::copy(own.begin(), own.end(), blocks.begin() + at[leader]);
-      at[leader] += e.count;
-    });
+    auto put = [&](const OwnEdge& e, std::span<const gidx> own) {
+      std::copy(own.begin(), own.end(), blocks.begin() + at[e.leader]);
+      at[e.leader] += static_cast<long>(own.size());
+    };
+    for (const OwnEdge& e : own_out)
+      put(e, args.send_idx.subspan(args.sdispls[e.index],
+                                   args.sendcounts[e.index]));
+    for (const OwnEdge& e : own_in)
+      put(e, args.recv_idx.subspan(args.rdispls[e.index],
+                                   args.recvcounts[e.index]));
     gids = co_await coll::alltoallv<gidx>(ctx, rc, blocks, send_counts,
                                           recv_counts);
     at = block_starts(recv_counts);
-    for_each_block_edge([&](int leader, int owner, Edge& e, bool) {
-      if (leader != my_core) return;
-      long& next = at[*core_of.find(owner)];
-      e.gids = std::span<const gidx>(gids).subspan(next, e.count);
-      next += e.count;
+    for_each_led_edge([&](int owner, Edge& e) {
+      e.gids = std::span<const gidx>(gids).subspan(at[owner], e.count);
+      at[owner] += e.count;
     });
   }
-  // Charge reading the metadata: the header words and the gid words held.
+  // Charge reading the metadata: this rank's own header, the leader
+  // tables, its led-pair headers and the gid words it holds.
   ctx.compute(impl::kSetupComputePerWord *
-              static_cast<double>(md.size() + gids.size()));
+              static_cast<double>(own_words + tables.words.size() +
+                                  led.size() + gids.size()));
 
   // ---- layouts and staging blocks of the led pairs -------------------------
   std::vector<PairLayout> out_layouts, in_layouts;  // aligned with led_out/in
-  auto lead = [&](const auto& pairs, const util::FlatMap<int, int>& leader,
-                  std::vector<LedPair>& led, std::vector<PairLayout>& lays) {
+  auto lead = [&](const auto& pairs, std::vector<LedPair>& led_pairs,
+                  std::vector<PairLayout>& lays) {
     long total = 0;
-    for (const auto& [region, core] : leader) {
-      if (core != my_core) continue;
-      lays.push_back(detail::pair_layout(*pairs.find(region), dedup));
-      led.push_back({region, total, lays.back().total});
+    for (const auto& [region, pair] : pairs) {
+      lays.push_back(detail::pair_layout(pair, dedup));
+      led_pairs.push_back({region, total, lays.back().total});
       total += lays.back().total;
     }
     return total;
   };
-  plan.s_stage_values =
-      lead(out_pairs, routes.out_leader_core, routes.led_out, out_layouts);
-  plan.g_stage_values =
-      lead(in_pairs, routes.in_leader_core, routes.led_in, in_layouts);
+  plan.s_stage_values = lead(out_pairs, routes.led_out, out_layouts);
+  plan.g_stage_values = lead(in_pairs, routes.led_in, in_layouts);
 
   // The s-phase message from `src` to this leader: its values in the pairs
   // this rank leads, message position -> s_stage position.
   auto staged_from = [&](int src) {
     StagedPhase::Msg m{.peer = src};
     for (std::size_t p = 0; p < routes.led_out.size(); ++p) {
-      const LedPair& led = routes.led_out[p];
+      const LedPair& lp = routes.led_out[p];
       const PairLayout& lay = out_layouts[p];
       auto take = [&](long offset, long len) {
-        detail::push_run(m.runs, m.values, led.offset + offset, len);
+        detail::push_run(m.runs, m.values, lp.offset + offset, len);
         m.values += len;
       };
       if (!dedup) {
-        const auto& pair = *out_pairs.find(led.region);
+        const auto& pair = *out_pairs.find(lp.region);
         for (std::size_t e = 0; e < pair.size(); ++e)
           if (pair[e]->src == src)
             take(lay.segments[e], pair[e]->count);
@@ -280,27 +402,30 @@ Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
   };
 
   // ---- s phase: source side ------------------------------------------------
-  for (int L = 0; L < nlocal; ++L) {
+  // One message per leader: the own out-edges of the pairs it leads.
+  for (std::size_t i = 0; i < own_out.size();) {
+    const int L = own_out[i].leader;
     StagedPhase::Msg m;
-    for (const auto& [q, core] : routes.out_leader_core) {
-      if (core != L) continue;
+    for (; i < own_out.size() && own_out[i].leader == L;) {
+      const int q = own_out[i].region;
+      std::size_t end = i;
+      while (end < own_out.size() && own_out[end].region == q) ++end;
       if (!dedup) {
-        for (const Edge* e : *out_pairs.find(q)) {
-          if (e->src != me) continue;
-          const int i = *dst_index.find(e->dst);
-          detail::push_run(m.runs, args.sdispls[i], m.values, e->count);
-          m.values += e->count;
+        for (; i < end; ++i) {
+          const int k = own_out[i].index;
+          detail::push_run(m.runs, args.sdispls[k], m.values,
+                           args.sendcounts[k]);
+          m.values += args.sendcounts[k];
         }
       } else {
         // Unique gids this rank contributes to Q, each gathered from its
         // first occurrence in the send buffer (keep-first, gid-ascending).
         std::vector<std::pair<gidx, int>> occurrences;
-        for (const Edge* e : *out_pairs.find(q)) {
-          if (e->src != me) continue;
-          const int i = *dst_index.find(e->dst);
-          for (int k = 0; k < e->count; ++k) {
-            const int pos = args.sdispls[i] + k;
-            occurrences.emplace_back(args.send_idx[pos], pos);
+        for (; i < end; ++i) {
+          const int k = own_out[i].index;
+          for (int j = 0; j < args.sendcounts[k]; ++j) {
+            const int at = args.sdispls[k] + j;
+            occurrences.emplace_back(args.send_idx[at], at);
           }
         }
         sort_by_gid(occurrences);
@@ -363,32 +488,31 @@ Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
   }
 
   // ---- r phase: destination side -------------------------------------------
-  for (int core = 0; core < nlocal; ++core) {
+  // One message per leader: the own in-edges of the pairs it leads.
+  for (std::size_t i = 0; i < own_in.size();) {
+    const int core = own_in[i].leader;
     StagedPhase::Msg m;
-    for (const auto& [rr, lcore] : routes.in_leader_core) {
-      if (lcore != core) continue;
-      for (const Edge* e : *in_pairs.find(rr)) {
-        if (e->dst != me) continue;
-        const int i = *src_index.find(e->src);
-        if (!dedup) {
-          detail::push_run(m.runs, m.values, args.rdispls[i], e->count);
-          m.values += e->count;
-        } else {
-          // The leader sends the segment's unique gids in ascending order;
-          // every position carrying a gid reads that gid's value.
-          std::vector<std::pair<gidx, int>> occurrences;
-          for (int k = 0; k < e->count; ++k) {
-            const int pos = args.rdispls[i] + k;
-            occurrences.emplace_back(args.recv_idx[pos], pos);
-          }
-          sort_by_gid(occurrences);
-          long u = -1;  // index of the current gid among the unique ones
-          for (std::size_t j = 0; j < occurrences.size(); ++j) {
-            if (j == 0 || occurrences[j].first != occurrences[j - 1].first) ++u;
-            detail::push_run(m.runs, m.values + u, occurrences[j].second, 1);
-          }
-          m.values += u + 1;
+    for (; i < own_in.size() && own_in[i].leader == core; ++i) {
+      const int k = own_in[i].index;
+      if (!dedup) {
+        detail::push_run(m.runs, m.values, args.rdispls[k],
+                         args.recvcounts[k]);
+        m.values += args.recvcounts[k];
+      } else {
+        // The leader sends the segment's unique gids in ascending order;
+        // every position carrying a gid reads that gid's value.
+        std::vector<std::pair<gidx, int>> occurrences;
+        for (int j = 0; j < args.recvcounts[k]; ++j) {
+          const int at = args.rdispls[k] + j;
+          occurrences.emplace_back(args.recv_idx[at], at);
         }
+        sort_by_gid(occurrences);
+        long u = -1;  // index of the current gid among the unique ones
+        for (std::size_t j = 0; j < occurrences.size(); ++j) {
+          if (j == 0 || occurrences[j].first != occurrences[j - 1].first) ++u;
+          detail::push_run(m.runs, m.values + u, occurrences[j].second, 1);
+        }
+        m.values += u + 1;
       }
     }
     if (m.values == 0) continue;
@@ -450,86 +574,92 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     plan->l_recvs.push_back({s, args.rdispls[i], args.recvcounts[i]});
   }
 
-  // ---- edge headers, shared within the region -----------------------------
+  // ---- edge headers to the region root, which routes the region -----------
+  // The root is core 0 of the region communicator: the region's smallest
+  // comm-local rank.  The headers are freed before the handshake suspends.
   Comm rc = co_await coll::split_by_region(ctx, comm);
   const int nlocal = rc.size();
-  auto blob = detail::serialize_edges(graph, args);
-  auto all_md = co_await coll::allgatherv<long long>(ctx, rc, std::move(blob));
-
-  // ---- rank translation tables --------------------------------------------
-  auto members = comm.members();
-  std::vector<int> g2l(machine.num_ranks(), -1);
-  for (int i = 0; i < comm.size(); ++i) g2l[members[i]] = i;
-  util::FlatMap<int, int> region_root;  // region -> smallest comm-local member
-  for (int i = 0; i < comm.size(); ++i) {
-    const int reg = machine.region_of(members[i]);
-    if (int* root = region_root.find(reg))
-      *root = std::min(*root, i);
-    else
-      region_root[reg] = i;
+  const int my_core = rc.rank();
+  const bool root = my_core == 0;
+  const int nregions = machine.num_regions();
+  RegionTables tables(nregions, nlocal);
+  std::vector<long long> led_blocks;  // root only: every core's led headers
+  std::size_t own_words = 0;
+  {
+    const std::vector<long long> own = detail::serialize_edges(graph, args);
+    own_words = own.size();
+    const std::vector<int> sizes = co_await coll::gather<int>(
+        ctx, rc, static_cast<int>(own_words), 0);
+    const std::vector<long long> headers =
+        co_await coll::gatherv<long long>(ctx, rc, own, sizes, 0);
+    if (root) {
+      led_blocks = route_at_root(headers, sizes, comm, lpt_balance, tables);
+      ctx.compute(impl::kSetupComputePerWord *
+                  static_cast<double>(headers.size()));
+    }
   }
-  auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
-
-  // ---- s/r routing; the region's metadata is freed before the handshake ----
-  const RegionRoutes routes = co_await route_region(
-      ctx, *plan, std::move(all_md), graph, args, rc, g2l, lpt_balance);
-  ctx.compute(impl::kSetupComputePerWord * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------
   // For pair (A -> B): A's root tells B's root A's send leader; B's root
   // tells A's root B's receive leader.  Message ordering per root channel is
-  // deterministic (outbound loop before inbound loop on both ends).
-  util::FlatMap<int, int> g_dst_leader;  // Q  -> comm-local recv leader in Q
-  util::FlatMap<int, int> g_src_leader;  // R' -> comm-local send leader in R'
-  // Both leader tables are identical on every member, so each knows the
-  // broadcast's size: a count word and a (region, leader) pair per entry.
-  std::vector<long long> hs_blob(
-      2 + 2 * (routes.in_leader_core.size() + routes.out_leader_core.size()));
-  if (me == *region_root.find(my_region)) {
-    for (const auto& [q, core] : routes.out_leader_core)
-      co_await coll::send_val<long long>(
-          ctx, comm, *region_root.find(q), core_to_local(core), tag_hs);
-    for (const auto& [rr, core] : routes.in_leader_core)
-      co_await coll::send_val<long long>(
-          ctx, comm, *region_root.find(rr), core_to_local(core), tag_hs);
-    for (const auto& [rr, core] : routes.in_leader_core)
-      g_src_leader[rr] = static_cast<int>(co_await coll::recv_val<long long>(
-          ctx, comm, *region_root.find(rr), tag_hs));
-    for (const auto& [q, core] : routes.out_leader_core)
-      g_dst_leader[q] = static_cast<int>(co_await coll::recv_val<long long>(
-          ctx, comm, *region_root.find(q), tag_hs));
-    std::size_t pos = 0;
-    hs_blob[pos++] = static_cast<long long>(g_src_leader.size());
-    for (const auto& [rr, l] : g_src_leader) {
-      hs_blob[pos++] = rr;
-      hs_blob[pos++] = l;
-    }
-    hs_blob[pos++] = static_cast<long long>(g_dst_leader.size());
-    for (const auto& [q, l] : g_dst_leader) {
-      hs_blob[pos++] = q;
-      hs_blob[pos++] = l;
-    }
+  // deterministic (outbound loop before inbound loop on both ends).  Only
+  // roots build the O(P) table of region roots.
+  if (root) {
+    std::vector<int> region_root(static_cast<std::size_t>(nregions), -1);
+    const auto members = comm.members();
+    for (int i = comm.size() - 1; i >= 0; --i)
+      region_root[machine.region_of(members[i])] = i;
+    ctx.compute(impl::kSetupComputePerWord * comm.size());
+    auto leader_rank = [&](long long core) {
+      return tables.local_rank(static_cast<int>(core));
+    };
+    for (int q = 0; q < nregions; ++q)
+      if (tables.out_leader(q) >= 0)
+        co_await coll::send_val<long long>(
+            ctx, comm, region_root[q], leader_rank(tables.out_leader(q)),
+            tag_hs);
+    for (int rr = 0; rr < nregions; ++rr)
+      if (tables.in_leader(rr) >= 0)
+        co_await coll::send_val<long long>(
+            ctx, comm, region_root[rr], leader_rank(tables.in_leader(rr)),
+            tag_hs);
+    for (int rr = 0; rr < nregions; ++rr)
+      if (tables.in_leader(rr) >= 0) {
+        const long long l = co_await coll::recv_val<long long>(
+            ctx, comm, region_root[rr], tag_hs);
+        tables.peer_send_leader(rr) = l;
+      }
+    for (int q = 0; q < nregions; ++q)
+      if (tables.out_leader(q) >= 0) {
+        const long long l = co_await coll::recv_val<long long>(
+            ctx, comm, region_root[q], tag_hs);
+        tables.peer_recv_leader(q) = l;
+      }
   }
-  co_await coll::bcast(ctx, rc, hs_blob, 0);
-  if (me != *region_root.find(my_region)) {
-    std::size_t pos = 0;
-    const long long nin = hs_blob[pos++];
-    for (long long i = 0; i < nin; ++i) {
-      const int rr = static_cast<int>(hs_blob[pos++]);
-      g_src_leader[rr] = static_cast<int>(hs_blob[pos++]);
-    }
-    const long long nout = hs_blob[pos++];
-    for (long long i = 0; i < nout; ++i) {
-      const int q = static_cast<int>(hs_blob[pos++]);
-      g_dst_leader[q] = static_cast<int>(hs_blob[pos++]);
-    }
-  }
+
+  // ---- the tables to every member, each leader its pairs' headers ----------
+  co_await coll::bcast(ctx, rc, tables.words, 0);
+  std::vector<int> led_counts;  // root only
+  if (root)
+    for (int core = 0; core < nlocal; ++core)
+      led_counts.push_back(static_cast<int>(tables.led_words(core)));
+  const std::vector<long long> led = co_await coll::scatterv<long long>(
+      ctx, rc, led_blocks, led_counts,
+      static_cast<int>(tables.led_words(my_core)), 0);
+
+  // ---- s/r routing from own edges and led pairs ----------------------------
+  const RegionRoutes routes = co_await route_region(
+      ctx, *plan, graph, args, rc, tables, led, own_words);
 
   // ---- g phase --------------------------------------------------------------
   for (const LedPair& p : routes.led_out)
-    plan->g_sends.push_back({*g_dst_leader.find(p.region), p.offset, p.total});
+    plan->g_sends.push_back(
+        {static_cast<int>(tables.peer_recv_leader(p.region)), p.offset,
+         p.total});
   for (const LedPair& p : routes.led_in)
-    plan->g_recvs.push_back({*g_src_leader.find(p.region), p.offset, p.total});
+    plan->g_recvs.push_back(
+        {static_cast<int>(tables.peer_send_leader(p.region)), p.offset,
+         p.total});
 
   // ---- message statistics: every send this rank posts ----------------------
   for (const DirectMsg& m : plan->l_sends)

@@ -241,9 +241,10 @@ struct PlanBase : std::enable_shared_from_this<PlanBase> {
 /// every routing decision for one (pattern, machine, method) combination —
 /// leader assignments resolved into per-message peers, gather/scatter
 /// copy-run lists, staging layouts, message statistics.  Building it is
-/// collective: an allgather of edge headers within each region, for dedup
-/// plans an alltoallv that sends each leader its pairs' gids, and a root
-/// handshake.
+/// collective: a gatherv of edge headers to each region's root, which
+/// assigns the leaders, handshakes with the other roots, broadcasts the
+/// leader tables and scatters each leader its pairs' headers; for dedup
+/// plans, an alltoallv then sends each leader its pairs' gids.
 ///
 /// Every staged (intra-region) copy is a list of `CopyRun`s, coalesced as
 /// the plan build enumerates values: no per-value index map is stored, and

@@ -2,14 +2,15 @@
 /// \file coll.hpp
 /// \brief Collective operations built on the simulated point-to-point layer.
 ///
-/// The algorithms are the textbook logarithmic ones (dissemination barrier,
-/// binomial broadcast, recursive-doubling allreduce, Bruck allgather,
-/// direct alltoallv), so collective *costs* in the simulator scale the way
-/// real MPI libraries do.  All operations are collective over the
-/// communicator: every member must call them in the same order.  Reduction
-/// operators must be associative and commutative.  As in MPI, every receive
-/// is sized up front: a rank passes the sizes it expects (bcast,
-/// alltoallv), or the sizes are exchanged first (allgatherv).
+/// The algorithms are the textbook ones (dissemination barrier, binomial
+/// broadcast, recursive-doubling allreduce, Bruck allgather, direct
+/// alltoallv, and gather, gatherv and scatterv as its one-root cases), so
+/// collective *costs* in the simulator scale the way real MPI libraries
+/// do.  All operations are collective over the communicator: every member
+/// must call them in the same order.  Reduction operators must be
+/// associative and commutative.  As in MPI, every receive is sized up
+/// front: a rank passes the sizes it expects (bcast, alltoallv, gatherv,
+/// scatterv), or the sizes are exchanged first (allgatherv).
 ///
 /// Values of type `T` must be trivially copyable.
 ///
@@ -326,6 +327,62 @@ Task<std::vector<T>> alltoallv(Context& ctx, Comm comm,
     co_await ctx.wait_in_place(rr, land);
   }
   co_return out;
+}
+
+/// Gather variable-sized blocks at `root` (MPI_Gatherv): every rank passes
+/// its block, and, as MPI_Gatherv requires, the root passes the sizes up
+/// front, `recvcounts[i]` values from rank i (read on the root only).
+/// Returns the blocks concatenated in rank order on the root, and an empty
+/// vector elsewhere.  The one-receiver case of alltoallv: the root's own
+/// block is copied, not sent, a zero block sends no message, and a block
+/// of another size than the root expects is a SimError naming both ranks
+/// and both sizes.
+template <class T>
+Task<std::vector<T>> gatherv(Context& ctx, Comm comm, std::span<const T> mine,
+                             std::span<const int> recvcounts, int root) {
+  const int p = comm.size();
+  if (root < 0 || root >= p)
+    throw SimError("coll::gatherv: root " + std::to_string(root) +
+                   " outside a communicator of " + std::to_string(p));
+  std::vector<int> sendcounts(p, 0), none(p, 0);
+  sendcounts[root] = static_cast<int>(mine.size());
+  const std::span<const int> expect =
+      comm.rank() == root ? recvcounts : std::span<const int>(none);
+  co_return co_await alltoallv<T>(ctx, comm, mine, sendcounts, expect);
+}
+
+/// Gather one value per rank at `root` (MPI_Gather): the root gets every
+/// rank's value in rank order, other ranks an empty vector.
+template <class T>
+Task<std::vector<T>> gather(Context& ctx, Comm comm, T mine, int root) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::vector<int> ones(comm.rank() == root ? comm.size() : 0, 1);
+  co_return co_await gatherv<T>(ctx, comm, std::span<const T>(&mine, 1), ones,
+                                root);
+}
+
+/// Scatter variable-sized blocks from `root` (MPI_Scatterv): the root
+/// passes its blocks in rank order, `sendcounts[i]` values for rank i (both
+/// read on the root only), and, as MPI_Scatterv requires, every rank passes
+/// the size of the block it expects.  Returns this rank's block.  The
+/// one-sender case of alltoallv: the root's own block is copied, not sent,
+/// a zero block sends no message, and a block of another size than its
+/// rank expects is a SimError naming both ranks and both sizes.
+template <class T>
+Task<std::vector<T>> scatterv(Context& ctx, Comm comm, std::span<const T> send,
+                              std::span<const int> sendcounts, int recvcount,
+                              int root) {
+  const int p = comm.size();
+  if (root < 0 || root >= p)
+    throw SimError("coll::scatterv: root " + std::to_string(root) +
+                   " outside a communicator of " + std::to_string(p));
+  const bool is_root = comm.rank() == root;
+  std::vector<int> recvcounts(p, 0), none(p, 0);
+  recvcounts[root] = recvcount;
+  const std::span<const T> blocks = is_root ? send : std::span<const T>();
+  const std::span<const int> counts =
+      is_root ? sendcounts : std::span<const int>(none);
+  co_return co_await alltoallv<T>(ctx, comm, blocks, counts, recvcounts);
 }
 
 /// Split a communicator (MPI_Comm_split).  All members call collectively

@@ -208,6 +208,159 @@ TEST(Coll, AlltoallvRejectsAMissizedBlock) {
                SimError);
 }
 
+namespace {
+
+/// Values rank i contributes to (gatherv) or receives from (scatterv) the
+/// root: ragged, with a zero block on rank 2.  Value k is 100i + k.
+int ragged_count(int i) { return (3 * i + 2) % 4; }
+std::vector<long> ragged_block(int i) {
+  std::vector<long> v(static_cast<std::size_t>(ragged_count(i)));
+  std::iota(v.begin(), v.end(), 100L * i);
+  return v;
+}
+
+/// Messages each rank sent: one per non-root rank with a non-empty block,
+/// on the rank that sends the blocks (every non-root for gatherv, the
+/// root for scatterv).  The root's own block is copied, not sent.
+void expect_one_message_per_nonempty_block(Engine& eng, int p,
+                                           int root, bool root_sends) {
+  std::uint64_t from_root = 0;
+  for (int i = 0; i < p; ++i) {
+    const bool sent = i != root && ragged_count(i) > 0;
+    from_root += sent;
+    if (i == root) continue;
+    EXPECT_EQ(eng.stats(i).total_msgs(), root_sends || !sent ? 0u : 1u)
+        << "rank " << i;
+  }
+  EXPECT_EQ(eng.stats(root).total_msgs(), root_sends ? from_root : 0u);
+}
+
+/// Whether `what` names the ranks of channel `src->dst` and both sizes of
+/// a block of `sent` values that its receiver declared as `expected`.
+void expect_names_block(const std::string& what, int src, int dst, int sent,
+                        int expected) {
+  for (const std::string& part :
+       {std::to_string(src) + "->" + std::to_string(dst),
+        std::to_string(sent * sizeof(double)) + "B",
+        std::to_string(expected * sizeof(double)) + "B"})
+    EXPECT_NE(what.find(part), std::string::npos)
+        << "'" << part << "' missing from: " << what;
+}
+
+}  // namespace
+
+TEST(Coll, GathervDeliversRaggedBlocks) {
+  // Ragged blocks with a zero block, at root 0 and at the last rank; gather
+  // is the one-value case.
+  for (int p : {1, 3, 5}) {
+    for (int root : {0, p - 1}) {
+      Engine eng = make_engine(p);
+      eng.run([&](Context& ctx) -> Task<> {
+        const int r = ctx.rank();
+        const std::vector<long> mine = ragged_block(r);
+        std::vector<int> counts;
+        if (r == root)
+          for (int i = 0; i < p; ++i) counts.push_back(ragged_count(i));
+        auto got = co_await coll::gatherv<long>(ctx, ctx.world(), mine,
+                                                counts, root);
+        std::vector<long> want;
+        if (r == root)
+          for (int i = 0; i < p; ++i) {
+            const std::vector<long> b = ragged_block(i);
+            want.insert(want.end(), b.begin(), b.end());
+          }
+        EXPECT_EQ(got, want) << "rank " << r << " of " << p << ", root "
+                             << root;
+      });
+      expect_one_message_per_nonempty_block(eng, p, root, false);
+
+      Engine eng1 = make_engine(p);
+      eng1.run([&](Context& ctx) -> Task<> {
+        const int r = ctx.rank();
+        auto got = co_await coll::gather<int>(ctx, ctx.world(), 7 * r, root);
+        std::vector<int> want;
+        if (r == root)
+          for (int i = 0; i < p; ++i) want.push_back(7 * i);
+        EXPECT_EQ(got, want) << "rank " << r << " of " << p << ", root "
+                             << root;
+      });
+    }
+  }
+}
+
+TEST(Coll, ScattervDeliversRaggedBlocks) {
+  for (int p : {1, 3, 5}) {
+    for (int root : {0, p - 1}) {
+      Engine eng = make_engine(p);
+      eng.run([&](Context& ctx) -> Task<> {
+        const int r = ctx.rank();
+        std::vector<long> send;
+        std::vector<int> counts;
+        if (r == root)
+          for (int i = 0; i < p; ++i) {
+            const std::vector<long> b = ragged_block(i);
+            send.insert(send.end(), b.begin(), b.end());
+            counts.push_back(ragged_count(i));
+          }
+        auto got = co_await coll::scatterv<long>(ctx, ctx.world(), send,
+                                                 counts, ragged_count(r),
+                                                 root);
+        EXPECT_EQ(got, ragged_block(r))
+            << "rank " << r << " of " << p << ", root " << root;
+      });
+      expect_one_message_per_nonempty_block(eng, p, root, true);
+    }
+  }
+}
+
+TEST(Coll, GathervRejectsAMissizedBlock) {
+  // The root at rank 1 expecting one value fewer or one more than rank 3's
+  // three is an error naming both ranks and both sizes.
+  for (int wrong : {2, 4}) {
+    Engine eng = make_engine(4);
+    try {
+      eng.run([&](Context& ctx) -> Task<> {
+        const std::vector<double> mine(3, 1.0);
+        std::vector<int> counts(4, 3);
+        counts[3] = wrong;
+        co_await coll::gatherv<double>(ctx, ctx.world(), mine, counts, 1);
+      });
+      ADD_FAILURE() << wrong << " values expected, 3 sent: no error";
+    } catch (const SimError& e) {
+      expect_names_block(e.what(), 3, 1, 3, wrong);
+    }
+  }
+}
+
+TEST(Coll, ScattervRejectsAMissizedBlock) {
+  // Rank 3 expecting one value fewer or one more than the three the root at
+  // rank 1 sends it is an error naming both ranks and both sizes.
+  for (int wrong : {2, 4}) {
+    Engine eng = make_engine(4);
+    try {
+      eng.run([&](Context& ctx) -> Task<> {
+        const std::vector<double> send(4 * 3, 1.0);
+        const std::vector<int> counts(4, 3);
+        co_await coll::scatterv<double>(ctx, ctx.world(), send, counts,
+                                        ctx.rank() == 3 ? wrong : 3, 1);
+      });
+      ADD_FAILURE() << wrong << " values expected, 3 sent: no error";
+    } catch (const SimError& e) {
+      expect_names_block(e.what(), 1, 3, 3, wrong);
+    }
+  }
+  // The root's own block is copied, not sent, so scatterv checks it itself.
+  Engine eng = make_engine(4);
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 const std::vector<double> send(4 * 3, 1.0);
+                 const std::vector<int> counts(4, 3);
+                 co_await coll::scatterv<double>(
+                     ctx, ctx.world(), send, counts,
+                     ctx.rank() == 1 ? 2 : 3, 1);
+               }),
+               SimError);
+}
+
 TEST(Coll, CommSplitFormsOrderedGroups) {
   Engine eng = make_engine(12);
   eng.run([&](Context& ctx) -> Task<> {

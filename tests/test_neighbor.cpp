@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -647,6 +648,67 @@ TEST(DedupPlan, MembersSendLeadersOnlyTheirOwnPairsGids) {
       EXPECT_EQ(full[r], partial[r] + sizeof(gidx) * c.second[r])
           << "rank " << r << (c.first == &kHandChecked ? ", hand-checked"
                                                        : ", both ways");
+  }
+}
+
+// A plan build's region traffic is O(own edges + led pairs) per member: a
+// member that is neither its region's root nor a leader sends the same
+// set-up bytes whatever its region's other members send.  Two regions of
+// four; the two patterns differ only in rank 2's edges into region 1 (one
+// edge, or three).  Region 0's only pairs, one per direction, are led by
+// core 0, its root, so rank 1 holds no pair, yet it has edges of its own
+// both ways.  Rank 2's own bytes must differ, or the patterns would not
+// differ on the region tier at all.
+TEST(PlanBuild, AMemberSendsTheSameWhateverItsNeighboursEdges) {
+  const std::vector<Spec> one_edge = {
+      {.dsts = {4}, .srcs = {5}, .send = {{1, 2}}, .recv = {{30}}},
+      {.dsts = {3, 7}, .srcs = {6}, .send = {{7}, {8}}, .recv = {{31, 32}}},
+      {.dsts = {4}, .srcs = {}, .send = {{3}}, .recv = {}},
+      {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{7}}},
+      {.dsts = {}, .srcs = {0, 2}, .send = {}, .recv = {{1, 2}, {3}}},
+      {.dsts = {0}, .srcs = {}, .send = {{30}}, .recv = {}},
+      {.dsts = {1}, .srcs = {}, .send = {{31, 32}}, .recv = {}},
+      {.dsts = {}, .srcs = {1}, .send = {}, .recv = {{8}}},
+  };
+  std::vector<Spec> three_edges = one_edge;
+  three_edges[2] = {.dsts = {4, 5, 6}, .srcs = {},
+                    .send = {{3}, {4}, {5, 6}}, .recv = {}};
+  three_edges[5].srcs = {2};
+  three_edges[5].recv = {{4}};
+  three_edges[6].srcs = {2};
+  three_edges[6].recv = {{5, 6}};
+
+  constexpr int kRegion = static_cast<int>(Locality::region);
+  // Region-tier init bytes per rank, per method (locality, then dedup).
+  auto init_bytes = [&](const std::vector<Spec>& spec) {
+    std::vector<std::array<std::uint64_t, 2>> bytes(8);
+    Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
+                        .ranks_per_region = 4}),
+               CostParams::lassen());
+    eng.run([&](Context& ctx) -> Task<> {
+      const int r = ctx.rank();
+      RankArgs a = spec_args(spec[r]);
+      DistGraph g = co_await dist_graph_create_adjacent(
+          ctx, ctx.world(), a.sources, a.destinations, GraphAlgo::handshake);
+      for (int k = 0; k < 2; ++k) {
+        co_await ctx.engine().sync_reset(ctx);
+        auto proto = co_await neighbor_alltoallv_init(
+            ctx, g, a.view(), k == 0 ? Method::locality
+                                     : Method::locality_dedup);
+        bytes[r][k] = ctx.engine().stats(r).tier[kRegion].bytes;
+        a.fill(k);
+        co_await proto->start(ctx);
+        co_await proto->wait(ctx);
+        EXPECT_EQ(a.recvbuf, a.expected) << "rank " << r << " method " << k;
+      }
+    });
+    return bytes;
+  };
+  const auto one = init_bytes(one_edge);
+  const auto three = init_bytes(three_edges);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(one[1][k], three[1][k]) << "rank 1, method " << k;
+    EXPECT_NE(one[2][k], three[2][k]) << "rank 2, method " << k;
   }
 }
 
