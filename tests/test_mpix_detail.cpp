@@ -305,7 +305,7 @@ namespace {
 
 /// Rank 0 sends 2 values to rank 1 and 1 to rank 3, and receives 2 from
 /// rank 2; rank 1 sends 1 value to rank 0.  Returns both ranks' headers
-/// concatenated, as the region allgather delivers them.
+/// concatenated, as the region root gathers them.
 std::vector<long long> two_rank_blob() {
   auto comm = std::make_shared<const simmpi::CommData>(
       simmpi::CommData{0, {0, 1, 2, 3}});

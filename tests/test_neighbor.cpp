@@ -659,7 +659,7 @@ TEST(DedupPlan, MembersSendLeadersOnlyTheirOwnPairsGids) {
 // core 0, its root, so rank 1 holds no pair, yet it has edges of its own
 // both ways.  Rank 2's own bytes must differ, or the patterns would not
 // differ on the region tier at all.
-TEST(PlanBuild, AMemberSendsTheSameWhateverItsNeighboursEdges) {
+TEST(PlanBuild, MemberTrafficIgnoresOtherMembersEdges) {
   const std::vector<Spec> one_edge = {
       {.dsts = {4}, .srcs = {5}, .send = {{1, 2}}, .recv = {{30}}},
       {.dsts = {3, 7}, .srcs = {6}, .send = {{7}, {8}}, .recv = {{31, 32}}},
