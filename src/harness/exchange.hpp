@@ -18,8 +18,8 @@
 /// (`x_ext`, laid out as col_map_offd), its graph and its collective, so
 /// the SpMV code is protocol-agnostic: start(x_local) gathers and
 /// launches, wait() completes and exposes x_ext.  Every exchange builds its
-/// collective's plan at init; plan reuse is mpix's own
-/// (`mpix::Options::plan`).
+/// collective's plan at init, and its collective holds that plan for the
+/// exchange's lifetime.
 
 #include <memory>
 #include <span>

@@ -30,15 +30,14 @@
 ///
 /// Lifecycle, plan split and statistics mirror the neighbor collectives,
 /// and both entry points share one dispatcher (init.cpp): init once
-/// (collective for the aggregated methods unless a plan is reused through
-/// `Options::plan`), then `start`/`wait` per iteration;
-/// `NeighborAlltoallv::stats()` counts intra-region ("local") and
-/// inter-region ("global") messages on the sender side, so
+/// (collective for the aggregated methods), then `start`/`wait` per
+/// iteration; `NeighborAlltoallv::stats()` counts intra-region ("local")
+/// and inter-region ("global") messages on the sender side, so
 /// `verify_stats()` and the measurement harness work unchanged.
-/// `node_aggregated` reuses the neighbor `LocalityPlan` over the dense
+/// `node_aggregated` builds the neighbor `LocalityPlan` over the dense
 /// graph (`impl::dense_graph`); `bruck` has its own `BruckPlan`.  Both
-/// derive from `PlanBase` and, like neighbor plans, come out of
-/// `NeighborAlltoallv::plan()` and feed back through `Options::plan`.
+/// derive from `PlanBase` and, like neighbor plans, can be inspected
+/// through `NeighborAlltoallv::plan()`.
 
 #include <memory>
 #include <vector>
@@ -66,8 +65,7 @@ const char* to_string(AlltoallMethod m);
 /// peers, message sizes and value-run copy lists — plus the intra-region
 /// fill/deliver routing.  Built collectively (region metadata allgather +
 /// one comm-wide exchange of per-region traffic totals); binding buffers
-/// to it is purely local.  Counts and displacements (PlanBase) carry one
-/// entry per comm rank.
+/// to it is purely local.
 struct BruckPlan : PlanBase {
   int regions = 0;  ///< R: regions spanned by the communicator
 
@@ -109,10 +107,9 @@ struct BruckPlan : PlanBase {
 /// `neighbor_alltoallv_init`).  Counts/displacements must carry one entry
 /// per rank of `comm`, in comm-rank order; self traffic (entry
 /// `comm.rank()`) is delivered like any other segment.  Collective over
-/// `comm` for the aggregated methods unless `opts.plan` is given
-/// (`node_aggregated` takes a LocalityPlan, `bruck` a BruckPlan — feed
-/// back `NeighborAlltoallv::plan()`); `standard` never communicates
-/// during init.
+/// `comm` for the aggregated methods; `standard` never communicates
+/// during init.  Throws SimError naming this entry point when the
+/// arguments do not fit the communicator.
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> alltoallv_init(
     simmpi::Context& ctx, simmpi::Comm comm, AlltoallvArgs args,
     AlltoallMethod method = AlltoallMethod::standard, Options opts = {});

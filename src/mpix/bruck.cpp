@@ -117,18 +117,12 @@ void count_sends(BruckPlan& plan, const Comm& comm) {
 
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args) {
-  detail::validate_args(graph, args, /*need_idx=*/false);
   const Comm& comm = graph.comm;
   const auto& machine = ctx.engine().machine();
   const int p = comm.size();
   const int me = comm.rank();
 
   auto plan = std::make_shared<BruckPlan>();
-  plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
-  plan->sendcounts = args.sendcounts;
-  plan->sdispls = args.sdispls;
-  plan->recvcounts = args.recvcounts;
-  plan->rdispls = args.rdispls;
 
   // ---- region table --------------------------------------------------------
   auto region_of = [&](int local) {

@@ -5,66 +5,60 @@
 #include <limits>
 #include <string>
 
-#include "util/hash.hpp"
-
 namespace mpix::detail {
 
 using simmpi::SimError;
 
 void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
-                   bool need_idx) {
-  const std::size_t nd = graph.destinations.size();
-  const std::size_t ns = graph.sources.size();
-  if (args.element_size == 0)
-    throw SimError("neighbor_alltoallv: element_size must be positive");
-  // Ragged payload buffers: send_values()/recv_values() divide by
-  // element_size, so a trailing partial value would silently be dropped.
-  if (args.sendbuf.size() % args.element_size != 0)
-    throw SimError(
-        "neighbor_alltoallv: sendbuf holds " +
-        std::to_string(args.sendbuf.size()) +
-        " bytes, not a multiple of element_size " +
-        std::to_string(args.element_size) + " (remainder " +
-        std::to_string(args.sendbuf.size() % args.element_size) +
-        " bytes would be silently dropped)");
-  if (args.recvbuf.size() % args.element_size != 0)
-    throw SimError(
-        "neighbor_alltoallv: recvbuf holds " +
-        std::to_string(args.recvbuf.size()) +
-        " bytes, not a multiple of element_size " +
-        std::to_string(args.element_size) + " (remainder " +
-        std::to_string(args.recvbuf.size() % args.element_size) +
-        " bytes would be silently dropped)");
-  if (args.sendcounts.size() != nd || args.sdispls.size() != nd)
-    throw SimError("neighbor_alltoallv: send counts/displs size mismatch");
-  if (args.recvcounts.size() != ns || args.rdispls.size() != ns)
-    throw SimError("neighbor_alltoallv: recv counts/displs size mismatch");
-  for (std::size_t i = 0; i < nd; ++i) {
-    if (args.sendcounts[i] < 0 || args.sdispls[i] < 0)
-      throw SimError("neighbor_alltoallv: negative send count/displ");
-    if ((static_cast<std::size_t>(args.sdispls[i]) + args.sendcounts[i]) *
-            args.element_size >
-        args.sendbuf.size())
-      throw SimError(
-          "neighbor_alltoallv: send segment exceeds sendbuf (check counts "
-          "and element_size)");
-  }
-  for (std::size_t i = 0; i < ns; ++i) {
-    if (args.recvcounts[i] < 0 || args.rdispls[i] < 0)
-      throw SimError("neighbor_alltoallv: negative recv count/displ");
-    if ((static_cast<std::size_t>(args.rdispls[i]) + args.recvcounts[i]) *
-            args.element_size >
-        args.recvbuf.size())
-      throw SimError(
-          "neighbor_alltoallv: recv segment exceeds recvbuf (check counts "
-          "and element_size)");
-  }
+                   bool need_idx, const char* who) {
+  const std::string at = std::string(who) + ": ";
+  const std::size_t es = args.element_size;
+  if (es == 0) throw SimError(at + "element_size must be positive");
+  // One direction: the buffer, then its counts and displacements against
+  // the degree (one entry per peer in `peers`) and the buffer's values.
+  auto check = [&](std::size_t bytes, const char* buf,
+                   const std::vector<int>& counts, const char* counts_name,
+                   const std::vector<int>& displs, const char* displs_name,
+                   std::size_t degree, const char* peers) {
+    // Ragged payload buffers: send_values()/recv_values() divide by
+    // element_size, so a trailing partial value would silently be dropped.
+    if (bytes % es != 0)
+      throw SimError(at + buf + " holds " + std::to_string(bytes) +
+                     " bytes, not a multiple of element_size " +
+                     std::to_string(es) + " (remainder " +
+                     std::to_string(bytes % es) +
+                     " bytes would be silently dropped)");
+    for (const auto& [v, name] : {std::pair{&counts, counts_name},
+                                  std::pair{&displs, displs_name}}) {
+      if (v->size() != degree)
+        throw SimError(at + name + " has " + std::to_string(v->size()) +
+                       " entries for " + std::to_string(degree) + " " +
+                       peers);
+      for (std::size_t i = 0; i < degree; ++i)
+        if ((*v)[i] < 0)
+          throw SimError(at + name + "[" + std::to_string(i) + "] is " +
+                         std::to_string((*v)[i]) + ", negative");
+    }
+    const std::size_t values = bytes / es;
+    for (std::size_t i = 0; i < degree; ++i)
+      if (static_cast<std::size_t>(displs[i]) + counts[i] > values)
+        throw SimError(at + displs_name + "[" + std::to_string(i) + "] " +
+                       std::to_string(displs[i]) + " + " + counts_name + "[" +
+                       std::to_string(i) + "] " + std::to_string(counts[i]) +
+                       " exceeds the " + std::to_string(values) +
+                       " values of " + buf +
+                       " (check counts and element_size)");
+  };
+  check(args.sendbuf.size(), "sendbuf", args.sendcounts, "sendcounts",
+        args.sdispls, "sdispls", graph.destinations.size(), "destinations");
+  check(args.recvbuf.size(), "recvbuf", args.recvcounts, "recvcounts",
+        args.rdispls, "rdispls", graph.sources.size(), "sources");
   if (need_idx) {
     if (args.send_idx.size() < args.send_values() ||
         args.recv_idx.size() < args.recv_values())
-      throw SimError(
-          "neighbor_alltoallv: dedup requires send_idx/recv_idx covering "
-          "the send/recv buffers");
+      throw SimError(at +
+                     "dedup requires send_idx/recv_idx covering the "
+                     "send/recv buffers");
   }
 }
 
@@ -82,36 +76,6 @@ void reject_duplicate_edges(const simmpi::DistGraph& graph) {
   };
   check(graph.destinations, "destinations");
   check(graph.sources, "sources");
-}
-
-namespace {
-
-bool same_ints(std::span<const int> a, std::span<const int> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-bool same_gids(std::span<const gidx> a, std::span<const gidx> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-}  // namespace
-
-std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
-                                  const simmpi::Machine& machine) {
-  using util::word_mix;
-  std::uint64_t h = util::kFnvOffsetBasis;
-  h = word_mix(h, static_cast<std::uint64_t>(comm.size()));
-  h = word_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
-  h = word_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
-  // The switch-hierarchy shape, not its tapers: tapers only scale link
-  // costs, never routing or the per-tier crossing counts baked into a
-  // plan, so plans stay reusable across a taper sweep.
-  h = word_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
-  for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
-    h = word_mix(h, static_cast<std::uint64_t>(lvl.radix));
-  // Every member's rank and region, hashed once when the communicator was
-  // created: O(1) here.
-  return word_mix(h, comm.placement_hash());
 }
 
 void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,
@@ -133,41 +97,6 @@ void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,
     stats.link_msgs.assign(static_cast<std::size_t>(machine.num_link_tiers()),
                            0);
   for (int t = 0; t < lca; ++t) ++stats.link_msgs[static_cast<std::size_t>(t)];
-}
-
-void validate_plan_args(const PlanBase& plan, const simmpi::DistGraph& graph,
-                        const AlltoallvArgs& args, bool need_idx) {
-  validate_args(graph, args, need_idx);
-  if (plan.binding_fingerprint != 0 &&
-      plan.binding_fingerprint !=
-          binding_fingerprint(graph.comm,
-                              graph.comm.engine().machine()))
-    throw SimError(
-        "neighbor_alltoallv: plan was built for a different communicator or "
-        "machine shape");
-  if (!same_ints(args.sendcounts, plan.sendcounts) ||
-      !same_ints(args.sdispls, plan.sdispls) ||
-      !same_ints(args.recvcounts, plan.recvcounts) ||
-      !same_ints(args.rdispls, plan.rdispls))
-    throw SimError(
-        "neighbor_alltoallv: plan was built for different counts/displs");
-}
-
-void validate_plan_args(const LocalityPlan& plan,
-                        const simmpi::DistGraph& graph,
-                        const AlltoallvArgs& args) {
-  validate_plan_args(static_cast<const PlanBase&>(plan), graph, args,
-                     plan.dedup);
-  if (!same_ints(graph.destinations, plan.destinations) ||
-      !same_ints(graph.sources, plan.sources))
-    throw SimError(
-        "neighbor_alltoallv: plan was built for a different graph adjacency");
-  if (plan.dedup &&
-      (!same_gids(args.send_idx.first(args.send_values()), plan.send_idx) ||
-       !same_gids(args.recv_idx.first(args.recv_values()), plan.recv_idx)))
-    throw SimError(
-        "neighbor_alltoallv: dedup plan was built for different "
-        "send_idx/recv_idx annotations");
 }
 
 std::vector<long long> serialize_edges(const simmpi::DistGraph& graph,

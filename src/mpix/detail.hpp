@@ -1,10 +1,10 @@
 #pragma once
 /// \file detail.hpp
-/// \brief Helpers behind the collectives: argument validation and the one
-/// plan validator every reused plan passes, traffic metadata serialization,
-/// leader load balancing, the canonical layout of inter-region messages
-/// (all pure, so unit-testable without the simulator), and `BoundPhase`,
-/// the driver of the aggregated collectives' intra-region staging phases.
+/// \brief Helpers behind the collectives: argument validation, traffic
+/// metadata serialization, leader load balancing, the canonical layout of
+/// inter-region messages (all pure, so unit-testable without the
+/// simulator), and `BoundPhase`, the driver of the aggregated
+/// collectives' intra-region staging phases.
 
 #include <cstring>
 #include <span>
@@ -17,9 +17,11 @@ namespace mpix::detail {
 
 /// Validate counts/displacements against the graph and buffers (in values,
 /// scaled by `args.element_size`); with `need_idx`, also require
-/// send_idx/recv_idx covering the buffers.
+/// send_idx/recv_idx covering the buffers.  Throws SimError prefixed with
+/// `who` (the entry point), naming the offending array: its size against
+/// the degree, or its first bad index and value.
 void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
-                   bool need_idx);
+                   bool need_idx, const char* who);
 
 /// Reject duplicate entries in the graph's destination or source lists.
 /// The standard method delivers duplicates deterministically (all segments
@@ -30,15 +32,6 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
 /// refuses them up front.  Throws SimError naming the duplicated rank.
 void reject_duplicate_edges(const simmpi::DistGraph& graph);
 
-/// Fingerprint of a communicator's membership and the machine's region
-/// layout over it — what a LocalityPlan's comm-local peer ranks are only
-/// valid against (see LocalityPlan::binding_fingerprint).  Mixes the
-/// switch-hierarchy radixes (not the tapers, which only scale costs), so
-/// a plan's per-tier link counters cannot be reused on a different tree
-/// shape but survive a taper sweep.
-std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
-                                  const simmpi::Machine& machine);
-
 /// The one counting rule of `NeighborStats`: count a message of `values`
 /// values that this rank sends to comm-local rank `peer`.  A send to a
 /// peer in the sender's region (itself included) is local.  Any other is
@@ -48,21 +41,6 @@ std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
 /// charges.
 void count_send(NeighborStats& stats, const simmpi::Comm& comm, int peer,
                 long values);
-
-/// The checks every plan kind shares before an `Options::plan` is bound
-/// (init.cpp): `validate_args`
-/// (with `need_idx`), the graph's communicator and machine against the
-/// plan's binding fingerprint (skipped when the plan carries none), and
-/// the counts and displacements the plan was built for.  Throws SimError
-/// on any mismatch.
-void validate_plan_args(const PlanBase& plan, const simmpi::DistGraph& graph,
-                        const AlltoallvArgs& args, bool need_idx);
-
-/// The shared checks plus what a LocalityPlan adds: the graph adjacency
-/// and, for dedup plans, the index annotations the routing depends on.
-void validate_plan_args(const LocalityPlan& plan,
-                        const simmpi::DistGraph& graph,
-                        const AlltoallvArgs& args);
 
 /// One directed traffic edge between comm-local ranks, as the region root
 /// parses it from its members' headers and a leader reads it from the

@@ -1,35 +1,23 @@
 #pragma once
 /// \file impl.hpp
 /// \brief Internal plan builders and binders behind the one
-/// persistent-collective dispatcher (init.cpp), and the plan-kind check it
-/// uses.  Not part of the mpix API.
+/// persistent-collective dispatcher (init.cpp).  Not part of the mpix API.
 ///
 /// Every aggregated collective has the same two halves: a collective
 /// `build_*_plan` coroutine that performs all setup communication and
 /// returns an immutable plan, and a purely local `bind_*` that attaches
-/// buffers and channels.  A binder trusts its plan: the dispatcher hands
-/// it one it has just built from these arguments, or an `Options::plan`
-/// it has checked with `detail::validate_plan_args`.
+/// buffers and channels.  Builders, binders and `make_standard` trust
+/// their arguments: the dispatcher has checked them with
+/// `detail::validate_args` (and, for the locality methods,
+/// `detail::reject_duplicate_edges`) before any of them runs, and hands
+/// each binder the plan it has just built from the same arguments.
 
 #include <memory>
-#include <string>
 
 #include "mpix/alltoall.hpp"
 #include "mpix/neighbor.hpp"
 
 namespace mpix::impl {
-
-/// `plan` (an `Options::plan`) as the kind `P` a method binds, sharing
-/// ownership with the plan's owner.  Throws a SimError naming `who` when
-/// the plan is of another kind.
-template <class P>
-std::shared_ptr<const P> plan_as(const PlanBase& plan, const char* who) {
-  auto typed = std::dynamic_pointer_cast<const P>(plan.shared_from_this());
-  if (!typed)
-    throw simmpi::SimError(std::string(who) +
-                           ": Options::plan is the wrong plan kind");
-  return typed;
-}
 
 /// Modeled CPU cost per metadata word of setup parsing and plan building,
 /// charged by the locality and Bruck plan builds and bindings.

@@ -8,12 +8,11 @@
 /// Each method maps onto one of three bindings: the planless standard
 /// wrap, a `LocalityPlan` (the locality methods and dense
 /// `node_aggregated`, which applies them to `impl::dense_graph`), or a
-/// `BruckPlan`.  Every aggregated binding has the same shape — resolve
-/// and validate `Options::plan`, or build the plan collectively, then bind
-/// locally.
+/// `BruckPlan`.  The arguments are validated once, here, before any plan
+/// build or channel, and every aggregated binding has the same shape:
+/// build the plan collectively, then bind it locally.
 
 #include <numeric>
-#include <string>
 #include <utility>
 
 #include "mpix/detail.hpp"
@@ -81,36 +80,20 @@ Binding binding_of(AlltoallMethod m) {
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
     simmpi::Context& ctx, simmpi::DistGraph graph, AlltoallvArgs args,
     Binding binding, Options opts, const char* who) {
-  // Before any plan build communicates.
+  // Before any plan build communicates or any channel is declared.
   if (opts.reliability.enabled) impl::validate_reliability(opts.reliability);
-  if (binding == Binding::standard) {
-    if (opts.plan)
-      throw SimError(std::string(who) + ": the standard method takes no plan");
+  const bool dedup = binding == Binding::locality_dedup;
+  detail::validate_args(graph, args, dedup, who);
+  if (binding == Binding::standard)
     co_return impl::make_standard(ctx, graph, std::move(args), opts);
-  }
   if (binding == Binding::bruck) {
-    std::shared_ptr<const BruckPlan> plan;
-    if (opts.plan) {
-      plan = impl::plan_as<BruckPlan>(*opts.plan, who);
-      detail::validate_plan_args(*plan, graph, args, /*need_idx=*/false);
-    } else {
-      plan = co_await impl::build_bruck_plan(ctx, graph, args);
-    }
+    auto plan = co_await impl::build_bruck_plan(ctx, graph, args);
     co_return impl::bind_bruck(ctx, graph, std::move(args), std::move(plan),
                                opts);
   }
-  const bool dedup = binding == Binding::locality_dedup;
-  std::shared_ptr<const LocalityPlan> plan;
-  if (opts.plan) {
-    plan = impl::plan_as<LocalityPlan>(*opts.plan, who);
-    if (plan->dedup != dedup)
-      throw SimError(std::string(who) +
-                     ": plan's dedup mode does not match the method");
-    detail::validate_plan_args(*plan, graph, args);
-  } else {
-    plan = co_await impl::build_locality_plan(ctx, graph, args, dedup,
-                                              opts.lpt_balance);
-  }
+  detail::reject_duplicate_edges(graph);
+  auto plan = co_await impl::build_locality_plan(ctx, graph, args, dedup,
+                                                 opts.lpt_balance);
   co_return impl::bind_locality(ctx, graph, std::move(args), std::move(plan),
                                 opts);
 }

@@ -533,26 +533,11 @@ Task<RegionRoutes> route_region(Context& ctx, LocalityPlan& plan,
 Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     bool dedup, bool lpt_balance) {
-  detail::validate_args(graph, args, dedup);
-  detail::reject_duplicate_edges(graph);
   const Comm& comm = graph.comm;
   const auto& machine = ctx.engine().machine();
 
   auto plan = std::make_shared<LocalityPlan>();
   plan->dedup = dedup;
-  plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
-  plan->destinations = graph.destinations;
-  plan->sources = graph.sources;
-  plan->sendcounts = args.sendcounts;
-  plan->sdispls = args.sdispls;
-  plan->recvcounts = args.recvcounts;
-  plan->rdispls = args.rdispls;
-  if (dedup) {
-    auto si = args.send_idx.first(args.send_values());
-    auto ri = args.recv_idx.first(args.recv_values());
-    plan->send_idx.assign(si.begin(), si.end());
-    plan->recv_idx.assign(ri.begin(), ri.end());
-  }
 
   const int me = comm.rank();
   auto region_of = [&](int local) {

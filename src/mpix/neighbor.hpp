@@ -32,16 +32,14 @@
 /// leader load balancing, root handshake — and all routing computation),
 /// and a purely local binding step that attaches buffers and channels.
 /// Every plan kind derives from `PlanBase`, which holds the fields all
-/// kinds share (binding fingerprint, counts/displacements, the direct
-/// intra-region messages, statistics).  One dispatcher (init.cpp) serves
-/// both this entry point and the dense `alltoallv_init`: it builds the
-/// plan on demand, or validates and binds one passed through
-/// `Options::plan` without any communication, so a hierarchy (or a
-/// benchmark loop) that re-inits the same halo pattern can pay the setup
-/// cost once.
+/// kinds share (the direct intra-region messages, statistics).  One
+/// dispatcher (init.cpp) serves both this entry point and the dense
+/// `alltoallv_init`: it validates the arguments, builds the plan, then
+/// binds it.  Every init builds its own plan; the set-up lives in the
+/// collective the caller holds, which pays it once over all its
+/// start/wait iterations.
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -202,34 +200,16 @@ struct StagedPhase {
   std::vector<CopyRun> self;
 };
 
-/// The reusable, buffer-free half of every aggregated collective's init
-/// (the neighbor methods' LocalityPlan, the dense methods' BruckPlan in
-/// alltoall.hpp): built collectively once, then bound to buffers and
-/// channels locally by every later init on the same pattern — across
-/// element sizes, buffer instances and engine runs, as long as the
-/// communicator membership and machine shape match.  This base holds what
-/// every kind carries; plan-agnostic plumbing (Options::plan) holds any
-/// kind behind a pointer to it, and init resolves the kind its method
-/// needs with `impl::plan_as`, which throws on mismatch.
+/// The buffer-free half of every aggregated collective's init (the
+/// neighbor methods' LocalityPlan, the dense methods' BruckPlan in
+/// alltoall.hpp): built collectively by init, then bound to buffers and
+/// channels locally.  This base holds what every kind carries.
 ///
 /// All offsets are in *values*; binding scales them by
-/// `AlltoallvArgs::element_size`.  Treat instances as immutable: init
-/// holds them by shared_ptr-to-const, and plans fed back through
-/// `Options::plan` come from `NeighborAlltoallv::plan`, which owns them
-/// that way.
-struct PlanBase : std::enable_shared_from_this<PlanBase> {
+/// `AlltoallvArgs::element_size`.  Instances are immutable once built:
+/// the bound collective holds its plan by shared_ptr-to-const.
+struct PlanBase {
   virtual ~PlanBase() = default;
-
-  /// Fingerprint of the (communicator membership, machine region layout)
-  /// the plan's comm-local peers were resolved against.  Init checks it
-  /// when the plan is reused, so a plan cannot silently be reused on a
-  /// different communicator or machine shape whose adjacency happens to
-  /// match.  0 = unchecked (hand-built plans in unit tests).
-  std::uint64_t binding_fingerprint = 0;
-
-  /// The counts and displacements the plan was built for, kept so init
-  /// can reject incompatible arguments.
-  std::vector<int> sendcounts, sdispls, recvcounts, rdispls;
 
   /// Intra-region traffic straight between the user buffers.
   std::vector<DirectMsg> l_sends, l_recvs;
@@ -255,11 +235,6 @@ struct PlanBase : std::enable_shared_from_this<PlanBase> {
 struct LocalityPlan : PlanBase {
   bool dedup = false;
 
-  /// The adjacency the plan was built for.  For dedup plans the routing
-  /// depends on the index annotations, so those are part of the pattern.
-  std::vector<int> destinations, sources;
-  std::vector<gidx> send_idx, recv_idx;
-
   /// Initial redistribution, sendbuf -> s_stage: sources send, leaders
   /// receive, and `s.self` stages what a rank leads itself.
   StagedPhase s;
@@ -284,10 +259,9 @@ class NeighborAlltoallv {
   virtual simmpi::Task<> wait(simmpi::Context& ctx) = 0;
   /// Message statistics for this rank (fixed at init).
   virtual NeighborStats stats() const = 0;
-  /// The plan behind this instance: a LocalityPlan for the locality
-  /// methods and `node_aggregated`, a BruckPlan for `bruck`, null for the
-  /// planless standard methods.  Feed it back through Options::plan to
-  /// re-init on the same pattern without any setup communication.
+  /// The plan behind this instance, for read-only inspection: a
+  /// LocalityPlan for the locality methods and `node_aggregated`, a
+  /// BruckPlan for `bruck`, null for the planless standard methods.
   virtual std::shared_ptr<const PlanBase> plan() const { return nullptr; }
 };
 
@@ -316,18 +290,8 @@ struct Options {
   /// longest-processing-time load balancing over per-region value counts
   /// (default); false = round-robin (ablation baseline).
   bool lpt_balance = true;
-  /// Reuse a previously built plan: init then performs no communication.
-  /// Non-owning — the caller keeps the plan alive until init returns (the
-  /// created collective then takes shared ownership).  The plan must come
-  /// from NeighborAlltoallv::plan and match the method — including the
-  /// plan *kind*: a neighbor method needs a LocalityPlan, dense bruck a
-  /// BruckPlan — the argument pattern, and the graph adjacency, or init
-  /// throws.  `lpt_balance` is ignored on reuse (the plan's leader
-  /// assignment was made when it was built).
-  const PlanBase* plan = nullptr;
   /// Reliable delivery over network channels (see Reliability).  Purely a
-  /// binding-time property — plans are reliability-agnostic and reusable
-  /// either way.
+  /// binding-time property: no plan depends on it.
   Reliability reliability{};
 };
 
@@ -340,9 +304,9 @@ static_assert(std::is_trivially_destructible_v<Options>);
 
 /// Create a persistent neighborhood collective (the paper's
 /// MPIX_Neighbor_alltoallv_init).  Collective over the graph's
-/// communicator for the locality methods unless `opts.plan` is given, in
-/// which case no communication is performed; Method::standard never
-/// communicates during init.
+/// communicator for the locality methods; Method::standard never
+/// communicates during init.  Throws SimError naming this entry point
+/// when the arguments do not fit the graph.
 simmpi::Task<std::unique_ptr<NeighborAlltoallv>> neighbor_alltoallv_init(
     simmpi::Context& ctx, const simmpi::DistGraph& graph, AlltoallvArgs args,
     Method method = Method::standard, Options opts = {});

@@ -17,7 +17,6 @@ class StandardNeighbor final : public NeighborAlltoallv {
   StandardNeighbor(Context& ctx, const simmpi::DistGraph& graph,
                    AlltoallvArgs args, const Options& opts)
       : args_(std::move(args)) {
-    detail::validate_args(graph, args_, /*need_idx=*/false);
     const simmpi::Comm& comm = graph.comm;
     const std::size_t es = args_.element_size;
     const int tag = ctx.engine().next_coll_tag(comm);

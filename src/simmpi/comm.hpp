@@ -48,11 +48,6 @@ struct Message {
 struct CommData {
   std::uint32_t ctx_id = 0;
   std::vector<int> members;  ///< global rank of each local rank
-  /// Hash of every member's global rank and machine region, in local rank
-  /// order.  The engine computes it once, when it creates the
-  /// communicator, so whatever depends on a communicator's placement (plan
-  /// binding fingerprints) reads one word instead of O(size).
-  std::uint64_t placement_hash = 0;
 };
 
 /// Lightweight per-rank communicator handle (cheap to copy).
@@ -73,7 +68,6 @@ class Comm {
   /// Translate a local rank to the global (world) rank.
   int global(int local) const { return data_->members[local]; }
   std::span<const int> members() const { return data_->members; }
-  std::uint64_t placement_hash() const { return data_->placement_hash; }
   Engine& engine() const { return *eng_; }
 
   /// Locality tier between this rank and local rank `peer`.

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "simmpi/coll.hpp"
-#include "util/hash.hpp"
 #include "util/worker_pool.hpp"
 
 namespace simmpi {
@@ -31,17 +30,6 @@ std::string channel_name(const ChannelKey& key) {
   return "channel ctx=" + std::to_string(key.ctx) + " " +
          std::to_string(key.src) + "->" + std::to_string(key.dst) +
          " tag=" + std::to_string(key.tag);
-}
-
-/// CommData::placement_hash of a communicator with these members.
-std::uint64_t placement_hash(const Machine& machine,
-                             const std::vector<int>& members) {
-  std::uint64_t h = util::kFnvOffsetBasis;
-  for (int m : members) {
-    h = util::word_mix(h, static_cast<std::uint64_t>(m));
-    h = util::word_mix(h, static_cast<std::uint64_t>(machine.region_of(m)));
-  }
-  return h;
 }
 
 }  // namespace
@@ -69,7 +57,6 @@ Engine::Engine(Machine machine, CostParams params, Options opts)
   world->ctx_id = 0;
   world->members.resize(machine_.num_ranks());
   for (int r = 0; r < machine_.num_ranks(); ++r) world->members[r] = r;
-  world->placement_hash = placement_hash(machine_, world->members);
   world_data_ = std::move(world);
 
   if (model_.params().use_link_cap) {
@@ -702,7 +689,6 @@ std::shared_ptr<const CommData> Engine::get_or_create_comm(
   auto data = std::make_shared<CommData>();
   data->ctx_id = next_ctx_id_++;
   data->members = members_global;
-  data->placement_hash = placement_hash(machine_, data->members);
   comm_cache_.emplace(key, data);
   return data;
 }

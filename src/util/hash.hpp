@@ -1,14 +1,11 @@
 #pragma once
 /// \file hash.hpp
-/// \brief The repo's hash building blocks: the FNV-1a basis and prime and
-/// the word mix behind communicator placement hashes (simmpi/engine.cpp)
-/// and plan binding fingerprints (mpix/detail.cpp), and the SplitMix64
-/// finalizer behind every counter-mode draw (fault drops, pattern
-/// generation, payload bytes).
+/// \brief The repo's hash building blocks: the FNV-1a basis and prime
+/// (the plan-identity test's word mix), and the SplitMix64 finalizer
+/// behind every counter-mode draw (fault drops, pattern generation,
+/// payload bytes).
 ///
-/// One definition of each, so users cannot drift apart.  No hash value is
-/// persisted: fingerprints live only as long as the process that computed
-/// them.
+/// One definition of each, so users cannot drift apart.
 
 #include <cstdint>
 
@@ -16,16 +13,6 @@ namespace util {
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// Mix one 64-bit word into `h`: one multiply per word, not byte-wise
-/// FNV-1a's eight (which made each locality init about 25 % slower at 256
-/// ranks when fingerprints still hashed every member per plan build).
-inline std::uint64_t word_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= kFnvPrime;
-  h ^= h >> 29;
-  return h;
-}
 
 /// SplitMix64 finalizer: the standard 64-bit avalanche.  Stateless, so a
 /// draw addressed by its counter is reproducible in any order.

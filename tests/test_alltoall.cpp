@@ -3,13 +3,14 @@
 /// collectives (mpix/alltoall.hpp): byte-exact delivery of all three
 /// methods against a host-side reference on uniform and ragged patterns,
 /// bit-identical results across engine widths, exact network message
-/// counts, plan feedback, and argument validation.
+/// counts, hand-checked plans, and argument validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <string>
 #include <utility>
 
 #include "mpix/alltoall.hpp"
@@ -307,52 +308,8 @@ TEST(DenseShapes, SubcommunicatorWithUnevenRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan feedback.
+// Plans.
 // ---------------------------------------------------------------------------
-TEST(DensePlan, PlanFeedbackReproducesDelivery) {
-  const DenseSpec s = ragged_spec(8, 3, 8);
-  for (AlltoallMethod m :
-       {AlltoallMethod::node_aggregated, AlltoallMethod::bruck}) {
-    std::vector<std::shared_ptr<const PlanBase>> plans(8);
-    std::vector<NeighborStats> cold(8);
-    std::vector<std::vector<std::byte>> cold_recv(8);
-    {
-      Engine eng(machine_of(2, 4), CostParams::lassen());
-      eng.run([&](Context& ctx) -> Task<> {
-        const int r = ctx.rank();
-        RankDense a(s, r);
-        AlltoallvArgs args = a.args(s);
-        auto coll = co_await alltoallv_init(ctx, ctx.world(), args, m);
-        cold[r] = coll->stats();
-        plans[r] = coll->plan();
-        a.fill(s, r, 0);
-        co_await coll->start(ctx);
-        co_await coll->wait(ctx);
-        cold_recv[r] = a.recvbuf;
-        co_return;
-      });
-    }
-    // Plans are engine-free: a fresh engine run binds them without any
-    // setup communication and reproduces stats and delivery.
-    Engine eng(machine_of(2, 4), CostParams::lassen());
-    eng.run([&](Context& ctx) -> Task<> {
-      const int r = ctx.rank();
-      RankDense a(s, r);
-      AlltoallvArgs args = a.args(s);
-      Options mopts;
-      mopts.plan = plans[r].get();
-      auto coll = co_await alltoallv_init(ctx, ctx.world(), args, m, mopts);
-      EXPECT_EQ(coll->stats().global_msgs, cold[r].global_msgs);
-      EXPECT_EQ(coll->stats().global_values, cold[r].global_values);
-      a.fill(s, r, 0);
-      co_await coll->start(ctx);
-      co_await coll->wait(ctx);
-      EXPECT_EQ(a.recvbuf, cold_recv[r]) << to_string(m) << " rank " << r;
-      co_return;
-    });
-  }
-}
-
 // Exact Bruck plan of a hand-checked pattern: three regions of two ranks
 // (R = 3, two rounds; leaders 0, 2, 4), one value per rank pair except
 // that rank 1 sends nothing off-region.  Region traffic T[g][q] is 2 from
@@ -485,122 +442,19 @@ TEST(DensePlan, HandCheckedBruckPlan) {
              "rank 5 deliver");
 }
 
-namespace {
-/// Rank 0's plans of both aggregated methods for `s` on two regions of
-/// two, as `NeighborAlltoallv::plan()` returns them.
-struct DensePlans {
-  std::shared_ptr<const PlanBase> agg, bru;
-};
-DensePlans rank0_plans(const DenseSpec& s) {
-  DensePlans out;
-  Engine eng(machine_of(2, 2), CostParams::lassen());
-  eng.run([&](Context& ctx) -> Task<> {
-    RankDense a(s, ctx.rank());
-    AlltoallvArgs args = a.args(s);
-    auto agg = co_await alltoallv_init(ctx, ctx.world(), args,
-                                       AlltoallMethod::node_aggregated);
-    auto bru =
-        co_await alltoallv_init(ctx, ctx.world(), args, AlltoallMethod::bruck);
-    if (ctx.rank() == 0) {
-      out.agg = agg->plan();
-      out.bru = bru->plan();
-    }
-  });
-  return out;
-}
-}  // namespace
-
-TEST(DensePlan, WrongPlanKindRejected) {
-  const DenseSpec s = uniform_spec(4, 1, 8);
-  // One plan of each kind, each fed where it does not belong.
-  const auto [agg, bru] = rank0_plans(s);
-  ASSERT_NE(agg, nullptr);
-  ASSERT_NE(bru, nullptr);
-  struct Case {
-    const PlanBase* plan;
-    AlltoallMethod method;
-  };
-  const Case cases[] = {
-      {bru.get(), AlltoallMethod::node_aggregated},
-      {agg.get(), AlltoallMethod::bruck},
-      {agg.get(), AlltoallMethod::standard},
-  };
-  for (const Case& c : cases) {
-    Engine eng(machine_of(2, 2), CostParams::lassen());
-    EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
-                   RankDense a(s, ctx.rank());
-                   AlltoallvArgs args = a.args(s);
-                   Options mopts;
-                   mopts.plan = c.plan;
-                   co_await alltoallv_init(ctx, ctx.world(), args, c.method,
-                                           mopts);
-                 }),
-                 SimError)
-        << to_string(c.method);
-  }
-  // A neighbor method needs a LocalityPlan too.
-  const PlanBase* bruck_plan = bru.get();
-  Engine eng(machine_of(2, 2), CostParams::lassen());
-  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
-                 RankDense a(s, ctx.rank());
-                 AlltoallvArgs args = a.args(s);
-                 DistGraph g{ctx.world(), {0, 1, 2, 3}, {0, 1, 2, 3}};
-                 co_await neighbor_alltoallv_init(ctx, g, args,
-                                                  Method::locality,
-                                                  {.plan = bruck_plan});
-               }),
-               SimError);
-}
-
-// A Bruck plan binds only the pattern and machine it was built for.  Fed
-// back with drifted counts, or on a machine of the same size whose regions
-// are smaller (its peers and layouts would misroute), init must throw.
-TEST(DensePlan, ForeignBruckPlanRejected) {
-  const DenseSpec s = uniform_spec(8, 1, 8);
-  std::vector<std::shared_ptr<const PlanBase>> plans(8);
-  {
-    Engine eng(machine_of(2, 4), CostParams::lassen());
-    eng.run([&](Context& ctx) -> Task<> {
-      RankDense a(s, ctx.rank());
-      AlltoallvArgs args = a.args(s);
-      auto coll = co_await alltoallv_init(ctx, ctx.world(), args,
-                                          AlltoallMethod::bruck);
-      plans[ctx.rank()] = coll->plan();
-    });
-  }
-  DenseSpec drifted = s;
-  for (auto& row : drifted.counts) row[0] = 2;  // one more value to rank 0
-  struct Case {
-    const DenseSpec& spec;
-    Machine machine;
-    const char* what;
-  };
-  const Case cases[] = {{drifted, machine_of(2, 4), "drifted counts"},
-                        {s, machine_of(4, 2), "regions of 2, not 4"}};
-  for (const Case& c : cases) {
-    Engine eng(c.machine, CostParams::lassen());
-    EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
-                   RankDense a(c.spec, ctx.rank());
-                   AlltoallvArgs args = a.args(c.spec);
-                   Options mopts;
-                   mopts.plan = plans[ctx.rank()].get();
-                   co_await alltoallv_init(ctx, ctx.world(), args,
-                                           AlltoallMethod::bruck, mopts);
-                 }),
-                 SimError)
-        << c.what;
-  }
-}
-
-TEST(DensePlan, StandardHasNoPlan) {
+TEST(StandardMethods, HaveNoPlanThroughEitherEntryPoint) {
   const DenseSpec s = uniform_spec(4, 1, 8);
   Engine eng(machine_of(2, 2), CostParams::lassen());
   eng.run([&](Context& ctx) -> Task<> {
     RankDense a(s, ctx.rank());
     AlltoallvArgs args = a.args(s);
-    auto coll = co_await alltoallv_init(ctx, ctx.world(), args,
-                                        AlltoallMethod::standard);
-    EXPECT_EQ(coll->plan(), nullptr);
+    auto dense = co_await alltoallv_init(ctx, ctx.world(), args,
+                                         AlltoallMethod::standard);
+    EXPECT_EQ(dense->plan(), nullptr);
+    DistGraph g{ctx.world(), {0, 1, 2, 3}, {0, 1, 2, 3}};
+    auto neighbor =
+        co_await neighbor_alltoallv_init(ctx, g, args, Method::standard);
+    EXPECT_EQ(neighbor->plan(), nullptr);
   });
 }
 
@@ -644,18 +498,24 @@ TEST(DenseValidation, InvalidMethodValuesRejected) {
 }
 
 TEST(DenseValidation, WrongCountArityRejected) {
+  // The error names the entry point, the array and its size against the
+  // communicator's.
   Engine eng(machine_of(1, 4), CostParams::lassen());
   for (AlltoallMethod m : kAllAlltoallMethods) {
-    EXPECT_THROW(
-        eng.run([&](Context& ctx) -> Task<> {
-          const DenseSpec s = uniform_spec(4, 1, 8);
-          RankDense a(s, ctx.rank());
-          AlltoallvArgs args = a.args(s);
-          args.sendcounts.pop_back();  // 3 entries for a 4-rank comm
-          args.sdispls.pop_back();
-          co_await alltoallv_init(ctx, ctx.world(), args, m);
-        }),
-        SimError)
-        << to_string(m);
+    try {
+      eng.run([&](Context& ctx) -> Task<> {
+        const DenseSpec s = uniform_spec(4, 1, 8);
+        RankDense a(s, ctx.rank());
+        AlltoallvArgs args = a.args(s);
+        args.sendcounts.pop_back();  // 3 entries for a 4-rank comm
+        args.sdispls.pop_back();
+        co_await alltoallv_init(ctx, ctx.world(), args, m);
+      });
+      ADD_FAILURE() << to_string(m) << " accepted 3 counts for 4 ranks";
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "alltoallv_init: sendcounts has 3 entries for 4 destinations")
+          << to_string(m);
+    }
   }
 }

@@ -112,6 +112,9 @@ TEST(PairLayout, DedupNeverLargerThanPartial) {
 // ---------------------------------------------------------------------------
 namespace {
 
+/// The entry point the errors name.
+constexpr const char* kWho = "neighbor_alltoallv_init";
+
 /// One destination (2 values), one source (3 values), double payload.
 struct ArgsFixture {
   simmpi::DistGraph graph;
@@ -141,53 +144,70 @@ struct ArgsFixture {
 
 TEST(ValidateArgs, AcceptsMatchingPattern) {
   ArgsFixture f;
-  EXPECT_NO_THROW(validate_args(f.graph, f.args(), /*need_idx=*/false));
-  EXPECT_NO_THROW(validate_args(f.graph, f.args(), /*need_idx=*/true));
+  EXPECT_NO_THROW(validate_args(f.graph, f.args(), /*need_idx=*/false, kWho));
+  EXPECT_NO_THROW(validate_args(f.graph, f.args(), /*need_idx=*/true, kWho));
 }
 
 TEST(ValidateArgs, RejectsCountAndDisplArityMismatch) {
   ArgsFixture f;
   auto a = f.args();
   a.sendcounts.push_back(1);
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.sdispls.clear();
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.recvcounts = {3, 1};
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.rdispls = {};
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
 }
 
 TEST(ValidateArgs, RejectsNegativeCountsAndDispls) {
+  // The message names the entry point, the array, its first negative
+  // index and that entry's value.
   ArgsFixture f;
+  auto message = [&](const AlltoallvArgs& a) {
+    try {
+      validate_args(f.graph, a, false, kWho);
+    } catch (const simmpi::SimError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string at = std::string(kWho) + ": ";
   auto a = f.args();
   a.sendcounts[0] = -1;
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_EQ(message(a), at + "sendcounts[0] is -1, negative");
   a = f.args();
   a.sdispls[0] = -2;
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_EQ(message(a), at + "sdispls[0] is -2, negative");
   a = f.args();
   a.recvcounts[0] = -3;
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_EQ(message(a), at + "recvcounts[0] is -3, negative");
   a = f.args();
   a.rdispls[0] = -1;
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_EQ(message(a), at + "rdispls[0] is -1, negative");
+  // Three sources, two of them negative: the first one is named.
+  f.graph.sources = {2, 3, 4};
+  a = f.args();
+  a.recvcounts = {1, -5, -6};
+  a.rdispls = {0, 1, 1};
+  EXPECT_EQ(message(a), at + "recvcounts[1] is -5, negative");
 }
 
 TEST(ValidateArgs, RejectsSegmentsExceedingBuffers) {
   ArgsFixture f;
   auto a = f.args();
   a.sendcounts[0] = 3;  // only 2 values in sendbuf
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.sdispls[0] = 1;  // displ 1 + count 2 > 2 values
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.rdispls[0] = 1;  // displ 1 + count 3 > 3 values
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
 }
 
 TEST(ValidateArgs, RejectsMismatchedElementSize) {
@@ -196,56 +216,26 @@ TEST(ValidateArgs, RejectsMismatchedElementSize) {
   // Same byte buffers, but claimed element twice as wide: the declared
   // segments no longer fit.
   a.element_size = 2 * sizeof(double);
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   a = f.args();
   a.element_size = 0;
-  EXPECT_THROW(validate_args(f.graph, a, false), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, false, kWho), simmpi::SimError);
   // Narrower elements over the same bytes are fine (buffer over-covers).
   a = f.args();
   a.element_size = sizeof(float);
-  EXPECT_NO_THROW(validate_args(f.graph, a, false));
+  EXPECT_NO_THROW(validate_args(f.graph, a, false, kWho));
 }
 
 TEST(ValidateArgs, DedupModeRequiresCoveringIndices) {
   ArgsFixture f;
   auto a = f.args();
   a.send_idx = {};
-  EXPECT_THROW(validate_args(f.graph, a, true), simmpi::SimError);
-  EXPECT_NO_THROW(validate_args(f.graph, a, false));  // only dedup needs idx
+  EXPECT_THROW(validate_args(f.graph, a, true, kWho), simmpi::SimError);
+  // Only dedup needs the indices.
+  EXPECT_NO_THROW(validate_args(f.graph, a, false, kWho));
   a = f.args();
   a.recv_idx = a.recv_idx.first(2);  // one value short of recvbuf
-  EXPECT_THROW(validate_args(f.graph, a, true), simmpi::SimError);
-}
-
-TEST(ValidatePlanArgs, RejectsPatternDrift) {
-  ArgsFixture f;
-  // A plan carrying exactly the fixture's pattern.
-  LocalityPlan plan;
-  plan.destinations = f.graph.destinations;
-  plan.sources = f.graph.sources;
-  plan.sendcounts = {2};
-  plan.sdispls = {0};
-  plan.recvcounts = {3};
-  plan.rdispls = {0};
-  EXPECT_NO_THROW(validate_plan_args(plan, f.graph, f.args()));
-
-  auto a = f.args();
-  a.sendcounts = {1};  // fits the buffer, but not the plan
-  EXPECT_THROW(validate_plan_args(plan, f.graph, a), simmpi::SimError);
-
-  simmpi::DistGraph other = f.graph;
-  other.destinations = {3};
-  EXPECT_THROW(validate_plan_args(plan, other, f.args()), simmpi::SimError);
-
-  // Dedup plans additionally pin the index annotations.
-  plan.dedup = true;
-  plan.send_idx = {10, 11};
-  plan.recv_idx = {20, 21, 22};
-  EXPECT_NO_THROW(validate_plan_args(plan, f.graph, f.args()));
-  std::vector<gidx> drifted{10, 99};
-  a = f.args();
-  a.send_idx = drifted;
-  EXPECT_THROW(validate_plan_args(plan, f.graph, a), simmpi::SimError);
+  EXPECT_THROW(validate_args(f.graph, a, true, kWho), simmpi::SimError);
 }
 
 TEST(ValidateArgs, RejectsRaggedPayloadBuffers) {
@@ -256,7 +246,7 @@ TEST(ValidateArgs, RejectsRaggedPayloadBuffers) {
   auto a = f.args();
   a.sendbuf = a.sendbuf.first(a.sendbuf.size() - 3);
   try {
-    validate_args(f.graph, a, false);
+    validate_args(f.graph, a, false, kWho);
     FAIL() << "ragged sendbuf accepted";
   } catch (const simmpi::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("sendbuf"), std::string::npos);
@@ -265,7 +255,7 @@ TEST(ValidateArgs, RejectsRaggedPayloadBuffers) {
   a = f.args();
   a.recvbuf = a.recvbuf.first(a.recvbuf.size() - 7);
   try {
-    validate_args(f.graph, a, false);
+    validate_args(f.graph, a, false, kWho);
     FAIL() << "ragged recvbuf accepted";
   } catch (const simmpi::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("recvbuf"), std::string::npos);

@@ -135,9 +135,11 @@ bool coalesced(const std::vector<CopyRun>& runs) {
 
 /// Coverage invariants of one rank's locality plan: staged sends write
 /// their message exactly once, staged receives read only inside theirs and
-/// all of it, the s_stage and every receive segment are written exactly
-/// once, and every run list is coalesced.
-void check_run_coverage(const LocalityPlan& p, const std::string& what) {
+/// all of it, the s_stage and every receive segment of the rank's
+/// arguments `a` are written exactly once, and every run list is
+/// coalesced.
+void check_run_coverage(const LocalityPlan& p, const RankArgs& a,
+                        const std::string& what) {
   for (const auto* sends : {&p.s.sends, &p.r.sends})
     for (const auto& m : *sends) {
       Cover msg(m.values);
@@ -164,11 +166,11 @@ void check_run_coverage(const LocalityPlan& p, const std::string& what) {
   // Every receive-segment position is written exactly once; positions
   // outside the segments are never written.
   long recv_values = 0;
-  for (std::size_t i = 0; i < p.rdispls.size(); ++i)
-    recv_values = std::max<long>(recv_values, p.rdispls[i] + p.recvcounts[i]);
+  for (std::size_t i = 0; i < a.rdispls.size(); ++i)
+    recv_values = std::max<long>(recv_values, a.rdispls[i] + a.recvcounts[i]);
   Cover need(recv_values), got(recv_values);
-  for (std::size_t i = 0; i < p.rdispls.size(); ++i)
-    need.add(p.rdispls[i], p.recvcounts[i]);
+  for (std::size_t i = 0; i < a.rdispls.size(); ++i)
+    need.add(a.rdispls[i], a.recvcounts[i]);
   for (const auto& m : p.l_recvs) got.add(m.displ, m.count);
   for (const CopyRun& r : p.r.self) got.add(r.dst, r.len);
   for (const auto& m : p.r.recvs)
@@ -216,9 +218,10 @@ TEST_P(NeighborProperty, AllProtocolsDeliverIdenticalPayloads) {
   EXPECT_EQ(sum_global_values(stats.partial_),
             sum_global_values(stats.standard_));
   for (int r = 0; r < nranks; ++r) {
-    check_run_coverage(*stats.partial_plans_[r],
+    const RankArgs a = pattern::rank_args(pat, r);
+    check_run_coverage(*stats.partial_plans_[r], a,
                        "locality rank " + std::to_string(r));
-    check_run_coverage(*stats.full_plans_[r],
+    check_run_coverage(*stats.full_plans_[r], a,
                        "locality_dedup rank " + std::to_string(r));
   }
 }
