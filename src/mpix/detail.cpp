@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <string>
+#include <tuple>
 
 namespace mpix::detail {
 
@@ -53,23 +54,27 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
         args.sdispls, "sdispls", graph.destinations.size(), "destinations");
   check(args.recvbuf.size(), "recvbuf", args.recvcounts, "recvcounts",
         args.rdispls, "rdispls", graph.sources.size(), "sources");
-  if (need_idx) {
-    if (args.send_idx.size() < args.send_values() ||
-        args.recv_idx.size() < args.recv_values())
-      throw SimError(at +
-                     "dedup requires send_idx/recv_idx covering the "
-                     "send/recv buffers");
-  }
+  if (!need_idx) return;
+  // A dedup plan routes by gid: every value needs its index.
+  for (const auto& [n, idx, values, buf] :
+       {std::tuple{args.send_idx.size(), "send_idx", args.send_values(),
+                   "sendbuf"},
+        std::tuple{args.recv_idx.size(), "recv_idx", args.recv_values(),
+                   "recvbuf"}})
+    if (n < values)
+      throw SimError(at + idx + " has " + std::to_string(n) +
+                     " entries for the " + std::to_string(values) +
+                     " values of " + buf + " (dedup needs one per value)");
 }
 
-void reject_duplicate_edges(const simmpi::DistGraph& graph) {
-  auto check = [](std::span<const int> ranks, const char* what) {
+void reject_duplicate_edges(const simmpi::DistGraph& graph, const char* who) {
+  auto check = [who](std::span<const int> ranks, const char* what) {
     std::vector<int> sorted(ranks.begin(), ranks.end());
     std::sort(sorted.begin(), sorted.end());
     auto it = std::adjacent_find(sorted.begin(), sorted.end());
     if (it != sorted.end())
       throw SimError(
-          "neighbor_alltoallv: locality methods require unique " +
+          std::string(who) + ": locality methods require unique " +
           std::string(what) + " (rank " + std::to_string(*it) +
           " appears more than once; merge the segments or use "
           "Method::standard)");

@@ -29,8 +29,9 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
 /// (src, dst, tag) channel FIFO in program order), but the locality
 /// methods key routing tables by peer rank, which would collapse
 /// duplicate edges and misroute their segments — so plan construction
-/// refuses them up front.  Throws SimError naming the duplicated rank.
-void reject_duplicate_edges(const simmpi::DistGraph& graph);
+/// refuses them up front.  Throws SimError prefixed with `who` (the entry
+/// point), naming the duplicated rank.
+void reject_duplicate_edges(const simmpi::DistGraph& graph, const char* who);
 
 /// The one counting rule of `NeighborStats`: count a message of `values`
 /// values that this rank sends to comm-local rank `peer`.  A send to a

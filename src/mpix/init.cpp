@@ -91,7 +91,7 @@ simmpi::Task<std::unique_ptr<NeighborAlltoallv>> init_impl(
     co_return impl::bind_bruck(ctx, graph, std::move(args), std::move(plan),
                                opts);
   }
-  detail::reject_duplicate_edges(graph);
+  detail::reject_duplicate_edges(graph, who);
   auto plan = co_await impl::build_locality_plan(ctx, graph, args, dedup,
                                                  opts.lpt_balance);
   co_return impl::bind_locality(ctx, graph, std::move(args), std::move(plan),

@@ -235,7 +235,15 @@ TEST(ValidateArgs, DedupModeRequiresCoveringIndices) {
   EXPECT_NO_THROW(validate_args(f.graph, a, false, kWho));
   a = f.args();
   a.recv_idx = a.recv_idx.first(2);  // one value short of recvbuf
-  EXPECT_THROW(validate_args(f.graph, a, true, kWho), simmpi::SimError);
+  try {
+    validate_args(f.graph, a, true, kWho);
+    FAIL() << "short recv_idx accepted";
+  } catch (const simmpi::SimError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              std::string(kWho) +
+                  ": recv_idx has 2 entries for the 3 values of recvbuf "
+                  "(dedup needs one per value)");
+  }
 }
 
 TEST(ValidateArgs, RejectsRaggedPayloadBuffers) {
@@ -267,9 +275,9 @@ TEST(RejectDuplicateEdges, AcceptsUniqueAdjacency) {
   simmpi::DistGraph g;
   g.destinations = {3, 1, 2};
   g.sources = {0, 5};
-  EXPECT_NO_THROW(reject_duplicate_edges(g));
+  EXPECT_NO_THROW(reject_duplicate_edges(g, kWho));
   simmpi::DistGraph empty;
-  EXPECT_NO_THROW(reject_duplicate_edges(empty));
+  EXPECT_NO_THROW(reject_duplicate_edges(empty, kWho));
 }
 
 TEST(RejectDuplicateEdges, NamesTheDuplicatedRank) {
@@ -277,14 +285,16 @@ TEST(RejectDuplicateEdges, NamesTheDuplicatedRank) {
   g.destinations = {2, 4, 2};
   g.sources = {1};
   try {
-    reject_duplicate_edges(g);
+    reject_duplicate_edges(g, kWho);
     FAIL() << "duplicate destination accepted";
   } catch (const simmpi::SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 2"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(std::string(kWho) + ": ", 0), 0u) << what;
+    EXPECT_NE(what.find("rank 2"), std::string::npos);
   }
   g.destinations = {2, 4};
   g.sources = {7, 7};
-  EXPECT_THROW(reject_duplicate_edges(g), simmpi::SimError);
+  EXPECT_THROW(reject_duplicate_edges(g, kWho), simmpi::SimError);
 }
 
 // ---------------------------------------------------------------------------
