@@ -15,12 +15,20 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
   const std::string at = std::string(who) + ": ";
   const std::size_t es = args.element_size;
   if (es == 0) throw SimError(at + "element_size must be positive");
-  // One direction: the buffer, then its counts and displacements against
-  // the degree (one entry per peer in `peers`) and the buffer's values.
-  auto check = [&](std::size_t bytes, const char* buf,
+  const int ranks = graph.comm.size();
+  // One direction: its peers against the communicator, its buffer, then
+  // its counts and displacements against the degree and the buffer's
+  // values.
+  auto check = [&](const std::vector<int>& peers, const char* peers_name,
+                   std::size_t bytes, const char* buf,
                    const std::vector<int>& counts, const char* counts_name,
-                   const std::vector<int>& displs, const char* displs_name,
-                   std::size_t degree, const char* peers) {
+                   const std::vector<int>& displs, const char* displs_name) {
+    const std::size_t degree = peers.size();
+    for (std::size_t i = 0; i < degree; ++i)
+      if (peers[i] < 0 || peers[i] >= ranks)
+        throw SimError(at + peers_name + "[" + std::to_string(i) + "] is " +
+                       std::to_string(peers[i]) + ", not a rank of the " +
+                       std::to_string(ranks) + "-rank communicator");
     // Ragged payload buffers: send_values()/recv_values() divide by
     // element_size, so a trailing partial value would silently be dropped.
     if (bytes % es != 0)
@@ -34,7 +42,7 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
       if (v->size() != degree)
         throw SimError(at + name + " has " + std::to_string(v->size()) +
                        " entries for " + std::to_string(degree) + " " +
-                       peers);
+                       peers_name);
       for (std::size_t i = 0; i < degree; ++i)
         if ((*v)[i] < 0)
           throw SimError(at + name + "[" + std::to_string(i) + "] is " +
@@ -50,10 +58,10 @@ void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
                        " values of " + buf +
                        " (check counts and element_size)");
   };
-  check(args.sendbuf.size(), "sendbuf", args.sendcounts, "sendcounts",
-        args.sdispls, "sdispls", graph.destinations.size(), "destinations");
-  check(args.recvbuf.size(), "recvbuf", args.recvcounts, "recvcounts",
-        args.rdispls, "rdispls", graph.sources.size(), "sources");
+  check(graph.destinations, "destinations", args.sendbuf.size(), "sendbuf",
+        args.sendcounts, "sendcounts", args.sdispls, "sdispls");
+  check(graph.sources, "sources", args.recvbuf.size(), "recvbuf",
+        args.recvcounts, "recvcounts", args.rdispls, "rdispls");
   if (!need_idx) return;
   // A dedup plan routes by gid: every value needs its index.
   for (const auto& [n, idx, values, buf] :

@@ -15,11 +15,12 @@
 
 namespace mpix::detail {
 
-/// Validate counts/displacements against the graph and buffers (in values,
-/// scaled by `args.element_size`); with `need_idx`, also require
-/// send_idx/recv_idx covering the buffers.  Throws SimError prefixed with
-/// `who` (the entry point), naming the offending array: its size against
-/// the degree, or its first bad index and value.
+/// Validate the graph's peers against its communicator, and
+/// counts/displacements against the graph and buffers (in values, scaled
+/// by `args.element_size`); with `need_idx`, also require send_idx/recv_idx
+/// covering the buffers.  Throws SimError prefixed with `who` (the entry
+/// point), naming the offending array: its size against the degree, or its
+/// first bad index and value.
 void validate_args(const simmpi::DistGraph& graph, const AlltoallvArgs& args,
                    bool need_idx, const char* who);
 

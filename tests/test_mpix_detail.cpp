@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "mpix/detail.hpp"
@@ -124,6 +125,12 @@ struct ArgsFixture {
   std::vector<gidx> recv_idx{20, 21, 22};
 
   ArgsFixture() {
+    // A five-rank communicator, so every peer the tests name is a rank.
+    graph.comm = simmpi::Comm(
+        nullptr,
+        std::make_shared<const simmpi::CommData>(
+            simmpi::CommData{.members = {0, 1, 2, 3, 4}}),
+        0);
     graph.destinations = {1};
     graph.sources = {2};
   }

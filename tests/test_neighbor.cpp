@@ -298,6 +298,50 @@ TEST(Neighbor, MismatchedCountsRejected) {
       SimError);
 }
 
+TEST(Neighbor, PeersOutsideTheCommunicatorRejected) {
+  // A hand-built graph can name any int as a peer: init rejects one that
+  // is not a rank of the graph's communicator, naming the entry and its
+  // value, before any method reads it.
+  struct Case {
+    std::vector<int> sources, destinations;
+    const char* what;
+  };
+  const Case cases[] = {
+      {{1}, {4}, "destinations[0] is 4, not a rank of the 4-rank communicator"},
+      {{-1}, {1}, "sources[0] is -1, not a rank of the 4-rank communicator"},
+  };
+  for (Method m : {Method::standard, Method::locality, Method::locality_dedup})
+    for (const Case& c : cases) {
+      Engine eng(Machine({.num_nodes = 2, .regions_per_node = 1,
+                          .ranks_per_region = 2}),
+                 CostParams::lassen());
+      try {
+        eng.run([&](Context& ctx) -> Task<> {
+          std::vector<double> sendbuf(1), recvbuf(1);
+          std::vector<gidx> send_idx{0}, recv_idx{0};
+          DistGraph g;
+          g.comm = ctx.world();
+          g.sources = c.sources;
+          g.destinations = c.destinations;
+          AlltoallvArgs args = AlltoallvArgsT<double>{.sendbuf = sendbuf,
+                                                      .sendcounts = {1},
+                                                      .sdispls = {0},
+                                                      .recvbuf = recvbuf,
+                                                      .recvcounts = {1},
+                                                      .rdispls = {0},
+                                                      .send_idx = send_idx,
+                                                      .recv_idx = recv_idx};
+          co_await neighbor_alltoallv_init(ctx, g, args, m);
+        });
+        ADD_FAILURE() << to_string(m) << " accepted: " << c.what;
+      } catch (const SimError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string("neighbor_alltoallv_init: ") + c.what)
+            << to_string(m);
+      }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Duplicate destinations/sources in the adjacency (legal in MPI dist
 // graphs): the standard method must deliver them deterministically —
